@@ -326,6 +326,18 @@ def regularize(em: ErrorModel, cfg: RegularizerConfig) -> tuple[float, dict]:
     return value, grads
 
 
+def _minus_shifted(inputs: np.ndarray, shifts, phis) -> np.ndarray:
+    """inputs - sum over lags of shift @ phi^T, each one 2-D BLAS product.
+
+    Written (phi @ shift^T)^T so that BLAS packs the (B*H)-row operand in
+    blocks; shift @ phi^T packs it whole into BLAS's resident buffer."""
+    n = inputs.shape[-1]
+    out = inputs.reshape(-1, n)
+    for shift, phi in zip(shifts, phis):
+        out = out - (phi @ shift.reshape(-1, n).T).T
+    return out.reshape(inputs.shape)
+
+
 def transform_window(
     window: np.ndarray,
     window_shifted: np.ndarray,
@@ -343,16 +355,15 @@ def transform_window(
         raise ContractError(f"window shape {w.shape} != shifted shape {s1.shape}")
     if em is None:
         return w.copy()
-    phis = _materialize_all(em)
-    out = w - s1 @ phis[0].T
+    shifts = [s1]
     if em.var_order == 2:
         if window_shifted2 is None:
             raise ContractError("var_order 2 requires the doubly-shifted window")
         s2 = np.asarray(window_shifted2, dtype=np.float64)
         if s2.shape != w.shape:
             raise ContractError(f"shifted2 shape {s2.shape} != window shape {w.shape}")
-        out = out - s2 @ phis[1].T
-    return out
+        shifts.append(s2)
+    return _minus_shifted(w, shifts, _materialize_all(em))
 
 
 def saea_predict(
@@ -447,7 +458,7 @@ def saea_loss(
         if not np.isfinite(mse):
             raise DivergenceError("non-finite loss")
         cots = (2.0 / resid.size) * resid
-        _, grad_theta, _ = model.vjp_batch(inputs, cots)
+        grad_theta, _ = model.vjp_batch(inputs, cots)
         return LossResult(mse, grad_theta, {}, mse, 0.0)
 
     phis = _materialize_all(em)
@@ -458,10 +469,7 @@ def saea_loss(
     if em.var_order == 2:
         anchors.append(inputs[:, 1, :])
 
-    transformed = inputs - shifted[0] @ phis[0].T
-    if em.var_order == 2:
-        transformed = transformed - shifted[1] @ phis[1].T
-
+    transformed = _minus_shifted(inputs, shifted, phis)
     preds = model.forward_batch(transformed)
     for phi, anchor in zip(phis, anchors):
         preds = preds + anchor @ phi.T
@@ -475,13 +483,14 @@ def saea_loss(
         raise DivergenceError("non-finite loss")
 
     cots = (2.0 / resid.size) * resid
-    _, grad_theta, grad_input = model.vjp_batch(transformed, cots)
+    grad_theta, grad_input = model.vjp_batch(transformed, cots)
 
+    grad_flat = grad_input.reshape(-1, em.n)
     grad_phis = []
-    for phi, anchor, shift in zip(phis, anchors, shifted):
+    for anchor, shift in zip(anchors, shifted):
         # anchor path: d(anchor @ phi^T)/d phi, plus input path through f
-        g = np.einsum("bi,bj->ij", cots, anchor)
-        g -= np.einsum("bhi,bhj->ij", grad_input, shift)
+        g = cots.T @ anchor
+        g -= grad_flat.T @ shift.reshape(-1, em.n)
         grad_phis.append(g)
 
     payload_grads = _phi_to_payload_grads(em, grad_phis)

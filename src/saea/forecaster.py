@@ -22,9 +22,9 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class VjpResult:
-    value: np.ndarray       # (N,) prediction
-    grad_theta: np.ndarray  # (P,) cotangent^T d f / d theta
-    grad_input: np.ndarray  # (H, N) cotangent^T d f / d window
+    value: np.ndarray       # (N,) prediction, from forward_batch
+    grad_theta: np.ndarray  # (P,) cotangent^T d f / d theta, from vjp_batch
+    grad_input: np.ndarray  # (H, N) cotangent^T d f / d window, from vjp_batch
 
 
 class Forecaster:
@@ -32,7 +32,9 @@ class Forecaster:
 
     Subclasses implement the batched `forward_batch` / `vjp_batch`; the
     single-window entry points validate shapes and delegate. `vjp_batch`
-    returns grad_theta summed over the batch.
+    returns gradients only, `(grad_theta, grad_input)`: grad_theta summed over
+    the batch and grad_input per window, shape (B, H, N). Callers that need the
+    values as well already have them from `forward_batch`.
     """
 
     kind = "base"
@@ -64,13 +66,13 @@ class Forecaster:
         c = np.asarray(cotangent, dtype=np.float64)
         if c.shape != (self.n,):
             raise ContractError(f"cotangent shape {c.shape} != ({self.n},)")
-        values, grad_theta, grad_input = self.vjp_batch(w[None], c[None])
-        return VjpResult(value=values[0], grad_theta=grad_theta, grad_input=grad_input[0])
+        grad_theta, grad_input = self.vjp_batch(w[None], c[None])
+        return VjpResult(self.forward_batch(w[None])[0], grad_theta, grad_input[0])
 
     def forward_batch(self, windows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def vjp_batch(self, windows, cotangents) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def vjp_batch(self, windows, cotangents) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def _check_window(self, window) -> np.ndarray:
@@ -88,7 +90,7 @@ class Forecaster:
             "kind": self.kind,
             "history": self.history,
             "n": self.n,
-            "theta": [float(x) for x in self.get_params()],
+            "theta": self.get_params().tolist(),
         }
         blob.update(self._extra_blob())
         return blob
@@ -124,11 +126,10 @@ class NodeAR(Forecaster):
         return np.einsum("bhn,hn->bn", windows, self.weights) + self.bias
 
     def vjp_batch(self, windows, cotangents):
-        values = self.forward_batch(windows)
         grad_w = np.einsum("bhn,bn->hn", windows, cotangents)
         grad_b = cotangents.sum(axis=0)
         grad_input = np.einsum("hn,bn->bhn", self.weights, cotangents)
-        return values, np.concatenate([grad_w.ravel(), grad_b]), grad_input
+        return np.concatenate([grad_w.ravel(), grad_b]), grad_input
 
 
 class GraphFilterAR(Forecaster):
@@ -167,32 +168,24 @@ class GraphFilterAR(Forecaster):
         self.bias = theta[2 * h :].copy()
 
     def forward_batch(self, windows):
-        hopped = windows @ self.propagation.T
-        return (
-            np.einsum("h,bhn->bn", self.tap_self, windows)
-            + np.einsum("h,bhn->bn", self.tap_hop, hopped)
-            + self.bias
-        )
+        # linear in the window: mix the lags first, then propagate once per window
+        own = np.einsum("h,bhn->bn", self.tap_self, windows)
+        mixed = np.einsum("h,bhn->bn", self.tap_hop, windows)
+        return own + mixed @ self.propagation.T + self.bias
 
     def vjp_batch(self, windows, cotangents):
-        hopped = windows @ self.propagation.T
-        values = (
-            np.einsum("h,bhn->bn", self.tap_self, windows)
-            + np.einsum("h,bhn->bn", self.tap_hop, hopped)
-            + self.bias
-        )
-        grad_self = np.einsum("bhn,bn->h", windows, cotangents)
-        grad_hop = np.einsum("bhn,bn->h", hopped, cotangents)
-        grad_b = cotangents.sum(axis=0)
         back_hopped = cotangents @ self.propagation  # rows are prop^T @ cotangent
+        grad_self = np.einsum("bhn,bn->h", windows, cotangents)
+        grad_hop = np.einsum("bhn,bn->h", windows, back_hopped)
+        grad_b = cotangents.sum(axis=0)
         grad_input = (
             self.tap_self[None, :, None] * cotangents[:, None, :]
             + self.tap_hop[None, :, None] * back_hopped[:, None, :]
         )
-        return values, np.concatenate([grad_self, grad_hop, grad_b]), grad_input
+        return np.concatenate([grad_self, grad_hop, grad_b]), grad_input
 
     def _extra_blob(self) -> dict:
-        return {"propagation": [[float(v) for v in row] for row in self.propagation]}
+        return {"propagation": self.propagation.tolist()}
 
 
 class MLP1(Forecaster):
@@ -239,8 +232,7 @@ class MLP1(Forecaster):
     def vjp_batch(self, windows, cotangents):
         b = windows.shape[0]
         flat = windows.reshape(b, -1)
-        z = np.tanh(flat @ self.w1.T + self.b1)
-        values = z @ self.w2.T + self.b2
+        z = np.tanh(flat @ self.w1.T + self.b1)  # hidden activations the backward pass needs
         grad_w2 = cotangents.T @ z
         grad_b2 = cotangents.sum(axis=0)
         dpre = (cotangents @ self.w2) * (1.0 - z * z)
@@ -250,7 +242,7 @@ class MLP1(Forecaster):
         grad_theta = np.concatenate(
             [grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2]
         )
-        return values, grad_theta, grad_input
+        return grad_theta, grad_input
 
     def _extra_blob(self) -> dict:
         return {"hidden": self.hidden}

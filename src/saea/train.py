@@ -26,7 +26,7 @@ from .adjust import (
     spectral_radius,
 )
 from .data import WindowSet, make_windows, shift_with_mean
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, SaeaError, ValidationError
 from .forecaster import Forecaster, forecaster_from_blob
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -170,6 +170,11 @@ def _clip_gradients(grad_theta, payload_grads, limit):
     return grad_theta * scale, {k: v * scale for k, v in payload_grads.items()}
 
 
+def _snapshot(model: Forecaster, em: ErrorModel | None, extra: dict) -> tuple:
+    """Copies of the trained state plus the blob fields that describe it."""
+    return model.get_params(), (em.clone() if em is not None else None), extra
+
+
 def fit(
     model: Forecaster,
     em: ErrorModel | None,
@@ -181,8 +186,9 @@ def fit(
 
     Every epoch records the mean batch loss, validation MSE of the adjusted
     predictions, and the spectral radius of the error coefficients. The best
-    validation state and the final state are both kept as checkpoint blobs.
-    A non-finite loss aborts with the last finished epoch's state retained.
+    validation state and the final state are both kept as checkpoint blobs,
+    built once at the end from array snapshots. A non-finite loss aborts with
+    the last finished epoch's state retained.
     """
     cfg.validate()
     if train_windows.batch == 0 or val_windows.batch == 0:
@@ -195,7 +201,8 @@ def fit(
         opt_state.update({name: np.zeros_like(arr) for name, arr in em.payload.items()})
 
     report = TrainReport()
-    last_good = checkpoint_blob(model, em, {"epoch": -1})
+    last_good = _snapshot(model, em, {"epoch": -1})
+    best = None
     b_train = train_windows.batch
     num_batches = (b_train + cfg.batch_size - 1) // cfg.batch_size
     for epoch in range(cfg.epochs):
@@ -235,11 +242,9 @@ def fit(
         except DivergenceError:
             # roll back to the end of the last finished epoch
             report.diverged = True
-            restored_model, restored_em = load_checkpoint_blob(last_good)
-            theta = restored_model.get_params()
-            model.set_params(theta)
-            if em is not None and restored_em is not None:
-                em.payload = restored_em.payload
+            model.set_params(last_good[0])
+            if em is not None:
+                em.payload = last_good[1].payload
             break
         preds = predict_windows(model, em, val_windows)
         val_mse = float(np.mean((preds - val_windows.targets) ** 2))
@@ -248,16 +253,20 @@ def fit(
         report.radius.append(spectral_radius(em) if em is not None else 0.0)
         report.epoch_seconds.append(time.perf_counter() - started)
         report.epochs_run = epoch + 1
-        last_good = checkpoint_blob(model, em, {"epoch": epoch, "val_mse": val_mse})
+        last_good = _snapshot(model, em, {"epoch": epoch, "val_mse": val_mse})
         if val_mse < report.best_val_mse:
             report.best_val_mse = val_mse
             report.best_epoch = epoch
-            report.best_checkpoint = last_good
+            best = last_good
     report.final_checkpoint = checkpoint_blob(
         model, em, {"epoch": report.epochs_run - 1, "diverged": report.diverged}
     )
-    if report.best_checkpoint is None:
-        report.best_checkpoint = report.final_checkpoint
+    report.best_checkpoint = report.final_checkpoint
+    if best is not None:
+        final_theta = model.get_params()
+        model.set_params(best[0])
+        report.best_checkpoint = checkpoint_blob(model, best[1], best[2])
+        model.set_params(final_theta)
     return report
 
 
@@ -299,7 +308,7 @@ def fit_direct_multistep(
             run_cfg = TrainConfig(**{**cfg.__dict__, "horizon_step": p})
             report = fit(model, em, run_cfg, train_ws, val_ws)
             results.append(HorizonResult(p, model, em, report))
-        except Exception as exc:  # per-horizon isolation
+        except SaeaError as exc:  # per-horizon isolation
             results.append(HorizonResult(p, None, None, None, error=str(exc)))
     return results
 

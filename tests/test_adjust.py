@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from _helpers import central_diff, max_rel_err, payload_fd_grads
 from saea.adjust import (
     ErrorModel,
+    _phi_to_payload_grads,
     RegularizerConfig,
     companion_matrix,
     default_regularizer,
@@ -375,6 +376,38 @@ def test_loss_gradients_match_finite_differences(kind, var_order):
     fd = payload_fd_grads(lambda: saea_loss(model, em, cfg, batch).loss, em)
     for name in em.payload:
         assert max_rel_err(res.payload_grads[name], fd[name]) < 1e-4
+
+
+def reference_coefficient_grads(model, em, batch):
+    """Per-lag dMSE/dPhi by the einsum formulas the loss was first written with."""
+    lags = range(em.var_order)
+    phis = [materialize_phi(em, lag) for lag in lags]
+    shifts = [shift_with_mean(batch.inputs, lag + 1) for lag in lags]
+    anchors = [batch.inputs[:, lag] for lag in lags]
+    transformed = batch.inputs - sum(s @ phi.T for s, phi in zip(shifts, phis))
+    preds = model.forward_batch(transformed) + sum(a @ phi.T for a, phi in zip(anchors, phis))
+    resid = preds - batch.targets
+    cots = (2.0 / resid.size) * resid
+    _, grad_input = model.vjp_batch(transformed, cots)
+    return [
+        np.einsum("bi,bj->ij", cots, a) - np.einsum("bhi,bhj->ij", grad_input, s)
+        for a, s in zip(anchors, shifts)
+    ]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("var_order", [1, 2])
+def test_loss_coefficient_gradient_matches_einsum_reference(kind, var_order):
+    n = 50
+    batch = random_batch(n=n, h=5, b=7, seed=17)
+    graph = ring_graph(n)
+    model = GraphFilterAR.from_graph(5, graph, seed=6)
+    em = make_em(kind, n, var_order=var_order, rank=3, graph=graph, randomize=23)
+    # alpha = 0 leaves only the data term, which is what the reference computes
+    res = saea_loss(model, em, RegularizerConfig(alpha=0.0), batch)
+    expected = _phi_to_payload_grads(em, reference_coefficient_grads(model, em, batch))
+    for name, grad in expected.items():
+        assert np.max(np.abs(res.payload_grads[name] - grad)) <= 1e-12 * np.max(np.abs(grad))
 
 
 def test_loss_empty_batch_rejected():

@@ -12,7 +12,7 @@ from saea.forecaster import (
     forecaster_from_blob,
 )
 from saea.graph import normalized_adjacency
-from saea.synth import path_graph, ring_graph
+from saea.synth import erdos_renyi_graph, path_graph, ring_graph
 
 H, N = 4, 6
 
@@ -87,6 +87,44 @@ def test_vjp_matches_finite_differences_20_seeds(model_idx):
         worst_input = max(worst_input, max_rel_err(res.grad_input, fd_input))
     assert worst_theta < 1e-4
     assert worst_input < 1e-4
+
+
+def test_vjp_batch_equals_single_window_vjps():
+    rng = np.random.default_rng(11)
+    windows = rng.normal(size=(7, H, N))
+    cots = rng.normal(size=(7, N))
+    for model in all_models(seed=4):
+        grad_theta, grad_input = model.vjp_batch(windows, cots)
+        singles = [model.vjp(w, c) for w, c in zip(windows, cots)]
+        summed = np.sum([r.grad_theta for r in singles], axis=0)
+        assert_allclose(grad_theta, summed, rtol=1e-12, atol=1e-14)
+        assert_allclose(grad_input, np.stack([r.grad_input for r in singles]), rtol=1e-12, atol=1e-14)
+        assert_allclose(np.stack([r.value for r in singles]), model.forward_batch(windows), atol=1e-14)
+
+
+def test_graphfilter_matches_per_lag_propagation_reference():
+    b, h, n = 7, 5, 50
+    model = GraphFilterAR.from_graph(h, erdos_renyi_graph(n, 0.2, seed=3), seed=8)
+    rng = np.random.default_rng(12)
+    model.set_params(model.get_params() + rng.normal(size=model.num_params))
+    windows = rng.normal(size=(b, h, n))
+    cots = rng.normal(size=(b, n))
+    # the formulas the model was first written with: propagate every lag
+    hopped = windows @ model.propagation.T
+    values = (
+        np.einsum("h,bhn->bn", model.tap_self, windows)
+        + np.einsum("h,bhn->bn", model.tap_hop, hopped)
+        + model.bias
+    )
+    grad_theta = np.concatenate([
+        np.einsum("bhn,bn->h", windows, cots),
+        np.einsum("bhn,bn->h", hopped, cots),
+        cots.sum(axis=0),
+    ])
+    got_values = model.forward_batch(windows)
+    got_theta, _ = model.vjp_batch(windows, cots)
+    assert np.max(np.abs(got_values - values)) <= 1e-12 * np.max(np.abs(values))
+    assert np.max(np.abs(got_theta - grad_theta)) <= 1e-12 * np.max(np.abs(grad_theta))
 
 
 def test_vjp_zero_cotangent_zero_gradients():

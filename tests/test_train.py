@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from saea.adjust import ErrorModel, saea_predict
+from saea.adjust import ErrorModel, predict_windows, saea_predict
 from saea.data import SeriesFrame, chronological_split, make_windows, shift_with_mean
 from saea.errors import ValidationError
 from saea.forecaster import GraphFilterAR, NodeAR
@@ -129,6 +129,27 @@ def test_fit_divergence_keeps_last_good_state():
     restored, _ = load_checkpoint_blob(report.final_checkpoint)
     assert np.all(np.isfinite(restored.get_params()))  # rolled back, not diverged
     assert np.all(np.isfinite(model.get_params()))
+
+
+def test_fit_best_and_final_checkpoints_hold_their_states():
+    frame = sinusoid_frame(t=120)
+    train_f, val_f, _ = chronological_split(frame, 0.7, 0.15)
+    tws = make_windows(train_f, 3, 0)
+    vws = make_windows(val_f, 3, 0)
+    model = NodeAR(3, 4, seed=1)
+    em = ErrorModel.for_training("diagonal", 4, seed=1)
+    report = fit(model, em, TrainConfig(epochs=8, learning_rate=0.2, seed=3, history=3), tws, vws)
+    assert report.best_epoch < report.epochs_run - 1  # best and final states differ
+    best = report.best_checkpoint
+    assert (best["epoch"], best["val_mse"]) == (report.best_epoch, report.best_val_mse)
+    best_model, best_em = load_checkpoint_blob(best)
+    best_mse = float(np.mean((predict_windows(best_model, best_em, vws) - vws.targets) ** 2))
+    assert best_mse == report.best_val_mse
+    final = report.final_checkpoint
+    assert (final["epoch"], final["diverged"]) == (report.epochs_run - 1, False)
+    final_model, final_em = load_checkpoint_blob(final)
+    assert_array_equal(final_model.get_params(), model.get_params())
+    assert_array_equal(final_em.payload["diag"], em.payload["diag"])
 
 
 def test_fit_train_loss_decreases():
@@ -269,6 +290,19 @@ def test_fit_direct_multistep_partial_failure():
     )
     assert not results[0].failed
     assert results[1].failed and "short" in results[1].error
+
+
+def test_fit_direct_multistep_propagates_programming_errors():
+    frame = sinusoid_frame(t=30)
+    train_f, val_f, _ = chronological_split(frame, 0.6, 0.3)
+
+    def broken_factory(p):
+        raise TypeError("factory bug")
+
+    with pytest.raises(TypeError):
+        fit_direct_multistep(
+            broken_factory, lambda p: None, TrainConfig(epochs=2, history=3), train_f, val_f, [0]
+        )
 
 
 def test_fit_direct_multistep_requires_horizons():

@@ -41,7 +41,8 @@ KINDS = (
     "structural",
 )
 
-# Tuned default penalty settings per parameterization (alpha, beta, rank).
+# Tuned default penalty settings per parameterization (alpha, beta) and the
+# default rank of the low-rank kinds (read by the CLI, not the regularizer).
 DEFAULT_REGULARIZATION = {
     "scalar": {"alpha": 1000.0},
     "diagonal": {"alpha": 1000.0},
@@ -64,7 +65,6 @@ class RegularizerConfig:
 
     alpha: float
     beta: float = 0.0
-    rank: int | None = None
     squared_structural_penalty: bool = False
 
     def __post_init__(self):
@@ -79,6 +79,7 @@ def default_regularizer(kind: str, **overrides) -> RegularizerConfig:
     if kind not in DEFAULT_REGULARIZATION:
         raise ValidationError(f"unknown error-model kind {kind!r}")
     settings = dict(DEFAULT_REGULARIZATION[kind])
+    settings.pop("rank", None)
     for key, value in overrides.items():
         if value is not None:
             settings[key] = value
@@ -161,17 +162,6 @@ class ErrorModel:
             self.payload[name] = arr
 
     @classmethod
-    def zeros(
-        cls,
-        kind: str,
-        n: int,
-        var_order: int = 1,
-        rank: int | None = None,
-        mask: StructuralMask | None = None,
-    ) -> "ErrorModel":
-        return cls(kind, n, var_order=var_order, rank=rank, mask=mask)
-
-    @classmethod
     def for_training(
         cls,
         kind: str,
@@ -184,7 +174,7 @@ class ErrorModel:
         """Zero-initialized payload, except low-rank left factors get tiny
         Gaussian noise (right factors stay zero, so the product is still zero
         and training starts exactly at the unadjusted baseline)."""
-        em = cls.zeros(kind, n, var_order=var_order, rank=rank, mask=mask)
+        em = cls(kind, n, var_order=var_order, rank=rank, mask=mask)
         if kind in ("low_rank", "low_rank_sparse"):
             rng = np.random.default_rng(seed)
             em.payload["left"] = rng.normal(0.0, 1e-3, size=em.payload["left"].shape)
@@ -326,6 +316,12 @@ def regularize(em: ErrorModel, cfg: RegularizerConfig) -> tuple[float, dict]:
     return value, grads
 
 
+def _lag_shifts(inputs: np.ndarray, em: ErrorModel | None) -> list[np.ndarray]:
+    """shift_with_mean(inputs, k) for each VAR lag k = 1..p of the error model."""
+    order = em.var_order if em is not None else 0
+    return [shift_with_mean(inputs, k) for k in range(1, order + 1)]
+
+
 def _minus_shifted(inputs: np.ndarray, shifts, phis) -> np.ndarray:
     """inputs - sum over lags of shift @ phi^T, each one 2-D BLAS product.
 
@@ -336,6 +332,46 @@ def _minus_shifted(inputs: np.ndarray, shifts, phis) -> np.ndarray:
     for shift, phi in zip(shifts, phis):
         out = out - (phi @ shift.reshape(-1, n).T).T
     return out.reshape(inputs.shape)
+
+
+def _adjusted_forward(
+    model: Forecaster, em: ErrorModel | None, inputs: np.ndarray, shifts
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adjusted predictions and transformed windows for a (B, H, N) batch.
+
+    Over the lags k = 1..p, with shifts[k-1] the lag-k shifted inputs:
+
+      transformed = inputs - sum_k shifts[k-1] @ Phi_k^T
+      preds       = sum_k inputs[:, k-1] @ Phi_k^T + f(transformed)
+
+    With no error model this is the plain forward on the inputs.
+    """
+    if em is None:
+        return model.forward_batch(inputs), inputs
+    phis = _materialize_all(em)
+    transformed = _minus_shifted(inputs, shifts, phis)
+    preds = model.forward_batch(transformed)
+    for lag, phi in enumerate(phis):
+        preds = preds + (phi @ inputs[:, lag].T).T
+    return preds, transformed
+
+
+def _window_and_shifts(window, em: ErrorModel | None, shifted) -> tuple:
+    """A window and the shifted windows its error model's lags use, checked.
+
+    The lag-1 shift must always match the window's shape; a deeper lag's shift
+    must be given only when the error model has that lag."""
+    w = np.asarray(window, dtype=np.float64)
+    order = em.var_order if em is not None else 0
+    checked = []
+    for lag, s in enumerate(shifted[: max(order, 1)], start=1):
+        if s is None:
+            raise ContractError(f"var_order {order} requires the window shifted by {lag}")
+        s = np.asarray(s, dtype=np.float64)
+        if s.shape != w.shape:
+            raise ContractError(f"lag-{lag} shifted shape {s.shape} != window shape {w.shape}")
+        checked.append(s)
+    return w, checked[:order]
 
 
 def transform_window(
@@ -349,20 +385,9 @@ def transform_window(
     Row h becomes window[h] - Phi_1 @ shifted[h] (- Phi_2 @ shifted2[h] for a
     second-order error model). Accepts single (H, N) windows or batches.
     """
-    w = np.asarray(window, dtype=np.float64)
-    s1 = np.asarray(window_shifted, dtype=np.float64)
-    if w.shape != s1.shape:
-        raise ContractError(f"window shape {w.shape} != shifted shape {s1.shape}")
+    w, shifts = _window_and_shifts(window, em, (window_shifted, window_shifted2))
     if em is None:
         return w.copy()
-    shifts = [s1]
-    if em.var_order == 2:
-        if window_shifted2 is None:
-            raise ContractError("var_order 2 requires the doubly-shifted window")
-        s2 = np.asarray(window_shifted2, dtype=np.float64)
-        if s2.shape != w.shape:
-            raise ContractError(f"shifted2 shape {s2.shape} != window shape {w.shape}")
-        shifts.append(s2)
     return _minus_shifted(w, shifts, _materialize_all(em))
 
 
@@ -373,34 +398,21 @@ def saea_predict(
     window_shifted: np.ndarray,
     window_shifted2: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Adjusted one-window prediction: anchor correction plus base forward.
+    """Adjusted one-window prediction: the batched core on a batch of one.
 
     prediction = sum_lags Phi_lag @ window[lag] + f(transformed window).
     With a zero (or absent) error model this reduces to the plain forward.
     """
-    w = np.asarray(window, dtype=np.float64)
-    if em is None:
-        return model.forward(w)
-    transformed = transform_window(w, window_shifted, em, window_shifted2)
-    pred = model.forward(transformed)
-    phis = _materialize_all(em)
-    pred = pred + phis[0] @ w[0]
-    if em.var_order == 2:
-        pred = pred + phis[1] @ w[1]
-    return pred
+    w, shifts = _window_and_shifts(
+        model._check_window(window), em, (window_shifted, window_shifted2)
+    )
+    preds, _ = _adjusted_forward(model, em, w[None], [s[None] for s in shifts])
+    return preds[0]
 
 
 def predict_windows(model: Forecaster, em: ErrorModel | None, ws: WindowSet) -> np.ndarray:
     """Batched adjusted predictions for every window in a WindowSet."""
-    if em is None:
-        return model.forward_batch(ws.inputs)
-    shifted2 = shift_with_mean(ws.inputs, 2) if em.var_order == 2 else None
-    transformed = transform_window(ws.inputs, ws.inputs_shifted, em, shifted2)
-    preds = model.forward_batch(transformed)
-    phis = _materialize_all(em)
-    preds = preds + ws.anchors @ phis[0].T
-    if em.var_order == 2:
-        preds = preds + ws.inputs[:, 1, :] @ phis[1].T
+    preds, _ = _adjusted_forward(model, em, ws.inputs, _lag_shifts(ws.inputs, em))
     return preds
 
 
@@ -451,45 +463,28 @@ def saea_loss(
     if batch.batch == 0:
         raise ValidationError("loss requires a nonempty batch")
     inputs = batch.inputs
-    if em is None:
-        preds = model.forward_batch(inputs)
-        resid = preds - batch.targets
-        mse = float(np.mean(resid * resid))
-        if not np.isfinite(mse):
-            raise DivergenceError("non-finite loss")
-        cots = (2.0 / resid.size) * resid
-        grad_theta, _ = model.vjp_batch(inputs, cots)
-        return LossResult(mse, grad_theta, {}, mse, 0.0)
-
-    phis = _materialize_all(em)
-    shifted = [batch.inputs_shifted]
-    if em.var_order == 2:
-        shifted.append(shift_with_mean(inputs, 2))
-    anchors = [batch.anchors]
-    if em.var_order == 2:
-        anchors.append(inputs[:, 1, :])
-
-    transformed = _minus_shifted(inputs, shifted, phis)
-    preds = model.forward_batch(transformed)
-    for phi, anchor in zip(phis, anchors):
-        preds = preds + anchor @ phi.T
-
+    shifts = _lag_shifts(inputs, em)
+    preds, transformed = _adjusted_forward(model, em, inputs, shifts)
     resid = preds - batch.targets
     mse = float(np.mean(resid * resid))
-    reg_value, reg_grads = regularize(em, cfg)
-    penalty = cfg.alpha * reg_value
+    penalty, reg_grads = 0.0, {}
+    if em is not None:
+        reg_value, reg_grads = regularize(em, cfg)
+        penalty = cfg.alpha * reg_value
     loss = mse + penalty
     if not np.isfinite(loss):
         raise DivergenceError("non-finite loss")
 
     cots = (2.0 / resid.size) * resid
     grad_theta, grad_input = model.vjp_batch(transformed, cots)
+    if em is None:
+        return LossResult(loss, grad_theta, {}, mse, penalty)
 
     grad_flat = grad_input.reshape(-1, em.n)
     grad_phis = []
-    for anchor, shift in zip(anchors, shifted):
-        # anchor path: d(anchor @ phi^T)/d phi, plus input path through f
-        g = cots.T @ anchor
+    for lag, shift in enumerate(shifts):
+        # anchor path d(anchor @ phi^T)/d phi, minus the input path through f
+        g = cots.T @ inputs[:, lag]
         g -= grad_flat.T @ shift.reshape(-1, em.n)
         grad_phis.append(g)
 
@@ -500,56 +495,16 @@ def saea_loss(
 
 
 def companion_matrix(em: ErrorModel) -> np.ndarray:
-    """Companion form of the VAR coefficients (N x N for order 1, 2N x 2N for 2)."""
-    phis = _materialize_all(em)
-    if em.var_order == 1:
-        return phis[0]
-    n = em.n
-    top = np.hstack(phis)
-    bottom = np.hstack([np.eye(n), np.zeros((n, n))])
-    return np.vstack([top, bottom])
+    """Companion form of the VAR(p) coefficients, (N*p) x (N*p): the blocks
+    [Phi_1 ... Phi_p] over the identity that moves each lag down one slot."""
+    n, p = em.n, em.var_order
+    return np.vstack([np.hstack(_materialize_all(em)), np.eye(n * (p - 1), n * p)])
 
 
-def power_iteration_radius(
-    matrix: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 10000,
-    seed: int = 0,
-) -> tuple[float, bool]:
-    """Largest |eigenvalue| estimate via normalized power iteration.
-
-    The per-step growth rate is the primary estimate. When it keeps
-    oscillating (a complex dominant pair), the cumulative geometric growth
-    rate is returned instead, flagged as unconverged.
-    """
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError("spectral radius requires a square matrix")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(a.shape[0])
-    x /= np.linalg.norm(x)
-    log_growth = 0.0
-    prev = None
-    for _ in range(max_iter):
-        y = a @ x
-        growth = float(np.linalg.norm(y))
-        if growth == 0.0:
-            return 0.0, True
-        log_growth += np.log(growth)
-        x = y / growth
-        if prev is not None and abs(growth - prev) <= tol * max(1.0, growth):
-            return growth, True
-        prev = growth
-    return float(np.exp(log_growth / max_iter)), False
-
-
-def spectral_radius(em: ErrorModel, with_flag: bool = False):
+def spectral_radius(em: ErrorModel) -> float:
     """Spectral radius of the VAR companion matrix (stationarity diagnostic).
 
-    With with_flag=True returns (estimate, converged); a non-converged power
-    iteration still yields a usable geometric-growth estimate.
+    The largest eigenvalue modulus, from a dense eigenvalue solve: exact up to
+    rounding, including complex or near-degenerate leading pairs.
     """
-    estimate, converged = power_iteration_radius(companion_matrix(em))
-    if with_flag:
-        return estimate, converged
-    return estimate
+    return float(np.max(np.abs(np.linalg.eigvals(companion_matrix(em)))))

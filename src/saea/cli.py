@@ -262,7 +262,6 @@ def run_single_training(
         optimizer=config["optimizer"],
         alpha=config["alpha"],
         beta=config["beta"],
-        rank=config["rank"],
         history=config["history"],
         horizon_step=horizon_step,
         var_order=config["var_order"],
@@ -310,7 +309,7 @@ def _split_frame_for_eval(frame: SeriesFrame, split: str, train_frac, val_frac):
     return parts[split]
 
 
-def _eval_checkpoint(checkpoint_path, series_path, split, train_frac, val_frac, history):
+def _eval_checkpoint(checkpoint_path, series_path, split, train_frac, val_frac):
     """Shared by eval and diagnose: (truth, predictions) in original units."""
     with open(checkpoint_path, encoding="utf-8") as fh:
         blob = json.load(fh)
@@ -320,7 +319,7 @@ def _eval_checkpoint(checkpoint_path, series_path, split, train_frac, val_frac, 
     frame = ingest_csv(series_path, step_minutes=blob.get("step_minutes", 5.0))
     part = _split_frame_for_eval(frame, split, train_frac, val_frac)
     part_n = SeriesFrame(normalizer.transform(part.values), part.step_minutes)
-    ws = make_windows(part_n, history if history is not None else model.history, horizon_step)
+    ws = make_windows(part_n, model.history, horizon_step)
     preds = predict_windows(model, em, ws)
     return normalizer.inverse(ws.targets), normalizer.inverse(preds), horizon_step
 
@@ -451,7 +450,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     truth, preds, horizon_step = _eval_checkpoint(
-        args.checkpoint, args.series, args.split, args.train_frac, args.val_frac, None
+        args.checkpoint, args.series, args.split, args.train_frac, args.val_frac
     )
     pct, masked = mape(truth, preds)
     payload = {
@@ -478,7 +477,7 @@ def cmd_eval(args) -> int:
 
 def cmd_diagnose(args) -> int:
     truth, preds, _ = _eval_checkpoint(
-        args.checkpoint, args.series, args.split, args.train_frac, args.val_frac, None
+        args.checkpoint, args.series, args.split, args.train_frac, args.val_frac
     )
     ts_lags = tuple(int(t) for t in args.ts_lags.split(","))
     payload = residual_report(truth, preds, max_lag=args.max_lag, ts_lags=ts_lags)

@@ -43,23 +43,31 @@ class WindowSet:
     """Supervised windows for direct step-p forecasting.
 
     inputs[b, h] is the observation h+1 steps before the forecast origin of
-    window b (newest lag first); inputs_shifted is inputs advanced by one more
-    step into the past, with the out-of-window row replaced by the in-window
-    mean. anchors[b] equals inputs[b, 0]; targets[b] is the observation
-    horizon_step steps past the origin.
+    window b (newest lag first); targets[b] is the observation horizon_step
+    steps past the origin. Only these are stored: the shifted windows and the
+    anchors that the adjustment reads are derived from inputs on access.
     """
 
-    inputs: np.ndarray          # (B, H, N)
-    inputs_shifted: np.ndarray  # (B, H, N)
-    anchors: np.ndarray         # (B, N)
-    targets: np.ndarray         # (B, N)
+    inputs: np.ndarray   # (B, H, N)
+    targets: np.ndarray  # (B, N)
     horizon_step: int
 
     def __post_init__(self):
-        for name in ("inputs", "inputs_shifted", "anchors", "targets"):
+        for name in ("inputs", "targets"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @property
+    def inputs_shifted(self) -> np.ndarray:
+        """inputs advanced one more step into the past, the out-of-window row
+        replaced by the in-window mean: shift_with_mean(inputs, 1)."""
+        return shift_with_mean(self.inputs, 1)
+
+    @property
+    def anchors(self) -> np.ndarray:
+        """The newest lag of every window, inputs[:, 0]."""
+        return self.inputs[:, 0]
 
     @property
     def batch(self) -> int:
@@ -74,11 +82,9 @@ class WindowSet:
         return self.inputs.shape[2]
 
     def take(self, indices) -> "WindowSet":
-        """Row subset, preserving all derived arrays."""
+        """Row subset."""
         return WindowSet(
             inputs=self.inputs[indices],
-            inputs_shifted=self.inputs_shifted[indices],
-            anchors=self.anchors[indices],
             targets=self.targets[indices],
             horizon_step=self.horizon_step,
         )
@@ -219,13 +225,7 @@ def make_windows(frame: SeriesFrame, history: int, horizon_step: int = 0) -> Win
     row_idx = (history - 1 - np.arange(history))[None, :] + np.arange(b)[:, None]
     inputs = values[row_idx]
     targets = values[history + horizon_step + np.arange(b)]
-    return WindowSet(
-        inputs=inputs,
-        inputs_shifted=shift_with_mean(inputs, 1),
-        anchors=inputs[:, 0].copy(),
-        targets=targets,
-        horizon_step=horizon_step,
-    )
+    return WindowSet(inputs=inputs, targets=targets, horizon_step=horizon_step)
 
 
 class Normalizer:

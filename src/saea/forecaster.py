@@ -168,10 +168,11 @@ class GraphFilterAR(Forecaster):
         self.bias = theta[2 * h :].copy()
 
     def forward_batch(self, windows):
-        # linear in the window: mix the lags first, then propagate once per window
+        # linear in the window: mix the lags first, then propagate once per
+        # window, as (P @ mixed^T)^T so BLAS packs the B-row operand in blocks
         own = np.einsum("h,bhn->bn", self.tap_self, windows)
         mixed = np.einsum("h,bhn->bn", self.tap_hop, windows)
-        return own + mixed @ self.propagation.T + self.bias
+        return own + (self.propagation @ mixed.T).T + self.bias
 
     def vjp_batch(self, windows, cotangents):
         back_hopped = cotangents @ self.propagation  # rows are prop^T @ cotangent

@@ -39,8 +39,8 @@ RMSPROP_EPS = 1e-8
 class TrainConfig:
     """Optimization and regularization settings for one training run.
 
-    alpha/beta/rank of None resolve to the built-in defaults for the error
-    model's kind at fit time.
+    alpha/beta of None resolve to the built-in defaults for the error model's
+    kind at fit time.
     """
 
     epochs: int = 300
@@ -49,7 +49,6 @@ class TrainConfig:
     optimizer: str = "rmsprop"  # rmsprop | sgd
     alpha: float | None = None
     beta: float | None = None
-    rank: int | None = None
     history: int = 12
     horizon_step: int = 0
     var_order: int = 1
@@ -148,15 +147,12 @@ def load_checkpoint(path) -> tuple[Forecaster, ErrorModel | None]:
 def resolve_regularizer(cfg: TrainConfig, em: ErrorModel | None) -> RegularizerConfig:
     if em is None:
         return RegularizerConfig(alpha=0.0)
-    reg = default_regularizer(em.kind, alpha=cfg.alpha, beta=cfg.beta, rank=cfg.rank)
-    if cfg.squared_structural_penalty:
-        reg = RegularizerConfig(
-            alpha=reg.alpha,
-            beta=reg.beta,
-            rank=reg.rank,
-            squared_structural_penalty=True,
-        )
-    return reg
+    return default_regularizer(
+        em.kind,
+        alpha=cfg.alpha,
+        beta=cfg.beta,
+        squared_structural_penalty=cfg.squared_structural_penalty,
+    )
 
 
 def _clip_gradients(grad_theta, payload_grads, limit):
@@ -318,7 +314,7 @@ def predict_recursive(
 ) -> np.ndarray:
     """Roll a one-step model forward, feeding each adjusted prediction back in.
 
-    The shifted window (and its mean pad) is recomputed from the rolled
+    The shifted windows (and their mean pads) are recomputed from the rolled
     buffer at every step. Requires a model trained at horizon step 0.
     """
     if steps < 1:
@@ -326,15 +322,11 @@ def predict_recursive(
     buffer = np.array(window, dtype=np.float64)
     if buffer.ndim != 2:
         raise ValidationError("window must be (H, N)")
+    order = em.var_order if em is not None else 1
     out = np.empty((steps, buffer.shape[1]))
     for s in range(steps):
-        shifted = shift_with_mean(buffer, 1)
-        shifted2 = (
-            shift_with_mean(buffer, 2)
-            if em is not None and em.var_order == 2
-            else None
-        )
-        pred = saea_predict(model, em, buffer, shifted, shifted2)
+        shifts = [shift_with_mean(buffer, k) for k in range(1, order + 1)]
+        pred = saea_predict(model, em, buffer, *shifts)
         out[s] = pred
         buffer = np.vstack([pred[None, :], buffer[:-1]])
     return out

@@ -46,7 +46,7 @@ def report(num, ok, detail):
 
 
 def zero_em(kind, n, var_order=1, graph=None):
-    return ErrorModel.zeros(
+    return ErrorModel(
         kind,
         n,
         var_order=var_order,
@@ -94,7 +94,7 @@ def test_criterion_01_reduction_identity():
                 continue
             for var_order in (1, 2):
                 em = zero_em(kind, n, var_order=var_order, graph=graph)
-                cfg = RegularizerConfig(alpha=100.0, beta=10.0, rank=em.rank)
+                cfg = RegularizerConfig(alpha=100.0, beta=10.0)
                 res = saea_loss(model, em, cfg, batch)
                 worst = max(worst, abs(res.loss - plain.loss) / abs(plain.loss))
                 preds = predict_windows(model, em, batch)
@@ -137,7 +137,7 @@ def test_criterion_02_gradient_suite():
                 combos += 1
                 model = make_model(combos)
                 em = random_em(kind, n, var_order, graph, seed=100 + combos)
-                cfg = RegularizerConfig(alpha=0.7, beta=0.3, rank=em.rank)
+                cfg = RegularizerConfig(alpha=0.7, beta=0.3)
                 res = saea_loss(model, em, cfg, batch)
                 theta0 = model.get_params()
 

@@ -4,13 +4,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from _helpers import central_diff, max_rel_err, payload_fd_grads
 from saea.adjust import (
+    DEFAULT_REGULARIZATION,
     ErrorModel,
     _phi_to_payload_grads,
     RegularizerConfig,
     companion_matrix,
     default_regularizer,
     materialize_phi,
-    power_iteration_radius,
     predict_windows,
     regularize,
     saea_loss,
@@ -29,7 +29,7 @@ ALL_KINDS = ("scalar", "diagonal", "sparse_full", "low_rank", "low_rank_sparse",
 
 def make_em(kind, n, var_order=1, rank=2, graph=None, randomize=None):
     mask = structural_mask(graph if graph is not None else ring_graph(n), 1)
-    em = ErrorModel.zeros(
+    em = ErrorModel(
         kind,
         n,
         var_order=var_order,
@@ -182,10 +182,11 @@ def test_default_regularizer_table():
     assert default_regularizer("scalar").alpha == 1000.0
     assert default_regularizer("diagonal").alpha == 1000.0
     assert default_regularizer("sparse_full").alpha == 100.0
-    low = default_regularizer("low_rank")
-    assert low.alpha == 100.0 and low.rank == 10
+    assert default_regularizer("low_rank").alpha == 100.0
+    assert DEFAULT_REGULARIZATION["low_rank"]["rank"] == 10
     lrs = default_regularizer("low_rank_sparse")
-    assert (lrs.alpha, lrs.beta, lrs.rank) == (10.0, 1000.0, 10)
+    assert (lrs.alpha, lrs.beta) == (10.0, 1000.0)
+    assert DEFAULT_REGULARIZATION["low_rank_sparse"]["rank"] == 10
     assert default_regularizer("sparse_full", alpha=7.0).alpha == 7.0
 
 
@@ -293,19 +294,21 @@ def test_predict_windows_matches_single_window_loop():
     frame = SeriesFrame(rng.normal(size=(30, 4)))
     ws = make_windows(frame, 5, 0)
     model = GraphFilterAR.from_graph(5, ring_graph(4), seed=3)
-    for var_order in (1, 2):
-        em = make_em("sparse_full", 4, var_order=var_order, randomize=11)
-        batch = predict_windows(model, em, ws)
-        for b in range(ws.batch):
-            w = ws.inputs[b]
-            single = saea_predict(
-                model,
-                em,
-                w,
-                ws.inputs_shifted[b],
-                shift_with_mean(w, 2) if var_order == 2 else None,
-            )
-            assert_allclose(batch[b], single, atol=1e-12)
+    shifted = ws.inputs_shifted
+    for kind in ALL_KINDS:
+        for var_order in (1, 2):
+            em = make_em(kind, 4, var_order=var_order, randomize=11)
+            batch = predict_windows(model, em, ws)
+            for b in range(ws.batch):
+                w = ws.inputs[b]
+                single = saea_predict(
+                    model,
+                    em,
+                    w,
+                    shifted[b],
+                    shift_with_mean(w, 2) if var_order == 2 else None,
+                )
+                assert_allclose(batch[b], single, atol=1e-12)
 
 
 # -- saea_loss ---------------------------------------------------------------
@@ -320,7 +323,7 @@ def random_batch(n=4, h=3, b=8, seed=5):
 def test_loss_with_frozen_zero_phi_is_plain_mse():
     batch = random_batch()
     model = NodeAR(3, 4, seed=1)
-    em = ErrorModel.zeros("sparse_full", 4)
+    em = ErrorModel("sparse_full", 4)
     adjusted = saea_loss(model, em, RegularizerConfig(alpha=100.0), batch)
     plain = saea_loss(model, None, RegularizerConfig(alpha=0.0), batch)
     assert adjusted.loss == pytest.approx(plain.loss, rel=1e-15)
@@ -334,7 +337,7 @@ def test_loss_zero_for_perfect_model_on_noiseless_data():
     ws = make_windows(SeriesFrame(values), 2, 0)
     model = NodeAR(2, 2, seed=0)
     model.set_params(np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
-    em = ErrorModel.zeros("sparse_full", 2)
+    em = ErrorModel("sparse_full", 2)
     res = saea_loss(model, em, RegularizerConfig(alpha=0.0), ws)
     assert res.loss == pytest.approx(0.0, abs=1e-24)
 
@@ -347,7 +350,7 @@ def test_reduction_identity_all_kinds():
     for kind in ALL_KINDS:
         for var_order in (1, 2):
             em = make_em(kind, 5, var_order=var_order)
-            cfg = default_regularizer(kind, rank=em.rank)
+            cfg = default_regularizer(kind)
             res = saea_loss(model, em, cfg, batch)
             assert abs(res.loss - plain.loss) <= 1e-12 * abs(plain.loss)
             assert_allclose(predict_windows(model, em, batch), base_forward, atol=1e-15)
@@ -360,7 +363,7 @@ def test_loss_gradients_match_finite_differences(kind, var_order):
     graph = ring_graph(4)
     model = GraphFilterAR.from_graph(3, graph, seed=5)
     em = make_em(kind, 4, var_order=var_order, graph=graph, randomize=21)
-    cfg = RegularizerConfig(alpha=0.7, beta=0.3, rank=em.rank)
+    cfg = RegularizerConfig(alpha=0.7, beta=0.3)
     res = saea_loss(model, em, cfg, batch)
 
     theta0 = model.get_params()
@@ -410,6 +413,19 @@ def test_loss_coefficient_gradient_matches_einsum_reference(kind, var_order):
         assert np.max(np.abs(res.payload_grads[name] - grad)) <= 1e-12 * np.max(np.abs(grad))
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("var_order", [1, 2])
+def test_loss_mse_equals_predict_windows_mse(kind, var_order):
+    # training and batched prediction run the same adjusted forward
+    batch = random_batch(n=5, h=4, b=9, seed=19)
+    graph = ring_graph(5)
+    model = GraphFilterAR.from_graph(4, graph, seed=7)
+    em = make_em(kind, 5, var_order=var_order, graph=graph, randomize=29)
+    mse = saea_loss(model, em, RegularizerConfig(alpha=0.5, beta=0.2), batch).mse
+    expected = np.mean((predict_windows(model, em, batch) - batch.targets) ** 2)
+    assert abs(mse - expected) <= 1e-12 * expected
+
+
 def test_loss_empty_batch_rejected():
     batch = random_batch()
     empty = batch.take(np.array([], dtype=int))
@@ -444,9 +460,7 @@ def test_spectral_radius_zero():
 def test_spectral_radius_complex_pair_hand_value():
     em = ErrorModel("sparse_full", 2)
     em.payload["matrix"][0] = [[0.0, 1.0], [0.25, 0.0]]
-    value, converged = spectral_radius(em, with_flag=True)
-    assert value == pytest.approx(0.5, abs=1e-3)
-    assert not converged  # eigenvalues +/- 0.5 keep the iteration oscillating
+    assert spectral_radius(em) == pytest.approx(0.5, abs=1e-3)  # eigenvalues +/- 0.5
 
 
 def test_spectral_radius_matches_eig_random():
@@ -467,9 +481,10 @@ def test_companion_matrix_var2_shape():
     assert_array_equal(c[3:, :3], np.eye(3))
 
 
-def test_power_iteration_nilpotent():
-    value, converged = power_iteration_radius(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert value == 0.0 and converged
+def test_spectral_radius_nilpotent():
+    em = ErrorModel("sparse_full", 2)
+    em.payload["matrix"][0] = [[0.0, 1.0], [0.0, 0.0]]
+    assert spectral_radius(em) == 0.0
 
 
 # -- ErrorModel plumbing ------------------------------------------------------

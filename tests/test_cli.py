@@ -122,7 +122,7 @@ def test_eval_oracle_predictor_hits_floor(tmp_path):
     tap_self = np.zeros(h)
     tap_self[:2] = [0.5, 0.2]
     model.set_params(np.concatenate([tap_self, np.zeros(h), np.zeros(graph.n)]))
-    em = ErrorModel.zeros("sparse_full", graph.n)
+    em = ErrorModel("sparse_full", graph.n)
     em.payload["matrix"][0] = phi
 
     ckpt = tmp_path / "oracle.json"

@@ -126,6 +126,16 @@ def test_windows_constant_series_shift_is_identity():
     assert_array_equal(ws.inputs_shifted, ws.inputs)
 
 
+def test_take_subset_derives_shift_and_anchors():
+    rng = np.random.default_rng(3)
+    ws = make_windows(SeriesFrame(rng.normal(size=(40, 3))), history=5, horizon_step=1)
+    sub = ws.take(np.array([7, 0, 21, 3]))
+    assert_array_equal(sub.inputs_shifted, shift_with_mean(sub.inputs, 1))
+    assert_array_equal(sub.anchors, sub.inputs[:, 0])
+    assert_array_equal(sub.inputs, ws.inputs[[7, 0, 21, 3]])
+    assert_array_equal(sub.targets, ws.targets[[7, 0, 21, 3]])
+
+
 def test_window_count_arithmetic():
     frame = SeriesFrame(np.zeros((100, 2)))
     assert make_windows(frame, 12, 2).batch == 86

@@ -214,11 +214,18 @@ def test_fit_radius_logged_every_epoch():
 
 def test_resolve_regularizer_uses_kind_defaults():
     cfg = TrainConfig()
-    assert resolve_regularizer(cfg, ErrorModel.zeros("structural", 4)).alpha == 1000.0
-    assert resolve_regularizer(cfg, ErrorModel.zeros("sparse_full", 4)).alpha == 100.0
+    assert resolve_regularizer(cfg, ErrorModel("structural", 4)).alpha == 1000.0
+    assert resolve_regularizer(cfg, ErrorModel("sparse_full", 4)).alpha == 100.0
     assert resolve_regularizer(cfg, None).alpha == 0.0
     override = TrainConfig(alpha=5.0)
-    assert resolve_regularizer(override, ErrorModel.zeros("scalar", 4)).alpha == 5.0
+    assert resolve_regularizer(override, ErrorModel("scalar", 4)).alpha == 5.0
+
+
+def test_resolve_regularizer_passes_squared_structural_flag():
+    em = ErrorModel("structural", 4)
+    assert not resolve_regularizer(TrainConfig(), em).squared_structural_penalty
+    squared = resolve_regularizer(TrainConfig(squared_structural_penalty=True), em)
+    assert squared.squared_structural_penalty and squared.alpha == 1000.0
 
 
 def test_grad_clip_limits_update():

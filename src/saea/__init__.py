@@ -65,7 +65,6 @@ from .train import (
     TrainConfig,
     TrainReport,
     fit,
-    fit_direct_multistep,
     load_checkpoint,
     predict_recursive,
     rmsprop_step,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -60,29 +61,29 @@ ALL_KINDS = ("none",) + KINDS
 # config handling
 
 TRAIN_FIELDS = {
-    # name: (type, default)
-    "model": (str, "nodear"),
-    "hidden": (int, 64),
-    "kind": (str, "sparse_full"),
-    "mask_order": (int, 1),
-    "alpha": (float, None),
-    "beta": (float, None),
-    "rank": (int, None),
-    "var_order": (int, 1),
-    "horizon_min": (str, "5"),
-    "step_min": (float, 5.0),
-    "history": (int, 12),
-    "epochs": (int, 300),
-    "lr": (float, 5e-4),
-    "batch": (int, 50),
-    "seed": (int, 0),
-    "optimizer": (str, "rmsprop"),
-    "train_frac": (float, 0.7),
-    "val_frac": (float, 0.1),
-    "normalize": (str, "none"),
-    "select": (str, "best"),
-    "grad_clip": (float, None),
-    "shuffle": (int, 1),
+    # name: (type, default, choices or None); every field but shuffle is also a flag
+    "model": (str, "nodear", MODEL_KINDS),
+    "hidden": (int, 64, None),
+    "kind": (str, "sparse_full", ALL_KINDS),
+    "mask_order": (int, 1, (1, 2)),
+    "alpha": (float, None, None),
+    "beta": (float, None, None),
+    "rank": (int, None, None),
+    "var_order": (int, 1, (1, 2)),
+    "horizon_min": (str, "5", None),
+    "step_min": (float, 5.0, None),
+    "history": (int, 12, None),
+    "epochs": (int, 300, None),
+    "lr": (float, 5e-4, None),
+    "batch": (int, 50, None),
+    "seed": (int, 0, None),
+    "optimizer": (str, "rmsprop", ("rmsprop", "sgd")),
+    "train_frac": (float, 0.7, None),
+    "val_frac": (float, 0.1, None),
+    "normalize": (str, "none", ("none", "zscore")),
+    "select": (str, "best", ("best", "last")),
+    "grad_clip": (float, None, None),
+    "shuffle": (int, 1, (0, 1)),
 }
 
 
@@ -104,15 +105,20 @@ def read_config_file(path) -> dict:
 def resolve_config(args, file_values: dict) -> dict:
     """CLI flag > config file > built-in default, per field."""
     resolved = {}
-    for name, (caster, default) in TRAIN_FIELDS.items():
+    for name, (caster, default, choices) in TRAIN_FIELDS.items():
         cli_value = getattr(args, name, None)
         if cli_value is not None:
             resolved[name] = cli_value
         elif name in file_values:
+            raw = file_values[name]
             try:
-                resolved[name] = caster(file_values[name])
+                resolved[name] = caster(raw)
             except ValueError as exc:
-                raise ValidationError(f"config value {name} = {file_values[name]!r}: {exc}")
+                raise ValidationError(f"config value {name} = {raw!r}: {exc}")
+            if choices is not None and resolved[name] not in choices:
+                raise ValidationError(
+                    f"config value {name} = {raw!r}: expected one of {list(choices)}"
+                )
         else:
             resolved[name] = default
     unknown = set(file_values) - set(TRAIN_FIELDS)
@@ -125,14 +131,20 @@ def parse_horizons(minutes_csv: str, step_min: float) -> list[tuple[float, int]]
     """Comma-separated horizon minutes -> [(minutes, zero-based step index)]."""
     out = []
     for token in str(minutes_csv).split(","):
-        minutes = float(token)
+        try:
+            minutes = float(token)
+        except ValueError:
+            raise ValidationError(f"horizon {token!r} is not a number of minutes") from None
         steps = minutes / step_min
-        if steps < 1 or abs(steps - round(steps)) > 1e-9:
+        if not math.isfinite(steps) or steps < 1 or abs(steps - round(steps)) > 1e-9:
             raise ValidationError(
                 f"horizon {minutes} min is not a positive multiple of the "
                 f"{step_min} min sampling step"
             )
-        out.append((minutes, int(round(steps)) - 1))
+        step = int(round(steps)) - 1
+        if step in (p for _, p in out):
+            raise ValidationError(f"horizon {minutes} min is listed twice")
+        out.append((minutes, step))
     return out
 
 
@@ -191,115 +203,67 @@ def write_manifest(out_dir, command, config, seed, inputs, outputs) -> None:
 # shared training pipeline
 
 
-def build_error_model(
-    kind: str,
-    n: int,
-    var_order: int,
-    rank,
-    graph: SensorGraph | None,
-    mask_order: int,
-    seed: int,
-) -> ErrorModel | None:
+def build_error_model(config: dict, n: int, graph: SensorGraph | None) -> ErrorModel | None:
+    kind = config["kind"]
     if kind == "none":
         return None
-    if kind not in KINDS:
-        raise ValidationError(f"unknown error-model kind {kind!r}")
     mask = None
     if kind == "structural":
         if graph is None:
             raise ConfigurationError("structural kind requires --adjacency")
-        mask = structural_mask(graph, mask_order)
-    if kind in ("low_rank", "low_rank_sparse") and rank is None:
-        rank = min(DEFAULT_REGULARIZATION[kind]["rank"], n)
+        mask = structural_mask(graph, config["mask_order"])
     return ErrorModel.for_training(
-        kind, n, var_order=var_order, rank=rank, mask=mask, seed=seed
+        kind, n, var_order=config["var_order"], rank=config["rank"], mask=mask, seed=config["seed"]
     )
 
 
-def run_single_training(
-    frame: SeriesFrame,
-    graph: SensorGraph | None,
-    config: dict,
-    kind: str,
-    horizon_step: int,
-):
-    """Split, normalize, window, fit, and score one configuration.
+def _fit_each(frame: SeriesFrame, graph: SensorGraph | None, config: dict, kind_configs, horizons):
+    """The per-horizon training loop of train and compare.
 
-    Returns (metrics dict in original units, report, best blob, last blob).
+    The series is split and normalized once per command; each horizon's
+    train/val/test windows are built once and replaced by the next
+    horizon's, and one model is fitted on them per entry of kind_configs
+    (config with the kind and its regularization defaults resolved). Yields
+    (kind config, horizon minutes, horizon step, report, test windows,
+    normalizer), horizons outermost.
     """
-    train_frame, val_frame, test_frame = chronological_split(
-        frame, config["train_frac"], config["val_frac"]
-    )
-    normalizer = Normalizer(config["normalize"]).fit(train_frame.values)
-    norm = lambda f: SeriesFrame(normalizer.transform(f.values), f.step_minutes)
-    train_n, val_n, test_n = norm(train_frame), norm(val_frame), norm(test_frame)
-
-    train_ws = make_windows(train_n, config["history"], horizon_step)
-    val_ws = make_windows(val_n, config["history"], horizon_step)
-    test_ws = make_windows(test_n, config["history"], horizon_step)
-
-    model = build_forecaster(
-        config["model"],
-        config["history"],
-        frame.num_sensors,
-        seed=config["seed"],
-        graph=graph,
-        hidden=config["hidden"],
-    )
-    em = build_error_model(
-        kind,
-        frame.num_sensors,
-        config["var_order"],
-        config["rank"],
-        graph,
-        config["mask_order"],
-        config["seed"],
-    )
-    cfg = TrainConfig(
-        epochs=config["epochs"],
-        learning_rate=config["lr"],
-        batch_size=config["batch"],
-        optimizer=config["optimizer"],
-        alpha=config["alpha"],
-        beta=config["beta"],
-        history=config["history"],
-        horizon_step=horizon_step,
-        var_order=config["var_order"],
-        seed=config["seed"],
-        shuffle=bool(config["shuffle"]),
-        grad_clip=config["grad_clip"],
-    )
-    report = fit(model, em, cfg, train_ws, val_ws)
-
-    extra = {
-        "horizon_step": horizon_step,
-        "step_minutes": frame.step_minutes,
-        "normalizer": normalizer.to_blob(),
-    }
-    best_blob = {**report.best_checkpoint, **extra}
-    last_blob = {**report.final_checkpoint, **extra}
-
-    metrics = {"kind": kind, "horizon_step": horizon_step}
-    for label, blob in (("best", best_blob), ("last", last_blob)):
-        preds = _predict_from_blob(blob, test_ws)
-        truth = normalizer.inverse(test_ws.targets)
-        guess = normalizer.inverse(preds)
-        pct, masked = mape(truth, guess)
-        metrics[f"test_{label}"] = {
-            "mape_percent": pct,
-            "mape_masked_count": masked,
-            "rmse": rmse(truth, guess),
-        }
-    metrics["val_mse_best"] = report.best_val_mse
-    metrics["best_epoch"] = report.best_epoch
-    metrics["epochs_run"] = report.epochs_run
-    metrics["diverged"] = report.diverged
-    return metrics, report, best_blob, last_blob
+    parts = chronological_split(frame, config["train_frac"], config["val_frac"])
+    normalizer = Normalizer(config["normalize"]).fit(parts[0].values)
+    parts = [SeriesFrame(normalizer.transform(f.values), f.step_minutes) for f in parts]
+    for minutes, horizon_step in horizons:
+        train_ws, val_ws, test_ws = (make_windows(f, config["history"], horizon_step) for f in parts)
+        for kind_config in kind_configs:
+            model = build_forecaster(
+                kind_config["model"],
+                kind_config["history"],
+                frame.num_sensors,
+                seed=kind_config["seed"],
+                graph=graph,
+                hidden=kind_config["hidden"],
+            )
+            em = build_error_model(kind_config, frame.num_sensors, graph)
+            cfg = TrainConfig(
+                epochs=kind_config["epochs"],
+                learning_rate=kind_config["lr"],
+                batch_size=kind_config["batch"],
+                optimizer=kind_config["optimizer"],
+                alpha=kind_config["alpha"],
+                beta=kind_config["beta"],
+                seed=kind_config["seed"],
+                shuffle=bool(kind_config["shuffle"]),
+                grad_clip=kind_config["grad_clip"],
+            )
+            report = fit(model, em, cfg, train_ws, val_ws)
+            yield kind_config, minutes, horizon_step, report, test_ws, normalizer
 
 
-def _predict_from_blob(blob: dict, ws) -> np.ndarray:
+def _score(blob: dict, test_ws, normalizer: Normalizer) -> dict:
+    """Test accuracy of a checkpoint blob, in original units."""
     model, em = load_checkpoint_blob(blob)
-    return predict_windows(model, em, ws)
+    truth = normalizer.inverse(test_ws.targets)
+    guess = normalizer.inverse(predict_windows(model, em, test_ws))
+    pct, masked = mape(truth, guess)
+    return {"mape_percent": pct, "mape_masked_count": masked, "rmse": rmse(truth, guess)}
 
 
 def _split_frame_for_eval(frame: SeriesFrame, split: str, train_frac, val_frac):
@@ -309,19 +273,38 @@ def _split_frame_for_eval(frame: SeriesFrame, split: str, train_frac, val_frac):
     return parts[split]
 
 
-def _eval_checkpoint(checkpoint_path, series_path, split, train_frac, val_frac):
-    """Shared by eval and diagnose: (truth, predictions) in original units."""
-    with open(checkpoint_path, encoding="utf-8") as fh:
+def _checkpoint_split(blob: dict, args) -> tuple[float, float]:
+    """(train_frac, val_frac) for scoring a checkpoint: a flag must agree with
+    the fraction the checkpoint records; without either, 0.7 / 0.1."""
+    fracs = []
+    for name, default in (("train_frac", 0.7), ("val_frac", 0.1)):
+        given, recorded = getattr(args, name), blob.get(name)
+        if given is None:
+            given = default if recorded is None else recorded
+        elif recorded is not None and given != recorded:
+            raise ValidationError(
+                f"--{name.replace('_', '-')} {given} differs from the {recorded} "
+                "the checkpoint was trained with"
+            )
+        fracs.append(given)
+    return fracs[0], fracs[1]
+
+
+def _eval_checkpoint(args):
+    """Shared by eval and diagnose: (truth, predictions) in original units,
+    the horizon step and the (train_frac, val_frac) split used."""
+    with open(args.checkpoint, encoding="utf-8") as fh:
         blob = json.load(fh)
     model, em = load_checkpoint_blob(blob)
     normalizer = Normalizer.from_blob(blob.get("normalizer", {"mode": "none"}))
     horizon_step = int(blob.get("horizon_step", 0))
-    frame = ingest_csv(series_path, step_minutes=blob.get("step_minutes", 5.0))
-    part = _split_frame_for_eval(frame, split, train_frac, val_frac)
+    fracs = _checkpoint_split(blob, args)
+    frame = ingest_csv(args.series, step_minutes=blob.get("step_minutes", 5.0))
+    part = _split_frame_for_eval(frame, args.split, *fracs)
     part_n = SeriesFrame(normalizer.transform(part.values), part.step_minutes)
     ws = make_windows(part_n, model.history, horizon_step)
     preds = predict_windows(model, em, ws)
-    return normalizer.inverse(ws.targets), normalizer.inverse(preds), horizon_step
+    return normalizer.inverse(ws.targets), normalizer.inverse(preds), horizon_step, fracs
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +363,12 @@ def _load_series_and_graph(args, step_minutes: float):
     return frame, graph
 
 
-def _resolve_kind_defaults(config: dict, kind: str, n: int) -> None:
-    """Fill alpha/beta/rank with the built-in defaults for the chosen kind so
-    the manifest records the settings actually used."""
-    if kind == "none":
+def _resolve_kind_defaults(config: dict, n: int) -> None:
+    """Fill alpha/beta/rank with the built-in defaults for the config's kind
+    so the manifest records the settings actually used."""
+    if config["kind"] == "none":
         return
-    defaults = DEFAULT_REGULARIZATION[kind]
+    defaults = DEFAULT_REGULARIZATION[config["kind"]]
     if config["alpha"] is None:
         config["alpha"] = defaults["alpha"]
     if config["beta"] is None and "beta" in defaults:
@@ -394,22 +377,46 @@ def _resolve_kind_defaults(config: dict, kind: str, n: int) -> None:
         config["rank"] = min(defaults["rank"], n)
 
 
-def cmd_train(args) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
-    config = resolve_config(args, file_values)
-    kind = config["kind"]
+def _prepare_run(args):
+    """The prologue of train and compare: (resolved config, series, graph,
+    horizons, manifest input files)."""
+    config = resolve_config(args, read_config_file(args.config) if args.config else {})
     frame, graph = _load_series_and_graph(args, config["step_min"])
-    _resolve_kind_defaults(config, kind, frame.num_sensors)
-    os.makedirs(args.out, exist_ok=True)
-
     horizons = parse_horizons(config["horizon_min"], config["step_min"])
+    os.makedirs(args.out, exist_ok=True)
+    inputs = [args.series] + ([args.adjacency] if args.adjacency else [])
+    if args.config:
+        inputs.append(args.config)
+    return config, frame, graph, horizons, inputs
+
+
+def cmd_train(args) -> int:
+    config, frame, graph, horizons, inputs = _prepare_run(args)
+    _resolve_kind_defaults(config, frame.num_sensors)
     all_metrics, outputs = [], []
-    for minutes, p in horizons:
-        metrics, report, best_blob, last_blob = run_single_training(
-            frame, graph, config, kind, p
-        )
+    for _, minutes, horizon_step, report, test_ws, normalizer in _fit_each(
+        frame, graph, config, [config], horizons
+    ):
+        extra = {
+            "horizon_step": horizon_step,
+            "step_minutes": frame.step_minutes,
+            "normalizer": normalizer.to_blob(),
+            "train_frac": config["train_frac"],
+            "val_frac": config["val_frac"],
+        }
         tag = f"h{int(minutes)}min"
-        for label, blob in (("best", best_blob), ("last", last_blob)):
+        metrics = {
+            "kind": config["kind"],
+            "horizon_min": minutes,
+            "horizon_step": horizon_step,
+            "val_mse_best": report.best_val_mse,
+            "best_epoch": report.best_epoch,
+            "epochs_run": report.epochs_run,
+            "diverged": report.diverged,
+        }
+        for label, checkpoint in (("best", report.best_checkpoint), ("last", report.final_checkpoint)):
+            blob = {**checkpoint, **extra}
+            metrics[f"test_{label}"] = _score(blob, test_ws, normalizer)
             name = f"checkpoint_{tag}_{label}.json"
             tmp_path = os.path.join(args.out, name)
             with open(tmp_path + ".tmp", "w", encoding="utf-8") as fh:
@@ -429,15 +436,12 @@ def cmd_train(args) -> int:
             },
         )
         outputs.append(report_name)
-        all_metrics.append({**metrics, "horizon_min": minutes})
+        all_metrics.append(metrics)
     write_json(
         os.path.join(args.out, "metrics.json"),
         {"selection": config["select"], "horizons": all_metrics},
     )
     outputs.append("metrics.json")
-    inputs = [args.series] + ([args.adjacency] if args.adjacency else [])
-    if args.config:
-        inputs.append(args.config)
     write_manifest(args.out, "train", config, config["seed"], inputs, outputs)
     for m in all_metrics:
         chosen = m["test_best" if config["select"] == "best" else "test_last"]
@@ -449,9 +453,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    truth, preds, horizon_step = _eval_checkpoint(
-        args.checkpoint, args.series, args.split, args.train_frac, args.val_frac
-    )
+    truth, preds, horizon_step, (train_frac, val_frac) = _eval_checkpoint(args)
     pct, masked = mape(truth, preds)
     payload = {
         "split": args.split,
@@ -466,7 +468,7 @@ def cmd_eval(args) -> int:
     write_manifest(
         args.out,
         "eval",
-        {"split": args.split, "train_frac": args.train_frac, "val_frac": args.val_frac},
+        {"split": args.split, "train_frac": train_frac, "val_frac": val_frac},
         0,
         inputs=[args.checkpoint, args.series],
         outputs=["metrics.json"],
@@ -476,9 +478,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    truth, preds, _ = _eval_checkpoint(
-        args.checkpoint, args.series, args.split, args.train_frac, args.val_frac
-    )
+    truth, preds, _, _ = _eval_checkpoint(args)
     ts_lags = tuple(int(t) for t in args.ts_lags.split(","))
     payload = residual_report(truth, preds, max_lag=args.max_lag, ts_lags=ts_lags)
     payload["split"] = args.split
@@ -500,33 +500,33 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
-    config = resolve_config(args, file_values)
     kinds = ALL_KINDS if args.kinds == "all" else tuple(args.kinds.split(","))
     for kind in kinds:
         if kind not in ALL_KINDS:
             raise ValidationError(f"unknown kind {kind!r}; expected subset of {ALL_KINDS}")
-    frame, graph = _load_series_and_graph(args, config["step_min"])
-    os.makedirs(args.out, exist_ok=True)
-    horizons = parse_horizons(config["horizon_min"], config["step_min"])
+    if len(set(kinds)) != len(kinds):
+        raise ValidationError(f"--kinds lists a kind twice: {args.kinds}")
+    config, frame, graph, horizons, inputs = _prepare_run(args)
+    kind_configs = [{**config, "kind": kind} for kind in kinds]
+    for kind_config in kind_configs:
+        _resolve_kind_defaults(kind_config, frame.num_sensors)
 
-    rows = []
-    for kind in kinds:
-        kind_config = dict(config)
-        kind_config["kind"] = kind
-        _resolve_kind_defaults(kind_config, kind, frame.num_sensors)
-        for minutes, p in horizons:
-            metrics, _, _, _ = run_single_training(frame, graph, kind_config, kind, p)
-            chosen = metrics["test_best" if config["select"] == "best" else "test_last"]
-            rows.append(
-                {
-                    "kind": kind,
-                    "horizon_min": minutes,
-                    "mape_percent": chosen["mape_percent"],
-                    "rmse": chosen["rmse"],
-                    "val_mse_best": metrics["val_mse_best"],
-                }
-            )
+    rows = {kind: [] for kind in kinds}  # filled horizon-major, written kind-major
+    for kind_config, minutes, _, report, test_ws, normalizer in _fit_each(
+        frame, graph, config, kind_configs, horizons
+    ):
+        selected = report.best_checkpoint if config["select"] == "best" else report.final_checkpoint
+        chosen = _score(selected, test_ws, normalizer)
+        rows[kind_config["kind"]].append(
+            {
+                "kind": kind_config["kind"],
+                "horizon_min": minutes,
+                "mape_percent": chosen["mape_percent"],
+                "rmse": chosen["rmse"],
+                "val_mse_best": report.best_val_mse,
+            }
+        )
+    rows = [row for kind in kinds for row in rows[kind]]
     write_json(
         os.path.join(args.out, "compare.json"),
         {"kinds": list(kinds), "horizons": [m for m, _ in horizons], "rows": rows},
@@ -538,9 +538,6 @@ def cmd_compare(args) -> int:
                 f"{row['kind']},{row['horizon_min']:g},"
                 f"{row['mape_percent']!r},{row['rmse']!r}\n"
             )
-    inputs = [args.series] + ([args.adjacency] if args.adjacency else [])
-    if args.config:
-        inputs.append(args.config)
     write_manifest(
         args.out,
         "compare",
@@ -565,29 +562,31 @@ def _add_train_flags(parser, include_kind=True):
     parser.add_argument("--series", required=True, help="series CSV (header row)")
     parser.add_argument("--adjacency", help="headerless N x N adjacency CSV")
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--model", choices=MODEL_KINDS)
-    parser.add_argument("--hidden", type=int)
-    if include_kind:
-        parser.add_argument("--kind", choices=ALL_KINDS)
-    parser.add_argument("--mask-order", dest="mask_order", type=int, choices=(1, 2))
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--rank", type=int)
-    parser.add_argument("--var-order", dest="var_order", type=int, choices=(1, 2))
-    parser.add_argument("--horizon-min", dest="horizon_min", help="comma list of minutes")
-    parser.add_argument("--step-min", dest="step_min", type=float)
-    parser.add_argument("--history", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--batch", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--optimizer", choices=("rmsprop", "sgd"))
-    parser.add_argument("--train-frac", dest="train_frac", type=float)
-    parser.add_argument("--val-frac", dest="val_frac", type=float)
-    parser.add_argument("--normalize", choices=("none", "zscore"))
-    parser.add_argument("--select", choices=("best", "last"))
-    parser.add_argument("--grad-clip", dest="grad_clip", type=float)
+    for name, (caster, _, choices) in TRAIN_FIELDS.items():
+        if name == "shuffle" or (name == "kind" and not include_kind):
+            continue  # shuffle is set in config files only; compare takes --kinds
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            dest=name,
+            type=caster,
+            choices=choices,
+            help="comma list of minutes" if name == "horizon_min" else None,
+        )
     parser.add_argument("--out", required=True, help="run directory")
+
+
+def _add_score_flags(parser):
+    parser.add_argument("--checkpoint", required=True)
+    parser.add_argument("--series", required=True)
+    parser.add_argument("--split", choices=("train", "val", "test"), default="test")
+    parser.add_argument(
+        "--train-frac", dest="train_frac", type=float,
+        help="default: the checkpoint's recorded fraction, else 0.7",
+    )
+    parser.add_argument(
+        "--val-frac", dest="val_frac", type=float,
+        help="default: the checkpoint's recorded fraction, else 0.1",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -620,20 +619,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="score a checkpoint on a split")
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--series", required=True)
-    p_eval.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p_eval.add_argument("--train-frac", dest="train_frac", type=float, default=0.7)
-    p_eval.add_argument("--val-frac", dest="val_frac", type=float, default=0.1)
+    _add_score_flags(p_eval)
     p_eval.add_argument("--out", required=True)
     p_eval.set_defaults(func=cmd_eval)
 
     p_diag = sub.add_parser("diagnose", help="residual correlation diagnostics")
-    p_diag.add_argument("--checkpoint", required=True)
-    p_diag.add_argument("--series", required=True)
-    p_diag.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p_diag.add_argument("--train-frac", dest="train_frac", type=float, default=0.7)
-    p_diag.add_argument("--val-frac", dest="val_frac", type=float, default=0.1)
+    _add_score_flags(p_diag)
     p_diag.add_argument("--max-lag", dest="max_lag", type=int, default=40)
     p_diag.add_argument("--ts-lags", dest="ts_lags", default="1")
     p_diag.add_argument("--out", required=True)

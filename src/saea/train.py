@@ -25,8 +25,8 @@ from .adjust import (
     saea_predict,
     spectral_radius,
 )
-from .data import WindowSet, make_windows, shift_with_mean
-from .errors import DivergenceError, SaeaError, ValidationError
+from .data import WindowSet, shift_with_mean
+from .errors import DivergenceError, ValidationError
 from .forecaster import Forecaster, forecaster_from_blob
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -49,9 +49,6 @@ class TrainConfig:
     optimizer: str = "rmsprop"  # rmsprop | sgd
     alpha: float | None = None
     beta: float | None = None
-    history: int = 12
-    horizon_step: int = 0
-    var_order: int = 1
     seed: int = 0
     shuffle: bool = True
     grad_clip: float | None = None
@@ -66,8 +63,6 @@ class TrainConfig:
             raise ValidationError("learning_rate must be > 0")
         if self.optimizer not in ("rmsprop", "sgd"):
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
-        if self.var_order not in (1, 2):
-            raise ValidationError("var_order must be 1 or 2")
 
 
 @dataclass
@@ -264,49 +259,6 @@ def fit(
         report.best_checkpoint = checkpoint_blob(model, best[1], best[2])
         model.set_params(final_theta)
     return report
-
-
-@dataclass
-class HorizonResult:
-    horizon_step: int
-    model: Forecaster | None
-    em: ErrorModel | None
-    report: TrainReport | None
-    error: str | None = None
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
-
-
-def fit_direct_multistep(
-    model_factory,
-    em_factory,
-    cfg: TrainConfig,
-    train_frame,
-    val_frame,
-    horizons,
-) -> list:
-    """Train one independent (model, error-model) pair per horizon step.
-
-    model_factory(p) and em_factory(p) build fresh instances per horizon.
-    Failures are captured per horizon so partial results survive.
-    """
-    if not horizons:
-        raise ValidationError("horizons must be nonempty")
-    results = []
-    for p in horizons:
-        try:
-            train_ws = make_windows(train_frame, cfg.history, p)
-            val_ws = make_windows(val_frame, cfg.history, p)
-            model = model_factory(p)
-            em = em_factory(p)
-            run_cfg = TrainConfig(**{**cfg.__dict__, "horizon_step": p})
-            report = fit(model, em, run_cfg, train_ws, val_ws)
-            results.append(HorizonResult(p, model, em, report))
-        except SaeaError as exc:  # per-horizon isolation
-            results.append(HorizonResult(p, None, None, None, error=str(exc)))
-    return results
 
 
 def predict_recursive(

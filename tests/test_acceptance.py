@@ -230,7 +230,7 @@ def recovery_runs():
                 if kind == "none"
                 else ErrorModel.for_training("structural", n, mask=mask, seed=seed)
             )
-            cfg = TrainConfig(epochs=150, seed=seed, history=h)  # alpha defaults to 1000
+            cfg = TrainConfig(epochs=150, seed=seed)  # alpha defaults to 1000
             rep = fit(model, em, cfg, tws, vws)
             best_model, best_em = load_checkpoint_blob(rep.best_checkpoint)
             resid = ews.targets - predict_windows(best_model, best_em, ews)
@@ -359,7 +359,7 @@ def test_criterion_07_no_harm_grid():
                         kind, 10, mask=mask if kind == "structural" else None, seed=0
                     )
                 )
-                rep = fit(model, em, TrainConfig(epochs=60, seed=0, history=h), tws, vws)
+                rep = fit(model, em, TrainConfig(epochs=60, seed=0), tws, vws)
                 val_rmse[kind] = float(np.sqrt(rep.best_val_mse))
             for kind in ("diagonal", "sparse_full", "structural"):
                 rows.append(
@@ -410,7 +410,7 @@ def test_criterion_08_var_order_comparison():
         em = ErrorModel.for_training(
             "structural", 10, var_order=var_order, mask=mask, seed=0
         )
-        cfg = TrainConfig(epochs=80, seed=0, history=h, var_order=var_order)
+        cfg = TrainConfig(epochs=80, seed=0)
         rep = fit(model, em, cfg, tws, vws)
         rmse_by_order[var_order] = float(np.sqrt(rep.best_val_mse))
     elapsed = time.perf_counter() - started

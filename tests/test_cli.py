@@ -7,7 +7,7 @@ from saea.cli import run
 from saea.data import ingest_csv
 from saea.graph import load_adjacency_csv
 from saea.synth import GraphSpec, SynthConfig, generate, oracle_floor
-from saea.train import save_checkpoint
+from saea.train import load_checkpoint, save_checkpoint
 
 
 def make_bundle_dir(tmp_path, steps=700, n=8, seed=3):
@@ -190,28 +190,50 @@ def test_compare_all_kinds_row_count(tmp_path):
 
 
 def test_compare_none_row_matches_independent_train(tmp_path):
+    # every compare row is the selected checkpoint of the matching train run
     bundle = make_bundle_dir(tmp_path)
-    cmp_out = tmp_path / "cmp"
-    code = run(
-        [
-            "compare",
-            "--series", str(bundle / "series.csv"),
-            "--adjacency", str(bundle / "adjacency.csv"),
-            "--kinds", "none,diagonal",
-            "--history", "4",
-            "--epochs", "4",
-            "--seed", "1",
-            "--out", str(cmp_out),
+    horizons = ("--horizon-min", "5,15")
+    solo = {}
+    for kind in ("none", "diagonal"):
+        out = tmp_path / f"solo_{kind}"
+        assert run(train_args(bundle, out, ("--kind", kind, *horizons))) == 0
+        solo[kind] = json.loads((out / "metrics.json").read_text())["horizons"]
+    for select in ("best", "last"):
+        cmp_out = tmp_path / f"cmp_{select}"
+        code = run(
+            [
+                "compare",
+                "--series", str(bundle / "series.csv"),
+                "--adjacency", str(bundle / "adjacency.csv"),
+                "--kinds", "none,diagonal",
+                "--history", "4",
+                "--epochs", "4",
+                "--seed", "1",
+                "--select", select,
+                *horizons,
+                "--out", str(cmp_out),
+            ]
+        )
+        assert code == 0
+        rows = json.loads((cmp_out / "compare.json").read_text())["rows"]
+        assert [(r["kind"], r["horizon_min"]) for r in rows] == [
+            ("none", 5.0), ("none", 15.0), ("diagonal", 5.0), ("diagonal", 15.0),
         ]
+        for row in rows:
+            trained = next(h for h in solo[row["kind"]] if h["horizon_min"] == row["horizon_min"])
+            chosen = trained[f"test_{select}"]
+            assert row["rmse"] == chosen["rmse"]
+            assert row["mape_percent"] == chosen["mape_percent"]
+            assert row["val_mse_best"] == trained["val_mse_best"]
+
+
+def test_compare_rejects_repeated_kind(tmp_path, capsys):
+    code = run(
+        ["compare", "--series", str(tmp_path / "unread.csv"), "--kinds", "none,none",
+         "--out", str(tmp_path / "cmp")]
     )
-    assert code == 0
-    train_out = tmp_path / "solo"
-    assert run(train_args(bundle, train_out, ("--kind", "none"))) == 0
-    table = json.loads((cmp_out / "compare.json").read_text())
-    none_row = next(r for r in table["rows"] if r["kind"] == "none")
-    solo = json.loads((train_out / "metrics.json").read_text())["horizons"][0]
-    assert none_row["rmse"] == solo["test_best"]["rmse"]
-    assert none_row["mape_percent"] == solo["test_best"]["mape_percent"]
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ValidationError"
 
 
 def test_multi_horizon_train(tmp_path):
@@ -221,7 +243,20 @@ def test_multi_horizon_train(tmp_path):
     assert code == 0
     metrics = json.loads((out / "metrics.json").read_text())
     assert [h["horizon_min"] for h in metrics["horizons"]] == [5.0, 15.0]
-    assert (out / "checkpoint_h15min_best.json").exists()
+    steps = [json.loads((out / f"checkpoint_h{m}min_best.json").read_text())["horizon_step"]
+             for m in (5, 15)]
+    assert steps == [0, 2]
+    short, long = (load_checkpoint(out / f"checkpoint_h{m}min_best.json")[0] for m in (5, 15))
+    assert not np.array_equal(short.get_params(), long.get_params())
+
+
+def test_horizon_too_long_for_series_fails(tmp_path, capsys):
+    bundle = make_bundle_dir(tmp_path)
+    out = tmp_path / "too_long"
+    # the 10% test split of 700 steps holds 70; history 4 + 100 steps ahead does not fit
+    code = run(train_args(bundle, out, ("--kind", "none", "--horizon-min", "500")))
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "WindowError"
 
 
 def test_config_file_precedence(tmp_path):
@@ -289,6 +324,52 @@ def test_horizon_not_multiple_of_step_fails(tmp_path):
     out = tmp_path / "bad_h"
     code = run(train_args(bundle, out, ("--horizon-min", "7")))
     assert code == 1
+
+
+@pytest.mark.parametrize("minutes", ["abc", "5,,10", "5,5", "nan", "inf"])
+def test_malformed_horizons_fail_validation(tmp_path, capsys, minutes):
+    bundle = make_bundle_dir(tmp_path)
+    code = run(train_args(bundle, tmp_path / "bad_h", ("--horizon-min", minutes)))
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize(
+    "line", ["kind = foo", "select = foo", "var_order = 3", "optimizer = adam", "shuffle = 2"]
+)
+def test_out_of_choice_config_value_fails_validation(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"kind = none\n{line}\n")
+    code = run(
+        ["train", "--series", str(tmp_path / "unread.csv"), "--config", str(cfg),
+         "--out", str(tmp_path / "x")]
+    )
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ValidationError"
+
+
+def test_eval_uses_the_split_recorded_at_training(tmp_path, capsys):
+    bundle = make_bundle_dir(tmp_path)
+    out = tmp_path / "run"
+    split = ("--train-frac", "0.6", "--val-frac", "0.2")
+    assert run(train_args(bundle, out, ("--kind", "none", *split))) == 0
+    checkpoint = json.loads((out / "checkpoint_h5min_best.json").read_text())
+    assert (checkpoint["train_frac"], checkpoint["val_frac"]) == (0.6, 0.2)
+    eval_args = ["eval", "--checkpoint", str(out / "checkpoint_h5min_best.json"),
+                 "--series", str(bundle / "series.csv"), "--split", "val"]
+    for flags in ((), split):
+        eval_out = tmp_path / f"eval{len(flags)}"
+        assert run([*eval_args, *flags, "--out", str(eval_out)]) == 0
+        metrics = json.loads((eval_out / "metrics.json").read_text())
+        # val is steps [420, 560) of 700; history 4 leaves 136 windows (0.7/0.1 gives 66)
+        assert metrics["num_windows"] == 136
+        manifest = json.loads((eval_out / "manifest.json").read_text())
+        assert (manifest["config"]["train_frac"], manifest["config"]["val_frac"]) == (0.6, 0.2)
+    capsys.readouterr()
+    for command in ("eval", "diagnose"):
+        code = run([command, *eval_args[1:], "--train-frac", "0.7", "--out", str(tmp_path / "bad")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ValidationError"
 
 
 def test_normalized_training_metrics_in_original_units(tmp_path):

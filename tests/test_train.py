@@ -11,7 +11,6 @@ from saea.synth import GraphSpec, SynthConfig, generate, structured_var_coeffici
 from saea.train import (
     TrainConfig,
     fit,
-    fit_direct_multistep,
     load_checkpoint,
     load_checkpoint_blob,
     predict_recursive,
@@ -83,7 +82,7 @@ def exact_recovery_report(epochs=800, lr=2e-4):
     vws = make_windows(val_f, h, 0)
     model = NodeAR(h, frame.num_sensors, seed=0)
     em = ErrorModel.for_training("sparse_full", frame.num_sensors, seed=0)
-    cfg = TrainConfig(epochs=epochs, learning_rate=lr, alpha=100.0, seed=0, history=h)
+    cfg = TrainConfig(epochs=epochs, learning_rate=lr, alpha=100.0, seed=0)
     return fit(model, em, cfg, tws, vws)
 
 
@@ -101,7 +100,7 @@ def test_fit_deterministic_bit_identical():
     def run():
         model = NodeAR(3, frame.num_sensors, seed=1)
         em = ErrorModel.for_training("diagonal", frame.num_sensors, seed=1)
-        cfg = TrainConfig(epochs=5, seed=7, history=3)
+        cfg = TrainConfig(epochs=5, seed=7)
         return fit(model, em, cfg, tws, vws)
 
     a, b = run(), run()
@@ -122,7 +121,7 @@ def test_fit_divergence_keeps_last_good_state():
     frame = sinusoid_frame(t=120)
     tws = make_windows(frame, 3, 0)
     model = NodeAR(3, 4, seed=0)
-    cfg = TrainConfig(epochs=50, learning_rate=1e12, optimizer="sgd", seed=0, history=3)
+    cfg = TrainConfig(epochs=50, learning_rate=1e12, optimizer="sgd", seed=0)
     report = fit(model, None, cfg, tws, tws)
     assert report.diverged
     assert report.epochs_run < 50
@@ -138,7 +137,7 @@ def test_fit_best_and_final_checkpoints_hold_their_states():
     vws = make_windows(val_f, 3, 0)
     model = NodeAR(3, 4, seed=1)
     em = ErrorModel.for_training("diagonal", 4, seed=1)
-    report = fit(model, em, TrainConfig(epochs=8, learning_rate=0.2, seed=3, history=3), tws, vws)
+    report = fit(model, em, TrainConfig(epochs=8, learning_rate=0.2, seed=3), tws, vws)
     assert report.best_epoch < report.epochs_run - 1  # best and final states differ
     best = report.best_checkpoint
     assert (best["epoch"], best["val_mse"]) == (report.best_epoch, report.best_val_mse)
@@ -158,7 +157,7 @@ def test_fit_train_loss_decreases():
     tws = make_windows(train_f, 4, 0)
     vws = make_windows(val_f, 4, 0)
     model = GraphFilterAR.from_graph(4, bundle.graph, seed=1)
-    report = fit(model, None, TrainConfig(epochs=30, seed=1, history=4), tws, vws)
+    report = fit(model, None, TrainConfig(epochs=30, seed=1), tws, vws)
     assert report.train_loss[-1] < report.train_loss[0]
 
 
@@ -176,7 +175,7 @@ def test_fit_baseline_dominance_and_phi_moves():
         em = None if kind == "none" else ErrorModel.for_training(
             "structural", bundle.graph.n, mask=mask, seed=3
         )
-        report = fit(model, em, TrainConfig(epochs=50, seed=3, history=h), tws, vws)
+        report = fit(model, em, TrainConfig(epochs=50, seed=3), tws, vws)
         results[kind] = (report, em)
     base = np.sqrt(results["none"][0].best_val_mse)
     adjusted = np.sqrt(results["structural"][0].best_val_mse)
@@ -194,7 +193,7 @@ def test_fit_structural_penalty_respects_mask():
     mask = structural_mask(bundle.graph, 1)
     model = GraphFilterAR.from_graph(h, bundle.graph, seed=0)
     em = ErrorModel.for_training("structural", bundle.graph.n, mask=mask, seed=0)
-    fit(model, em, TrainConfig(epochs=60, seed=0, history=h), tws, vws)
+    fit(model, em, TrainConfig(epochs=60, seed=0), tws, vws)
     phi = np.abs(em.payload["matrix"][0])
     masked_mean = phi[mask.mask > 0].mean()
     unmasked_mean = phi[mask.mask == 0].mean()
@@ -208,7 +207,7 @@ def test_fit_radius_logged_every_epoch():
     vws = make_windows(val_f, 3, 0)
     model = NodeAR(3, 4, seed=0)
     em = ErrorModel.for_training("scalar", 4, seed=0)
-    report = fit(model, em, TrainConfig(epochs=4, seed=0, history=3), tws, vws)
+    report = fit(model, em, TrainConfig(epochs=4, seed=0), tws, vws)
     assert len(report.radius) == 4 == len(report.train_loss) == len(report.val_mse)
 
 
@@ -234,87 +233,14 @@ def test_grad_clip_limits_update():
     model = NodeAR(3, 4, seed=0)
     theta0 = model.get_params().copy()
     cfg = TrainConfig(epochs=1, optimizer="sgd", learning_rate=1.0, grad_clip=1e-6,
-                      seed=0, history=3, shuffle=False)
+                      seed=0, shuffle=False)
     fit(model, None, cfg, tws, tws)
     # with a tiny clip the total parameter movement stays tiny
     moved = np.linalg.norm(model.get_params() - theta0)
     assert 0 < moved < 1e-4
 
 
-# -- multi-horizon and recursive ----------------------------------------------
-
-
-def test_fit_direct_multistep_single_horizon_matches_fit():
-    frame = sinusoid_frame(t=150)
-    train_f, val_f, _ = chronological_split(frame, 0.7, 0.15)
-    cfg = TrainConfig(epochs=5, seed=2, history=3)
-
-    results = fit_direct_multistep(
-        lambda p: NodeAR(3, 4, seed=2),
-        lambda p: ErrorModel.for_training("diagonal", 4, seed=2),
-        cfg,
-        train_f,
-        val_f,
-        [0],
-    )
-    assert len(results) == 1 and not results[0].failed
-
-    model = NodeAR(3, 4, seed=2)
-    em = ErrorModel.for_training("diagonal", 4, seed=2)
-    direct = fit(model, em, cfg, make_windows(train_f, 3, 0), make_windows(val_f, 3, 0))
-    assert results[0].report.train_loss == direct.train_loss
-
-
-def test_fit_direct_multistep_distinct_horizons():
-    frame = sinusoid_frame(t=200)
-    train_f, val_f, _ = chronological_split(frame, 0.7, 0.15)
-    cfg = TrainConfig(epochs=20, learning_rate=1e-3, seed=3, history=4)
-    results = fit_direct_multistep(
-        lambda p: NodeAR(4, 4, seed=3),
-        lambda p: ErrorModel.for_training("diagonal", 4, seed=3),
-        cfg,
-        train_f,
-        val_f,
-        [0, 2, 5],
-    )
-    assert [r.horizon_step for r in results] == [0, 2, 5]
-    assert all(not r.failed for r in results)
-    payloads = [r.em.payload["diag"].tobytes() for r in results]
-    assert len(set(payloads)) == 3
-
-
-def test_fit_direct_multistep_partial_failure():
-    frame = sinusoid_frame(t=30)
-    train_f, val_f, _ = chronological_split(frame, 0.6, 0.3)
-    cfg = TrainConfig(epochs=2, seed=0, history=3)
-    results = fit_direct_multistep(
-        lambda p: NodeAR(3, 4, seed=0),
-        lambda p: None,
-        cfg,
-        train_f,
-        val_f,
-        [0, 500],  # second horizon impossible for this series length
-    )
-    assert not results[0].failed
-    assert results[1].failed and "short" in results[1].error
-
-
-def test_fit_direct_multistep_propagates_programming_errors():
-    frame = sinusoid_frame(t=30)
-    train_f, val_f, _ = chronological_split(frame, 0.6, 0.3)
-
-    def broken_factory(p):
-        raise TypeError("factory bug")
-
-    with pytest.raises(TypeError):
-        fit_direct_multistep(
-            broken_factory, lambda p: None, TrainConfig(epochs=2, history=3), train_f, val_f, [0]
-        )
-
-
-def test_fit_direct_multistep_requires_horizons():
-    with pytest.raises(ValidationError):
-        fit_direct_multistep(lambda p: None, lambda p: None, TrainConfig(), None, None, [])
+# -- recursive rollout ----------------------------------------------
 
 
 def test_predict_recursive_one_step_equals_predict():

@@ -20,7 +20,6 @@ from .adjust import (
     saea_loss,
     saea_predict,
     spectral_radius,
-    transform_window,
 )
 from .data import (
     Normalizer,

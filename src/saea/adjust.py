@@ -59,13 +59,10 @@ class RegularizerConfig:
 
     For low_rank_sparse, R internally weights the sparse part by beta/alpha,
     so the effective penalty is alpha*(|left| + |right|) + beta*l1(sparse).
-    squared_structural_penalty switches the structural term from the
-    Frobenius norm of the masked matrix to its square.
     """
 
     alpha: float
     beta: float = 0.0
-    squared_structural_penalty: bool = False
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -110,8 +107,8 @@ class ErrorModel:
     ):
         if kind not in KINDS:
             raise ValidationError(f"unknown error-model kind {kind!r}; expected {KINDS}")
-        if var_order not in (1, 2):
-            raise ValidationError("var_order must be 1 or 2")
+        if var_order < 1:
+            raise ValidationError(f"var_order must be >= 1, got {var_order}")
         if n < 1:
             raise ValidationError("sensor count must be >= 1")
         if kind in ("low_rank", "low_rank_sparse"):
@@ -216,8 +213,8 @@ class ErrorModel:
                 order=int(blob["mask_order"]),
                 mask=np.asarray(blob["mask"], dtype=np.float64),
             )
-            if blob.get("mask_sha256") and mask_hash(mask) != blob["mask_sha256"]:
-                raise ValidationError("checkpoint mask does not match its recorded hash")
+            if blob.get("mask_sha256") != mask_hash(mask):
+                raise ValidationError("checkpoint mask does not match its recorded mask_sha256")
         return cls(
             blob["kind"],
             int(blob["n"]),
@@ -236,25 +233,21 @@ def mask_hash(mask: StructuralMask) -> str:
     return digest.hexdigest()
 
 
-def materialize_phi(em: ErrorModel, lag: int) -> np.ndarray:
-    """Dense N x N coefficient matrix for one VAR lag."""
-    if not 0 <= lag < em.var_order:
-        raise ValidationError(f"lag {lag} out of range for var_order {em.var_order}")
-    n = em.n
+def materialize_phi(em: ErrorModel) -> np.ndarray:
+    """Dense coefficient matrices of all VAR lags, stacked (p, N, N)."""
+    payload = em.payload
     if em.kind == "scalar":
-        return em.payload["coef"][lag] * np.eye(n)
+        return payload["coef"][:, None, None] * np.eye(em.n)
     if em.kind == "diagonal":
-        return np.diag(em.payload["diag"][lag])
+        phis = np.zeros((em.var_order, em.n, em.n))
+        phis[:, np.arange(em.n), np.arange(em.n)] = payload["diag"]
+        return phis
     if em.kind in ("sparse_full", "structural"):
-        return em.payload["matrix"][lag].copy()
-    product = em.payload["left"][lag] @ em.payload["right"][lag]
+        return payload["matrix"].copy()
+    product = payload["left"] @ payload["right"]
     if em.kind == "low_rank":
         return product
-    return product + em.payload["sparse"][lag]
-
-
-def _materialize_all(em: ErrorModel) -> list[np.ndarray]:
-    return [materialize_phi(em, lag) for lag in range(em.var_order)]
+    return product + payload["sparse"]
 
 
 def _frobenius_and_grad(arr: np.ndarray) -> tuple[float, np.ndarray]:
@@ -272,26 +265,29 @@ def regularize(em: ErrorModel, cfg: RegularizerConfig) -> tuple[float, dict]:
     """
     grads = {name: np.zeros_like(arr) for name, arr in em.payload.items()}
     value = 0.0
-    if em.kind == "scalar":
-        coef = em.payload["coef"]
-        over = np.abs(coef) > 1.0
+    if em.kind in ("scalar", "diagonal"):
+        # hinge on each coefficient's magnitude above 1
+        name = "coef" if em.kind == "scalar" else "diag"
+        coef = em.payload[name]
         value = float(np.sum(np.maximum(0.0, np.abs(coef) - 1.0)))
-        grads["coef"] = np.where(over, np.sign(coef), 0.0)
-    elif em.kind == "diagonal":
-        diag = em.payload["diag"]
-        over = np.abs(diag) > 1.0
-        value = float(np.sum(np.maximum(0.0, np.abs(diag) - 1.0)))
-        grads["diag"] = np.where(over, np.sign(diag), 0.0)
+        grads[name] = np.where(np.abs(coef) > 1.0, np.sign(coef), 0.0)
     elif em.kind == "sparse_full":
         matrix = em.payload["matrix"]
         value = float(np.sum(np.abs(matrix)))
         grads["matrix"] = np.sign(matrix)
-    elif em.kind in ("low_rank", "low_rank_sparse"):
+    else:
+        # per-lag Frobenius norms: of both low-rank factors, or of the
+        # structural matrix's entries outside the graph's hop support
+        if em.kind == "structural":
+            if em.mask is None:
+                raise ConfigurationError("structural error model requires a StructuralMask")
+            normed = {"matrix": em.mask.mask * em.payload["matrix"]}
+        else:
+            normed = {name: em.payload[name] for name in ("left", "right")}
         for lag in range(em.var_order):
-            for name in ("left", "right"):
-                norm, grad = _frobenius_and_grad(em.payload[name][lag])
+            for name, arr in normed.items():
+                norm, grads[name][lag] = _frobenius_and_grad(arr[lag])
                 value += norm
-                grads[name][lag] = grad
         if em.kind == "low_rank_sparse":
             # beta/alpha weighting keeps the alpha * R total equal to
             # alpha*(|left|+|right|) + beta*l1(sparse); with alpha = 0 the
@@ -300,19 +296,6 @@ def regularize(em: ErrorModel, cfg: RegularizerConfig) -> tuple[float, dict]:
             sparse = em.payload["sparse"]
             value += ratio * float(np.sum(np.abs(sparse)))
             grads["sparse"] = ratio * np.sign(sparse)
-    elif em.kind == "structural":
-        if em.mask is None:
-            raise ConfigurationError("structural error model requires a StructuralMask")
-        m = em.mask.mask
-        for lag in range(em.var_order):
-            masked = m * em.payload["matrix"][lag]
-            if cfg.squared_structural_penalty:
-                value += float(np.sum(masked * masked))
-                grads["matrix"][lag] = 2.0 * masked
-            else:
-                norm, grad = _frobenius_and_grad(masked)
-                value += norm
-                grads["matrix"][lag] = grad
     return value, grads
 
 
@@ -344,11 +327,16 @@ def _adjusted_forward(
       transformed = inputs - sum_k shifts[k-1] @ Phi_k^T
       preds       = sum_k inputs[:, k-1] @ Phi_k^T + f(transformed)
 
-    With no error model this is the plain forward on the inputs.
+    With no error model this is the plain forward on the inputs. The anchor
+    of lag k is row k-1 of the window, so p may not exceed its H rows.
     """
     if em is None:
         return model.forward_batch(inputs), inputs
-    phis = _materialize_all(em)
+    if em.var_order > inputs.shape[1]:
+        raise ContractError(
+            f"var_order {em.var_order} exceeds the window's {inputs.shape[1]} rows"
+        )
+    phis = materialize_phi(em)
     transformed = _minus_shifted(inputs, shifts, phis)
     preds = model.forward_batch(transformed)
     for lag, phi in enumerate(phis):
@@ -356,57 +344,27 @@ def _adjusted_forward(
     return preds, transformed
 
 
-def _window_and_shifts(window, em: ErrorModel | None, shifted) -> tuple:
-    """A window and the shifted windows its error model's lags use, checked.
+def saea_predict(model: Forecaster, em: ErrorModel | None, window, *shifted) -> np.ndarray:
+    """Adjusted one-window prediction: the batched core on a batch of one.
 
-    The lag-1 shift must always match the window's shape; a deeper lag's shift
-    must be given only when the error model has that lag."""
-    w = np.asarray(window, dtype=np.float64)
+    shifted holds the window shifted by k = 1..p, lag 1 first (the window's
+    shift_with_mean(window, k)); without an error model, the lag-1 shift.
+    prediction = sum_k Phi_k @ window[k-1] + f(transformed window), which
+    reduces to the plain forward for a zero (or absent) error model.
+    """
+    w = model._check_window(window)
     order = em.var_order if em is not None else 0
-    checked = []
-    for lag, s in enumerate(shifted[: max(order, 1)], start=1):
-        if s is None:
-            raise ContractError(f"var_order {order} requires the window shifted by {lag}")
+    if len(shifted) != max(order, 1):
+        raise ContractError(
+            f"var_order {order} takes {max(order, 1)} shifted windows, got {len(shifted)}"
+        )
+    shifts = []
+    for lag, s in enumerate(shifted, start=1):
         s = np.asarray(s, dtype=np.float64)
         if s.shape != w.shape:
             raise ContractError(f"lag-{lag} shifted shape {s.shape} != window shape {w.shape}")
-        checked.append(s)
-    return w, checked[:order]
-
-
-def transform_window(
-    window: np.ndarray,
-    window_shifted: np.ndarray,
-    em: ErrorModel | None,
-    window_shifted2: np.ndarray | None = None,
-) -> np.ndarray:
-    """Subtract the coefficient-weighted shifted window(s) from the window.
-
-    Row h becomes window[h] - Phi_1 @ shifted[h] (- Phi_2 @ shifted2[h] for a
-    second-order error model). Accepts single (H, N) windows or batches.
-    """
-    w, shifts = _window_and_shifts(window, em, (window_shifted, window_shifted2))
-    if em is None:
-        return w.copy()
-    return _minus_shifted(w, shifts, _materialize_all(em))
-
-
-def saea_predict(
-    model: Forecaster,
-    em: ErrorModel | None,
-    window: np.ndarray,
-    window_shifted: np.ndarray,
-    window_shifted2: np.ndarray | None = None,
-) -> np.ndarray:
-    """Adjusted one-window prediction: the batched core on a batch of one.
-
-    prediction = sum_lags Phi_lag @ window[lag] + f(transformed window).
-    With a zero (or absent) error model this reduces to the plain forward.
-    """
-    w, shifts = _window_and_shifts(
-        model._check_window(window), em, (window_shifted, window_shifted2)
-    )
-    preds, _ = _adjusted_forward(model, em, w[None], [s[None] for s in shifts])
+        shifts.append(s[None])
+    preds, _ = _adjusted_forward(model, em, w[None], shifts[:order])
     return preds[0]
 
 
@@ -425,23 +383,21 @@ class LossResult:
     penalty: float
 
 
-def _phi_to_payload_grads(em: ErrorModel, grad_phis: list[np.ndarray]) -> dict:
-    """Chain rule from per-lag dense-coefficient gradients to payload gradients."""
-    grads = {name: np.zeros_like(arr) for name, arr in em.payload.items()}
-    for lag, g in enumerate(grad_phis):
-        if em.kind == "scalar":
-            grads["coef"][lag] = np.trace(g)
-        elif em.kind == "diagonal":
-            grads["diag"][lag] = np.diag(g).copy()
-        elif em.kind in ("sparse_full", "structural"):
-            grads["matrix"][lag] = g
-        else:
-            left = em.payload["left"][lag]
-            right = em.payload["right"][lag]
-            grads["left"][lag] = g @ right.T
-            grads["right"][lag] = left.T @ g
-            if em.kind == "low_rank_sparse":
-                grads["sparse"][lag] = g
+def _phi_to_payload_grads(em: ErrorModel, grad_phis: np.ndarray) -> dict:
+    """Chain rule from the stacked (p, N, N) dense-coefficient gradient to
+    the payload gradients."""
+    if em.kind == "scalar":
+        return {"coef": grad_phis.trace(axis1=1, axis2=2)}
+    if em.kind == "diagonal":
+        return {"diag": grad_phis.diagonal(axis1=1, axis2=2).copy()}
+    if em.kind in ("sparse_full", "structural"):
+        return {"matrix": grad_phis}
+    grads = {
+        "left": grad_phis @ em.payload["right"].transpose(0, 2, 1),
+        "right": em.payload["left"].transpose(0, 2, 1) @ grad_phis,
+    }
+    if em.kind == "low_rank_sparse":
+        grads["sparse"] = grad_phis
     return grads
 
 
@@ -481,12 +437,11 @@ def saea_loss(
         return LossResult(loss, grad_theta, {}, mse, penalty)
 
     grad_flat = grad_input.reshape(-1, em.n)
-    grad_phis = []
+    grad_phis = np.empty((em.var_order, em.n, em.n))
     for lag, shift in enumerate(shifts):
         # anchor path d(anchor @ phi^T)/d phi, minus the input path through f
-        g = cots.T @ inputs[:, lag]
-        g -= grad_flat.T @ shift.reshape(-1, em.n)
-        grad_phis.append(g)
+        grad_phis[lag] = cots.T @ inputs[:, lag]
+        grad_phis[lag] -= grad_flat.T @ shift.reshape(-1, em.n)
 
     payload_grads = _phi_to_payload_grads(em, grad_phis)
     for name, grad in reg_grads.items():
@@ -498,7 +453,7 @@ def companion_matrix(em: ErrorModel) -> np.ndarray:
     """Companion form of the VAR(p) coefficients, (N*p) x (N*p): the blocks
     [Phi_1 ... Phi_p] over the identity that moves each lag down one slot."""
     n, p = em.n, em.var_order
-    return np.vstack([np.hstack(_materialize_all(em)), np.eye(n * (p - 1), n * p)])
+    return np.vstack([np.concatenate(materialize_phi(em), axis=1), np.eye(n * (p - 1), n * p)])
 
 
 def spectral_radius(em: ErrorModel) -> float:

@@ -69,7 +69,7 @@ TRAIN_FIELDS = {
     "alpha": (float, None, None),
     "beta": (float, None, None),
     "rank": (int, None, None),
-    "var_order": (int, 1, (1, 2)),
+    "var_order": (int, 1, None),
     "horizon_min": (str, "5", None),
     "step_min": (float, 5.0, None),
     "history": (int, 12, None),
@@ -207,11 +207,7 @@ def build_error_model(config: dict, n: int, graph: SensorGraph | None) -> ErrorM
     kind = config["kind"]
     if kind == "none":
         return None
-    mask = None
-    if kind == "structural":
-        if graph is None:
-            raise ConfigurationError("structural kind requires --adjacency")
-        mask = structural_mask(graph, config["mask_order"])
+    mask = structural_mask(graph, config["mask_order"]) if kind == "structural" else None
     return ErrorModel.for_training(
         kind, n, var_order=config["var_order"], rank=config["rank"], mask=mask, seed=config["seed"]
     )
@@ -377,11 +373,19 @@ def _resolve_kind_defaults(config: dict, n: int) -> None:
         config["rank"] = min(defaults["rank"], n)
 
 
-def _prepare_run(args):
+def _prepare_run(args, kinds=None):
     """The prologue of train and compare: (resolved config, series, graph,
-    horizons, manifest input files)."""
+    horizons, manifest input files). kinds are the error-model kinds to be
+    trained, by default the config's kind; all settings are checked here,
+    before any training."""
     config = resolve_config(args, read_config_file(args.config) if args.config else {})
+    if not 1 <= config["var_order"] <= config["history"]:
+        raise ValidationError(
+            f"var_order {config['var_order']} is outside [1, history = {config['history']}]"
+        )
     frame, graph = _load_series_and_graph(args, config["step_min"])
+    if graph is None and "structural" in (kinds or (config["kind"],)):
+        raise ConfigurationError("structural kind requires --adjacency")
     horizons = parse_horizons(config["horizon_min"], config["step_min"])
     os.makedirs(args.out, exist_ok=True)
     inputs = [args.series] + ([args.adjacency] if args.adjacency else [])
@@ -404,7 +408,7 @@ def cmd_train(args) -> int:
             "train_frac": config["train_frac"],
             "val_frac": config["val_frac"],
         }
-        tag = f"h{int(minutes)}min"
+        tag = f"h{minutes:g}min"
         metrics = {
             "kind": config["kind"],
             "horizon_min": minutes,
@@ -506,7 +510,7 @@ def cmd_compare(args) -> int:
             raise ValidationError(f"unknown kind {kind!r}; expected subset of {ALL_KINDS}")
     if len(set(kinds)) != len(kinds):
         raise ValidationError(f"--kinds lists a kind twice: {args.kinds}")
-    config, frame, graph, horizons, inputs = _prepare_run(args)
+    config, frame, graph, horizons, inputs = _prepare_run(args, kinds)
     kind_configs = [{**config, "kind": kind} for kind in kinds]
     for kind_config in kind_configs:
         _resolve_kind_defaults(kind_config, frame.num_sensors)

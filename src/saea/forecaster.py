@@ -276,8 +276,11 @@ def build_forecaster(
 
 def forecaster_from_blob(blob: dict) -> Forecaster:
     """Rebuild a model from its checkpoint blob."""
-    if "version" not in blob:
-        raise ValidationError("model checkpoint missing mandatory version field")
+    if blob.get("version") != CHECKPOINT_VERSION:
+        raise ValidationError(
+            f"model checkpoint version {blob.get('version')!r} is not the supported "
+            f"{CHECKPOINT_VERSION}"
+        )
     kind = blob.get("kind")
     history, n = int(blob["history"]), int(blob["n"])
     if kind == "nodear":

@@ -52,7 +52,6 @@ class TrainConfig:
     seed: int = 0
     shuffle: bool = True
     grad_clip: float | None = None
-    squared_structural_penalty: bool = False
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -117,8 +116,12 @@ def checkpoint_blob(model: Forecaster, em: ErrorModel | None, extra: dict | None
 
 
 def load_checkpoint_blob(blob: dict) -> tuple[Forecaster, ErrorModel | None]:
-    if "format_version" not in blob:
-        raise ValidationError("checkpoint missing format_version")
+    version = blob.get("format_version")
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ValidationError(
+            f"checkpoint format_version {version!r} is not the supported "
+            f"{CHECKPOINT_FORMAT_VERSION}"
+        )
     model = forecaster_from_blob(blob["model"])
     em = ErrorModel.from_blob(blob["error_model"]) if blob.get("error_model") else None
     return model, em
@@ -142,12 +145,7 @@ def load_checkpoint(path) -> tuple[Forecaster, ErrorModel | None]:
 def resolve_regularizer(cfg: TrainConfig, em: ErrorModel | None) -> RegularizerConfig:
     if em is None:
         return RegularizerConfig(alpha=0.0)
-    return default_regularizer(
-        em.kind,
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        squared_structural_penalty=cfg.squared_structural_penalty,
-    )
+    return default_regularizer(em.kind, alpha=cfg.alpha, beta=cfg.beta)
 
 
 def _clip_gradients(grad_theta, payload_grads, limit):
@@ -191,6 +189,12 @@ def fit(
     if em is not None:
         opt_state.update({name: np.zeros_like(arr) for name, arr in em.payload.items()})
 
+    def step(name, params, grads):
+        if cfg.optimizer == "sgd":
+            return sgd_step(params, grads, cfg.learning_rate)
+        params, opt_state[name] = rmsprop_step(params, grads, opt_state[name], cfg.learning_rate)
+        return params
+
     report = TrainReport()
     last_good = _snapshot(model, em, {"epoch": -1})
     best = None
@@ -209,25 +213,9 @@ def fit(
                     grad_theta, payload_grads = _clip_gradients(
                         grad_theta, payload_grads, cfg.grad_clip
                     )
-                if cfg.optimizer == "rmsprop":
-                    theta, opt_state["theta"] = rmsprop_step(
-                        theta, grad_theta, opt_state["theta"], cfg.learning_rate
-                    )
-                    if em is not None:
-                        for name in sorted(payload_grads):
-                            em.payload[name], opt_state[name] = rmsprop_step(
-                                em.payload[name],
-                                payload_grads[name],
-                                opt_state[name],
-                                cfg.learning_rate,
-                            )
-                else:
-                    theta = sgd_step(theta, grad_theta, cfg.learning_rate)
-                    if em is not None:
-                        for name in sorted(payload_grads):
-                            em.payload[name] = sgd_step(
-                                em.payload[name], payload_grads[name], cfg.learning_rate
-                            )
+                theta = step("theta", theta, grad_theta)
+                for name in sorted(payload_grads):
+                    em.payload[name] = step(name, em.payload[name], payload_grads[name])
                 model.set_params(theta)
                 epoch_losses[i] = result.loss
         except DivergenceError:

@@ -92,19 +92,16 @@ def test_criterion_01_reduction_identity():
         for kind in ALL_KINDS:
             if kind == "structural" and n < 3:
                 continue
-            for var_order in (1, 2):
+            for var_order in range(1, min(3, h) + 1):
                 em = zero_em(kind, n, var_order=var_order, graph=graph)
                 cfg = RegularizerConfig(alpha=100.0, beta=10.0)
                 res = saea_loss(model, em, cfg, batch)
                 worst = max(worst, abs(res.loss - plain.loss) / abs(plain.loss))
                 preds = predict_windows(model, em, batch)
                 worst = max(worst, max_rel_err(preds, base, floor=1e-9))
+                deeper = (shift_with_mean(batch.inputs[0], k) for k in range(2, var_order + 1))
                 single = saea_predict(
-                    model,
-                    em,
-                    batch.inputs[0],
-                    batch.inputs_shifted[0],
-                    shift_with_mean(batch.inputs[0], 2) if var_order == 2 else None,
+                    model, em, batch.inputs[0], batch.inputs_shifted[0], *deeper
                 )
                 worst = max(worst, max_rel_err(single, base[0], floor=1e-9))
     elapsed = time.perf_counter() - started
@@ -127,7 +124,7 @@ def test_criterion_02_gradient_suite():
     batch = make_windows(frame, h, 0)
     worst = 0.0
     combos = 0
-    for var_order in (1, 2):
+    for var_order in (1, 2, 3):
         for kind in ALL_KINDS:
             for make_model in (
                 lambda s: NodeAR(h, n, seed=s),
@@ -156,7 +153,7 @@ def test_criterion_02_gradient_suite():
     elapsed = time.perf_counter() - started
     report(
         2,
-        worst < 1e-4 and combos == 36 and elapsed < 60.0,
+        worst < 1e-4 and combos == 54 and elapsed < 60.0,
         f"gradient suite: {combos} combos, worst rel err {worst:.2e} (<1e-4), "
         f"{elapsed:.1f}s (<60s)",
     )

@@ -6,6 +6,7 @@ from _helpers import central_diff, max_rel_err, payload_fd_grads
 from saea.adjust import (
     DEFAULT_REGULARIZATION,
     ErrorModel,
+    _adjusted_forward,
     _phi_to_payload_grads,
     RegularizerConfig,
     companion_matrix,
@@ -16,7 +17,6 @@ from saea.adjust import (
     saea_loss,
     saea_predict,
     spectral_radius,
-    transform_window,
 )
 from saea.data import SeriesFrame, make_windows, shift_with_mean
 from saea.errors import ConfigurationError, ContractError, ValidationError
@@ -50,20 +50,20 @@ def make_em(kind, n, var_order=1, rank=2, graph=None, randomize=None):
 def test_materialize_scalar():
     em = ErrorModel("scalar", 3)
     em.payload["coef"][0] = 0.5
-    assert_array_equal(materialize_phi(em, 0), 0.5 * np.eye(3))
+    assert_array_equal(materialize_phi(em)[0], 0.5 * np.eye(3))
 
 
 def test_materialize_diagonal():
     em = ErrorModel("diagonal", 2)
     em.payload["diag"][0] = [1.0, 2.0]
-    assert_array_equal(materialize_phi(em, 0), [[1.0, 0.0], [0.0, 2.0]])
+    assert_array_equal(materialize_phi(em)[0], [[1.0, 0.0], [0.0, 2.0]])
 
 
 def test_materialize_low_rank_hand_product():
     em = ErrorModel("low_rank", 2, rank=1)
     em.payload["left"][0] = [[1.0], [0.0]]
     em.payload["right"][0] = [[0.0, 1.0]]
-    assert_array_equal(materialize_phi(em, 0), [[0.0, 1.0], [0.0, 0.0]])
+    assert_array_equal(materialize_phi(em)[0], [[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_materialize_low_rank_sparse_sum():
@@ -71,13 +71,16 @@ def test_materialize_low_rank_sparse_sum():
     em.payload["left"][0] = [[1.0], [1.0]]
     em.payload["right"][0] = [[1.0, 0.0]]
     em.payload["sparse"][0] = [[0.0, 0.5], [0.0, 0.0]]
-    assert_array_equal(materialize_phi(em, 0), [[1.0, 0.5], [1.0, 0.0]])
+    assert_array_equal(materialize_phi(em)[0], [[1.0, 0.5], [1.0, 0.0]])
 
 
-def test_materialize_lag_out_of_range():
-    em = ErrorModel("scalar", 2)
-    with pytest.raises(ValidationError):
-        materialize_phi(em, 1)
+def test_materialize_stacks_every_lag():
+    em = make_em("low_rank_sparse", 4, var_order=3, randomize=7)
+    phis = materialize_phi(em)
+    assert phis.shape == (3, 4, 4)
+    for lag in range(3):
+        expected = em.payload["left"][lag] @ em.payload["right"][lag] + em.payload["sparse"][lag]
+        assert_allclose(phis[lag], expected, rtol=1e-15)
 
 
 def test_materialized_low_rank_has_rank_at_most_k():
@@ -85,7 +88,7 @@ def test_materialized_low_rank_has_rank_at_most_k():
     em = ErrorModel("low_rank", 8, rank=3)
     em.payload["left"][0] = rng.normal(size=(8, 3))
     em.payload["right"][0] = rng.normal(size=(3, 8))
-    assert np.linalg.matrix_rank(materialize_phi(em, 0)) <= 3
+    assert np.linalg.matrix_rank(materialize_phi(em)[0]) <= 3
 
 
 # -- regularize --------------------------------------------------------------
@@ -125,16 +128,6 @@ def test_regularize_structural_hand_frobenius():
     value, grads = regularize(em, RegularizerConfig(alpha=1.0))
     assert value == pytest.approx(5.0)
     assert_allclose(grads["matrix"][0], np.array(em.payload["matrix"][0]) / 5.0)
-
-
-def test_regularize_structural_squared_flag():
-    g = path_graph(3)
-    em = ErrorModel("structural", 3, mask=structural_mask(g, 1))
-    em.payload["matrix"][0] = [[0.0, 0.0, 3.0], [0.0, 0.0, 0.0], [4.0, 0.0, 0.0]]
-    cfg = RegularizerConfig(alpha=1.0, squared_structural_penalty=True)
-    value, grads = regularize(em, cfg)
-    assert value == pytest.approx(25.0)
-    assert_allclose(grads["matrix"][0], 2.0 * np.array(em.payload["matrix"][0]))
 
 
 def test_regularize_low_rank_frobenius_sum():
@@ -190,38 +183,75 @@ def test_default_regularizer_table():
     assert default_regularizer("sparse_full", alpha=7.0).alpha == 7.0
 
 
-# -- transform_window --------------------------------------------------------
+# -- transformed window --------------------------------------------------------
+
+
+def transformed(em, window, *shifted):
+    """The transformed window, _adjusted_forward(...)[1], on a batch of one."""
+    w = np.asarray(window, dtype=np.float64)
+    shifts = [np.asarray(s, dtype=np.float64)[None] for s in shifted]
+    return _adjusted_forward(NodeAR(*w.shape, seed=0), em, w[None], shifts)[1][0]
 
 
 def test_transform_zero_phi_identity():
     rng = np.random.default_rng(0)
     w, s = rng.normal(size=(2, 5, 3))
     em = ErrorModel("sparse_full", 3)
-    assert_array_equal(transform_window(w, s, em), w)
+    assert_array_equal(transformed(em, w, s), w)
 
 
 def test_transform_identity_phi_constant_series():
     w = np.full((4, 2), 3.0)
     em = ErrorModel("diagonal", 2)
     em.payload["diag"][0] = [1.0, 1.0]
-    out = transform_window(w, shift_with_mean(w, 1), em)
+    out = transformed(em, w, shift_with_mean(w, 1))
     assert_allclose(out, np.zeros((4, 2)), atol=1e-15)
 
 
 def test_transform_hand_example():
     em = ErrorModel("sparse_full", 1)
     em.payload["matrix"][0] = 0.5
-    out = transform_window([[4.0], [2.0]], [[2.0], [3.0]], em)
+    out = transformed(em, [[4.0], [2.0]], [[2.0], [3.0]])
     assert_array_equal(out, [[3.0], [0.5]])
 
 
 def test_transform_var2_requires_second_shift():
     em = ErrorModel("sparse_full", 2, var_order=2)
+    model = NodeAR(3, 2, seed=0)
     w = np.zeros((3, 2))
     with pytest.raises(ContractError):
-        transform_window(w, w, em)
+        saea_predict(model, em, w, w)
     with pytest.raises(ContractError):
-        transform_window(w, np.zeros((2, 2)), ErrorModel("sparse_full", 2))
+        saea_predict(model, ErrorModel("sparse_full", 2), w, np.zeros((2, 2)))
+
+
+def test_predict_takes_one_shifted_window_per_lag():
+    w = np.zeros((3, 2))
+    model = NodeAR(3, 2, seed=0)
+    for em, shifted in (
+        (ErrorModel("sparse_full", 2, var_order=3), (w, w)),
+        (ErrorModel("sparse_full", 2), (w, w)),
+        (ErrorModel("sparse_full", 2), ()),
+        (None, ()),
+        (None, (w, w)),
+    ):
+        with pytest.raises(ContractError):
+            saea_predict(model, em, w, *shifted)
+    with pytest.raises(ContractError):
+        saea_predict(model, ErrorModel("sparse_full", 2, var_order=3), w, w, w, np.zeros((2, 2)))
+
+
+def test_var_order_above_history_is_contract_error():
+    batch = random_batch(n=3, h=2, b=5)
+    model = NodeAR(2, 3, seed=0)
+    em = ErrorModel("sparse_full", 3, var_order=3)
+    w = batch.inputs[0]
+    with pytest.raises(ContractError):
+        predict_windows(model, em, batch)
+    with pytest.raises(ContractError):
+        saea_loss(model, em, RegularizerConfig(alpha=1.0), batch)
+    with pytest.raises(ContractError):
+        saea_predict(model, em, w, *(shift_with_mean(w, k) for k in (1, 2, 3)))
 
 
 def test_transform_var2_both_lags():
@@ -232,8 +262,19 @@ def test_transform_var2_both_lags():
     phi2 = rng.normal(size=(2, 2))
     em.payload["matrix"][0] = phi1
     em.payload["matrix"][1] = phi2
-    out = transform_window(w, s1, em, s2)
+    out = transformed(em, w, s1, s2)
     expected = w - s1 @ phi1.T - s2 @ phi2.T
+    assert_allclose(out, expected, atol=1e-14)
+
+
+def test_transform_var3_every_lag():
+    rng = np.random.default_rng(1)
+    w, s1, s2, s3 = rng.normal(size=(4, 4, 2))
+    em = ErrorModel("sparse_full", 2, var_order=3)
+    phis = rng.normal(size=(3, 2, 2))
+    em.payload["matrix"][:] = phis
+    out = transformed(em, w, s1, s2, s3)
+    expected = w - s1 @ phis[0].T - s2 @ phis[1].T - s3 @ phis[2].T
     assert_allclose(out, expected, atol=1e-14)
 
 
@@ -296,18 +337,13 @@ def test_predict_windows_matches_single_window_loop():
     model = GraphFilterAR.from_graph(5, ring_graph(4), seed=3)
     shifted = ws.inputs_shifted
     for kind in ALL_KINDS:
-        for var_order in (1, 2):
+        for var_order in (1, 2, 3):
             em = make_em(kind, 4, var_order=var_order, randomize=11)
             batch = predict_windows(model, em, ws)
             for b in range(ws.batch):
                 w = ws.inputs[b]
-                single = saea_predict(
-                    model,
-                    em,
-                    w,
-                    shifted[b],
-                    shift_with_mean(w, 2) if var_order == 2 else None,
-                )
+                deeper = (shift_with_mean(w, k) for k in range(2, var_order + 1))
+                single = saea_predict(model, em, w, shifted[b], *deeper)
                 assert_allclose(batch[b], single, atol=1e-12)
 
 
@@ -348,7 +384,7 @@ def test_reduction_identity_all_kinds():
     plain = saea_loss(model, None, RegularizerConfig(alpha=0.0), batch)
     base_forward = model.forward_batch(batch.inputs)
     for kind in ALL_KINDS:
-        for var_order in (1, 2):
+        for var_order in (1, 2, 3):
             em = make_em(kind, 5, var_order=var_order)
             cfg = default_regularizer(kind)
             res = saea_loss(model, em, cfg, batch)
@@ -357,7 +393,7 @@ def test_reduction_identity_all_kinds():
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-@pytest.mark.parametrize("var_order", [1, 2])
+@pytest.mark.parametrize("var_order", [1, 2, 3])
 def test_loss_gradients_match_finite_differences(kind, var_order):
     batch = random_batch(n=4, h=3, b=8, seed=13)
     graph = ring_graph(4)
@@ -384,7 +420,7 @@ def test_loss_gradients_match_finite_differences(kind, var_order):
 def reference_coefficient_grads(model, em, batch):
     """Per-lag dMSE/dPhi by the einsum formulas the loss was first written with."""
     lags = range(em.var_order)
-    phis = [materialize_phi(em, lag) for lag in lags]
+    phis = materialize_phi(em)
     shifts = [shift_with_mean(batch.inputs, lag + 1) for lag in lags]
     anchors = [batch.inputs[:, lag] for lag in lags]
     transformed = batch.inputs - sum(s @ phi.T for s, phi in zip(shifts, phis))
@@ -392,14 +428,14 @@ def reference_coefficient_grads(model, em, batch):
     resid = preds - batch.targets
     cots = (2.0 / resid.size) * resid
     _, grad_input = model.vjp_batch(transformed, cots)
-    return [
+    return np.stack([
         np.einsum("bi,bj->ij", cots, a) - np.einsum("bhi,bhj->ij", grad_input, s)
         for a, s in zip(anchors, shifts)
-    ]
+    ])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-@pytest.mark.parametrize("var_order", [1, 2])
+@pytest.mark.parametrize("var_order", [1, 2, 3])
 def test_loss_coefficient_gradient_matches_einsum_reference(kind, var_order):
     n = 50
     batch = random_batch(n=n, h=5, b=7, seed=17)
@@ -414,7 +450,7 @@ def test_loss_coefficient_gradient_matches_einsum_reference(kind, var_order):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-@pytest.mark.parametrize("var_order", [1, 2])
+@pytest.mark.parametrize("var_order", [1, 2, 3])
 def test_loss_mse_equals_predict_windows_mse(kind, var_order):
     # training and batched prediction run the same adjusted forward
     batch = random_batch(n=5, h=4, b=9, seed=19)
@@ -465,7 +501,7 @@ def test_spectral_radius_complex_pair_hand_value():
 
 def test_spectral_radius_matches_eig_random():
     rng = np.random.default_rng(8)
-    for var_order in (1, 2):
+    for var_order in (1, 2, 3):
         for _ in range(5):
             em = ErrorModel("sparse_full", 4, var_order=var_order)
             for lag in range(var_order):
@@ -481,6 +517,16 @@ def test_companion_matrix_var2_shape():
     assert_array_equal(c[3:, :3], np.eye(3))
 
 
+def test_companion_matrix_var3_blocks():
+    em = make_em("sparse_full", 3, var_order=3, randomize=4)
+    c = companion_matrix(em)
+    assert c.shape == (9, 9)
+    for lag in range(3):
+        assert_array_equal(c[:3, 3 * lag : 3 * lag + 3], em.payload["matrix"][lag])
+    assert_array_equal(c[3:, :6], np.eye(6))
+    assert_array_equal(c[3:, 6:], np.zeros((6, 3)))
+
+
 def test_spectral_radius_nilpotent():
     em = ErrorModel("sparse_full", 2)
     em.payload["matrix"][0] = [[0.0, 1.0], [0.0, 0.0]]
@@ -494,7 +540,7 @@ def test_error_model_validation():
     with pytest.raises(ValidationError):
         ErrorModel("banana", 3)
     with pytest.raises(ValidationError):
-        ErrorModel("scalar", 3, var_order=3)
+        ErrorModel("scalar", 3, var_order=0)
     with pytest.raises(ConfigurationError):
         ErrorModel("low_rank", 3)  # rank missing
     with pytest.raises(ConfigurationError):
@@ -506,7 +552,7 @@ def test_error_model_validation():
 def test_for_training_low_rank_starts_at_zero_product():
     em = ErrorModel.for_training("low_rank", 6, rank=2, seed=3)
     assert np.any(em.payload["left"] != 0)
-    assert_array_equal(materialize_phi(em, 0), np.zeros((6, 6)))
+    assert_array_equal(materialize_phi(em)[0], np.zeros((6, 6)))
 
 
 def test_clone_is_independent():
@@ -524,5 +570,13 @@ def test_error_model_blob_roundtrip_with_mask_hash():
     again = ErrorModel.from_blob(blob)
     assert_array_equal(again.payload["matrix"], em.payload["matrix"])
     blob["mask"][0][1] = 1.0 - blob["mask"][0][1]
+    with pytest.raises(ValidationError):
+        ErrorModel.from_blob(blob)
+
+
+def test_error_model_blob_mask_without_hash_rejected():
+    em = make_em("structural", 5, graph=ring_graph(5), randomize=2)
+    blob = em.to_blob()
+    del blob["mask_sha256"]
     with pytest.raises(ValidationError):
         ErrorModel.from_blob(blob)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import saea.cli
 from saea.cli import run
 from saea.data import ingest_csv
 from saea.graph import load_adjacency_csv
@@ -250,6 +251,44 @@ def test_multi_horizon_train(tmp_path):
     assert not np.array_equal(short.get_params(), long.get_params())
 
 
+def test_fractional_horizons_write_separate_files(tmp_path):
+    bundle = make_bundle_dir(tmp_path)
+    out = tmp_path / "half"
+    code = run(train_args(bundle, out, ("--kind", "none", "--step-min", "0.5",
+                                        "--horizon-min", "5,5.5")))
+    assert code == 0
+    steps = [json.loads((out / f"checkpoint_h{m}min_best.json").read_text())["horizon_step"]
+             for m in ("5", "5.5")]
+    assert steps == [9, 10]
+    assert (out / "train_report_h5.5min.json").exists()
+
+
+def test_train_var_order_3_checkpoint(tmp_path, capsys):
+    bundle = make_bundle_dir(tmp_path)
+    out = tmp_path / "var3"
+    assert run(train_args(bundle, out, ("--kind", "diagonal", "--var-order", "3"))) == 0
+    em = load_checkpoint(out / "checkpoint_h5min_best.json")[1]
+    assert em.var_order == 3 and em.payload["diag"].shape == (3, 8)
+    capsys.readouterr()
+    for order in ("0", "5"):  # outside [1, history = 4]
+        code = run(train_args(bundle, tmp_path / "bad", ("--kind", "diagonal", "--var-order", order)))
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ValidationError"
+
+
+def test_compare_structural_without_adjacency_fails_before_training(tmp_path, capsys, monkeypatch):
+    bundle = make_bundle_dir(tmp_path)
+    fits = []
+    fit = saea.cli.fit
+    monkeypatch.setattr(saea.cli, "fit", lambda *a: fits.append(1) or fit(*a))
+    code = run(["compare", "--series", str(bundle / "series.csv"),
+                "--kinds", "none,diagonal,structural", "--history", "4", "--epochs", "2",
+                "--out", str(tmp_path / "cmp")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigurationError"
+    assert fits == []
+
+
 def test_horizon_too_long_for_series_fails(tmp_path, capsys):
     bundle = make_bundle_dir(tmp_path)
     out = tmp_path / "too_long"
@@ -335,7 +374,7 @@ def test_malformed_horizons_fail_validation(tmp_path, capsys, minutes):
 
 
 @pytest.mark.parametrize(
-    "line", ["kind = foo", "select = foo", "var_order = 3", "optimizer = adam", "shuffle = 2"]
+    "line", ["kind = foo", "select = foo", "var_order = 13", "optimizer = adam", "shuffle = 2"]
 )
 def test_out_of_choice_config_value_fails_validation(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"

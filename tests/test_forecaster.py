@@ -207,6 +207,13 @@ def test_checkpoint_requires_version():
         forecaster_from_blob(blob)
 
 
+def test_checkpoint_rejects_other_version():
+    blob = NodeAR(2, 2, seed=0).to_blob()
+    for version in (0, 2, "1"):
+        with pytest.raises(ValidationError):
+            forecaster_from_blob({**blob, "version": version})
+
+
 def test_build_forecaster_dispatch_and_errors():
     graph = ring_graph(N)
     assert build_forecaster("nodear", H, N).kind == "nodear"

@@ -1,8 +1,11 @@
-"""Property tests over random shapes and values: window shifting and the
-zero-coefficient reduction identity.
+"""Property tests over random shapes and values: window shifting, the
+zero-coefficient reduction identity, the structural mask against a BFS
+oracle, and the error-model blob round trip.
 
 Examples are derandomized and few, so the suite stays deterministic and fast.
 """
+
+import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from saea.adjust import KINDS, ErrorModel, RegularizerConfig, predict_windows, s
 from saea.data import SeriesFrame, make_windows, shift_with_mean
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import structural_mask
-from saea.synth import ring_graph
+from saea.synth import bfs_mask_oracle, erdos_renyi_graph, ring_graph
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None, database=None)
 
@@ -103,3 +106,45 @@ def test_zero_coefficients_reduce_to_the_base_model(n, h, b, var_order, model_ki
         assert abs(loss - plain) <= 1e-12 * abs(plain)
         assert_allclose(predict_windows(model, em, ws), base, rtol=1e-12, atol=1e-15)
         assert_allclose(saea_predict(model, em, window, *shifts), base[0], rtol=1e-12, atol=1e-15)
+
+
+@PROPERTY
+@given(
+    n=st.integers(2, 30),
+    p_edge=st.floats(0.0, 0.5),
+    graph_seed=st.integers(0, 2**16),
+    order=st.sampled_from([1, 2]),
+)
+def test_laplacian_mask_equals_bfs_oracle(n, p_edge, graph_seed, order):
+    graph = erdos_renyi_graph(n, p_edge, seed=graph_seed)
+    assert_array_equal(structural_mask(graph, order).mask, bfs_mask_oracle(graph, order))
+
+
+@PROPERTY
+@given(
+    kind=st.sampled_from(KINDS),
+    n=st.integers(3, 6),
+    var_order=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**16),
+)
+def test_error_model_blob_round_trip(kind, n, var_order, seed):
+    rng = np.random.default_rng(seed)
+    em = ErrorModel(
+        kind,
+        n,
+        var_order=var_order,
+        rank=int(rng.integers(1, n + 1)) if kind in ("low_rank", "low_rank_sparse") else None,
+        mask=structural_mask(ring_graph(n), 1) if kind == "structural" else None,
+    )
+    for name, arr in em.payload.items():
+        em.payload[name] = rng.normal(size=arr.shape)
+    again = ErrorModel.from_blob(json.loads(json.dumps(em.to_blob())))
+    assert (again.kind, again.n, again.var_order, again.rank) == (kind, n, var_order, em.rank)
+    assert sorted(again.payload) == sorted(em.payload)
+    for name, arr in em.payload.items():
+        assert again.payload[name].tobytes() == arr.tobytes()
+    if kind == "structural":
+        assert_array_equal(again.mask.mask, em.mask.mask)
+        assert again.mask.order == em.mask.order
+    else:
+        assert again.mask is None

@@ -10,6 +10,7 @@ from saea.graph import structural_mask
 from saea.synth import GraphSpec, SynthConfig, generate, structured_var_coefficients
 from saea.train import (
     TrainConfig,
+    checkpoint_blob,
     fit,
     load_checkpoint,
     load_checkpoint_blob,
@@ -220,13 +221,6 @@ def test_resolve_regularizer_uses_kind_defaults():
     assert resolve_regularizer(override, ErrorModel("scalar", 4)).alpha == 5.0
 
 
-def test_resolve_regularizer_passes_squared_structural_flag():
-    em = ErrorModel("structural", 4)
-    assert not resolve_regularizer(TrainConfig(), em).squared_structural_penalty
-    squared = resolve_regularizer(TrainConfig(squared_structural_penalty=True), em)
-    assert squared.squared_structural_penalty and squared.alpha == 1000.0
-
-
 def test_grad_clip_limits_update():
     frame = sinusoid_frame(t=100)
     tws = make_windows(frame, 3, 0)
@@ -303,3 +297,14 @@ def test_checkpoint_none_error_model(tmp_path):
     save_checkpoint(path, NodeAR(2, 2, seed=0), None)
     _, em = load_checkpoint(path)
     assert em is None
+
+
+def test_checkpoint_format_version_must_match():
+    blob = checkpoint_blob(NodeAR(3, 2, seed=0), ErrorModel("diagonal", 2))
+    load_checkpoint_blob(blob)
+    for version in (None, 0, 2, "1"):
+        with pytest.raises(ValidationError):
+            load_checkpoint_blob({**blob, "format_version": version})
+    del blob["format_version"]
+    with pytest.raises(ValidationError):
+        load_checkpoint_blob(blob)

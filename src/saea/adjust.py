@@ -234,7 +234,8 @@ def mask_hash(mask: StructuralMask) -> str:
 
 
 def materialize_phi(em: ErrorModel) -> np.ndarray:
-    """Dense coefficient matrices of all VAR lags, stacked (p, N, N)."""
+    """Dense coefficient matrices of all VAR lags, stacked (p, N, N); for the
+    kinds that store them, a read-only view of the payload, not a copy."""
     payload = em.payload
     if em.kind == "scalar":
         return payload["coef"][:, None, None] * np.eye(em.n)
@@ -243,7 +244,9 @@ def materialize_phi(em: ErrorModel) -> np.ndarray:
         phis[:, np.arange(em.n), np.arange(em.n)] = payload["diag"]
         return phis
     if em.kind in ("sparse_full", "structural"):
-        return payload["matrix"].copy()
+        view = payload["matrix"].view()
+        view.flags.writeable = False
+        return view
     product = payload["left"] @ payload["right"]
     if em.kind == "low_rank":
         return product
@@ -299,12 +302,6 @@ def regularize(em: ErrorModel, cfg: RegularizerConfig) -> tuple[float, dict]:
     return value, grads
 
 
-def _lag_shifts(inputs: np.ndarray, em: ErrorModel | None) -> list[np.ndarray]:
-    """shift_with_mean(inputs, k) for each VAR lag k = 1..p of the error model."""
-    order = em.var_order if em is not None else 0
-    return [shift_with_mean(inputs, k) for k in range(1, order + 1)]
-
-
 def _minus_shifted(inputs: np.ndarray, shifts, phis) -> np.ndarray:
     """inputs - sum over lags of shift @ phi^T, each one 2-D BLAS product.
 
@@ -318,60 +315,52 @@ def _minus_shifted(inputs: np.ndarray, shifts, phis) -> np.ndarray:
 
 
 def _adjusted_forward(
-    model: Forecaster, em: ErrorModel | None, inputs: np.ndarray, shifts
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adjusted predictions and transformed windows for a (B, H, N) batch.
-
-    Over the lags k = 1..p, with shifts[k-1] the lag-k shifted inputs:
+    model: Forecaster, em: ErrorModel | None, inputs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Adjusted predictions, transformed windows and lag shifts for a (B, H, N)
+    batch. The only place shifts are formed: over the lags k = 1..p, with
+    shifts[k-1] = shift_with_mean(inputs, k),
 
       transformed = inputs - sum_k shifts[k-1] @ Phi_k^T
       preds       = sum_k inputs[:, k-1] @ Phi_k^T + f(transformed)
 
-    With no error model this is the plain forward on the inputs. The anchor
-    of lag k is row k-1 of the window, so p may not exceed its H rows.
+    With no error model this is the plain forward on the inputs, no shifts.
+    The anchor of lag k is row k-1 of the window, so p may not exceed H.
     """
     if em is None:
-        return model.forward_batch(inputs), inputs
+        return model.forward_batch(inputs), inputs, []
     if em.var_order > inputs.shape[1]:
         raise ContractError(
             f"var_order {em.var_order} exceeds the window's {inputs.shape[1]} rows"
         )
     phis = materialize_phi(em)
+    shifts = [shift_with_mean(inputs, k) for k in range(1, em.var_order + 1)]
     transformed = _minus_shifted(inputs, shifts, phis)
     preds = model.forward_batch(transformed)
     for lag, phi in enumerate(phis):
         preds = preds + (phi @ inputs[:, lag].T).T
-    return preds, transformed
+    return preds, transformed, shifts
 
 
 def saea_predict(model: Forecaster, em: ErrorModel | None, window, *shifted) -> np.ndarray:
     """Adjusted one-window prediction: the batched core on a batch of one.
 
-    shifted holds the window shifted by k = 1..p, lag 1 first (the window's
-    shift_with_mean(window, k)); without an error model, the lag-1 shift.
-    prediction = sum_k Phi_k @ window[k-1] + f(transformed window), which
-    reduces to the plain forward for a zero (or absent) error model.
+    prediction = sum_k Phi_k @ window[k-1] + f(transformed window), with the
+    lag shifts derived from the window itself; it reduces to the plain
+    forward for a zero (or absent) error model. Shifted windows passed after
+    the window are accepted for older callers but never used: at most
+    max(p, 1) of them, each of the window's shape, else a ContractError.
     """
     w = model._check_window(window)
-    order = em.var_order if em is not None else 0
-    if len(shifted) != max(order, 1):
-        raise ContractError(
-            f"var_order {order} takes {max(order, 1)} shifted windows, got {len(shifted)}"
-        )
-    shifts = []
-    for lag, s in enumerate(shifted, start=1):
-        s = np.asarray(s, dtype=np.float64)
-        if s.shape != w.shape:
-            raise ContractError(f"lag-{lag} shifted shape {s.shape} != window shape {w.shape}")
-        shifts.append(s[None])
-    preds, _ = _adjusted_forward(model, em, w[None], shifts[:order])
-    return preds[0]
+    limit = max(em.var_order if em is not None else 0, 1)
+    if len(shifted) > limit or any(np.shape(s) != w.shape for s in shifted):
+        raise ContractError(f"at most {limit} shifted windows of shape {w.shape} are accepted")
+    return _adjusted_forward(model, em, w[None])[0][0]
 
 
 def predict_windows(model: Forecaster, em: ErrorModel | None, ws: WindowSet) -> np.ndarray:
     """Batched adjusted predictions for every window in a WindowSet."""
-    preds, _ = _adjusted_forward(model, em, ws.inputs, _lag_shifts(ws.inputs, em))
-    return preds
+    return _adjusted_forward(model, em, ws.inputs)[0]
 
 
 @dataclass(frozen=True)
@@ -419,8 +408,7 @@ def saea_loss(
     if batch.batch == 0:
         raise ValidationError("loss requires a nonempty batch")
     inputs = batch.inputs
-    shifts = _lag_shifts(inputs, em)
-    preds, transformed = _adjusted_forward(model, em, inputs, shifts)
+    preds, transformed, shifts = _adjusted_forward(model, em, inputs)
     resid = preds - batch.targets
     mse = float(np.mean(resid * resid))
     penalty, reg_grads = 0.0, {}

@@ -359,44 +359,54 @@ def _load_series_and_graph(args, step_minutes: float):
     return frame, graph
 
 
-def _resolve_kind_defaults(config: dict, n: int) -> None:
-    """Fill alpha/beta/rank with the built-in defaults for the config's kind
-    so the manifest records the settings actually used."""
-    if config["kind"] == "none":
-        return
-    defaults = DEFAULT_REGULARIZATION[config["kind"]]
-    if config["alpha"] is None:
-        config["alpha"] = defaults["alpha"]
-    if config["beta"] is None and "beta" in defaults:
-        config["beta"] = defaults["beta"]
-    if config["rank"] is None and "rank" in defaults:
-        config["rank"] = min(defaults["rank"], n)
+KIND_SETTINGS = ("kind", "alpha", "beta", "rank")
+
+
+def _kind_config(config: dict, kind: str, n: int) -> dict:
+    """config for one kind with the alpha/beta/rank it uses filled in from
+    the kind's built-in defaults, and the ones it does not use set to None,
+    so the manifest records the settings actually used. A negative alpha or
+    beta, or a rank outside [1, n], is rejected."""
+    defaults = DEFAULT_REGULARIZATION.get(kind, {})
+    kind_config = {**config, "kind": kind}
+    for name in KIND_SETTINGS[1:]:
+        if name not in defaults:
+            kind_config[name] = None
+        elif kind_config[name] is None:
+            kind_config[name] = min(defaults[name], n) if name == "rank" else defaults[name]
+        elif name != "rank" and kind_config[name] < 0:
+            raise ValidationError(f"{kind} {name} must be >= 0, got {kind_config[name]}")
+    rank = kind_config["rank"]
+    if rank is not None and not 1 <= rank <= n:
+        raise ConfigurationError(f"{kind} rank must be in [1, {n}], got {rank}")
+    return kind_config
 
 
 def _prepare_run(args, kinds=None):
-    """The prologue of train and compare: (resolved config, series, graph,
-    horizons, manifest input files). kinds are the error-model kinds to be
-    trained, by default the config's kind; all settings are checked here,
-    before any training."""
+    """The prologue of train and compare: (resolved config, one resolved
+    config per kind, series, graph, horizons, manifest input files). kinds
+    are the error-model kinds to be trained, by default the config's kind;
+    all settings are checked here, before any training."""
     config = resolve_config(args, read_config_file(args.config) if args.config else {})
     if not 1 <= config["var_order"] <= config["history"]:
         raise ValidationError(
             f"var_order {config['var_order']} is outside [1, history = {config['history']}]"
         )
     frame, graph = _load_series_and_graph(args, config["step_min"])
-    if graph is None and "structural" in (kinds or (config["kind"],)):
+    kinds = kinds or (config["kind"],)
+    if graph is None and "structural" in kinds:
         raise ConfigurationError("structural kind requires --adjacency")
+    kind_configs = [_kind_config(config, kind, frame.num_sensors) for kind in kinds]
     horizons = parse_horizons(config["horizon_min"], config["step_min"])
     os.makedirs(args.out, exist_ok=True)
     inputs = [args.series] + ([args.adjacency] if args.adjacency else [])
     if args.config:
         inputs.append(args.config)
-    return config, frame, graph, horizons, inputs
+    return config, kind_configs, frame, graph, horizons, inputs
 
 
 def cmd_train(args) -> int:
-    config, frame, graph, horizons, inputs = _prepare_run(args)
-    _resolve_kind_defaults(config, frame.num_sensors)
+    _, (config,), frame, graph, horizons, inputs = _prepare_run(args)
     all_metrics, outputs = [], []
     for _, minutes, horizon_step, report, test_ws, normalizer in _fit_each(
         frame, graph, config, [config], horizons
@@ -510,11 +520,7 @@ def cmd_compare(args) -> int:
             raise ValidationError(f"unknown kind {kind!r}; expected subset of {ALL_KINDS}")
     if len(set(kinds)) != len(kinds):
         raise ValidationError(f"--kinds lists a kind twice: {args.kinds}")
-    config, frame, graph, horizons, inputs = _prepare_run(args, kinds)
-    kind_configs = [{**config, "kind": kind} for kind in kinds]
-    for kind_config in kind_configs:
-        _resolve_kind_defaults(kind_config, frame.num_sensors)
-
+    config, kind_configs, frame, graph, horizons, inputs = _prepare_run(args, kinds)
     rows = {kind: [] for kind in kinds}  # filled horizon-major, written kind-major
     for kind_config, minutes, _, report, test_ws, normalizer in _fit_each(
         frame, graph, config, kind_configs, horizons
@@ -545,7 +551,10 @@ def cmd_compare(args) -> int:
     write_manifest(
         args.out,
         "compare",
-        {**config, "kinds": list(kinds)},
+        {
+            **{k: v for k, v in config.items() if k not in KIND_SETTINGS},
+            "kinds": [{k: kc[k] for k in KIND_SETTINGS} for kc in kind_configs],
+        },
         config["seed"],
         inputs,
         ["compare.json", "compare.csv"],

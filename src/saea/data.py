@@ -16,7 +16,6 @@ class SeriesFrame:
 
     values: np.ndarray
     step_minutes: float = 5.0
-    t0: str | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -197,10 +196,11 @@ def shift_with_mean(windows: np.ndarray, shift: int = 1) -> np.ndarray:
     h = w.shape[-2]
     if shift < 1:
         raise ValidationError("shift must be >= 1")
-    mean = w.mean(axis=-2, keepdims=True)
     keep = max(h - shift, 0)
-    pad = np.broadcast_to(mean, w.shape[:-2] + (h - keep, w.shape[-1]))
-    return np.concatenate([w[..., shift:, :], pad], axis=-2)
+    out = np.empty(w.shape)
+    out[..., :keep, :] = w[..., shift:, :]
+    out[..., keep:, :] = w.mean(axis=-2, keepdims=True)
+    return out
 
 
 def make_windows(frame: SeriesFrame, history: int, horizon_step: int = 0) -> WindowSet:

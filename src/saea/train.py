@@ -25,7 +25,7 @@ from .adjust import (
     saea_predict,
     spectral_radius,
 )
-from .data import WindowSet, shift_with_mean
+from .data import WindowSet
 from .errors import DivergenceError, ValidationError
 from .forecaster import Forecaster, forecaster_from_blob
 
@@ -254,19 +254,19 @@ def predict_recursive(
 ) -> np.ndarray:
     """Roll a one-step model forward, feeding each adjusted prediction back in.
 
-    The shifted windows (and their mean pads) are recomputed from the rolled
-    buffer at every step. Requires a model trained at horizon step 0.
+    Each step serves the rolled window through saea_predict, which derives
+    its lag shifts (and their mean pads) from it; the rolling works on a copy,
+    so the caller's window is left as it was. Requires a model trained at
+    horizon step 0.
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     buffer = np.array(window, dtype=np.float64)
     if buffer.ndim != 2:
         raise ValidationError("window must be (H, N)")
-    order = em.var_order if em is not None else 1
     out = np.empty((steps, buffer.shape[1]))
     for s in range(steps):
-        shifts = [shift_with_mean(buffer, k) for k in range(1, order + 1)]
-        pred = saea_predict(model, em, buffer, *shifts)
-        out[s] = pred
-        buffer = np.vstack([pred[None, :], buffer[:-1]])
+        out[s] = saea_predict(model, em, buffer)
+        buffer[1:] = buffer[:-1]
+        buffer[0] = out[s]
     return out

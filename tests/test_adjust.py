@@ -186,59 +186,50 @@ def test_default_regularizer_table():
 # -- transformed window --------------------------------------------------------
 
 
-def transformed(em, window, *shifted):
+def transformed(em, window):
     """The transformed window, _adjusted_forward(...)[1], on a batch of one."""
     w = np.asarray(window, dtype=np.float64)
-    shifts = [np.asarray(s, dtype=np.float64)[None] for s in shifted]
-    return _adjusted_forward(NodeAR(*w.shape, seed=0), em, w[None], shifts)[1][0]
+    return _adjusted_forward(NodeAR(*w.shape, seed=0), em, w[None])[1][0]
 
 
 def test_transform_zero_phi_identity():
-    rng = np.random.default_rng(0)
-    w, s = rng.normal(size=(2, 5, 3))
+    w = np.random.default_rng(0).normal(size=(5, 3))
     em = ErrorModel("sparse_full", 3)
-    assert_array_equal(transformed(em, w, s), w)
+    assert_array_equal(transformed(em, w), w)
 
 
 def test_transform_identity_phi_constant_series():
     w = np.full((4, 2), 3.0)
     em = ErrorModel("diagonal", 2)
     em.payload["diag"][0] = [1.0, 1.0]
-    out = transformed(em, w, shift_with_mean(w, 1))
+    out = transformed(em, w)
     assert_allclose(out, np.zeros((4, 2)), atol=1e-15)
 
 
 def test_transform_hand_example():
     em = ErrorModel("sparse_full", 1)
     em.payload["matrix"][0] = 0.5
-    out = transformed(em, [[4.0], [2.0]], [[2.0], [3.0]])
+    # the lag-1 shift of [[4], [2]] is [[2], [3]]: row 1 moves up, the window mean pads
+    out = transformed(em, [[4.0], [2.0]])
     assert_array_equal(out, [[3.0], [0.5]])
 
 
-def test_transform_var2_requires_second_shift():
-    em = ErrorModel("sparse_full", 2, var_order=2)
-    model = NodeAR(3, 2, seed=0)
-    w = np.zeros((3, 2))
-    with pytest.raises(ContractError):
-        saea_predict(model, em, w, w)
-    with pytest.raises(ContractError):
-        saea_predict(model, ErrorModel("sparse_full", 2), w, np.zeros((2, 2)))
-
-
 def test_predict_takes_one_shifted_window_per_lag():
-    w = np.zeros((3, 2))
-    model = NodeAR(3, 2, seed=0)
-    for em, shifted in (
-        (ErrorModel("sparse_full", 2, var_order=3), (w, w)),
-        (ErrorModel("sparse_full", 2), (w, w)),
-        (ErrorModel("sparse_full", 2), ()),
-        (None, ()),
-        (None, (w, w)),
-    ):
+    # shifted windows after the window are accepted, at most max(p, 1) of the
+    # window's shape, and never used: the prediction is the window's alone
+    rng = np.random.default_rng(6)
+    w = rng.normal(size=(3, 3))
+    model = NodeAR(3, 3, seed=0)
+    models = (make_em("sparse_full", 3, var_order=3, randomize=5), make_em("sparse_full", 3, randomize=5), None)
+    for em, limit in zip(models, (3, 1, 1)):
+        expected = saea_predict(model, em, w)
+        for count in range(1, limit + 1):
+            junk = rng.normal(size=(count, 3, 3))
+            assert_array_equal(saea_predict(model, em, w, *junk), expected)
         with pytest.raises(ContractError):
-            saea_predict(model, em, w, *shifted)
-    with pytest.raises(ContractError):
-        saea_predict(model, ErrorModel("sparse_full", 2, var_order=3), w, w, w, np.zeros((2, 2)))
+            saea_predict(model, em, w, *([w] * (limit + 1)))
+        with pytest.raises(ContractError):
+            saea_predict(model, em, w, *([w] * (limit - 1)), np.zeros((2, 3)))
 
 
 def test_var_order_above_history_is_contract_error():
@@ -251,29 +242,31 @@ def test_var_order_above_history_is_contract_error():
     with pytest.raises(ContractError):
         saea_loss(model, em, RegularizerConfig(alpha=1.0), batch)
     with pytest.raises(ContractError):
-        saea_predict(model, em, w, *(shift_with_mean(w, k) for k in (1, 2, 3)))
+        saea_predict(model, em, w)
 
 
 def test_transform_var2_both_lags():
     rng = np.random.default_rng(1)
-    w, s1, s2 = rng.normal(size=(3, 4, 2))
+    w = rng.normal(size=(4, 2))
+    s1, s2 = shift_with_mean(w, 1), shift_with_mean(w, 2)
     em = ErrorModel("sparse_full", 2, var_order=2)
     phi1 = rng.normal(size=(2, 2))
     phi2 = rng.normal(size=(2, 2))
     em.payload["matrix"][0] = phi1
     em.payload["matrix"][1] = phi2
-    out = transformed(em, w, s1, s2)
+    out = transformed(em, w)
     expected = w - s1 @ phi1.T - s2 @ phi2.T
     assert_allclose(out, expected, atol=1e-14)
 
 
 def test_transform_var3_every_lag():
     rng = np.random.default_rng(1)
-    w, s1, s2, s3 = rng.normal(size=(4, 4, 2))
+    w = rng.normal(size=(4, 2))
+    s1, s2, s3 = (shift_with_mean(w, k) for k in (1, 2, 3))
     em = ErrorModel("sparse_full", 2, var_order=3)
     phis = rng.normal(size=(3, 2, 2))
     em.payload["matrix"][:] = phis
-    out = transformed(em, w, s1, s2, s3)
+    out = transformed(em, w)
     expected = w - s1 @ phis[0].T - s2 @ phis[1].T - s3 @ phis[2].T
     assert_allclose(out, expected, atol=1e-14)
 
@@ -285,10 +278,9 @@ def test_predict_zero_phi_equals_forward():
     rng = np.random.default_rng(2)
     model = NodeAR(3, 2, seed=1)
     w = rng.normal(size=(3, 2))
-    s = shift_with_mean(w, 1)
     em = ErrorModel("sparse_full", 2)
-    assert_array_equal(saea_predict(model, em, w, s), model.forward(w))
-    assert_array_equal(saea_predict(model, None, w, s), model.forward(w))
+    assert_array_equal(saea_predict(model, em, w), model.forward(w))
+    assert_array_equal(saea_predict(model, None, w), model.forward(w))
 
 
 def test_predict_zero_model_is_anchor_term():
@@ -298,7 +290,7 @@ def test_predict_zero_model_is_anchor_term():
     phi = np.array([[0.3, -0.1], [0.2, 0.5]])
     em.payload["matrix"][0] = phi
     w = np.array([[1.0, 2.0], [0.5, -1.0]])
-    assert_allclose(saea_predict(model, em, w, shift_with_mean(w, 1)), phi @ w[0], atol=1e-14)
+    assert_allclose(saea_predict(model, em, w), phi @ w[0], atol=1e-14)
 
 
 def test_predict_hand_chain():
@@ -306,28 +298,26 @@ def test_predict_hand_chain():
     em.payload["matrix"][0] = 0.5
     model = NodeAR(2, 1, seed=0)
     model.set_params(np.array([1.0, 0.0, 0.0]))
-    out = saea_predict(model, em, [[4.0], [2.0]], [[2.0], [3.0]])
+    # transformed window [[3], [0.5]] (the hand example above), anchor 0.5 * 4
+    out = saea_predict(model, em, [[4.0], [2.0]])
     assert_allclose(out, [5.0], atol=1e-14)
 
 
-def test_predict_linear_in_anchor_with_fixed_transform():
-    # changing the anchor while compensating the shifted window so the
-    # transformed input stays fixed must move the prediction by phi @ delta
+def test_predict_is_anchors_plus_forward_of_derived_transform():
+    # saea_predict(w) = sum_k Phi_k w[k-1] + f(w - sum_k shift_with_mean(w, k) Phi_k^T)
     rng = np.random.default_rng(3)
     n = 3
-    phi = 0.3 * np.eye(n) + rng.normal(scale=0.05, size=(n, n))
-    em = ErrorModel("sparse_full", n)
-    em.payload["matrix"][0] = phi
     model = MLP1(4, n, hidden=8, seed=2)
-    w = rng.normal(size=(4, n))
-    s = rng.normal(size=(4, n))
-    delta = rng.normal(size=n)
-    w2 = w.copy()
-    w2[0] += delta
-    s2 = s.copy()
-    s2[0] += np.linalg.solve(phi, delta)  # keeps transformed row 0 unchanged
-    diff = saea_predict(model, em, w2, s2) - saea_predict(model, em, w, s)
-    assert np.max(np.abs(diff - phi @ delta)) < 1e-10
+    for var_order in (1, 2, 3):
+        phis = 0.3 * np.eye(n) + rng.normal(scale=0.05, size=(var_order, n, n))
+        em = ErrorModel("sparse_full", n, var_order=var_order)
+        em.payload["matrix"][:] = phis
+        w = rng.normal(size=(4, n))
+        lags = range(1, var_order + 1)
+        anchors = sum(phis[k - 1] @ w[k - 1] for k in lags)
+        transform = w - sum(shift_with_mean(w, k) @ phis[k - 1].T for k in lags)
+        expected = anchors + model.forward(transform)
+        assert np.max(np.abs(saea_predict(model, em, w) - expected)) < 1e-10
 
 
 def test_predict_windows_matches_single_window_loop():
@@ -335,15 +325,12 @@ def test_predict_windows_matches_single_window_loop():
     frame = SeriesFrame(rng.normal(size=(30, 4)))
     ws = make_windows(frame, 5, 0)
     model = GraphFilterAR.from_graph(5, ring_graph(4), seed=3)
-    shifted = ws.inputs_shifted
     for kind in ALL_KINDS:
         for var_order in (1, 2, 3):
             em = make_em(kind, 4, var_order=var_order, randomize=11)
             batch = predict_windows(model, em, ws)
             for b in range(ws.batch):
-                w = ws.inputs[b]
-                deeper = (shift_with_mean(w, k) for k in range(2, var_order + 1))
-                single = saea_predict(model, em, w, shifted[b], *deeper)
+                single = saea_predict(model, em, ws.inputs[b])
                 assert_allclose(batch[b], single, atol=1e-12)
 
 

@@ -3,7 +3,9 @@
 `benchmarks/workloads.py` observes every fit through the name `saea.cli.fit`
 and `benchmarks/tracing.py` wraps layer functions in the namespaces the CLI
 calls them through; a rename or a call that bypasses those names leaves the
-benchmark counting nothing without failing.
+benchmark counting nothing without failing. The benchmark's online serving
+(`saea_predict` and `predict_recursive` with its call signature) runs here
+too, on a tiny workload.
 """
 
 import json
@@ -55,3 +57,36 @@ def test_fit_observer_and_tracer_see_compare_and_eval(tmp_path, monkeypatch):
     # compare builds train/val/test windows once per horizon, eval once
     assert calls["data.make_windows"] == 2 * 3 + 1
     assert calls["adjust.predict_windows"] > 0 and calls["adjust.saea_loss"] > 0
+
+
+def test_serve_path_matches_batched_predictions_under_tracer(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+    import workloads
+
+    wl = workloads.Workload(
+        name="ring8_serve", why="serve-path check", graph="ring", n=8, steps=300, history=4,
+        epochs=1, kinds="none,structural", train_frac=0.5, val_frac=0.1,
+        score_train_frac=0.5, score_val_frac=0.1, floor_from="oracle", phi_form="diffusion",
+    )
+    prep = workloads.prepare(wl, workloads.setup_inputs(wl, 0, tmp_path / "inputs"))
+    calls, rollouts = 40, 10
+    served = {"predict_s": [None] * calls, "rollout_s": [None] * rollouts,
+              "preds": [], "trajectories": []}
+    tracer = tracing.Tracer(workloads.api)
+    tracer.install(0)
+    try:
+        workloads._serve(prep, range(calls), range(rollouts), served, workloads.HostGauge())
+    finally:
+        tracer.uninstall()
+
+    count = len(prep.windows)
+    for k, pred in enumerate(served["preds"]):
+        assert abs(pred - prep.batched[k % count]).max() <= prep.tol
+    for k, trajectory in enumerate(served["trajectories"]):
+        assert trajectory.shape == (workloads.ROLLOUT_STEPS, wl.n)
+        assert abs(trajectory[0] - prep.batched[(7 * k) % count]).max() <= prep.tol
+    spans = [name for name, *_ in tracer.spans]
+    assert spans.count("train.predict_recursive") == rollouts
+    # every rollout step is served through the name the tracer wraps in saea.train
+    assert spans.count("adjust.saea_predict") == calls + rollouts * workloads.ROLLOUT_STEPS

@@ -289,6 +289,45 @@ def test_compare_structural_without_adjacency_fails_before_training(tmp_path, ca
     assert fits == []
 
 
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (("--kinds", "none,low_rank", "--rank", "50"), "ConfigurationError"),
+        (("--kinds", "none,low_rank_sparse", "--rank", "0"), "ConfigurationError"),
+        (("--kinds", "none,diagonal", "--alpha", "-1"), "ValidationError"),
+        (("--kinds", "none,low_rank_sparse", "--beta", "-0.5"), "ValidationError"),
+    ],
+)
+def test_compare_bad_kind_settings_fail_before_training(tmp_path, capsys, monkeypatch, bad, error):
+    bundle = make_bundle_dir(tmp_path, n=6)
+    fits = []
+    fit = saea.cli.fit
+    monkeypatch.setattr(saea.cli, "fit", lambda *a: fits.append(1) or fit(*a))
+    capsys.readouterr()
+    code = run(["compare", "--series", str(bundle / "series.csv"), "--history", "4",
+                "--epochs", "2", "--out", str(tmp_path / "cmp"), *bad])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == error
+    assert fits == []
+
+
+def test_compare_manifest_records_each_kinds_settings(tmp_path):
+    bundle = make_bundle_dir(tmp_path, n=6)
+    out = tmp_path / "cmp"
+    code = run(["compare", "--series", str(bundle / "series.csv"),
+                "--kinds", "none,diagonal,low_rank", "--history", "4", "--epochs", "2",
+                "--out", str(out)])
+    assert code == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["kinds"] == [
+        {"kind": "none", "alpha": None, "beta": None, "rank": None},
+        {"kind": "diagonal", "alpha": 1000.0, "beta": None, "rank": None},
+        {"kind": "low_rank", "alpha": 100.0, "beta": None, "rank": 6},  # min(10, N)
+    ]
+    assert not {"kind", "alpha", "beta", "rank"} & set(config)
+    assert config["epochs"] == 2 and config["history"] == 4
+
+
 def test_horizon_too_long_for_series_fails(tmp_path, capsys):
     bundle = make_bundle_dir(tmp_path)
     out = tmp_path / "too_long"

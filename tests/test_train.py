@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from saea.adjust import ErrorModel, predict_windows, saea_predict
-from saea.data import SeriesFrame, chronological_split, make_windows, shift_with_mean
+from saea.data import SeriesFrame, chronological_split, make_windows
 from saea.errors import ValidationError
-from saea.forecaster import GraphFilterAR, NodeAR
+from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import structural_mask
 from saea.synth import GraphSpec, SynthConfig, generate, structured_var_coefficients
 from saea.train import (
@@ -244,8 +244,19 @@ def test_predict_recursive_one_step_equals_predict():
     em = ErrorModel.for_training("diagonal", 3, seed=1)
     em.payload["diag"][0] = rng.uniform(-0.3, 0.3, 3)
     rolled = predict_recursive(model, em, window, 1)
-    single = saea_predict(model, em, window, shift_with_mean(window, 1))
+    single = saea_predict(model, em, window)
     assert_allclose(rolled[0], single, atol=1e-14)
+
+
+def test_predict_recursive_leaves_the_window_unchanged():
+    rng = np.random.default_rng(6)
+    window = rng.normal(size=(4, 3))
+    before = window.copy()
+    em = ErrorModel("sparse_full", 3, var_order=2)
+    em.payload["matrix"][:] = rng.uniform(-0.2, 0.2, size=(2, 3, 3))
+    out = predict_recursive(MLP1(4, 3, hidden=5, seed=2), em, window, 6)
+    assert np.all(np.isfinite(out))
+    assert_array_equal(window, before)
 
 
 def test_predict_recursive_identity_persistence_constant():
@@ -283,12 +294,7 @@ def test_checkpoint_file_roundtrip(tmp_path):
     model2, em2 = load_checkpoint(path)
     rng = np.random.default_rng(0)
     window = rng.normal(size=(3, 4))
-    s = shift_with_mean(window, 1)
-    assert_allclose(
-        saea_predict(model2, em2, window, s),
-        saea_predict(model, em, window, s),
-        atol=1e-15,
-    )
+    assert_allclose(saea_predict(model2, em2, window), saea_predict(model, em, window), atol=1e-15)
     assert not (tmp_path / "ckpt.json.tmp").exists()
 
 

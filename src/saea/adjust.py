@@ -187,9 +187,6 @@ class ErrorModel:
             payload={k: v.copy() for k, v in self.payload.items()},
         )
 
-    def is_zero(self) -> bool:
-        return all(np.all(v == 0) for v in self.payload.values())
-
     def to_blob(self) -> dict:
         blob = {
             "kind": self.kind,

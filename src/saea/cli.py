@@ -46,13 +46,14 @@ from .forecaster import MODEL_KINDS, build_forecaster
 from .graph import (
     SensorGraph,
     load_adjacency_csv,
+    load_matrix_csv,
     normalized_adjacency,
     save_adjacency_csv,
     structural_mask,
 )
 from .metrics import mape, residual_report, rmse
 from .synth import GraphSpec, SynthConfig, generate
-from .train import TrainConfig, fit, load_checkpoint_blob
+from .train import TrainConfig, fit, load_checkpoint_blob, write_checkpoint
 
 ALL_KINDS = ("none",) + KINDS
 
@@ -61,7 +62,7 @@ ALL_KINDS = ("none",) + KINDS
 # config handling
 
 TRAIN_FIELDS = {
-    # name: (type, default, choices or None); every field but shuffle is also a flag
+    # name: (type, default, choices or None); every field is also a flag
     "model": (str, "nodear", MODEL_KINDS),
     "hidden": (int, 64, None),
     "kind": (str, "sparse_full", ALL_KINDS),
@@ -83,7 +84,6 @@ TRAIN_FIELDS = {
     "normalize": (str, "none", ("none", "zscore")),
     "select": (str, "best", ("best", "last")),
     "grad_clip": (float, None, None),
-    "shuffle": (int, 1, (0, 1)),
 }
 
 
@@ -127,14 +127,23 @@ def resolve_config(args, file_values: dict) -> dict:
     return resolved
 
 
+def parse_list(text: str, caster, flag: str) -> tuple:
+    """A comma list of numbers given to `flag`, each converted by caster."""
+    values = []
+    for token in str(text).split(","):
+        try:
+            values.append(caster(token))
+        except ValueError:
+            raise ValidationError(
+                f"{flag}: {token!r} is not a valid {caster.__name__}"
+            ) from None
+    return tuple(values)
+
+
 def parse_horizons(minutes_csv: str, step_min: float) -> list[tuple[float, int]]:
     """Comma-separated horizon minutes -> [(minutes, zero-based step index)]."""
     out = []
-    for token in str(minutes_csv).split(","):
-        try:
-            minutes = float(token)
-        except ValueError:
-            raise ValidationError(f"horizon {token!r} is not a number of minutes") from None
+    for minutes in parse_list(minutes_csv, float, "--horizon-min"):
         steps = minutes / step_min
         if not math.isfinite(steps) or steps < 1 or abs(steps - round(steps)) > 1e-9:
             raise ValidationError(
@@ -246,7 +255,6 @@ def _fit_each(frame: SeriesFrame, graph: SensorGraph | None, config: dict, kind_
                 alpha=kind_config["alpha"],
                 beta=kind_config["beta"],
                 seed=kind_config["seed"],
-                shuffle=bool(kind_config["shuffle"]),
                 grad_clip=kind_config["grad_clip"],
             )
             report = fit(model, em, cfg, train_ws, val_ws)
@@ -260,13 +268,6 @@ def _score(blob: dict, test_ws, normalizer: Normalizer) -> dict:
     guess = normalizer.inverse(predict_windows(model, em, test_ws))
     pct, masked = mape(truth, guess)
     return {"mape_percent": pct, "mape_masked_count": masked, "rmse": rmse(truth, guess)}
-
-
-def _split_frame_for_eval(frame: SeriesFrame, split: str, train_frac, val_frac):
-    parts = dict(zip(("train", "val", "test"), chronological_split(frame, train_frac, val_frac)))
-    if split not in parts:
-        raise ValidationError(f"split must be one of train/val/test, got {split!r}")
-    return parts[split]
 
 
 def _checkpoint_split(blob: dict, args) -> tuple[float, float]:
@@ -296,7 +297,7 @@ def _eval_checkpoint(args):
     horizon_step = int(blob.get("horizon_step", 0))
     fracs = _checkpoint_split(blob, args)
     frame = ingest_csv(args.series, step_minutes=blob.get("step_minutes", 5.0))
-    part = _split_frame_for_eval(frame, args.split, *fracs)
+    part = dict(zip(("train", "val", "test"), chronological_split(frame, *fracs)))[args.split]
     part_n = SeriesFrame(normalizer.transform(part.values), part.step_minutes)
     ws = make_windows(part_n, model.history, horizon_step)
     preds = predict_windows(model, em, ws)
@@ -312,7 +313,7 @@ def cmd_synth(args) -> int:
     spec = GraphSpec(args.graph, args.n, p_edge=args.p_edge, seed=args.graph_seed)
     graph = spec.build()
     if args.phi_star:
-        phi = np.loadtxt(args.phi_star, delimiter=",", ndmin=2)
+        phi = load_matrix_csv(args.phi_star, "coefficient")
     else:
         phi = args.phi_diag * np.eye(graph.n) + args.phi_hop * normalized_adjacency(graph)
         if args.phi_radius is not None:
@@ -323,8 +324,8 @@ def cmd_synth(args) -> int:
     cfg = SynthConfig(
         graph=spec,
         steps=args.steps,
-        dgp_self=tuple(float(c) for c in args.dgp_self.split(",")),
-        dgp_hop=tuple(float(c) for c in args.dgp_hop.split(",")),
+        dgp_self=parse_list(args.dgp_self, float, "--dgp-self"),
+        dgp_hop=parse_list(args.dgp_hop, float, "--dgp-hop"),
         phi_star=phi,
         sigma=args.sigma,
         quad_coeff=args.quad,
@@ -432,10 +433,7 @@ def cmd_train(args) -> int:
             blob = {**checkpoint, **extra}
             metrics[f"test_{label}"] = _score(blob, test_ws, normalizer)
             name = f"checkpoint_{tag}_{label}.json"
-            tmp_path = os.path.join(args.out, name)
-            with open(tmp_path + ".tmp", "w", encoding="utf-8") as fh:
-                json.dump(to_jsonable(blob), fh, sort_keys=True)
-            os.replace(tmp_path + ".tmp", tmp_path)
+            write_checkpoint(os.path.join(args.out, name), to_jsonable(blob))
             outputs.append(name)
         report_name = f"train_report_{tag}.json"
         write_json(
@@ -492,8 +490,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    ts_lags = parse_list(args.ts_lags, int, "--ts-lags")
     truth, preds, _, _ = _eval_checkpoint(args)
-    ts_lags = tuple(int(t) for t in args.ts_lags.split(","))
     payload = residual_report(truth, preds, max_lag=args.max_lag, ts_lags=ts_lags)
     payload["split"] = args.split
     os.makedirs(args.out, exist_ok=True)
@@ -576,8 +574,8 @@ def _add_train_flags(parser, include_kind=True):
     parser.add_argument("--adjacency", help="headerless N x N adjacency CSV")
     parser.add_argument("--config", help="key = value config file")
     for name, (caster, _, choices) in TRAIN_FIELDS.items():
-        if name == "shuffle" or (name == "kind" and not include_kind):
-            continue  # shuffle is set in config files only; compare takes --kinds
+        if name == "kind" and not include_kind:
+            continue  # compare takes --kinds
         parser.add_argument(
             "--" + name.replace("_", "-"),
             dest=name,

@@ -162,7 +162,8 @@ def save_series_csv(frame: SeriesFrame, path) -> None:
 def chronological_split(
     frame: SeriesFrame, train_frac: float = 0.7, val_frac: float = 0.1
 ) -> tuple[SeriesFrame, SeriesFrame, SeriesFrame]:
-    """Contiguous, order-preserving train/val/test segments covering all rows."""
+    """Contiguous, order-preserving train/val/test segments covering all rows,
+    as read-only views of the frame's values."""
     if train_frac <= 0 or val_frac <= 0:
         raise ValidationError("split fractions must be positive")
     if train_frac + val_frac >= 1:
@@ -181,7 +182,7 @@ def chronological_split(
         frame.values[n_train : n_train + n_val],
         frame.values[n_train + n_val :],
     )
-    return tuple(replace(frame, values=p.copy()) for p in parts)
+    return tuple(replace(frame, values=p) for p in parts)
 
 
 def shift_with_mean(windows: np.ndarray, shift: int = 1) -> np.ndarray:

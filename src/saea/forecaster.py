@@ -30,14 +30,17 @@ class VjpResult:
 class Forecaster:
     """Contract for a deterministic differentiable map (H, N) -> (N,).
 
-    Subclasses implement the batched `forward_batch` / `vjp_batch`; the
-    single-window entry points validate shapes and delegate. `vjp_batch`
-    returns gradients only, `(grad_theta, grad_input)`: grad_theta summed over
-    the batch and grad_input per window, shape (B, H, N). Callers that need the
-    values as well already have them from `forward_batch`.
+    A subclass sets `kind` (its checkpoint tag) and `params`, the names of
+    its parameter arrays in θ order, and implements the batched
+    `forward_batch` / `vjp_batch`; θ is those arrays raveled and concatenated,
+    and the single-window entry points validate shapes and delegate.
+    `vjp_batch` returns gradients only, `(grad_theta, grad_input)`:
+    grad_theta summed over the batch and in `params` order, and grad_input
+    per window, shape (B, H, N).
     """
 
     kind = "base"
+    params: tuple[str, ...] = ()
 
     def __init__(self, history: int, n: int):
         if history < 1 or n < 1:
@@ -47,14 +50,24 @@ class Forecaster:
 
     # -- parameter vector -------------------------------------------------
     def get_params(self) -> np.ndarray:
-        raise NotImplementedError
+        return np.concatenate([getattr(self, name).ravel() for name in self.params])
 
-    def set_params(self, theta: np.ndarray) -> None:
-        raise NotImplementedError
+    def set_params(self, theta) -> None:
+        """Replace every parameter array by a copy of its slice of theta; each
+        keeps the shape of the array the model holds now."""
+        theta = np.asarray(theta, dtype=np.float64)
+        arrays = [getattr(self, name) for name in self.params]
+        total = sum(arr.size for arr in arrays)
+        if theta.shape != (total,):
+            raise ContractError(f"theta length {theta.size} != {total}")
+        start = 0
+        for name, arr in zip(self.params, arrays):
+            setattr(self, name, theta[start : start + arr.size].reshape(arr.shape).copy())
+            start += arr.size
 
     @property
     def num_params(self) -> int:
-        return self.get_params().size
+        return sum(getattr(self, name).size for name in self.params)
 
     # -- contract operations ----------------------------------------------
     def forward(self, window: np.ndarray) -> np.ndarray:
@@ -103,6 +116,7 @@ class NodeAR(Forecaster):
     """Independent per-sensor linear autoregression over the sensor's own lags."""
 
     kind = "nodear"
+    params = ("weights", "bias")
 
     def __init__(self, history: int, n: int, seed: int = 0):
         super().__init__(history, n)
@@ -110,17 +124,6 @@ class NodeAR(Forecaster):
         scale = 1.0 / np.sqrt(history)
         self.weights = rng.uniform(-scale, scale, size=(history, n))
         self.bias = np.zeros(n)
-
-    def get_params(self) -> np.ndarray:
-        return np.concatenate([self.weights.ravel(), self.bias])
-
-    def set_params(self, theta) -> None:
-        theta = np.asarray(theta, dtype=np.float64)
-        hn = self.history * self.n
-        if theta.shape != (hn + self.n,):
-            raise ContractError(f"theta length {theta.size} != {hn + self.n}")
-        self.weights = theta[:hn].reshape(self.history, self.n).copy()
-        self.bias = theta[hn:].copy()
 
     def forward_batch(self, windows):
         return np.einsum("bhn,hn->bn", windows, self.weights) + self.bias
@@ -137,6 +140,7 @@ class GraphFilterAR(Forecaster):
     over the symmetrically normalized adjacency, plus a per-sensor bias."""
 
     kind = "graphfilter"
+    params = ("tap_self", "tap_hop", "bias")
 
     def __init__(self, history: int, propagation: np.ndarray, seed: int = 0):
         prop = np.asarray(propagation, dtype=np.float64)
@@ -154,18 +158,6 @@ class GraphFilterAR(Forecaster):
     @classmethod
     def from_graph(cls, history: int, graph: SensorGraph, seed: int = 0) -> "GraphFilterAR":
         return cls(history, normalized_adjacency(graph), seed=seed)
-
-    def get_params(self) -> np.ndarray:
-        return np.concatenate([self.tap_self, self.tap_hop, self.bias])
-
-    def set_params(self, theta) -> None:
-        theta = np.asarray(theta, dtype=np.float64)
-        h = self.history
-        if theta.shape != (2 * h + self.n,):
-            raise ContractError(f"theta length {theta.size} != {2 * h + self.n}")
-        self.tap_self = theta[:h].copy()
-        self.tap_hop = theta[h : 2 * h].copy()
-        self.bias = theta[2 * h :].copy()
 
     def forward_batch(self, windows):
         # linear in the window: mix the lags first, then propagate once per
@@ -193,6 +185,7 @@ class MLP1(Forecaster):
     """One-hidden-layer tanh network over the flattened window."""
 
     kind = "mlp1"
+    params = ("w1", "b1", "w2", "b2")
 
     def __init__(self, history: int, n: int, hidden: int = 64, seed: int = 0):
         super().__init__(history, n)
@@ -207,23 +200,6 @@ class MLP1(Forecaster):
         self.b1 = np.zeros(hidden)
         self.w2 = rng.uniform(-s2, s2, size=(n, hidden))
         self.b2 = np.zeros(n)
-
-    def get_params(self) -> np.ndarray:
-        return np.concatenate(
-            [self.w1.ravel(), self.b1, self.w2.ravel(), self.b2]
-        )
-
-    def set_params(self, theta) -> None:
-        theta = np.asarray(theta, dtype=np.float64)
-        d_in = self.history * self.n
-        sizes = [self.hidden * d_in, self.hidden, self.n * self.hidden, self.n]
-        if theta.shape != (sum(sizes),):
-            raise ContractError(f"theta length {theta.size} != {sum(sizes)}")
-        parts = np.split(theta, np.cumsum(sizes)[:-1])
-        self.w1 = parts[0].reshape(self.hidden, d_in).copy()
-        self.b1 = parts[1].copy()
-        self.w2 = parts[2].reshape(self.n, self.hidden).copy()
-        self.b2 = parts[3].copy()
 
     def forward_batch(self, windows):
         flat = windows.reshape(windows.shape[0], -1)

@@ -1,4 +1,4 @@
-"""Sensor-graph utilities: degree/Laplacian matrices and hop-limited structural masks.
+"""Sensor-graph utilities: normalized adjacency/Laplacian and hop-limited structural masks.
 
 The structural mask marks sensor pairs that are *not* reachable within a given
 number of hops; penalizing the masked entries of an error-coefficient matrix
@@ -33,53 +33,25 @@ def _validate_adjacency(adjacency) -> np.ndarray:
     return w
 
 
-def _inv_sqrt_degree(degree_vector: np.ndarray) -> np.ndarray:
-    """Entrywise 1/sqrt(d), with the convention 0 for zero-degree nodes."""
-    out = np.zeros_like(degree_vector)
-    active = degree_vector > 0
-    out[active] = 1.0 / np.sqrt(degree_vector[active])
-    return out
-
-
-def _normalized_laplacian(w: np.ndarray) -> np.ndarray:
-    deg = w.sum(axis=1)
-    inv_sqrt = _inv_sqrt_degree(deg)
-    lap = -(np.outer(inv_sqrt, inv_sqrt) * w)
-    # Diagonal is 1 for connected nodes; isolated nodes get an all-zero row.
-    np.fill_diagonal(lap, np.where(deg > 0, 1.0, 0.0))
-    return lap
-
-
 @dataclass(frozen=True)
 class SensorGraph:
-    """Weighted sensor network with derived degree and Laplacian matrices.
+    """Weighted sensor network: a dense float64 (n, n) adjacency, read-only.
 
-    All matrices are dense float64 of shape (n, n). Instances are immutable;
-    the stored arrays are marked read-only.
+    Matrices derived from it (normalized adjacency and Laplacian) are
+    computed by the functions below when needed.
     """
 
-    n: int
     adjacency: np.ndarray
-    degree: np.ndarray
-    laplacian: np.ndarray
-    norm_laplacian: np.ndarray
 
     @classmethod
     def from_adjacency(cls, adjacency) -> "SensorGraph":
         w = _validate_adjacency(adjacency)
-        deg_vec = w.sum(axis=1)
-        degree = np.diag(deg_vec)
-        laplacian = degree - w
-        norm_laplacian = _normalized_laplacian(w)
-        for arr in (w, degree, laplacian, norm_laplacian):
-            arr.flags.writeable = False
-        return cls(
-            n=w.shape[0],
-            adjacency=w,
-            degree=degree,
-            laplacian=laplacian,
-            norm_laplacian=norm_laplacian,
-        )
+        w.flags.writeable = False
+        return cls(adjacency=w)
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
 
 
 @dataclass(frozen=True)
@@ -102,14 +74,19 @@ def normalized_laplacian(graph: SensorGraph) -> np.ndarray:
     Rows and columns of zero-degree nodes are all-zero, including the
     diagonal entry (isolated-node convention).
     """
-    return _normalized_laplacian(np.asarray(graph.adjacency, dtype=np.float64))
+    lap = -normalized_adjacency(graph)
+    # Diagonal is 1 for connected nodes; isolated nodes get an all-zero row.
+    np.fill_diagonal(lap, np.where(graph.adjacency.sum(axis=1) > 0, 1.0, 0.0))
+    return lap
 
 
 def normalized_adjacency(graph: SensorGraph) -> np.ndarray:
-    """Symmetrically normalized adjacency D^{-1/2} W D^{-1/2}."""
-    w = np.asarray(graph.adjacency, dtype=np.float64)
-    inv_sqrt = _inv_sqrt_degree(w.sum(axis=1))
-    return np.outer(inv_sqrt, inv_sqrt) * w
+    """Symmetrically normalized adjacency D^{-1/2} W D^{-1/2}, taking
+    D^{-1/2} to be 0 at zero-degree nodes."""
+    deg = graph.adjacency.sum(axis=1)
+    inv_sqrt = np.zeros_like(deg)
+    inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+    return np.outer(inv_sqrt, inv_sqrt) * graph.adjacency
 
 
 def structural_mask(graph: SensorGraph, order: int) -> StructuralMask:
@@ -123,9 +100,9 @@ def structural_mask(graph: SensorGraph, order: int) -> StructuralMask:
     if order not in (1, 2):
         raise UnsupportedOrderError(f"mask order must be 1 or 2, got {order}")
     if order == 1:
-        support = np.abs(graph.norm_laplacian) > SUPPORT_TOL
+        support = np.abs(normalized_laplacian(graph)) > SUPPORT_TOL
     else:
-        w = np.asarray(graph.adjacency, dtype=np.float64)
+        w = graph.adjacency
         support = np.abs(w + w @ w) > SUPPORT_TOL
     mask = np.where(support, 0.0, 1.0)
     np.fill_diagonal(mask, 0.0)
@@ -134,11 +111,16 @@ def structural_mask(graph: SensorGraph, order: int) -> StructuralMask:
 
 def load_adjacency_csv(path) -> SensorGraph:
     """Read a headerless N x N CSV of nonnegative weights into a SensorGraph."""
+    return SensorGraph.from_adjacency(load_matrix_csv(path, "adjacency"))
+
+
+def load_matrix_csv(path, what: str) -> np.ndarray:
+    """Read a headerless numeric CSV as a 2-D float64 array; a malformed cell
+    is a ParseError naming `what` and the file."""
     try:
-        w = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:
-        raise ParseError(f"malformed adjacency CSV {path}: {exc}") from exc
-    return SensorGraph.from_adjacency(w)
+        raise ParseError(f"malformed {what} CSV {path}: {exc}") from exc
 
 
 def save_adjacency_csv(graph: SensorGraph, path) -> None:

@@ -50,7 +50,6 @@ class TrainConfig:
     alpha: float | None = None
     beta: float | None = None
     seed: int = 0
-    shuffle: bool = True
     grad_clip: float | None = None
 
     def validate(self) -> None:
@@ -127,13 +126,19 @@ def load_checkpoint_blob(blob: dict) -> tuple[Forecaster, ErrorModel | None]:
     return model, em
 
 
-def save_checkpoint(path, model: Forecaster, em: ErrorModel | None, extra: dict | None = None):
-    """Atomic write (temp file then rename) of a model+error-model blob."""
-    blob = checkpoint_blob(model, em, extra)
+def write_checkpoint(path, blob: dict) -> None:
+    """Atomic write (temp file then rename) of a checkpoint blob of
+    JSON-native values."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(blob, fh, sort_keys=True)
     os.replace(tmp, path)
+
+
+def save_checkpoint(path, model: Forecaster, em: ErrorModel | None, extra: dict | None = None):
+    """Write the blob of a model and error model; returns the blob."""
+    blob = checkpoint_blob(model, em, extra)
+    write_checkpoint(path, blob)
     return blob
 
 
@@ -202,7 +207,7 @@ def fit(
     num_batches = (b_train + cfg.batch_size - 1) // cfg.batch_size
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-        order = rng.permutation(b_train) if cfg.shuffle else np.arange(b_train)
+        order = rng.permutation(b_train)
         epoch_losses = np.empty(num_batches)
         try:
             for i in range(num_batches):

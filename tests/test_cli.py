@@ -413,7 +413,7 @@ def test_malformed_horizons_fail_validation(tmp_path, capsys, minutes):
 
 
 @pytest.mark.parametrize(
-    "line", ["kind = foo", "select = foo", "var_order = 13", "optimizer = adam", "shuffle = 2"]
+    "line", ["kind = foo", "select = foo", "var_order = 13", "optimizer = adam", "normalize = minmax"]
 )
 def test_out_of_choice_config_value_fails_validation(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
@@ -424,6 +424,28 @@ def test_out_of_choice_config_value_fails_validation(tmp_path, capsys, line):
     )
     assert code == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize(
+    "argv, error, named",
+    [
+        (("synth", "--dgp-self", "0.5,x"), "ValidationError", "--dgp-self: 'x'"),
+        (("synth", "--dgp-hop", ""), "ValidationError", "--dgp-hop: ''"),
+        (("synth", "--phi-star", "{phi}"), "ParseError", "coefficient CSV"),
+        # the lags are parsed before the (unreadable) checkpoint and series
+        (("diagnose", "--checkpoint", "{unread}", "--series", "{unread}", "--ts-lags", "1,x"),
+         "ValidationError", "--ts-lags: 'x'"),
+    ],
+    ids=["dgp-self", "dgp-hop", "phi-star", "ts-lags"],
+)
+def test_malformed_list_and_matrix_inputs_fail_cleanly(tmp_path, capsys, argv, error, named):
+    phi = tmp_path / "phi.csv"
+    phi.write_text("0.1,x\n0.2,0.3\n")
+    argv = [arg.format(phi=phi, unread=tmp_path / "unread") for arg in argv]
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == error
+    assert named in err["message"]
 
 
 def test_eval_uses_the_split_recorded_at_training(tmp_path, capsys):

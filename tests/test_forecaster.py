@@ -6,6 +6,7 @@ from _helpers import central_diff, max_rel_err
 from saea.errors import ContractError, ValidationError
 from saea.forecaster import (
     MLP1,
+    Forecaster,
     GraphFilterAR,
     NodeAR,
     build_forecaster,
@@ -186,8 +187,77 @@ def test_contract_errors_on_shape_mismatch():
         model.forward(np.zeros((2, 2)))
     with pytest.raises(ContractError):
         model.vjp(np.zeros((3, 2)), np.zeros(3))
-    with pytest.raises(ContractError):
-        model.set_params(np.zeros(5))
+    for model in all_models():
+        p = model.num_params
+        for theta in (np.zeros(p - 1), np.zeros(p + 1), np.zeros((1, p))):
+            with pytest.raises(ContractError):
+                model.set_params(theta)
+
+
+def test_set_params_copies_theta():
+    window = np.random.default_rng(8).normal(size=(H, N))
+    for model in all_models(seed=1):
+        theta = model.get_params() + 0.1
+        model.set_params(theta)
+        before = model.forward(window)
+        theta[:] = 7.0
+        assert_array_equal(model.forward(window), before)
+
+
+class SquashedLastLag(Forecaster):
+    """A forecaster defined outside the library: scale * tanh(mix @ x_{t-1}) + bias."""
+
+    kind = "squashed"
+    params = ("mix", "scale", "bias")
+
+    def __init__(self, history, n, seed=0):
+        super().__init__(history, n)
+        rng = np.random.default_rng(seed)
+        self.mix = rng.normal(size=(n, n)) / n
+        self.scale = np.array([1.5])
+        self.bias = rng.normal(size=n)
+
+    def forward_batch(self, windows):
+        return self.scale[0] * np.tanh(windows[:, 0] @ self.mix.T) + self.bias
+
+    def vjp_batch(self, windows, cotangents):
+        z = np.tanh(windows[:, 0] @ self.mix.T)
+        dpre = self.scale[0] * cotangents * (1.0 - z * z)
+        grad_input = np.zeros_like(windows)
+        grad_input[:, 0] = dpre @ self.mix
+        grad_theta = np.concatenate(
+            [(dpre.T @ windows[:, 0]).ravel(), [np.sum(cotangents * z)], cotangents.sum(axis=0)]
+        )
+        return grad_theta, grad_input
+
+
+def test_custom_forecaster_declares_params_once():
+    model = SquashedLastLag(H, N, seed=3)
+    assert model.num_params == N * N + 1 + N
+    theta = np.random.default_rng(9).normal(size=model.num_params)
+    model.set_params(theta)
+    assert_array_equal(model.get_params(), theta)
+    assert model.mix.shape == (N, N) and model.scale.shape == (1,)
+    assert_array_equal(model.mix, theta[: N * N].reshape(N, N))
+    assert model.scale[0] == theta[N * N]
+    assert_array_equal(model.bias, theta[N * N + 1 :])
+
+    rng = np.random.default_rng(10)
+    window, cot = rng.normal(size=(H, N)), rng.normal(size=N)
+    res = model.vjp(window, cot)
+
+    def loss_theta(t):
+        model.set_params(t)
+        out = float(cot @ model.forward(window))
+        model.set_params(theta)
+        return out
+
+    def loss_input(flat):
+        return float(cot @ model.forward(flat.reshape(H, N)))
+
+    assert max_rel_err(res.grad_theta, central_diff(loss_theta, theta)) < 1e-4
+    fd_input = central_diff(loss_input, window.ravel()).reshape(H, N)
+    assert max_rel_err(res.grad_input, fd_input) < 1e-4
 
 
 def test_checkpoint_blob_roundtrip():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -19,15 +21,13 @@ K3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 def test_no_edges_laplacian_is_zero():
     g = SensorGraph.from_adjacency(np.zeros((3, 3)))
-    assert_array_equal(g.norm_laplacian, np.zeros((3, 3)))
-    assert_array_equal(g.laplacian, np.zeros((3, 3)))
+    assert_array_equal(normalized_laplacian(g), np.zeros((3, 3)))
 
 
 def test_path3_norm_laplacian_hand_values():
     g = SensorGraph.from_adjacency(P3)
     s = 1.0 / np.sqrt(2.0)
     expected = np.array([[1.0, -s, 0.0], [-s, 1.0, -s], [0.0, -s, 1.0]])
-    assert_allclose(g.norm_laplacian, expected, atol=1e-15)
     assert_allclose(normalized_laplacian(g), expected, atol=1e-15)
 
 
@@ -35,13 +35,14 @@ def test_k3_norm_laplacian_hand_values():
     g = SensorGraph.from_adjacency(K3)
     expected = np.full((3, 3), -0.5)
     np.fill_diagonal(expected, 1.0)
-    assert_allclose(g.norm_laplacian, expected, atol=1e-15)
+    assert_allclose(normalized_laplacian(g), expected, atol=1e-15)
 
 
-def test_degree_and_laplacian_identities():
+def test_graph_stores_only_its_read_only_adjacency():
     g = SensorGraph.from_adjacency(P3)
-    assert_array_equal(np.diag(g.degree), [1.0, 2.0, 1.0])
-    assert_array_equal(g.laplacian, g.degree - g.adjacency)
+    assert [f.name for f in dataclasses.fields(g)] == ["adjacency"]
+    assert g.n == 3
+    assert not g.adjacency.flags.writeable
 
 
 def test_structural_mask_path3_order1():
@@ -74,7 +75,7 @@ def test_mask_matches_bfs_oracle_on_random_graphs():
 def test_mask_zeroes_laplacian_support():
     g = erdos_renyi_graph(25, 0.15, seed=9)
     mask = structural_mask(g, 1).mask
-    assert_array_equal(mask * g.norm_laplacian, np.zeros((25, 25)))
+    assert_array_equal(mask * normalized_laplacian(g), np.zeros((25, 25)))
 
 
 def test_mask_idempotent_bit_identical():
@@ -90,8 +91,7 @@ def test_symmetric_adjacency_gives_symmetric_outputs():
     weights = rng.uniform(0.5, 2.0, size=(15, 15))
     w = g.adjacency * (weights + weights.T)
     g2 = SensorGraph.from_adjacency(w)
-    assert_allclose(g2.laplacian, g2.laplacian.T, atol=1e-15)
-    assert_allclose(g2.norm_laplacian, g2.norm_laplacian.T, atol=1e-15)
+    assert_allclose(normalized_laplacian(g2), normalized_laplacian(g2).T, atol=1e-15)
     for order in (1, 2):
         m = structural_mask(g2, order).mask
         assert_array_equal(m, m.T)
@@ -101,8 +101,9 @@ def test_isolated_node_conventions():
     w = np.zeros((4, 4))
     w[0, 1] = w[1, 0] = 1.0  # node 2, 3 isolated
     g = SensorGraph.from_adjacency(w)
-    assert_array_equal(g.norm_laplacian[2], np.zeros(4))
-    assert_array_equal(g.norm_laplacian[:, 2], np.zeros(4))
+    lap = normalized_laplacian(g)
+    assert_array_equal(lap[2], np.zeros(4))
+    assert_array_equal(lap[:, 2], np.zeros(4))
     mask = structural_mask(g, 1).mask
     assert_array_equal(mask[2], [1, 1, 0, 1])
     assert_array_equal(mask[3], [1, 1, 1, 0])
@@ -111,7 +112,7 @@ def test_isolated_node_conventions():
 def test_normalized_adjacency_complement():
     g = SensorGraph.from_adjacency(P3)
     assert_allclose(
-        normalized_adjacency(g) + g.norm_laplacian, np.eye(3), atol=1e-15
+        normalized_adjacency(g) + normalized_laplacian(g), np.eye(3), atol=1e-15
     )
 
 

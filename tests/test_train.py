@@ -226,8 +226,7 @@ def test_grad_clip_limits_update():
     tws = make_windows(frame, 3, 0)
     model = NodeAR(3, 4, seed=0)
     theta0 = model.get_params().copy()
-    cfg = TrainConfig(epochs=1, optimizer="sgd", learning_rate=1.0, grad_clip=1e-6,
-                      seed=0, shuffle=False)
+    cfg = TrainConfig(epochs=1, optimizer="sgd", learning_rate=1.0, grad_clip=1e-6, seed=0)
     fit(model, None, cfg, tws, tws)
     # with a tiny clip the total parameter movement stays tiny
     moved = np.linalg.norm(model.get_params() - theta0)

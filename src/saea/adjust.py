@@ -116,6 +116,9 @@ class ErrorModel:
                 raise ConfigurationError(f"{kind} requires a rank")
             if not 1 <= rank <= n:
                 raise ConfigurationError(f"rank must be in [1, {n}], got {rank}")
+        if (mask is None) == (kind == "structural"):
+            need = "requires a" if mask is None else "takes no"
+            raise ConfigurationError(f"{kind} error model {need} StructuralMask")
         if mask is not None and mask.mask.shape != (n, n):
             raise ConfigurationError(
                 f"mask shape {mask.mask.shape} does not match n={n}"
@@ -279,8 +282,6 @@ def regularize(em: ErrorModel, cfg: RegularizerConfig) -> tuple[float, dict]:
         # per-lag Frobenius norms: of both low-rank factors, or of the
         # structural matrix's entries outside the graph's hop support
         if em.kind == "structural":
-            if em.mask is None:
-                raise ConfigurationError("structural error model requires a StructuralMask")
             normed = {"matrix": em.mask.mask * em.payload["matrix"]}
         else:
             normed = {name: em.payload[name] for name in ("left", "right")}

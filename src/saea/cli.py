@@ -39,7 +39,10 @@ from .data import (
     chronological_split,
     ingest_csv,
     make_windows,
+    read_json,
     save_series_csv,
+    write_float_rows,
+    write_json,
 )
 from .errors import ConfigurationError, SaeaError, ValidationError
 from .forecaster import MODEL_KINDS, build_forecaster
@@ -53,7 +56,7 @@ from .graph import (
 )
 from .metrics import mape, residual_report, rmse
 from .synth import GraphSpec, SynthConfig, generate
-from .train import TrainConfig, fit, load_checkpoint_blob, write_checkpoint
+from .train import OPTIMIZERS, TrainConfig, fit, load_checkpoint_blob
 
 ALL_KINDS = ("none",) + KINDS
 
@@ -67,23 +70,23 @@ TRAIN_FIELDS = {
     "hidden": (int, 64, None),
     "kind": (str, "sparse_full", ALL_KINDS),
     "mask_order": (int, 1, (1, 2)),
-    "alpha": (float, None, None),
-    "beta": (float, None, None),
+    "alpha": (float, TrainConfig.alpha, None),
+    "beta": (float, TrainConfig.beta, None),
     "rank": (int, None, None),
     "var_order": (int, 1, None),
     "horizon_min": (str, "5", None),
     "step_min": (float, 5.0, None),
     "history": (int, 12, None),
-    "epochs": (int, 300, None),
-    "lr": (float, 5e-4, None),
-    "batch": (int, 50, None),
-    "seed": (int, 0, None),
-    "optimizer": (str, "rmsprop", ("rmsprop", "sgd")),
+    "epochs": (int, TrainConfig.epochs, None),
+    "lr": (float, TrainConfig.learning_rate, None),
+    "batch": (int, TrainConfig.batch_size, None),
+    "seed": (int, TrainConfig.seed, None),
+    "optimizer": (str, TrainConfig.optimizer, OPTIMIZERS),
     "train_frac": (float, 0.7, None),
     "val_frac": (float, 0.1, None),
     "normalize": (str, "none", ("none", "zscore")),
     "select": (str, "best", ("best", "last")),
-    "grad_clip": (float, None, None),
+    "grad_clip": (float, TrainConfig.grad_clip, None),
 }
 
 
@@ -158,29 +161,7 @@ def parse_horizons(minutes_csv: str, step_min: float) -> list[tuple[float, int]]
 
 
 # ---------------------------------------------------------------------------
-# json / manifest helpers
-
-
-def to_jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return to_jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
-def write_json(path, obj) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(to_jsonable(obj), fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+# manifest helpers
 
 
 def sha256_file(path) -> str:
@@ -192,10 +173,10 @@ def sha256_file(path) -> str:
 
 
 def write_manifest(out_dir, command, config, seed, inputs, outputs) -> None:
-    config_bytes = json.dumps(to_jsonable(config), sort_keys=True).encode()
+    config_bytes = json.dumps(config, sort_keys=True).encode()
     manifest = {
         "command": command,
-        "config": to_jsonable(config),
+        "config": config,
         "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
         "seed": seed,
         "inputs": {str(p): sha256_file(p) for p in inputs},
@@ -205,7 +186,7 @@ def write_manifest(out_dir, command, config, seed, inputs, outputs) -> None:
         "toolkit_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    write_json(os.path.join(out_dir, "manifest.json"), manifest, indent=1)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +200,19 @@ def build_error_model(config: dict, n: int, graph: SensorGraph | None) -> ErrorM
     mask = structural_mask(graph, config["mask_order"]) if kind == "structural" else None
     return ErrorModel.for_training(
         kind, n, var_order=config["var_order"], rank=config["rank"], mask=mask, seed=config["seed"]
+    )
+
+
+def _train_config(config: dict) -> TrainConfig:
+    return TrainConfig(
+        epochs=config["epochs"],
+        learning_rate=config["lr"],
+        batch_size=config["batch"],
+        optimizer=config["optimizer"],
+        alpha=config["alpha"],
+        beta=config["beta"],
+        seed=config["seed"],
+        grad_clip=config["grad_clip"],
     )
 
 
@@ -247,17 +241,7 @@ def _fit_each(frame: SeriesFrame, graph: SensorGraph | None, config: dict, kind_
                 hidden=kind_config["hidden"],
             )
             em = build_error_model(kind_config, frame.num_sensors, graph)
-            cfg = TrainConfig(
-                epochs=kind_config["epochs"],
-                learning_rate=kind_config["lr"],
-                batch_size=kind_config["batch"],
-                optimizer=kind_config["optimizer"],
-                alpha=kind_config["alpha"],
-                beta=kind_config["beta"],
-                seed=kind_config["seed"],
-                grad_clip=kind_config["grad_clip"],
-            )
-            report = fit(model, em, cfg, train_ws, val_ws)
+            report = fit(model, em, _train_config(kind_config), train_ws, val_ws)
             yield kind_config, minutes, horizon_step, report, test_ws, normalizer
 
 
@@ -272,12 +256,12 @@ def _score(blob: dict, test_ws, normalizer: Normalizer) -> dict:
 
 def _checkpoint_split(blob: dict, args) -> tuple[float, float]:
     """(train_frac, val_frac) for scoring a checkpoint: a flag must agree with
-    the fraction the checkpoint records; without either, 0.7 / 0.1."""
+    the fraction the checkpoint records; without either, the TRAIN_FIELDS default."""
     fracs = []
-    for name, default in (("train_frac", 0.7), ("val_frac", 0.1)):
+    for name in ("train_frac", "val_frac"):
         given, recorded = getattr(args, name), blob.get(name)
         if given is None:
-            given = default if recorded is None else recorded
+            given = TRAIN_FIELDS[name][1] if recorded is None else recorded
         elif recorded is not None and given != recorded:
             raise ValidationError(
                 f"--{name.replace('_', '-')} {given} differs from the {recorded} "
@@ -290,8 +274,7 @@ def _checkpoint_split(blob: dict, args) -> tuple[float, float]:
 def _eval_checkpoint(args):
     """Shared by eval and diagnose: (truth, predictions) in original units,
     the horizon step and the (train_frac, val_frac) split used."""
-    with open(args.checkpoint, encoding="utf-8") as fh:
-        blob = json.load(fh)
+    blob = read_json(args.checkpoint)
     model, em = load_checkpoint_blob(blob)
     normalizer = Normalizer.from_blob(blob.get("normalizer", {"mode": "none"}))
     horizon_step = int(blob.get("horizon_step", 0))
@@ -334,9 +317,7 @@ def cmd_synth(args) -> int:
     bundle = generate(cfg)
     save_series_csv(bundle.frame, os.path.join(args.out, "series.csv"))
     save_adjacency_csv(bundle.graph, os.path.join(args.out, "adjacency.csv"))
-    with open(os.path.join(args.out, "phi_star.csv"), "w", encoding="utf-8") as fh:
-        for row in bundle.phi_star:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_float_rows(os.path.join(args.out, "phi_star.csv"), bundle.phi_star)
     config = {**cfg.to_dict(), "floor": bundle.floor}
     write_manifest(
         args.out,
@@ -433,7 +414,7 @@ def cmd_train(args) -> int:
             blob = {**checkpoint, **extra}
             metrics[f"test_{label}"] = _score(blob, test_ws, normalizer)
             name = f"checkpoint_{tag}_{label}.json"
-            write_checkpoint(os.path.join(args.out, name), to_jsonable(blob))
+            write_json(os.path.join(args.out, name), blob)
             outputs.append(name)
         report_name = f"train_report_{tag}.json"
         write_json(
@@ -446,12 +427,14 @@ def cmd_train(args) -> int:
                 "best_epoch": report.best_epoch,
                 "diverged": report.diverged,
             },
+            indent=1,
         )
         outputs.append(report_name)
         all_metrics.append(metrics)
     write_json(
         os.path.join(args.out, "metrics.json"),
         {"selection": config["select"], "horizons": all_metrics},
+        indent=1,
     )
     outputs.append("metrics.json")
     write_manifest(args.out, "train", config, config["seed"], inputs, outputs)
@@ -476,7 +459,7 @@ def cmd_eval(args) -> int:
         "num_windows": int(truth.shape[0]),
     }
     os.makedirs(args.out, exist_ok=True)
-    write_json(os.path.join(args.out, "metrics.json"), payload)
+    write_json(os.path.join(args.out, "metrics.json"), payload, indent=1)
     write_manifest(
         args.out,
         "eval",
@@ -495,7 +478,7 @@ def cmd_diagnose(args) -> int:
     payload = residual_report(truth, preds, max_lag=args.max_lag, ts_lags=ts_lags)
     payload["split"] = args.split
     os.makedirs(args.out, exist_ok=True)
-    write_json(os.path.join(args.out, "diagnostics.json"), payload)
+    write_json(os.path.join(args.out, "diagnostics.json"), payload, indent=1)
     write_manifest(
         args.out,
         "diagnose",
@@ -538,6 +521,7 @@ def cmd_compare(args) -> int:
     write_json(
         os.path.join(args.out, "compare.json"),
         {"kinds": list(kinds), "horizons": [m for m, _ in horizons], "rows": rows},
+        indent=1,
     )
     with open(os.path.join(args.out, "compare.csv"), "w", encoding="utf-8") as fh:
         fh.write("kind,horizon_min,mape_percent,rmse\n")
@@ -592,11 +576,11 @@ def _add_score_flags(parser):
     parser.add_argument("--split", choices=("train", "val", "test"), default="test")
     parser.add_argument(
         "--train-frac", dest="train_frac", type=float,
-        help="default: the checkpoint's recorded fraction, else 0.7",
+        help=f"default: the checkpoint's recorded fraction, else {TRAIN_FIELDS['train_frac'][1]}",
     )
     parser.add_argument(
         "--val-frac", dest="val_frac", type=float,
-        help="default: the checkpoint's recorded fraction, else 0.1",
+        help=f"default: the checkpoint's recorded fraction, else {TRAIN_FIELDS['val_frac'][1]}",
     )
 
 
@@ -654,7 +638,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SaeaError as exc:
+    except (SaeaError, OSError, UnicodeDecodeError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

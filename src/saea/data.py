@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import json
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -148,19 +150,41 @@ def _is_number(text: str) -> bool:
     return True
 
 
+def write_float_rows(path, rows, header=None) -> None:
+    """Write a CSV of float rows, lossless (repr), after an optional header row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
 def save_series_csv(frame: SeriesFrame, path) -> None:
     """Write a frame with a sensor_0..sensor_{N-1} header. Lossless round-trip."""
-    n = frame.num_sensors
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"sensor_{i}" for i in range(n)))
+    write_float_rows(path, frame.values, [f"sensor_{i}" for i in range(frame.num_sensors)])
+
+
+def write_json(path, obj, indent=None) -> None:
+    """Atomic write (temp file then rename) of JSON-native values, keys
+    sorted, newline-terminated."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=indent)
         fh.write("\n")
-        for row in frame.values:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    os.replace(tmp, path)
+
+
+def read_json(path):
+    """Parse a JSON file; malformed JSON is a ParseError naming the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: malformed JSON: {exc}") from None
 
 
 def chronological_split(
-    frame: SeriesFrame, train_frac: float = 0.7, val_frac: float = 0.1
+    frame: SeriesFrame, train_frac: float, val_frac: float
 ) -> tuple[SeriesFrame, SeriesFrame, SeriesFrame]:
     """Contiguous, order-preserving train/val/test segments covering all rows,
     as read-only views of the frame's values."""

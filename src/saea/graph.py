@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_float_rows
 from .errors import ParseError, UnsupportedOrderError, ValidationError
 
 # |entry| at or below this counts as a structural zero; float noise must not
@@ -125,7 +126,4 @@ def load_matrix_csv(path, what: str) -> np.ndarray:
 
 def save_adjacency_csv(graph: SensorGraph, path) -> None:
     """Write the adjacency matrix as a headerless CSV (lossless float repr)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in graph.adjacency:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    write_float_rows(path, graph.adjacency)

@@ -9,8 +9,6 @@ bit-for-bit.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -25,7 +23,7 @@ from .adjust import (
     saea_predict,
     spectral_radius,
 )
-from .data import WindowSet
+from .data import WindowSet, read_json, write_json
 from .errors import DivergenceError, ValidationError
 from .forecaster import Forecaster, forecaster_from_blob
 
@@ -33,6 +31,7 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 RMSPROP_RHO = 0.9
 RMSPROP_EPS = 1e-8
+OPTIMIZERS = ("rmsprop", "sgd")
 
 
 @dataclass
@@ -46,7 +45,7 @@ class TrainConfig:
     epochs: int = 300
     learning_rate: float = 5e-4
     batch_size: int = 50
-    optimizer: str = "rmsprop"  # rmsprop | sgd
+    optimizer: str = "rmsprop"  # one of OPTIMIZERS
     alpha: float | None = None
     beta: float | None = None
     seed: int = 0
@@ -59,7 +58,7 @@ class TrainConfig:
             raise ValidationError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be > 0")
-        if self.optimizer not in ("rmsprop", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
 
 
@@ -115,6 +114,8 @@ def checkpoint_blob(model: Forecaster, em: ErrorModel | None, extra: dict | None
 
 
 def load_checkpoint_blob(blob: dict) -> tuple[Forecaster, ErrorModel | None]:
+    if not isinstance(blob, dict):
+        raise ValidationError(f"checkpoint must be a JSON object, got {type(blob).__name__}")
     version = blob.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValidationError(
@@ -126,25 +127,15 @@ def load_checkpoint_blob(blob: dict) -> tuple[Forecaster, ErrorModel | None]:
     return model, em
 
 
-def write_checkpoint(path, blob: dict) -> None:
-    """Atomic write (temp file then rename) of a checkpoint blob of
-    JSON-native values."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, sort_keys=True)
-    os.replace(tmp, path)
-
-
 def save_checkpoint(path, model: Forecaster, em: ErrorModel | None, extra: dict | None = None):
     """Write the blob of a model and error model; returns the blob."""
     blob = checkpoint_blob(model, em, extra)
-    write_checkpoint(path, blob)
+    write_json(path, blob)
     return blob
 
 
 def load_checkpoint(path) -> tuple[Forecaster, ErrorModel | None]:
-    with open(path, encoding="utf-8") as fh:
-        return load_checkpoint_blob(json.load(fh))
+    return load_checkpoint_blob(read_json(path))
 
 
 def resolve_regularizer(cfg: TrainConfig, em: ErrorModel | None) -> RegularizerConfig:

@@ -165,9 +165,16 @@ def test_regularize_zero_payload_zero_subgradient():
 
 
 def test_structural_without_mask_is_configuration_error():
-    em = ErrorModel("structural", 3)
+    mask = structural_mask(ring_graph(3), 1)
     with pytest.raises(ConfigurationError):
-        regularize(em, RegularizerConfig(alpha=1.0))
+        ErrorModel("structural", 3)
+    with pytest.raises(ConfigurationError):
+        ErrorModel("sparse_full", 3, mask=mask)
+    blob = ErrorModel("structural", 3, mask=mask).to_blob()
+    unmasked = {k: v for k, v in blob.items() if not k.startswith("mask")}
+    for bad in (unmasked, {**blob, "kind": "sparse_full"}):
+        with pytest.raises(ConfigurationError):
+            ErrorModel.from_blob(bad)
 
 
 def test_default_regularizer_table():

@@ -8,7 +8,7 @@ from saea.cli import run
 from saea.data import ingest_csv
 from saea.graph import load_adjacency_csv
 from saea.synth import GraphSpec, SynthConfig, generate, oracle_floor
-from saea.train import load_checkpoint, save_checkpoint
+from saea.train import TrainConfig, load_checkpoint, save_checkpoint
 
 
 def make_bundle_dir(tmp_path, steps=700, n=8, seed=3):
@@ -85,6 +85,10 @@ def test_train_writes_run_dir(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["horizons"][0]["kind"] == "diagonal"
     assert metrics["horizons"][0]["test_best"]["rmse"] > 0
+    # diverged is a JSON boolean in every file that records it
+    for name in ("metrics.json", "checkpoint_h5min_last.json", "train_report_h5min.json"):
+        text = (out / name).read_text()
+        assert '"diverged": false' in text and '"diverged": 0' not in text
 
 
 def test_train_structural_defaults_record_alpha_1000(tmp_path):
@@ -359,6 +363,11 @@ def test_config_file_precedence(tmp_path):
     assert manifest["config"]["kind"] == "diagonal"
 
 
+def test_resolve_config_defaults_are_train_config_defaults():
+    args = saea.cli.build_parser().parse_args(["train", "--series", "s.csv", "--out", "o"])
+    assert saea.cli._train_config(saea.cli.resolve_config(args, {})) == TrainConfig()
+
+
 def test_unknown_config_key_fails(tmp_path):
     bundle = make_bundle_dir(tmp_path)
     cfg = tmp_path / "bad.cfg"
@@ -446,6 +455,41 @@ def test_malformed_list_and_matrix_inputs_fail_cleanly(tmp_path, capsys, argv, e
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == error
     assert named in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, error, named",
+    [
+        (("eval", "--checkpoint", "{missing}", "--series", "{series}"),
+         "FileNotFoundError", "{missing}"),
+        (("eval", "--checkpoint", "{brace}", "--series", "{series}"), "ParseError", "{brace}"),
+        (("eval", "--checkpoint", "{array}", "--series", "{series}"),
+         "ValidationError", "JSON object"),
+        (("train", "--series", "{missing}"), "FileNotFoundError", "{missing}"),
+        (("train", "--series", "{series}", "--adjacency", "{missing}"),
+         "FileNotFoundError", "{missing}"),
+        (("train", "--series", "{series}", "--config", "{missing}"),
+         "FileNotFoundError", "{missing}"),
+        (("synth", "--phi-star", "{missing}"), "FileNotFoundError", "{missing}"),
+        (("train", "--series", "{latin}"), "UnicodeDecodeError", "utf-8"),
+    ],
+    ids=["checkpoint-missing", "checkpoint-brace", "checkpoint-array", "series-missing",
+         "adjacency-missing", "config-missing", "phi-star-missing", "series-not-utf8"],
+)
+def test_unreadable_input_files_fail_with_one_json_line(tmp_path, capsys, argv, error, named):
+    names = ("missing", "series", "brace", "array", "latin")
+    paths = {name: tmp_path / f"{name}.txt" for name in names}
+    paths["series"].write_text("a,b\n" + "1.0,2.0\n" * 30)
+    paths["brace"].write_text("{")
+    paths["array"].write_text("[]")
+    paths["latin"].write_bytes("caf\u00e9,b\n1.0,2.0\n".encode("latin-1"))
+    argv = [arg.format(**paths) for arg in argv]
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    parsed = json.loads(err)
+    assert parsed["error"] == error
+    assert named.format(**paths) in parsed["message"]
 
 
 def test_eval_uses_the_split_recorded_at_training(tmp_path, capsys):

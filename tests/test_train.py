@@ -7,7 +7,7 @@ from saea.data import SeriesFrame, chronological_split, make_windows
 from saea.errors import ValidationError
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import structural_mask
-from saea.synth import GraphSpec, SynthConfig, generate, structured_var_coefficients
+from saea.synth import GraphSpec, SynthConfig, generate, ring_graph, structured_var_coefficients
 from saea.train import (
     TrainConfig,
     checkpoint_blob,
@@ -214,7 +214,8 @@ def test_fit_radius_logged_every_epoch():
 
 def test_resolve_regularizer_uses_kind_defaults():
     cfg = TrainConfig()
-    assert resolve_regularizer(cfg, ErrorModel("structural", 4)).alpha == 1000.0
+    structural = ErrorModel("structural", 4, mask=structural_mask(ring_graph(4), 1))
+    assert resolve_regularizer(cfg, structural).alpha == 1000.0
     assert resolve_regularizer(cfg, ErrorModel("sparse_full", 4)).alpha == 100.0
     assert resolve_regularizer(cfg, None).alpha == 0.0
     override = TrainConfig(alpha=5.0)

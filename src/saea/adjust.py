@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import WindowSet, shift_with_mean
+from .data import WindowSet, blob_field, shift_with_mean
 from .errors import ConfigurationError, ContractError, DivergenceError, ValidationError
 from .forecaster import Forecaster
 from .graph import StructuralMask
@@ -207,23 +207,24 @@ class ErrorModel:
 
     @classmethod
     def from_blob(cls, blob: dict) -> "ErrorModel":
+        """Rebuild from to_blob's output; a missing or mistyped field is a
+        ValidationError naming it."""
         mask = None
         if "mask" in blob:
             mask = StructuralMask(
-                order=int(blob["mask_order"]),
-                mask=np.asarray(blob["mask"], dtype=np.float64),
+                order=blob_field(blob, "mask_order", int, "error model"),
+                mask=blob_field(blob, "mask", list, "error model"),
             )
             if blob.get("mask_sha256") != mask_hash(mask):
                 raise ValidationError("checkpoint mask does not match its recorded mask_sha256")
+        payload = blob_field(blob, "payload", dict, "error model")
         return cls(
-            blob["kind"],
-            int(blob["n"]),
-            var_order=int(blob["var_order"]),
-            rank=blob.get("rank"),
+            blob_field(blob, "kind", str, "error model"),
+            blob_field(blob, "n", int, "error model"),
+            var_order=blob_field(blob, "var_order", int, "error model"),
+            rank=blob_field(blob, "rank", int, "error model") if "rank" in blob else None,
             mask=mask,
-            payload={
-                k: np.asarray(v, dtype=np.float64) for k, v in blob["payload"].items()
-            },
+            payload={k: blob_field(payload, k, list, "error model payload") for k in payload},
         )
 
 
@@ -356,9 +357,27 @@ def saea_predict(model: Forecaster, em: ErrorModel | None, window, *shifted) -> 
     return _adjusted_forward(model, em, w[None])[0][0]
 
 
+# predict_windows scores about this many values' worth of windows at a time
+# (one (chunk, H, N) array), so its temporaries do not grow with the windows.
+_SCORE_CHUNK_VALUES = 1 << 20
+
+
 def predict_windows(model: Forecaster, em: ErrorModel | None, ws: WindowSet) -> np.ndarray:
-    """Batched adjusted predictions for every window in a WindowSet."""
-    return _adjusted_forward(model, em, ws.inputs)[0]
+    """Batched adjusted predictions for every window in a WindowSet, scored
+    by the adjusted-forward core in C-contiguous chunks of windows.
+
+    The chunk is a power of two and the remainder joins the last chunk, so
+    each BLAS product splits into column blocks as the whole-set product
+    does; with OpenBLAS 0.3.31 (Haswell kernels) the predictions then equal
+    one whole-set call's bit for bit."""
+    limit = max(1, _SCORE_CHUNK_VALUES // (ws.history * ws.num_sensors))
+    chunk = 1 << (limit.bit_length() - 1)
+    count = max(1, ws.batch // chunk)
+    preds = np.empty((ws.batch, ws.num_sensors))
+    for i in range(count):
+        rows = slice(i * chunk, ws.batch if i == count - 1 else (i + 1) * chunk)
+        preds[rows] = _adjusted_forward(model, em, np.ascontiguousarray(ws.inputs[rows]))[0]
+    return preds
 
 
 @dataclass(frozen=True)

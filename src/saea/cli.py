@@ -39,6 +39,7 @@ from .data import (
     chronological_split,
     ingest_csv,
     make_windows,
+    open_text,
     read_json,
     save_series_csv,
     write_float_rows,
@@ -93,7 +94,7 @@ TRAIN_FIELDS = {
 def read_config_file(path) -> dict:
     """key = value lines; blank lines and '#' comments ignored."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
@@ -638,7 +639,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SaeaError, OSError, UnicodeDecodeError) as exc:
+    except (SaeaError, OSError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

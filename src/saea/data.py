@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParseError, SplitError, ValidationError, WindowError
 
@@ -45,7 +47,9 @@ class WindowSet:
 
     inputs[b, h] is the observation h+1 steps before the forecast origin of
     window b (newest lag first); targets[b] is the observation horizon_step
-    steps past the origin. Only these are stored: the shifted windows and the
+    steps past the origin. Both are read-only views of the arrays given
+    (make_windows passes views of the series, so no window is copied);
+    take() gathers a C-contiguous subset. The shifted windows and the
     anchors that the adjustment reads are derived from inputs on access.
     """
 
@@ -55,7 +59,7 @@ class WindowSet:
 
     def __post_init__(self):
         for name in ("inputs", "targets"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.asarray(getattr(self, name), dtype=np.float64).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -83,7 +87,7 @@ class WindowSet:
         return self.inputs.shape[2]
 
     def take(self, indices) -> "WindowSet":
-        """Row subset."""
+        """Row subset for an index array, gathered into C-contiguous arrays."""
         return WindowSet(
             inputs=self.inputs[indices],
             targets=self.targets[indices],
@@ -97,8 +101,10 @@ def ingest_csv(path, step_minutes: float = 5.0) -> SeriesFrame:
     Raises ParseError with the offending (row, column) for ragged rows or
     non-numeric cells; rows are indexed from 0 over the data body. Rows that
     parse but contain NaN/Inf are rejected with their indices reported.
+    A body of plain decimal numbers is parsed by np.loadtxt in blocks of
+    lines; any other body, and every error, goes through the per-cell parser.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -112,6 +118,11 @@ def ingest_csv(path, step_minutes: float = 5.0) -> SeriesFrame:
                 f"{path}: first row is numeric; expected a header row naming sensors"
             )
         n = len(header)
+        values = _read_plain_rows(fh, n)
+        if values is not None:
+            return SeriesFrame(values=values, step_minutes=step_minutes)
+        fh.seek(0)
+        next(reader)
         rows = []
         nonfinite_rows = []
         for r, row in enumerate(reader):
@@ -142,6 +153,34 @@ def ingest_csv(path, step_minutes: float = 5.0) -> SeriesFrame:
     return SeriesFrame(values=np.vstack(rows), step_minutes=step_minutes)
 
 
+# _read_plain_rows hands np.loadtxt about this many characters of lines at a
+# time, so ingest holds one block of the file's text, not all of it.
+_PLAIN_BLOCK_CHARS = 1 << 22
+
+
+def _read_plain_rows(fh, n: int):
+    """The rest of fh as (T, n) values, parsed by np.loadtxt a block of lines
+    at a time, or None unless every line is plain decimal numbers (digits,
+    ".eE+-", commas, spaces, CR/LF), which np.loadtxt and float() read alike
+    through PyOS_string_to_double, and np.loadtxt reads each line as one row
+    of n finite values (it skips blank lines, so a block comes up short)."""
+    blocks = []
+    while lines := fh.readlines(_PLAIN_BLOCK_CHARS):
+        text = "".join(lines)
+        if text.isspace() or not text.isascii() or text.encode().translate(
+            None, b"0123456789.eE+-, \r\n"
+        ):
+            return None
+        try:
+            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        except ValueError:
+            return None
+        if block.shape != (len(lines), n) or not np.all(np.isfinite(block)):
+            return None
+        blocks.append(block)
+    return np.vstack(blocks) if blocks else None
+
+
 def _is_number(text: str) -> bool:
     try:
         float(text)
@@ -169,18 +208,40 @@ def write_json(path, obj, indent=None) -> None:
     sorted, newline-terminated."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=indent)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True, indent=indent) + "\n")
     os.replace(tmp, path)
+
+
+@contextmanager
+def open_text(path, newline=None):
+    """A UTF-8 text file opened for reading (newline as for open()); bytes
+    read from it that are not UTF-8 raise a ParseError naming the path."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def read_json(path):
     """Parse a JSON file; malformed JSON is a ParseError naming the path."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: malformed JSON: {exc}") from None
+
+
+def blob_field(blob: dict, name: str, kind: type, what: str = "checkpoint"):
+    """blob[name] if it holds a JSON value of type `kind` (a list comes back
+    as a float64 array); else a ValidationError naming the field."""
+    value = blob.get(name)
+    try:
+        if isinstance(value, kind):
+            return np.asarray(value, dtype=np.float64) if kind is list else value
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{what} field {name!r} is missing or not a valid {kind.__name__}")
 
 
 def chronological_split(
@@ -232,7 +293,8 @@ def make_windows(frame: SeriesFrame, history: int, horizon_step: int = 0) -> Win
     """Build all supervised windows for direct step-p forecasting.
 
     B = T - H - p windows; window b forecasts row H + b + p from the H rows
-    preceding row H + b.
+    preceding row H + b. Inputs and targets are read-only views of the
+    frame's values: a strided window view and a row slice, not copies.
     """
     if history < 2:
         raise ValidationError("history must be >= 2 (the shifted window needs one more lag)")
@@ -247,9 +309,8 @@ def make_windows(frame: SeriesFrame, history: int, horizon_step: int = 0) -> Win
         )
     values = frame.values
     # inputs[b, h] = values[history + b - 1 - h], newest lag first
-    row_idx = (history - 1 - np.arange(history))[None, :] + np.arange(b)[:, None]
-    inputs = values[row_idx]
-    targets = values[history + horizon_step + np.arange(b)]
+    inputs = sliding_window_view(values, history, axis=0)[:b].transpose(0, 2, 1)[:, ::-1]
+    targets = values[history + horizon_step :]
     return WindowSet(inputs=inputs, targets=targets, horizon_step=horizon_step)
 
 

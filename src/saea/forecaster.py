@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import blob_field
 from .errors import ContractError, ValidationError
 from .graph import SensorGraph, normalized_adjacency
 
@@ -251,21 +252,22 @@ def build_forecaster(
 
 
 def forecaster_from_blob(blob: dict) -> Forecaster:
-    """Rebuild a model from its checkpoint blob."""
+    """Rebuild a model from its checkpoint blob; a missing or mistyped field
+    is a ValidationError naming it."""
     if blob.get("version") != CHECKPOINT_VERSION:
         raise ValidationError(
             f"model checkpoint version {blob.get('version')!r} is not the supported "
             f"{CHECKPOINT_VERSION}"
         )
     kind = blob.get("kind")
-    history, n = int(blob["history"]), int(blob["n"])
+    history, n = blob_field(blob, "history", int, "model"), blob_field(blob, "n", int, "model")
     if kind == "nodear":
         model = NodeAR(history, n)
     elif kind == "graphfilter":
-        model = GraphFilterAR(history, np.asarray(blob["propagation"], dtype=np.float64))
+        model = GraphFilterAR(history, blob_field(blob, "propagation", list, "model"))
     elif kind == "mlp1":
-        model = MLP1(history, n, hidden=int(blob["hidden"]))
+        model = MLP1(history, n, hidden=blob_field(blob, "hidden", int, "model"))
     else:
         raise ValidationError(f"unknown model kind {kind!r} in checkpoint")
-    model.set_params(np.asarray(blob["theta"], dtype=np.float64))
+    model.set_params(blob_field(blob, "theta", list, "model"))
     return model

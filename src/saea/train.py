@@ -23,7 +23,7 @@ from .adjust import (
     saea_predict,
     spectral_radius,
 )
-from .data import WindowSet, read_json, write_json
+from .data import WindowSet, blob_field, read_json, write_json
 from .errors import DivergenceError, ValidationError
 from .forecaster import Forecaster, forecaster_from_blob
 
@@ -122,9 +122,10 @@ def load_checkpoint_blob(blob: dict) -> tuple[Forecaster, ErrorModel | None]:
             f"checkpoint format_version {version!r} is not the supported "
             f"{CHECKPOINT_FORMAT_VERSION}"
         )
-    model = forecaster_from_blob(blob["model"])
-    em = ErrorModel.from_blob(blob["error_model"]) if blob.get("error_model") else None
-    return model, em
+    model = forecaster_from_blob(blob_field(blob, "model", dict))
+    if blob.get("error_model") is None:
+        return model, None
+    return model, ErrorModel.from_blob(blob_field(blob, "error_model", dict))
 
 
 def save_checkpoint(path, model: Forecaster, em: ErrorModel | None, extra: dict | None = None):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import saea.adjust
 from _helpers import central_diff, max_rel_err, payload_fd_grads
 from saea.adjust import (
     DEFAULT_REGULARIZATION,
@@ -339,6 +342,45 @@ def test_predict_windows_matches_single_window_loop():
             for b in range(ws.batch):
                 single = saea_predict(model, em, ws.inputs[b])
                 assert_allclose(batch[b], single, atol=1e-12)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 12, 20, 64])
+def test_chunked_predict_windows_matches_one_shot_core(monkeypatch, budget):
+    # 37 windows of (4, 5); budgets of 1, 7, 12, 20 and 64 windows give
+    # chunks of 1, 4, 8, 16 and 32: the middle three leave a remainder that
+    # joins the last chunk, the last scores the set in one chunk
+    n, h = 5, 4
+    rng = np.random.default_rng(8)
+    ws = make_windows(SeriesFrame(rng.normal(size=(41, n))), h, 0)
+    monkeypatch.setattr(saea.adjust, "_SCORE_CHUNK_VALUES", budget * h * n)
+    models = (NodeAR(h, n, seed=1), GraphFilterAR.from_graph(h, ring_graph(n), seed=2),
+              MLP1(h, n, hidden=6, seed=3))
+    for model in models:
+        for kind in (None,) + ALL_KINDS:
+            for var_order in (1, 2):
+                em = None if kind is None else make_em(kind, n, var_order, randomize=var_order)
+                one_shot = _adjusted_forward(model, em, np.ascontiguousarray(ws.inputs))[0]
+                assert max_rel_err(predict_windows(model, em, ws), one_shot) <= 1e-12
+
+
+def test_predict_windows_peak_memory_does_not_grow_with_windows(monkeypatch):
+    n, h, chunk = 20, 6, 64
+    monkeypatch.setattr(saea.adjust, "_SCORE_CHUNK_VALUES", chunk * h * n)
+    model = GraphFilterAR.from_graph(h, ring_graph(n), seed=1)
+    em = make_em("sparse_full", n, var_order=2, randomize=3)
+    rng = np.random.default_rng(2)
+    excess = {}
+    for b in (256, 2048):
+        ws = make_windows(SeriesFrame(rng.normal(size=(b + h, n))), h, 0)
+        tracemalloc.start()
+        try:
+            predict_windows(model, em, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        excess[b] = peak - b * n * 8  # beyond the (B, N) predictions themselves
+    # one (B, H, N) array at B = 2048 would add 2 MB; a chunk's is 61 kB
+    assert excess[2048] <= excess[256] + chunk * h * n * 8 // 4
 
 
 # -- saea_loss ---------------------------------------------------------------

@@ -471,17 +471,25 @@ def test_malformed_list_and_matrix_inputs_fail_cleanly(tmp_path, capsys, argv, e
         (("train", "--series", "{series}", "--config", "{missing}"),
          "FileNotFoundError", "{missing}"),
         (("synth", "--phi-star", "{missing}"), "FileNotFoundError", "{missing}"),
-        (("train", "--series", "{latin}"), "UnicodeDecodeError", "utf-8"),
+        (("train", "--series", "{latin}"), "ParseError", "{latin}"),
+        (("train", "--series", "{series}", "--config", "{latin}"), "ParseError", "{latin}"),
+        (("train", "--series", "{series}", "--adjacency", "{latin}"), "ParseError", "{latin}"),
+        (("eval", "--checkpoint", "{bare}", "--series", "{series}"), "ValidationError", "'model'"),
+        (("eval", "--checkpoint", "{listmodel}", "--series", "{series}"),
+         "ValidationError", "'model'"),
     ],
     ids=["checkpoint-missing", "checkpoint-brace", "checkpoint-array", "series-missing",
-         "adjacency-missing", "config-missing", "phi-star-missing", "series-not-utf8"],
+         "adjacency-missing", "config-missing", "phi-star-missing", "series-not-utf8",
+         "config-not-utf8", "adjacency-not-utf8", "checkpoint-no-model", "checkpoint-model-array"],
 )
 def test_unreadable_input_files_fail_with_one_json_line(tmp_path, capsys, argv, error, named):
-    names = ("missing", "series", "brace", "array", "latin")
+    names = ("missing", "series", "brace", "array", "latin", "bare", "listmodel")
     paths = {name: tmp_path / f"{name}.txt" for name in names}
     paths["series"].write_text("a,b\n" + "1.0,2.0\n" * 30)
     paths["brace"].write_text("{")
     paths["array"].write_text("[]")
+    paths["bare"].write_text('{"format_version": 1}')
+    paths["listmodel"].write_text('{"format_version": 1, "model": []}')
     paths["latin"].write_bytes("caf\u00e9,b\n1.0,2.0\n".encode("latin-1"))
     argv = [arg.format(**paths) for arg in argv]
     assert run([*argv, "--out", str(tmp_path / "out")]) == 1

@@ -1,17 +1,27 @@
+import io
+import json
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import saea.data
 from saea.data import (
     Normalizer,
     SeriesFrame,
+    WindowSet,
     chronological_split,
     ingest_csv,
     make_windows,
     save_series_csv,
     shift_with_mean,
+    write_json,
 )
 from saea.errors import ParseError, SplitError, ValidationError, WindowError
+from saea.forecaster import GraphFilterAR
+from saea.synth import ring_graph
+from saea.train import checkpoint_blob
 
 
 def write_csv(path, header, rows):
@@ -74,6 +84,100 @@ def test_series_csv_roundtrip_bit_identical(tmp_path):
     assert again.values.tobytes() == frame.values.tobytes()
 
 
+# (id, file text, whether the one-call np.loadtxt path takes the body)
+INGEST_CORPUS = [
+    ("plain", "a,b\n1.5,-2\n3e-3,4E+2\n", True),
+    ("decimal-forms", "a,b\n1.,.5\n-.5e-1,+2\n", True),
+    ("no-final-newline", "a,b\n1,2\n3,4", True),
+    ("crlf", "a,b\r\n1,2\r\n3,4\r\n", True),
+    ("lone-cr", "a,b\r1,2\r3,4\r", True),
+    ("spaces", "a,b\n 1 , 2\n3 ,4 \n", True),
+    ("one-column", "a\n1\n2\n", True),
+    ("one-row", "a,b,c\n1,2,3\n", True),
+    ("quoted-header", '"a\nx",b\n1,2\n', True),
+    ("blank-line", "a,b\n1,2\n\n3,4\n", False),
+    ("blank-last-line", "a,b\n1,2\n3,4\n\n", False),
+    ("blank-body", "a,b\n\n", False),
+    ("spaces-line", "a,b\n1,2\n  \n", False),
+    ("hash-row", "a,b\n1,2\n#3,4\n", False),
+    ("hash-cell", "a,b\n1,2 # note\n", False),
+    ("quoted", 'a,b\n"1",2\n', False),
+    ("quoted-comma", 'a,b\n"1,5",2\n', False),
+    ("quoted-newline", 'a,b\n"1\n",2\n', False),
+    ("underscore", "a,b\n1_0,2\n", False),
+    ("nonfinite", "a,b\n1,nan\n2,3\ninf,2\n-Infinity,3\n", False),
+    ("overflow", "a,b\n1e999,2\n", False),
+    ("empty-cell", "a,b\n1,\n", False),
+    ("empty-row-cells", "a,b\n,\n", False),
+    ("trailing-commas", "a,b\n1,2,\n3,4,\n", False),
+    ("ragged-short", "a,b\n1,2\n3\n", False),
+    ("ragged-long", "a,b\n1,2,3\n", False),
+    ("non-numeric", "a,b\n1,x\n", False),
+    ("tab", "a,b\n1\t,2\n", False),
+    ("form-feed", "a,b\n1,2\x0c3,4\n", False),
+    ("unicode-digit", "a,b\n\u0661,2\n", False),
+    ("nul", "a,b\n1,\x002\n", False),
+    ("header-only", "a,b\n", False),
+    ("numeric-header", "1,2\n3,4\n", False),
+    ("empty", "", False),
+]
+
+
+def _ingest_outcome(path):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt warns on a body with no data
+            return "ok", ingest_csv(path).values.tobytes()
+    except Exception as exc:  # compared by type, text and location
+        return type(exc).__name__, str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+
+
+@pytest.mark.parametrize("text, fast", [c[1:] for c in INGEST_CORPUS],
+                         ids=[c[0] for c in INGEST_CORPUS])
+def test_ingest_fast_path_matches_the_cell_parser(tmp_path, monkeypatch, text, fast):
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    taken = []
+    plain = saea.data._read_plain_rows
+    monkeypatch.setattr(saea.data, "_read_plain_rows",
+                        lambda fh, n: taken.append(plain(fh, n)) or taken[-1])
+    outcome = _ingest_outcome(path)
+    assert (len(taken) == 1 and taken[0] is not None) == fast
+    monkeypatch.setattr(saea.data, "_read_plain_rows", lambda fh, n: None)
+    assert outcome == _ingest_outcome(path)
+
+
+def test_ingest_fast_path_bit_equal_across_blocks(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    frame = SeriesFrame(rng.normal(size=(300, 7)) * 10.0 ** rng.integers(-8, 8, size=(300, 7)))
+    path = tmp_path / "s.csv"
+    save_series_csv(frame, path)
+    monkeypatch.setattr(saea.data, "_PLAIN_BLOCK_CHARS", 1000)  # ~8 lines per block
+    with path.open(newline="") as fh:
+        fh.readline()
+        assert saea.data._read_plain_rows(fh, 7).tobytes() == frame.values.tobytes()
+    assert ingest_csv(path).values.tobytes() == frame.values.tobytes()
+    # a bad line in a late block sends the whole file through the cell parser
+    lines = path.read_text().splitlines(keepends=True)
+    lines[250] = lines[250].replace(",", ",x", 1)
+    path.write_text("".join(lines))
+    with pytest.raises(ParseError) as err:
+        ingest_csv(path)
+    assert (err.value.row, err.value.column) == (249, 1)
+
+
+def test_write_json_bytes_equal_json_dump(tmp_path):
+    model = GraphFilterAR.from_graph(3, ring_graph(4), seed=2)
+    blob = checkpoint_blob(model, None, {"epoch": 3, "diverged": False, "val_mse": 0.1 / 3})
+    report = {"b": [1.5, float("inf"), None], "a": {"z": True, "y": [[1e-300, -0.0]]}}
+    for obj, indent in ((blob, None), (report, 1)):
+        path = tmp_path / "out.json"
+        write_json(path, obj, indent=indent)
+        expected = io.StringIO()
+        json.dump(obj, expected, sort_keys=True, indent=indent)
+        assert path.read_bytes() == (expected.getvalue() + "\n").encode()
+
+
 def test_split_sizes_default_fractions():
     frame = SeriesFrame(np.arange(20.0).reshape(10, 2))
     train, val, test = chronological_split(frame, 0.7, 0.1)
@@ -134,6 +238,30 @@ def test_take_subset_derives_shift_and_anchors():
     assert_array_equal(sub.anchors, sub.inputs[:, 0])
     assert_array_equal(sub.inputs, ws.inputs[[7, 0, 21, 3]])
     assert_array_equal(sub.targets, ws.targets[[7, 0, 21, 3]])
+
+
+@pytest.mark.parametrize("horizon_step", [0, 2])
+def test_make_windows_are_views_equal_to_the_row_gather(horizon_step):
+    rng = np.random.default_rng(5)
+    frame = SeriesFrame(rng.normal(size=(40, 3)))
+    ws = make_windows(frame, 6, horizon_step)
+    b = 40 - 6 - horizon_step
+    row_idx = (6 - 1 - np.arange(6))[None, :] + np.arange(b)[:, None]
+    assert ws.inputs.tobytes() == frame.values[row_idx].tobytes()
+    assert ws.targets.tobytes() == frame.values[6 + horizon_step + np.arange(b)].tobytes()
+    for arr in (ws.inputs, ws.targets):
+        assert np.shares_memory(arr, frame.values)
+        assert not arr.flags.writeable
+    sub = ws.take(np.array([4, 0, 9]))
+    assert sub.inputs.flags.c_contiguous and not np.shares_memory(sub.inputs, frame.values)
+    assert sub.inputs.tobytes() == frame.values[row_idx[[4, 0, 9]]].tobytes()
+
+
+def test_window_set_leaves_the_callers_arrays_writeable():
+    inputs, targets = np.zeros((3, 4, 2)), np.zeros((3, 2))
+    ws = WindowSet(inputs=inputs, targets=targets, horizon_step=0)
+    assert inputs.flags.writeable and targets.flags.writeable
+    assert not (ws.inputs.flags.writeable or ws.targets.flags.writeable)
 
 
 def test_window_count_arithmetic():

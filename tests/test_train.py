@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -314,3 +316,43 @@ def test_checkpoint_format_version_must_match():
     del blob["format_version"]
     with pytest.raises(ValidationError):
         load_checkpoint_blob(blob)
+
+
+def _without(blob, *path):
+    """A copy of a JSON blob with the field at `path` removed."""
+    if len(path) == 1:
+        return {k: v for k, v in blob.items() if k != path[0]}
+    return {**blob, path[0]: _without(blob[path[0]], *path[1:])}
+
+
+def _with(blob, value, *path):
+    """A copy of a JSON blob with the field at `path` set to value."""
+    if len(path) == 1:
+        return {**blob, path[0]: value}
+    return {**blob, path[0]: _with(blob[path[0]], value, *path[1:])}
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda b: _without(b, "model"), "'model'"),
+        (lambda b: _with(b, [], "model"), "'model'"),
+        (lambda b: _without(b, "model", "theta"), "'theta'"),
+        (lambda b: _with(b, [["x"]], "model", "theta"), "'theta'"),
+        (lambda b: _with(b, "12", "model", "history"), "'history'"),
+        (lambda b: _without(b, "model", "propagation"), "'propagation'"),
+        (lambda b: _with(b, [], "error_model"), "'error_model'"),
+        (lambda b: _without(b, "error_model", "payload"), "'payload'"),
+        (lambda b: _with(b, "x", "error_model", "payload", "matrix"), "'matrix'"),
+        (lambda b: _with(b, 2.0, "error_model", "var_order"), "'var_order'"),
+        (lambda b: _without(b, "error_model", "mask_order"), "'mask_order'"),
+    ],
+)
+def test_malformed_checkpoint_field_is_a_validation_error_naming_it(edit, field):
+    graph = ring_graph(4)
+    model = GraphFilterAR.from_graph(3, graph, seed=0)
+    em = ErrorModel("structural", 4, mask=structural_mask(graph, 1))
+    blob = json.loads(json.dumps(checkpoint_blob(model, em)))
+    load_checkpoint_blob(blob)
+    with pytest.raises(ValidationError, match=field):
+        load_checkpoint_blob(edit(blob))

@@ -37,7 +37,6 @@ from .forecaster import (
     Forecaster,
     GraphFilterAR,
     NodeAR,
-    VjpResult,
     build_forecaster,
 )
 from .graph import (

@@ -27,19 +27,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import WindowSet, blob_field, shift_with_mean
+from .data import WindowSet, blob_field, readonly, shift_with_mean
 from .errors import ConfigurationError, ContractError, DivergenceError, ValidationError
 from .forecaster import Forecaster
 from .graph import StructuralMask
 
-KINDS = (
-    "scalar",
-    "diagonal",
-    "sparse_full",
-    "low_rank",
-    "low_rank_sparse",
-    "structural",
-)
+# The payload arrays of each parameterization, by name, with their axes:
+# p the VAR order (the leading lag axis), n the sensors, k the rank.
+PAYLOAD_AXES = {
+    "scalar": {"coef": "p"},
+    "diagonal": {"diag": "pn"},
+    "sparse_full": {"matrix": "pnn"},
+    "low_rank": {"left": "pnk", "right": "pkn"},
+    "low_rank_sparse": {"left": "pnk", "right": "pkn", "sparse": "pnn"},
+    "structural": {"matrix": "pnn"},
+}
+KINDS = tuple(PAYLOAD_AXES)
 
 # Tuned default penalty settings per parameterization (alpha, beta) and the
 # default rank of the low-rank kinds (read by the CLI, not the regularizer).
@@ -55,10 +58,8 @@ DEFAULT_REGULARIZATION = {
 
 @dataclass(frozen=True)
 class RegularizerConfig:
-    """Penalty settings: total penalty is alpha * R(payload).
-
-    For low_rank_sparse, R internally weights the sparse part by beta/alpha,
-    so the effective penalty is alpha*(|left| + |right|) + beta*l1(sparse).
+    """Penalty settings: the penalty is alpha * R(payload), plus
+    beta * l1(sparse) for low_rank_sparse (so alpha = 0 keeps the beta term).
     """
 
     alpha: float
@@ -86,14 +87,9 @@ def default_regularizer(kind: str, **overrides) -> RegularizerConfig:
 class ErrorModel:
     """VAR(p) error coefficients in one of six parameterizations.
 
-    payload maps array names to float64 arrays with a leading VAR-lag axis:
-
-      scalar:          coef  (p,)
-      diagonal:        diag  (p, n)
-      sparse_full:     matrix (p, n, n)
-      structural:      matrix (p, n, n), plus a StructuralMask
-      low_rank:        left (p, n, k), right (p, k, n)
-      low_rank_sparse: left, right, sparse (p, n, n)
+    payload maps each array name of PAYLOAD_AXES[kind] to a float64 array of
+    those axes (zeros when no payload is given); structural also holds a
+    StructuralMask.
     """
 
     def __init__(
@@ -128,38 +124,22 @@ class ErrorModel:
         self.var_order = var_order
         self.rank = rank
         self.mask = mask
-        self.payload = payload if payload is not None else self._zero_payload()
-        self._check_payload()
-
-    def _zero_payload(self) -> dict:
-        p, n = self.var_order, self.n
-        if self.kind == "scalar":
-            return {"coef": np.zeros(p)}
-        if self.kind == "diagonal":
-            return {"diag": np.zeros((p, n))}
-        if self.kind in ("sparse_full", "structural"):
-            return {"matrix": np.zeros((p, n, n))}
-        if self.kind == "low_rank":
-            return {"left": np.zeros((p, n, self.rank)), "right": np.zeros((p, self.rank, n))}
-        return {
-            "left": np.zeros((p, n, self.rank)),
-            "right": np.zeros((p, self.rank, n)),
-            "sparse": np.zeros((p, n, n)),
-        }
-
-    def _check_payload(self):
-        expected = {name: arr.shape for name, arr in self._zero_payload().items()}
-        if set(self.payload) != set(expected):
+        dims = {"p": var_order, "n": n, "k": rank}
+        expected = {name: tuple(dims[a] for a in axes) for name, axes in PAYLOAD_AXES[kind].items()}
+        if payload is None:
+            payload = {name: np.zeros(shape) for name, shape in expected.items()}
+        if set(payload) != set(expected):
             raise ConfigurationError(
-                f"payload keys {sorted(self.payload)} != expected {sorted(expected)}"
+                f"payload keys {sorted(payload)} != expected {sorted(expected)}"
             )
         for name, shape in expected.items():
-            arr = np.asarray(self.payload[name], dtype=np.float64)
+            arr = np.asarray(payload[name], dtype=np.float64)
             if arr.shape != shape:
                 raise ConfigurationError(
                     f"payload {name!r} has shape {arr.shape}, expected {shape}"
                 )
-            self.payload[name] = arr
+            payload[name] = arr
+        self.payload = payload
 
     @classmethod
     def for_training(
@@ -245,9 +225,7 @@ def materialize_phi(em: ErrorModel) -> np.ndarray:
         phis[:, np.arange(em.n), np.arange(em.n)] = payload["diag"]
         return phis
     if em.kind in ("sparse_full", "structural"):
-        view = payload["matrix"].view()
-        view.flags.writeable = False
-        return view
+        return readonly(payload["matrix"])
     product = payload["left"] @ payload["right"]
     if em.kind == "low_rank":
         return product
@@ -262,10 +240,11 @@ def _frobenius_and_grad(arr: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def regularize(em: ErrorModel, cfg: RegularizerConfig) -> tuple[float, dict]:
-    """Penalty value R and its subgradients over the raw payload arrays.
+    """The weighted penalty alpha * R(payload), plus beta * l1(sparse) for
+    low_rank_sparse, and its subgradients over the raw payload arrays.
 
-    The same per-lag term is summed across VAR lags. The returned value is R
-    itself; the training loss scales it by alpha.
+    The same per-lag term is summed across VAR lags. The training loss adds
+    the value and the subgradients as they are.
     """
     grads = {name: np.zeros_like(arr) for name, arr in em.payload.items()}
     value = 0.0
@@ -290,14 +269,11 @@ def regularize(em: ErrorModel, cfg: RegularizerConfig) -> tuple[float, dict]:
             for name, arr in normed.items():
                 norm, grads[name][lag] = _frobenius_and_grad(arr[lag])
                 value += norm
-        if em.kind == "low_rank_sparse":
-            # beta/alpha weighting keeps the alpha * R total equal to
-            # alpha*(|left|+|right|) + beta*l1(sparse); with alpha = 0 the
-            # whole penalty term vanishes.
-            ratio = cfg.beta / cfg.alpha if cfg.alpha > 0 else 0.0
-            sparse = em.payload["sparse"]
-            value += ratio * float(np.sum(np.abs(sparse)))
-            grads["sparse"] = ratio * np.sign(sparse)
+    value, grads = cfg.alpha * value, {name: cfg.alpha * g for name, g in grads.items()}
+    if em.kind == "low_rank_sparse":
+        sparse = em.payload["sparse"]
+        value += cfg.beta * float(np.sum(np.abs(sparse)))
+        grads["sparse"] = cfg.beta * np.sign(sparse)
     return value, grads
 
 
@@ -350,7 +326,9 @@ def saea_predict(model: Forecaster, em: ErrorModel | None, window, *shifted) -> 
     the window are accepted for older callers but never used: at most
     max(p, 1) of them, each of the window's shape, else a ContractError.
     """
-    w = model._check_window(window)
+    w = np.asarray(window, dtype=np.float64)
+    if w.shape != (model.history, model.n):
+        raise ContractError(f"window shape {w.shape} != ({model.history}, {model.n})")
     limit = max(em.var_order if em is not None else 0, 1)
     if len(shifted) > limit or any(np.shape(s) != w.shape for s in shifted):
         raise ContractError(f"at most {limit} shifted windows of shape {w.shape} are accepted")
@@ -416,7 +394,7 @@ def saea_loss(
     """Adjusted training loss and its analytic gradients.
 
     loss = mean over batch and sensors of squared residual
-           (target - adjusted prediction), plus alpha * R(payload).
+           (target - adjusted prediction), plus regularize's penalty.
 
     Gradients flow to theta through the base model and to the payload through
     both the anchor term and the transformed inputs. With em=None this is the
@@ -428,10 +406,7 @@ def saea_loss(
     preds, transformed, shifts = _adjusted_forward(model, em, inputs)
     resid = preds - batch.targets
     mse = float(np.mean(resid * resid))
-    penalty, reg_grads = 0.0, {}
-    if em is not None:
-        reg_value, reg_grads = regularize(em, cfg)
-        penalty = cfg.alpha * reg_value
+    penalty, reg_grads = regularize(em, cfg) if em is not None else (0.0, {})
     loss = mse + penalty
     if not np.isfinite(loss):
         raise DivergenceError("non-finite loss")
@@ -450,7 +425,7 @@ def saea_loss(
 
     payload_grads = _phi_to_payload_grads(em, grad_phis)
     for name, grad in reg_grads.items():
-        payload_grads[name] = payload_grads[name] + cfg.alpha * grad
+        payload_grads[name] = payload_grads[name] + grad
     return LossResult(loss, grad_theta, payload_grads, mse, penalty)
 
 

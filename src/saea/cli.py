@@ -36,6 +36,7 @@ from .adjust import (
 from .data import (
     Normalizer,
     SeriesFrame,
+    blob_field,
     chronological_split,
     ingest_csv,
     make_windows,
@@ -228,7 +229,7 @@ def _fit_each(frame: SeriesFrame, graph: SensorGraph | None, config: dict, kind_
     normalizer), horizons outermost.
     """
     parts = chronological_split(frame, config["train_frac"], config["val_frac"])
-    normalizer = Normalizer(config["normalize"]).fit(parts[0].values)
+    normalizer = Normalizer.fit(config["normalize"], parts[0].values)
     parts = [SeriesFrame(normalizer.transform(f.values), f.step_minutes) for f in parts]
     for minutes, horizon_step in horizons:
         train_ws, val_ws, test_ws = (make_windows(f, config["history"], horizon_step) for f in parts)
@@ -277,10 +278,12 @@ def _eval_checkpoint(args):
     the horizon step and the (train_frac, val_frac) split used."""
     blob = read_json(args.checkpoint)
     model, em = load_checkpoint_blob(blob)
-    normalizer = Normalizer.from_blob(blob.get("normalizer", {"mode": "none"}))
-    horizon_step = int(blob.get("horizon_step", 0))
+    # the run fields a checkpoint omits take these defaults
+    blob = {"normalizer": {"mode": "none"}, "horizon_step": 0, "step_minutes": 5.0, **blob}
+    normalizer = Normalizer.from_blob(blob_field(blob, "normalizer", dict))
+    horizon_step = blob_field(blob, "horizon_step", int)
     fracs = _checkpoint_split(blob, args)
-    frame = ingest_csv(args.series, step_minutes=blob.get("step_minutes", 5.0))
+    frame = ingest_csv(args.series, step_minutes=blob_field(blob, "step_minutes", float))
     part = dict(zip(("train", "val", "test"), chronological_split(frame, *fracs)))[args.split]
     part_n = SeriesFrame(normalizer.transform(part.values), part.step_minutes)
     ws = make_windows(part_n, model.history, horizon_step)

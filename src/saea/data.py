@@ -14,22 +14,30 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ParseError, SplitError, ValidationError, WindowError
 
 
+def readonly(values) -> np.ndarray:
+    """A read-only float64 view of values; it copies only to convert the
+    dtype, and the caller's array stays writeable."""
+    view = np.asarray(values, dtype=np.float64).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class SeriesFrame:
-    """T x N observation matrix sampled at a fixed interval."""
+    """T x N observation matrix sampled at a fixed interval, stored as a
+    read-only view of the values given."""
 
     values: np.ndarray
     step_minutes: float = 5.0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = readonly(self.values)
         if v.ndim != 2:
             raise ValidationError(f"series values must be 2-D (T x N), got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValidationError("series values contain non-finite entries")
         if self.step_minutes <= 0:
             raise ValidationError("step_minutes must be positive")
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property
@@ -59,9 +67,7 @@ class WindowSet:
 
     def __post_init__(self):
         for name in ("inputs", "targets"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).view()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, readonly(getattr(self, name)))
 
     @property
     def inputs_shifted(self) -> np.ndarray:
@@ -234,10 +240,11 @@ def read_json(path):
 
 def blob_field(blob: dict, name: str, kind: type, what: str = "checkpoint"):
     """blob[name] if it holds a JSON value of type `kind` (a list comes back
-    as a float64 array); else a ValidationError naming the field."""
+    as a float64 array, and a float field also takes an integer); else a
+    ValidationError naming the field."""
     value = blob.get(name)
     try:
-        if isinstance(value, kind):
+        if isinstance(value, (int, float) if kind is float else kind):
             return np.asarray(value, dtype=np.float64) if kind is list else value
     except (TypeError, ValueError):
         pass
@@ -314,55 +321,48 @@ def make_windows(frame: SeriesFrame, history: int, horizon_step: int = 0) -> Win
     return WindowSet(inputs=inputs, targets=targets, horizon_step=horizon_step)
 
 
+@dataclass(frozen=True)
 class Normalizer:
-    """Optional per-sensor z-score transform, fitted on the training split only.
+    """Per-sensor z-score transform (x - mean) / std, or the identity when
+    mean and std are None; the identity returns its input, not a copy."""
 
-    Constant sensors get unit standard deviation so the transform stays
-    invertible.
-    """
+    mean: np.ndarray | None = None
+    std: np.ndarray | None = None
 
-    def __init__(self, mode: str = "none"):
-        if mode not in ("none", "zscore"):
+    @classmethod
+    def fit(cls, mode: str, values) -> "Normalizer":
+        """The identity for mode "none"; for "zscore", the per-sensor mean and
+        standard deviation of values (the training split), with unit std for
+        constant sensors so the transform stays invertible."""
+        if mode == "none":
+            return cls()
+        if mode != "zscore":
             raise ValidationError(f"unknown normalizer mode {mode!r}")
-        self.mode = mode
-        self.mean_ = None
-        self.std_ = None
-
-    def fit(self, values: np.ndarray) -> "Normalizer":
         v = np.asarray(values, dtype=np.float64)
-        self.mean_ = v.mean(axis=0)
         std = v.std(axis=0)
         std[std <= 1e-12] = 1.0
-        self.std_ = std
-        return self
+        return cls(v.mean(axis=0), std)
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        if self.mode == "none":
-            return np.asarray(values, dtype=np.float64).copy()
-        self._check_fitted()
-        return (np.asarray(values, dtype=np.float64) - self.mean_) / self.std_
+        if self.mean is None:
+            return values
+        return (np.asarray(values, dtype=np.float64) - self.mean) / self.std
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
-        if self.mode == "none":
-            return np.asarray(values, dtype=np.float64).copy()
-        self._check_fitted()
-        return np.asarray(values, dtype=np.float64) * self.std_ + self.mean_
-
-    def _check_fitted(self):
-        if self.mean_ is None:
-            raise ValidationError("normalizer used before fit()")
+        if self.mean is None:
+            return values
+        return np.asarray(values, dtype=np.float64) * self.std + self.mean
 
     def to_blob(self) -> dict:
-        blob = {"mode": self.mode}
-        if self.mean_ is not None:
-            blob["mean"] = [float(x) for x in self.mean_]
-            blob["std"] = [float(x) for x in self.std_]
-        return blob
+        if self.mean is None:
+            return {"mode": "none"}
+        return {"mode": "zscore", "mean": self.mean.tolist(), "std": self.std.tolist()}
 
     @classmethod
     def from_blob(cls, blob: dict) -> "Normalizer":
-        norm = cls(mode=blob.get("mode", "none"))
-        if "mean" in blob:
-            norm.mean_ = np.asarray(blob["mean"], dtype=np.float64)
-            norm.std_ = np.asarray(blob["std"], dtype=np.float64)
-        return norm
+        """Rebuild from to_blob's output; a missing or mistyped field is a
+        ValidationError naming it."""
+        mode = blob_field(blob, "mode", str, "normalizer")
+        if mode != "zscore":
+            return cls.fit(mode, None)  # the identity, or the unknown mode's error
+        return cls(*(blob_field(blob, name, list, "normalizer") for name in ("mean", "std")))

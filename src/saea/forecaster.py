@@ -1,43 +1,34 @@
 """Differentiable one-step base forecasters with hand-derived VJPs.
 
-Each model maps an (H, N) window of past observations (newest lag first) to an
-N-vector prediction, and exposes vector-Jacobian products with respect to both
-its flat parameter vector and its input window. Gradients are closed-form per
-model; finite-difference checks live in the test suite.
+Each model maps a (B, H, N) batch of windows of past observations (newest lag
+first) to (B, N) predictions, and exposes vector-Jacobian products with
+respect to both its flat parameter vector and its input windows. A single
+window is a batch of one; `adjust.saea_predict` serves it. Gradients are
+closed-form per model; finite-difference checks live in the test suite.
 
 All arithmetic is float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import blob_field
+from .data import blob_field, readonly
 from .errors import ContractError, ValidationError
 from .graph import SensorGraph, normalized_adjacency
 
 CHECKPOINT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class VjpResult:
-    value: np.ndarray       # (N,) prediction, from forward_batch
-    grad_theta: np.ndarray  # (P,) cotangent^T d f / d theta, from vjp_batch
-    grad_input: np.ndarray  # (H, N) cotangent^T d f / d window, from vjp_batch
-
-
 class Forecaster:
-    """Contract for a deterministic differentiable map (H, N) -> (N,).
+    """Contract for a deterministic differentiable map (B, H, N) -> (B, N).
 
     A subclass sets `kind` (its checkpoint tag) and `params`, the names of
-    its parameter arrays in θ order, and implements the batched
-    `forward_batch` / `vjp_batch`; θ is those arrays raveled and concatenated,
-    and the single-window entry points validate shapes and delegate.
-    `vjp_batch` returns gradients only, `(grad_theta, grad_input)`:
-    grad_theta summed over the batch and in `params` order, and grad_input
-    per window, shape (B, H, N).
+    its parameter arrays in θ order, and implements `forward_batch` and
+    `vjp_batch`; θ is those arrays raveled and concatenated. `vjp_batch`
+    takes (B, N) cotangents and returns gradients only, `(grad_theta,
+    grad_input)`: grad_theta summed over the batch and in `params` order,
+    and grad_input per window, shape (B, H, N).
     """
 
     kind = "base"
@@ -66,36 +57,12 @@ class Forecaster:
             setattr(self, name, theta[start : start + arr.size].reshape(arr.shape).copy())
             start += arr.size
 
-    @property
-    def num_params(self) -> int:
-        return sum(getattr(self, name).size for name in self.params)
-
     # -- contract operations ----------------------------------------------
-    def forward(self, window: np.ndarray) -> np.ndarray:
-        w = self._check_window(window)
-        return self.forward_batch(w[None])[0]
-
-    def vjp(self, window: np.ndarray, cotangent: np.ndarray) -> VjpResult:
-        w = self._check_window(window)
-        c = np.asarray(cotangent, dtype=np.float64)
-        if c.shape != (self.n,):
-            raise ContractError(f"cotangent shape {c.shape} != ({self.n},)")
-        grad_theta, grad_input = self.vjp_batch(w[None], c[None])
-        return VjpResult(self.forward_batch(w[None])[0], grad_theta, grad_input[0])
-
     def forward_batch(self, windows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def vjp_batch(self, windows, cotangents) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
-
-    def _check_window(self, window) -> np.ndarray:
-        w = np.asarray(window, dtype=np.float64)
-        if w.shape != (self.history, self.n):
-            raise ContractError(
-                f"window shape {w.shape} != ({self.history}, {self.n})"
-            )
-        return w
 
     # -- serialization ------------------------------------------------------
     def to_blob(self) -> dict:
@@ -144,12 +111,11 @@ class GraphFilterAR(Forecaster):
     params = ("tap_self", "tap_hop", "bias")
 
     def __init__(self, history: int, propagation: np.ndarray, seed: int = 0):
-        prop = np.asarray(propagation, dtype=np.float64)
+        prop = readonly(np.array(propagation, dtype=np.float64))
         if prop.ndim != 2 or prop.shape[0] != prop.shape[1]:
             raise ValidationError("propagation matrix must be square")
         super().__init__(history, prop.shape[0])
-        self.propagation = prop.copy()
-        self.propagation.flags.writeable = False
+        self.propagation = prop
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(2 * history)
         self.tap_self = rng.uniform(-scale, scale, size=history)

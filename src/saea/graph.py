@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_float_rows
+from .data import readonly, write_float_rows
 from .errors import ParseError, UnsupportedOrderError, ValidationError
 
 # |entry| at or below this counts as a structural zero; float noise must not
@@ -19,24 +19,10 @@ from .errors import ParseError, UnsupportedOrderError, ValidationError
 SUPPORT_TOL = 1e-12
 
 
-def _validate_adjacency(adjacency) -> np.ndarray:
-    w = np.array(adjacency, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValidationError(f"adjacency must be square, got shape {w.shape}")
-    if w.shape[0] == 0:
-        raise ValidationError("adjacency must have at least one node")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("adjacency contains non-finite entries")
-    if np.any(w < 0):
-        raise ValidationError("adjacency weights must be nonnegative")
-    if np.any(np.abs(np.diag(w)) > SUPPORT_TOL):
-        raise ValidationError("adjacency may not contain self-loops (nonzero diagonal)")
-    return w
-
-
 @dataclass(frozen=True)
 class SensorGraph:
-    """Weighted sensor network: a dense float64 (n, n) adjacency, read-only.
+    """Weighted sensor network: a dense float64 (n, n) adjacency, square,
+    finite, nonnegative and without self-loops, stored as a read-only copy.
 
     Matrices derived from it (normalized adjacency and Laplacian) are
     computed by the functions below when needed.
@@ -44,11 +30,19 @@ class SensorGraph:
 
     adjacency: np.ndarray
 
-    @classmethod
-    def from_adjacency(cls, adjacency) -> "SensorGraph":
-        w = _validate_adjacency(adjacency)
-        w.flags.writeable = False
-        return cls(adjacency=w)
+    def __post_init__(self):
+        w = readonly(np.array(self.adjacency, dtype=np.float64))
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValidationError(f"adjacency must be square, got shape {w.shape}")
+        if w.shape[0] == 0:
+            raise ValidationError("adjacency must have at least one node")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("adjacency contains non-finite entries")
+        if np.any(w < 0):
+            raise ValidationError("adjacency weights must be nonnegative")
+        if np.any(np.abs(np.diag(w)) > SUPPORT_TOL):
+            raise ValidationError("adjacency may not contain self-loops (nonzero diagonal)")
+        object.__setattr__(self, "adjacency", w)
 
     @property
     def n(self) -> int:
@@ -59,14 +53,15 @@ class SensorGraph:
 class StructuralMask:
     """Binary matrix: 1 marks pairs farther apart than `order` hops, 0 otherwise.
 
-    The diagonal is always 0 (self-dependence is never penalized).
+    The diagonal is always 0 (self-dependence is never penalized). The
+    mask is stored as a read-only view of the array given.
     """
 
     order: int
     mask: np.ndarray
 
     def __post_init__(self):
-        self.mask.flags.writeable = False
+        object.__setattr__(self, "mask", readonly(self.mask))
 
 
 def normalized_laplacian(graph: SensorGraph) -> np.ndarray:
@@ -112,7 +107,7 @@ def structural_mask(graph: SensorGraph, order: int) -> StructuralMask:
 
 def load_adjacency_csv(path) -> SensorGraph:
     """Read a headerless N x N CSV of nonnegative weights into a SensorGraph."""
-    return SensorGraph.from_adjacency(load_matrix_csv(path, "adjacency"))
+    return SensorGraph(load_matrix_csv(path, "adjacency"))
 
 
 def load_matrix_csv(path, what: str) -> np.ndarray:

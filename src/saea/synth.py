@@ -14,7 +14,7 @@ pins the bundle bit-for-bit on a given numpy version.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ def path_graph(n: int) -> SensorGraph:
     idx = np.arange(n - 1)
     w[idx, idx + 1] = 1.0
     w[idx + 1, idx] = 1.0
-    return SensorGraph.from_adjacency(w)
+    return SensorGraph(w)
 
 
 def ring_graph(n: int) -> SensorGraph:
@@ -40,7 +40,7 @@ def ring_graph(n: int) -> SensorGraph:
     idx = np.arange(n)
     w[idx, (idx + 1) % n] = 1.0
     w[(idx + 1) % n, idx] = 1.0
-    return SensorGraph.from_adjacency(w)
+    return SensorGraph(w)
 
 
 def erdos_renyi_graph(n: int, p_edge: float, seed: int = 0) -> SensorGraph:
@@ -51,7 +51,7 @@ def erdos_renyi_graph(n: int, p_edge: float, seed: int = 0) -> SensorGraph:
     upper = rng.random((n, n)) < p_edge
     w = np.triu(upper, k=1).astype(np.float64)
     w = w + w.T
-    return SensorGraph.from_adjacency(w)
+    return SensorGraph(w)
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,6 @@ class GraphSpec:
                 raise ValidationError("erdos_renyi graph needs p_edge")
             return erdos_renyi_graph(self.n, self.p_edge, seed=self.seed)
         raise ValidationError(f"unknown graph kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "p_edge": self.p_edge,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -106,7 +98,7 @@ class SynthConfig:
     def to_dict(self) -> dict:
         sigma = self.sigma
         return {
-            "graph": self.graph.to_dict(),
+            "graph": asdict(self.graph),
             "steps": self.steps,
             "dgp_self": [float(c) for c in self.dgp_self],
             "dgp_hop": [float(c) for c in self.dgp_hop],

@@ -78,8 +78,9 @@ class TrainReport:
     epochs_run: int = 0
 
 
-def rmsprop_step(params, grads, state, lr, rho: float = RMSPROP_RHO, eps: float = RMSPROP_EPS):
-    """One RMSProp update; returns (new_params, new_state).
+def rmsprop_step(params, grads, state, lr):
+    """One RMSProp update; returns (new_params, new_state). With
+    rho = RMSPROP_RHO and eps = RMSPROP_EPS:
 
     state <- rho*state + (1-rho)*grads^2
     params <- params - lr * grads / sqrt(state + eps)
@@ -89,8 +90,8 @@ def rmsprop_step(params, grads, state, lr, rho: float = RMSPROP_RHO, eps: float 
     state = np.asarray(state, dtype=np.float64)
     if params.shape != grads.shape or params.shape != state.shape:
         raise ValidationError("params, grads, and state must share a shape")
-    new_state = rho * state + (1.0 - rho) * grads * grads
-    new_params = params - lr * grads / np.sqrt(new_state + eps)
+    new_state = RMSPROP_RHO * state + (1.0 - RMSPROP_RHO) * grads * grads
+    new_params = params - lr * grads / np.sqrt(new_state + RMSPROP_EPS)
     return new_params, new_state
 
 

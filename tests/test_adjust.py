@@ -146,8 +146,19 @@ def test_regularize_low_rank_frobenius_sum():
 def test_regularize_low_rank_sparse_beta_weighting():
     em = ErrorModel("low_rank_sparse", 2, rank=1)
     em.payload["sparse"][0] = [[1.0, 0.0], [0.0, -1.0]]
-    value, _ = regularize(em, RegularizerConfig(alpha=10.0, beta=1000.0))
-    assert value == pytest.approx(200.0)  # (beta/alpha) * l1 = 100 * 2
+    value, grads = regularize(em, RegularizerConfig(alpha=10.0, beta=1000.0))
+    assert value == pytest.approx(2000.0)  # beta * l1 = 1000 * 2
+    assert_array_equal(grads["sparse"][0], [[1000.0, 0.0], [0.0, -1000.0]])
+
+
+def test_regularize_low_rank_sparse_zero_alpha_keeps_beta():
+    em = ErrorModel("low_rank_sparse", 2, rank=1)
+    em.payload["left"][0] = [[3.0], [4.0]]
+    em.payload["sparse"][0] = np.ones((2, 2))
+    value, grads = regularize(em, RegularizerConfig(alpha=0.0, beta=1000.0))
+    assert value == 4000.0
+    assert_array_equal(grads["sparse"][0], np.full((2, 2), 1000.0))
+    assert_array_equal(grads["left"], np.zeros_like(grads["left"]))
 
 
 def test_regularize_sums_over_lags():
@@ -289,13 +300,13 @@ def test_predict_zero_phi_equals_forward():
     model = NodeAR(3, 2, seed=1)
     w = rng.normal(size=(3, 2))
     em = ErrorModel("sparse_full", 2)
-    assert_array_equal(saea_predict(model, em, w), model.forward(w))
-    assert_array_equal(saea_predict(model, None, w), model.forward(w))
+    assert_array_equal(saea_predict(model, em, w), model.forward_batch(w[None])[0])
+    assert_array_equal(saea_predict(model, None, w), model.forward_batch(w[None])[0])
 
 
 def test_predict_zero_model_is_anchor_term():
     model = NodeAR(2, 2, seed=0)
-    model.set_params(np.zeros(model.num_params))
+    model.set_params(np.zeros(model.get_params().size))
     em = ErrorModel("sparse_full", 2)
     phi = np.array([[0.3, -0.1], [0.2, 0.5]])
     em.payload["matrix"][0] = phi
@@ -326,7 +337,7 @@ def test_predict_is_anchors_plus_forward_of_derived_transform():
         lags = range(1, var_order + 1)
         anchors = sum(phis[k - 1] @ w[k - 1] for k in lags)
         transform = w - sum(shift_with_mean(w, k) @ phis[k - 1].T for k in lags)
-        expected = anchors + model.forward(transform)
+        expected = anchors + model.forward_batch(transform[None])[0]
         assert np.max(np.abs(saea_predict(model, em, w) - expected)) < 1e-10
 
 
@@ -511,7 +522,7 @@ def test_loss_nan_raises_divergence():
 
     batch = random_batch()
     model = NodeAR(3, 4, seed=0)
-    model.set_params(np.full(model.num_params, np.inf))
+    model.set_params(np.full(model.get_params().size, np.inf))
     with pytest.raises(DivergenceError):
         saea_loss(model, None, RegularizerConfig(alpha=0.0), batch)
 
@@ -599,6 +610,26 @@ def test_clone_is_independent():
 
 
 def test_error_model_blob_roundtrip_with_mask_hash():
+    # every kind keeps its payload shapes (p = 2, n = 5, k = 2) through a blob
+    shapes = {
+        "scalar": {"coef": (2,)},
+        "diagonal": {"diag": (2, 5)},
+        "sparse_full": {"matrix": (2, 5, 5)},
+        "low_rank": {"left": (2, 5, 2), "right": (2, 2, 5)},
+        "low_rank_sparse": {"left": (2, 5, 2), "right": (2, 2, 5), "sparse": (2, 5, 5)},
+        "structural": {"matrix": (2, 5, 5)},
+    }
+    for kind in ALL_KINDS:
+        assert {k: v.shape for k, v in make_em(kind, 5, var_order=2).payload.items()} == shapes[kind]
+        em = make_em(kind, 5, var_order=2, randomize=4)
+        blob = em.to_blob()
+        again = ErrorModel.from_blob(blob)
+        for name, arr in em.payload.items():
+            assert_array_equal(again.payload[name], arr)
+        for name in shapes[kind]:
+            short = {**blob, "payload": {**blob["payload"], name: blob["payload"][name][:1]}}
+            with pytest.raises(ConfigurationError):
+                ErrorModel.from_blob(short)
     g = ring_graph(5)
     em = make_em("structural", 5, graph=g, randomize=2)
     blob = em.to_blob()

@@ -500,6 +500,36 @@ def test_unreadable_input_files_fail_with_one_json_line(tmp_path, capsys, argv, 
     assert named.format(**paths) in parsed["message"]
 
 
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("normalizer", [], "'normalizer'"),
+        ("normalizer", {"mode": "zscore", "mean": "x", "std": [1.0, 1.0]}, "'mean'"),
+        ("horizon_step", "x", "'horizon_step'"),
+        ("step_minutes", "x", "'step_minutes'"),
+    ],
+    ids=["normalizer-list", "zscore-mean-string", "horizon-step-string", "step-minutes-string"],
+)
+def test_malformed_checkpoint_run_fields_fail_with_one_json_line(
+    tmp_path, capsys, field, value, named
+):
+    from saea.forecaster import NodeAR
+
+    series = tmp_path / "series.csv"
+    series.write_text("a,b\n" + "1.0,2.0\n" * 30)
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, NodeAR(3, 2), None, extra={field: value})
+    argv = ["eval", "--checkpoint", str(ckpt), "--series", str(series)]
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    parsed = json.loads(err)
+    assert parsed["error"] == "ValidationError" and named in parsed["message"]
+    # an absent field keeps its default, and step_minutes may be a JSON integer
+    save_checkpoint(ckpt, NodeAR(3, 2), None, extra={"step_minutes": 5})
+    assert run([*argv, "--out", str(tmp_path / "ok")]) == 0
+
+
 def test_eval_uses_the_split_recorded_at_training(tmp_path, capsys):
     bundle = make_bundle_dir(tmp_path)
     out = tmp_path / "run"

@@ -315,7 +315,7 @@ def test_shift_with_mean_batched_matches_loop():
 def test_normalizer_zscore_train_stats():
     rng = np.random.default_rng(3)
     values = rng.normal(5.0, 3.0, size=(500, 4))
-    norm = Normalizer("zscore").fit(values)
+    norm = Normalizer.fit("zscore", values)
     z = norm.transform(values)
     assert_allclose(z.mean(axis=0), np.zeros(4), atol=1e-8)
     assert_allclose(z.std(axis=0), np.ones(4), atol=1e-8)
@@ -325,24 +325,37 @@ def test_normalizer_zscore_train_stats():
 
 def test_normalizer_constant_sensor_unit_std():
     values = np.column_stack([np.full(50, 7.0), np.arange(50.0)])
-    norm = Normalizer("zscore").fit(values)
-    assert norm.std_[0] == 1.0
+    norm = Normalizer.fit("zscore", values)
+    assert norm.std[0] == 1.0
     assert_allclose(norm.inverse(norm.transform(values)), values, atol=1e-10)
 
 
 def test_normalizer_none_mode_passthrough():
     values = np.arange(10.0).reshape(5, 2)
-    norm = Normalizer("none")
+    norm = Normalizer.fit("none", values)
+    assert norm.mean is None and norm.std is None
+    assert np.shares_memory(norm.transform(values), values)
+    assert np.shares_memory(norm.inverse(values), values)
     assert_array_equal(norm.transform(values), values)
+    assert Normalizer.from_blob(norm.to_blob()) == Normalizer()
     with pytest.raises(ValidationError):
-        Normalizer("minmax")
+        Normalizer.fit("minmax", values)
+
+
+def test_normalizer_zscore_is_the_plain_formula():
+    x = np.random.default_rng(6).normal(3.0, 2.0, size=(40, 3))
+    norm = Normalizer.fit("zscore", x[:30])
+    assert_array_equal(norm.transform(x), (x - norm.mean) / norm.std)
+    assert_array_equal(norm.inverse(x), x * norm.std + norm.mean)
 
 
 def test_normalizer_blob_roundtrip():
     values = np.random.default_rng(5).normal(size=(30, 2))
-    norm = Normalizer("zscore").fit(values)
-    again = Normalizer.from_blob(norm.to_blob())
-    assert_allclose(again.transform(values), norm.transform(values), atol=1e-15)
+    norm = Normalizer.fit("zscore", values)
+    blob = norm.to_blob()
+    assert blob == {"mode": "zscore", "mean": norm.mean.tolist(), "std": norm.std.tolist()}
+    again = Normalizer.from_blob(blob)
+    assert_array_equal(again.transform(values), norm.transform(values))
 
 
 def test_frame_rejects_nonfinite_and_bad_shapes():

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from _helpers import central_diff, max_rel_err
+from saea.adjust import saea_predict
 from saea.errors import ContractError, ValidationError
 from saea.forecaster import (
     MLP1,
@@ -29,16 +30,16 @@ def all_models(seed=0, hidden=64):
 
 def test_nodear_zero_weights_zero_prediction():
     model = NodeAR(3, 2, seed=0)
-    model.set_params(np.zeros(model.num_params))
-    window = np.random.default_rng(0).normal(size=(3, 2))
-    assert_array_equal(model.forward(window), np.zeros(2))
+    model.set_params(np.zeros(model.get_params().size))
+    windows = np.random.default_rng(0).normal(size=(1, 3, 2))
+    assert_array_equal(model.forward_batch(windows), np.zeros((1, 2)))
 
 
 def test_nodear_identity_persistence():
     model = NodeAR(1, 3, seed=0)
     model.set_params(np.concatenate([np.ones(3), np.zeros(3)]))
-    window = np.array([[2.0, -1.0, 0.5]])
-    assert_array_equal(model.forward(window), window[0])
+    windows = np.array([[[2.0, -1.0, 0.5]]])
+    assert_array_equal(model.forward_batch(windows), windows[:, 0])
 
 
 def test_graphfilter_hand_matrix_product():
@@ -57,7 +58,7 @@ def test_graphfilter_hand_matrix_product():
         + 2.0 * a_hat @ window[1]
         + bias
     )
-    assert_allclose(model.forward(window), expected, atol=1e-14)
+    assert_allclose(model.forward_batch(window[None])[0], expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("model_idx", [0, 1, 2])
@@ -66,48 +67,48 @@ def test_vjp_matches_finite_differences_20_seeds(model_idx):
     for seed in range(20):
         model = all_models(seed=seed)[model_idx]
         rng = np.random.default_rng(1000 + seed)
-        window = rng.normal(size=(H, N))
-        cot = rng.normal(size=N)
-        res = model.vjp(window, cot)
+        window = rng.normal(size=(1, H, N))
+        cot = rng.normal(size=(1, N))
+        grad_theta, grad_input = model.vjp_batch(window, cot)
 
         theta0 = model.get_params()
 
         def loss_theta(theta):
             model.set_params(theta)
-            out = float(cot @ model.forward(window))
+            out = float(np.sum(cot * model.forward_batch(window)))
             model.set_params(theta0)
             return out
 
         fd_theta = central_diff(loss_theta, theta0)
-        worst_theta = max(worst_theta, max_rel_err(res.grad_theta, fd_theta))
+        worst_theta = max(worst_theta, max_rel_err(grad_theta, fd_theta))
 
         def loss_input(flat):
-            return float(cot @ model.forward(flat.reshape(H, N)))
+            return float(np.sum(cot * model.forward_batch(flat.reshape(1, H, N))))
 
-        fd_input = central_diff(loss_input, window.ravel()).reshape(H, N)
-        worst_input = max(worst_input, max_rel_err(res.grad_input, fd_input))
+        fd_input = central_diff(loss_input, window.ravel()).reshape(1, H, N)
+        worst_input = max(worst_input, max_rel_err(grad_input, fd_input))
     assert worst_theta < 1e-4
     assert worst_input < 1e-4
 
 
 def test_vjp_batch_equals_single_window_vjps():
+    # B windows at once against B batches of one
     rng = np.random.default_rng(11)
     windows = rng.normal(size=(7, H, N))
     cots = rng.normal(size=(7, N))
     for model in all_models(seed=4):
         grad_theta, grad_input = model.vjp_batch(windows, cots)
-        singles = [model.vjp(w, c) for w, c in zip(windows, cots)]
-        summed = np.sum([r.grad_theta for r in singles], axis=0)
+        singles = [model.vjp_batch(windows[b : b + 1], cots[b : b + 1]) for b in range(7)]
+        summed = np.sum([theta for theta, _ in singles], axis=0)
         assert_allclose(grad_theta, summed, rtol=1e-12, atol=1e-14)
-        assert_allclose(grad_input, np.stack([r.grad_input for r in singles]), rtol=1e-12, atol=1e-14)
-        assert_allclose(np.stack([r.value for r in singles]), model.forward_batch(windows), atol=1e-14)
+        assert_allclose(grad_input, np.concatenate([g for _, g in singles]), rtol=1e-12, atol=1e-14)
 
 
 def test_graphfilter_matches_per_lag_propagation_reference():
     b, h, n = 7, 5, 50
     model = GraphFilterAR.from_graph(h, erdos_renyi_graph(n, 0.2, seed=3), seed=8)
     rng = np.random.default_rng(12)
-    model.set_params(model.get_params() + rng.normal(size=model.num_params))
+    model.set_params(model.get_params() + rng.normal(size=model.get_params().size))
     windows = rng.normal(size=(b, h, n))
     cots = rng.normal(size=(b, n))
     # the formulas the model was first written with: propagate every lag
@@ -130,10 +131,10 @@ def test_graphfilter_matches_per_lag_propagation_reference():
 
 def test_vjp_zero_cotangent_zero_gradients():
     for model in all_models():
-        window = np.random.default_rng(1).normal(size=(H, N))
-        res = model.vjp(window, np.zeros(N))
-        assert_array_equal(res.grad_theta, np.zeros(model.num_params))
-        assert_array_equal(res.grad_input, np.zeros((H, N)))
+        windows = np.random.default_rng(1).normal(size=(2, H, N))
+        grad_theta, grad_input = model.vjp_batch(windows, np.zeros((2, N)))
+        assert_array_equal(grad_theta, np.zeros(model.get_params().size))
+        assert_array_equal(grad_input, np.zeros((2, H, N)))
 
 
 def test_linear_models_are_linear_with_zero_bias():
@@ -142,10 +143,10 @@ def test_linear_models_are_linear_with_zero_bias():
         theta = model.get_params()
         theta[-N:] = 0.0  # bias is the trailing block for both linear models
         model.set_params(theta)
-        x, y = rng.normal(size=(2, H, N))
+        x, y = rng.normal(size=(2, 1, H, N))
         a, b = 1.7, -0.6
-        lhs = model.forward(a * x + b * y)
-        rhs = a * model.forward(x) + b * model.forward(y)
+        lhs = model.forward_batch(a * x + b * y)
+        rhs = a * model.forward_batch(x) + b * model.forward_batch(y)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -153,8 +154,8 @@ def test_linear_models_grad_input_window_independent():
     rng = np.random.default_rng(3)
     cot = rng.normal(size=N)
     for model in all_models()[:2]:
-        g1 = model.vjp(rng.normal(size=(H, N)), cot).grad_input
-        g2 = model.vjp(rng.normal(size=(H, N)), cot).grad_input
+        g1 = model.vjp_batch(rng.normal(size=(1, H, N)), cot[None])[1]
+        g2 = model.vjp_batch(rng.normal(size=(1, H, N)), cot[None])[1]
         assert_allclose(g1, g2, atol=1e-14)
 
 
@@ -165,11 +166,11 @@ def test_deterministic_construction_from_seed():
 
 def test_param_roundtrip_preserves_forward():
     rng = np.random.default_rng(4)
-    window = rng.normal(size=(H, N))
+    windows = rng.normal(size=(3, H, N))
     for model in all_models(seed=2):
-        before = model.forward(window)
+        before = model.forward_batch(windows)
         model.set_params(model.get_params())
-        assert_array_equal(model.forward(window), before)
+        assert_array_equal(model.forward_batch(windows), before)
 
 
 def test_forward_batch_matches_single():
@@ -178,30 +179,29 @@ def test_forward_batch_matches_single():
     for model in all_models(seed=3):
         batch = model.forward_batch(windows)
         for b in range(7):
-            assert_allclose(batch[b], model.forward(windows[b]), atol=1e-14)
+            assert_allclose(batch[b], model.forward_batch(windows[b : b + 1])[0], atol=1e-14)
 
 
 def test_contract_errors_on_shape_mismatch():
     model = NodeAR(3, 2, seed=0)
-    with pytest.raises(ContractError):
-        model.forward(np.zeros((2, 2)))
-    with pytest.raises(ContractError):
-        model.vjp(np.zeros((3, 2)), np.zeros(3))
+    for window in (np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((1, 3, 2))):
+        with pytest.raises(ContractError):
+            saea_predict(model, None, window)
     for model in all_models():
-        p = model.num_params
+        p = model.get_params().size
         for theta in (np.zeros(p - 1), np.zeros(p + 1), np.zeros((1, p))):
             with pytest.raises(ContractError):
                 model.set_params(theta)
 
 
 def test_set_params_copies_theta():
-    window = np.random.default_rng(8).normal(size=(H, N))
+    windows = np.random.default_rng(8).normal(size=(2, H, N))
     for model in all_models(seed=1):
         theta = model.get_params() + 0.1
         model.set_params(theta)
-        before = model.forward(window)
+        before = model.forward_batch(windows)
         theta[:] = 7.0
-        assert_array_equal(model.forward(window), before)
+        assert_array_equal(model.forward_batch(windows), before)
 
 
 class SquashedLastLag(Forecaster):
@@ -233,8 +233,8 @@ class SquashedLastLag(Forecaster):
 
 def test_custom_forecaster_declares_params_once():
     model = SquashedLastLag(H, N, seed=3)
-    assert model.num_params == N * N + 1 + N
-    theta = np.random.default_rng(9).normal(size=model.num_params)
+    assert model.get_params().shape == (N * N + 1 + N,)
+    theta = np.random.default_rng(9).normal(size=N * N + 1 + N)
     model.set_params(theta)
     assert_array_equal(model.get_params(), theta)
     assert model.mix.shape == (N, N) and model.scale.shape == (1,)
@@ -243,31 +243,31 @@ def test_custom_forecaster_declares_params_once():
     assert_array_equal(model.bias, theta[N * N + 1 :])
 
     rng = np.random.default_rng(10)
-    window, cot = rng.normal(size=(H, N)), rng.normal(size=N)
-    res = model.vjp(window, cot)
+    window, cot = rng.normal(size=(1, H, N)), rng.normal(size=(1, N))
+    grad_theta, grad_input = model.vjp_batch(window, cot)
 
     def loss_theta(t):
         model.set_params(t)
-        out = float(cot @ model.forward(window))
+        out = float(np.sum(cot * model.forward_batch(window)))
         model.set_params(theta)
         return out
 
     def loss_input(flat):
-        return float(cot @ model.forward(flat.reshape(H, N)))
+        return float(np.sum(cot * model.forward_batch(flat.reshape(1, H, N))))
 
-    assert max_rel_err(res.grad_theta, central_diff(loss_theta, theta)) < 1e-4
-    fd_input = central_diff(loss_input, window.ravel()).reshape(H, N)
-    assert max_rel_err(res.grad_input, fd_input) < 1e-4
+    assert max_rel_err(grad_theta, central_diff(loss_theta, theta)) < 1e-4
+    fd_input = central_diff(loss_input, window.ravel()).reshape(1, H, N)
+    assert max_rel_err(grad_input, fd_input) < 1e-4
 
 
 def test_checkpoint_blob_roundtrip():
     rng = np.random.default_rng(6)
-    window = rng.normal(size=(H, N))
+    windows = rng.normal(size=(3, H, N))
     for model in all_models(seed=7, hidden=9):
         blob = model.to_blob()
         assert blob["version"] == 1
         clone = forecaster_from_blob(blob)
-        assert_array_equal(clone.forward(window), model.forward(window))
+        assert_array_equal(clone.forward_batch(windows), model.forward_batch(windows))
 
 
 def test_checkpoint_requires_version():

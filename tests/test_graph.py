@@ -5,8 +5,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from saea.errors import ParseError, UnsupportedOrderError, ValidationError
+from saea.data import SeriesFrame
 from saea.graph import (
     SensorGraph,
+    StructuralMask,
     load_adjacency_csv,
     normalized_adjacency,
     normalized_laplacian,
@@ -20,44 +22,44 @@ K3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
 def test_no_edges_laplacian_is_zero():
-    g = SensorGraph.from_adjacency(np.zeros((3, 3)))
+    g = SensorGraph(np.zeros((3, 3)))
     assert_array_equal(normalized_laplacian(g), np.zeros((3, 3)))
 
 
 def test_path3_norm_laplacian_hand_values():
-    g = SensorGraph.from_adjacency(P3)
+    g = SensorGraph(P3)
     s = 1.0 / np.sqrt(2.0)
     expected = np.array([[1.0, -s, 0.0], [-s, 1.0, -s], [0.0, -s, 1.0]])
     assert_allclose(normalized_laplacian(g), expected, atol=1e-15)
 
 
 def test_k3_norm_laplacian_hand_values():
-    g = SensorGraph.from_adjacency(K3)
+    g = SensorGraph(K3)
     expected = np.full((3, 3), -0.5)
     np.fill_diagonal(expected, 1.0)
     assert_allclose(normalized_laplacian(g), expected, atol=1e-15)
 
 
 def test_graph_stores_only_its_read_only_adjacency():
-    g = SensorGraph.from_adjacency(P3)
+    g = SensorGraph(P3)
     assert [f.name for f in dataclasses.fields(g)] == ["adjacency"]
     assert g.n == 3
     assert not g.adjacency.flags.writeable
 
 
 def test_structural_mask_path3_order1():
-    g = SensorGraph.from_adjacency(P3)
+    g = SensorGraph(P3)
     expected = np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=float)
     assert_array_equal(structural_mask(g, 1).mask, expected)
 
 
 def test_structural_mask_k3_is_zero():
-    g = SensorGraph.from_adjacency(K3)
+    g = SensorGraph(K3)
     assert_array_equal(structural_mask(g, 1).mask, np.zeros((3, 3)))
 
 
 def test_structural_mask_path3_order2_zero():
-    g = SensorGraph.from_adjacency(P3)
+    g = SensorGraph(P3)
     assert_array_equal(structural_mask(g, 2).mask, np.zeros((3, 3)))
     assert_array_equal(bfs_mask_oracle(g, 2), np.zeros((3, 3)))
 
@@ -90,7 +92,7 @@ def test_symmetric_adjacency_gives_symmetric_outputs():
     rng = np.random.default_rng(0)
     weights = rng.uniform(0.5, 2.0, size=(15, 15))
     w = g.adjacency * (weights + weights.T)
-    g2 = SensorGraph.from_adjacency(w)
+    g2 = SensorGraph(w)
     assert_allclose(normalized_laplacian(g2), normalized_laplacian(g2).T, atol=1e-15)
     for order in (1, 2):
         m = structural_mask(g2, order).mask
@@ -100,7 +102,7 @@ def test_symmetric_adjacency_gives_symmetric_outputs():
 def test_isolated_node_conventions():
     w = np.zeros((4, 4))
     w[0, 1] = w[1, 0] = 1.0  # node 2, 3 isolated
-    g = SensorGraph.from_adjacency(w)
+    g = SensorGraph(w)
     lap = normalized_laplacian(g)
     assert_array_equal(lap[2], np.zeros(4))
     assert_array_equal(lap[:, 2], np.zeros(4))
@@ -110,7 +112,7 @@ def test_isolated_node_conventions():
 
 
 def test_normalized_adjacency_complement():
-    g = SensorGraph.from_adjacency(P3)
+    g = SensorGraph(P3)
     assert_allclose(
         normalized_adjacency(g) + normalized_laplacian(g), np.eye(3), atol=1e-15
     )
@@ -121,7 +123,7 @@ def test_weighted_entries_do_not_change_mask():
     rng = np.random.default_rng(2)
     weights = rng.uniform(0.1, 7.0, size=(12, 12))
     w = base.adjacency * (weights + weights.T)
-    g = SensorGraph.from_adjacency(w)
+    g = SensorGraph(w)
     assert_array_equal(structural_mask(g, 1).mask, structural_mask(base, 1).mask)
 
 
@@ -132,15 +134,27 @@ def test_weighted_entries_do_not_change_mask():
         np.array([[0.0, -1.0], [1.0, 0.0]]),  # negative weight
         np.eye(3),                            # self-loop
         np.array([[0.0, np.nan], [1.0, 0.0]]),
+        np.array([[1.0, -2.0], [np.nan, 0.0]]),
     ],
 )
 def test_invalid_adjacency_rejected(bad):
     with pytest.raises(ValidationError):
-        SensorGraph.from_adjacency(bad)
+        SensorGraph(bad)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [(SeriesFrame, "values"), (lambda a: StructuralMask(1, a), "mask"), (SensorGraph, "adjacency")],
+    ids=["SeriesFrame", "StructuralMask", "SensorGraph"],
+)
+def test_constructors_store_read_only_arrays_and_leave_the_callers(build, field):
+    given = np.zeros((3, 3))
+    stored = getattr(build(given), field)
+    assert given.flags.writeable and not stored.flags.writeable
 
 
 def test_unsupported_mask_order():
-    g = SensorGraph.from_adjacency(P3)
+    g = SensorGraph(P3)
     with pytest.raises(UnsupportedOrderError):
         structural_mask(g, 3)
     with pytest.raises(UnsupportedOrderError):
@@ -151,7 +165,7 @@ def test_adjacency_csv_roundtrip(tmp_path):
     g = erdos_renyi_graph(8, 0.4, seed=1)
     rng = np.random.default_rng(4)
     weights = rng.uniform(0.01, 3.0, size=(8, 8))
-    src = SensorGraph.from_adjacency(g.adjacency * (weights + weights.T))
+    src = SensorGraph(g.adjacency * (weights + weights.T))
     path = tmp_path / "adj.csv"
     save_adjacency_csv(src, path)
     loaded = load_adjacency_csv(path)

@@ -177,7 +177,7 @@ def test_metrics_invariant_under_normalization_roundtrip():
     rng = np.random.default_rng(10)
     truth = rng.normal(50.0, 8.0, size=(200, 4))
     preds = truth + rng.normal(0.0, 2.0, size=(200, 4))
-    norm = Normalizer("zscore").fit(truth)
+    norm = Normalizer.fit("zscore", truth)
     truth_round = norm.inverse(norm.transform(truth))
     preds_round = norm.inverse(norm.transform(preds))
     assert abs(rmse(truth, preds) - rmse(truth_round, preds_round)) < 1e-8

@@ -152,7 +152,7 @@ def test_bfs_oracle_order_at_least_diameter_is_zero():
 def test_bfs_oracle_edgeless_all_ones_offdiag():
     from saea.graph import SensorGraph
 
-    g = SensorGraph.from_adjacency(np.zeros((4, 4)))
+    g = SensorGraph(np.zeros((4, 4)))
     expected = np.ones((4, 4)) - np.eye(4)
     assert_array_equal(bfs_mask_oracle(g, 1), expected)
 

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -31,6 +32,7 @@ from .adjust import (
     DEFAULT_REGULARIZATION,
     KINDS,
     ErrorModel,
+    default_regularizer,
     predict_windows,
 )
 from .data import (
@@ -56,7 +58,7 @@ from .graph import (
     save_adjacency_csv,
     structural_mask,
 )
-from .metrics import mape, residual_report, rmse
+from .metrics import accuracy, residual_report
 from .synth import GraphSpec, SynthConfig, generate
 from .train import OPTIMIZERS, TrainConfig, fit, load_checkpoint_blob
 
@@ -80,8 +82,8 @@ TRAIN_FIELDS = {
     "step_min": (float, 5.0, None),
     "history": (int, 12, None),
     "epochs": (int, TrainConfig.epochs, None),
-    "lr": (float, TrainConfig.learning_rate, None),
-    "batch": (int, TrainConfig.batch_size, None),
+    "lr": (float, TrainConfig.lr, None),
+    "batch": (int, TrainConfig.batch, None),
     "seed": (int, TrainConfig.seed, None),
     "optimizer": (str, TrainConfig.optimizer, OPTIMIZERS),
     "train_frac": (float, 0.7, None),
@@ -196,9 +198,11 @@ def write_manifest(out_dir, command, config, seed, inputs, outputs) -> None:
 
 
 def build_error_model(config: dict, n: int, graph: SensorGraph | None) -> ErrorModel | None:
+    """The kind's untrained error model; building it and its penalty check the settings."""
     kind = config["kind"]
     if kind == "none":
         return None
+    default_regularizer(kind, alpha=config["alpha"], beta=config["beta"])
     mask = structural_mask(graph, config["mask_order"]) if kind == "structural" else None
     return ErrorModel.for_training(
         kind, n, var_order=config["var_order"], rank=config["rank"], mask=mask, seed=config["seed"]
@@ -206,26 +210,17 @@ def build_error_model(config: dict, n: int, graph: SensorGraph | None) -> ErrorM
 
 
 def _train_config(config: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=config["epochs"],
-        learning_rate=config["lr"],
-        batch_size=config["batch"],
-        optimizer=config["optimizer"],
-        alpha=config["alpha"],
-        beta=config["beta"],
-        seed=config["seed"],
-        grad_clip=config["grad_clip"],
-    )
+    return TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)})
 
 
-def _fit_each(frame: SeriesFrame, graph: SensorGraph | None, config: dict, kind_configs, horizons):
+def _fit_each(frame: SeriesFrame, graph: SensorGraph | None, config: dict, runs, horizons):
     """The per-horizon training loop of train and compare.
 
     The series is split and normalized once per command; each horizon's
     train/val/test windows are built once and replaced by the next
-    horizon's, and one model is fitted on them per entry of kind_configs
-    (config with the kind and its regularization defaults resolved). Yields
-    (kind config, horizon minutes, horizon step, report, test windows,
+    horizon's, and one model is fitted on them per (kind config, error
+    model) of runs, starting from a copy of the error model. Yields (kind
+    config, horizon minutes, horizon step, report, test windows,
     normalizer), horizons outermost.
     """
     parts = chronological_split(frame, config["train_frac"], config["val_frac"])
@@ -233,7 +228,7 @@ def _fit_each(frame: SeriesFrame, graph: SensorGraph | None, config: dict, kind_
     parts = [SeriesFrame(normalizer.transform(f.values), f.step_minutes) for f in parts]
     for minutes, horizon_step in horizons:
         train_ws, val_ws, test_ws = (make_windows(f, config["history"], horizon_step) for f in parts)
-        for kind_config in kind_configs:
+        for kind_config, untrained in runs:
             model = build_forecaster(
                 kind_config["model"],
                 kind_config["history"],
@@ -242,7 +237,7 @@ def _fit_each(frame: SeriesFrame, graph: SensorGraph | None, config: dict, kind_
                 graph=graph,
                 hidden=kind_config["hidden"],
             )
-            em = build_error_model(kind_config, frame.num_sensors, graph)
+            em = untrained.clone() if untrained is not None else None
             report = fit(model, em, _train_config(kind_config), train_ws, val_ws)
             yield kind_config, minutes, horizon_step, report, test_ws, normalizer
 
@@ -251,9 +246,7 @@ def _score(blob: dict, test_ws, normalizer: Normalizer) -> dict:
     """Test accuracy of a checkpoint blob, in original units."""
     model, em = load_checkpoint_blob(blob)
     truth = normalizer.inverse(test_ws.targets)
-    guess = normalizer.inverse(predict_windows(model, em, test_ws))
-    pct, masked = mape(truth, guess)
-    return {"mape_percent": pct, "mape_masked_count": masked, "rmse": rmse(truth, guess)}
+    return accuracy(truth, normalizer.inverse(predict_windows(model, em, test_ws)))
 
 
 def _checkpoint_split(blob: dict, args) -> tuple[float, float]:
@@ -261,7 +254,8 @@ def _checkpoint_split(blob: dict, args) -> tuple[float, float]:
     the fraction the checkpoint records; without either, the TRAIN_FIELDS default."""
     fracs = []
     for name in ("train_frac", "val_frac"):
-        given, recorded = getattr(args, name), blob.get(name)
+        given = getattr(args, name)
+        recorded = blob_field(blob, name, float) if name in blob else None
         if given is None:
             given = TRAIN_FIELDS[name][1] if recorded is None else recorded
         elif recorded is not None and given != recorded:
@@ -283,7 +277,14 @@ def _eval_checkpoint(args):
     normalizer = Normalizer.from_blob(blob_field(blob, "normalizer", dict))
     horizon_step = blob_field(blob, "horizon_step", int)
     fracs = _checkpoint_split(blob, args)
+    n = model.n
+    for name in ("mean", "std"):
+        values = getattr(normalizer, name)
+        if values is not None and values.shape != (n,):
+            raise ValidationError(f"normalizer field {name!r} has {values.size} values, not {n}")
     frame = ingest_csv(args.series, step_minutes=blob_field(blob, "step_minutes", float))
+    if frame.num_sensors != n:
+        raise ValidationError(f"series has {frame.num_sensors} sensors, but the model's n is {n}")
     part = dict(zip(("train", "val", "test"), chronological_split(frame, *fracs)))[args.split]
     part_n = SeriesFrame(normalizer.transform(part.values), part.step_minutes)
     ws = make_windows(part_n, model.history, horizon_step)
@@ -351,8 +352,7 @@ KIND_SETTINGS = ("kind", "alpha", "beta", "rank")
 def _kind_config(config: dict, kind: str, n: int) -> dict:
     """config for one kind with the alpha/beta/rank it uses filled in from
     the kind's built-in defaults, and the ones it does not use set to None,
-    so the manifest records the settings actually used. A negative alpha or
-    beta, or a rank outside [1, n], is rejected."""
+    so the manifest records the settings actually used."""
     defaults = DEFAULT_REGULARIZATION.get(kind, {})
     kind_config = {**config, "kind": kind}
     for name in KIND_SETTINGS[1:]:
@@ -360,19 +360,14 @@ def _kind_config(config: dict, kind: str, n: int) -> dict:
             kind_config[name] = None
         elif kind_config[name] is None:
             kind_config[name] = min(defaults[name], n) if name == "rank" else defaults[name]
-        elif name != "rank" and kind_config[name] < 0:
-            raise ValidationError(f"{kind} {name} must be >= 0, got {kind_config[name]}")
-    rank = kind_config["rank"]
-    if rank is not None and not 1 <= rank <= n:
-        raise ConfigurationError(f"{kind} rank must be in [1, {n}], got {rank}")
     return kind_config
 
 
 def _prepare_run(args, kinds=None):
-    """The prologue of train and compare: (resolved config, one resolved
-    config per kind, series, graph, horizons, manifest input files). kinds
-    are the error-model kinds to be trained, by default the config's kind;
-    all settings are checked here, before any training."""
+    """The prologue of train and compare: (resolved config, one (resolved
+    config, untrained error model) pair per kind, series, graph, horizons,
+    manifest input files). kinds default to the config's kind; all settings
+    are checked here, before any training."""
     config = resolve_config(args, read_config_file(args.config) if args.config else {})
     if not 1 <= config["var_order"] <= config["history"]:
         raise ValidationError(
@@ -383,19 +378,21 @@ def _prepare_run(args, kinds=None):
     if graph is None and "structural" in kinds:
         raise ConfigurationError("structural kind requires --adjacency")
     kind_configs = [_kind_config(config, kind, frame.num_sensors) for kind in kinds]
+    runs = [(kc, build_error_model(kc, frame.num_sensors, graph)) for kc in kind_configs]
     horizons = parse_horizons(config["horizon_min"], config["step_min"])
     os.makedirs(args.out, exist_ok=True)
     inputs = [args.series] + ([args.adjacency] if args.adjacency else [])
     if args.config:
         inputs.append(args.config)
-    return config, kind_configs, frame, graph, horizons, inputs
+    return config, runs, frame, graph, horizons, inputs
 
 
 def cmd_train(args) -> int:
-    _, (config,), frame, graph, horizons, inputs = _prepare_run(args)
+    _, runs, frame, graph, horizons, inputs = _prepare_run(args)
+    ((config, _),) = runs
     all_metrics, outputs = [], []
     for _, minutes, horizon_step, report, test_ws, normalizer in _fit_each(
-        frame, graph, config, [config], horizons
+        frame, graph, config, runs, horizons
     ):
         extra = {
             "horizon_step": horizon_step,
@@ -453,13 +450,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     truth, preds, horizon_step, (train_frac, val_frac) = _eval_checkpoint(args)
-    pct, masked = mape(truth, preds)
     payload = {
         "split": args.split,
         "horizon_step": horizon_step,
-        "mape_percent": pct,
-        "mape_masked_count": masked,
-        "rmse": rmse(truth, preds),
+        **accuracy(truth, preds),
         "num_windows": int(truth.shape[0]),
     }
     os.makedirs(args.out, exist_ok=True)
@@ -472,7 +466,7 @@ def cmd_eval(args) -> int:
         inputs=[args.checkpoint, args.series],
         outputs=["metrics.json"],
     )
-    print(f"{args.split} RMSE {payload['rmse']:.6g}, MAPE {pct:.4g}%")
+    print(f"{args.split} RMSE {payload['rmse']:.6g}, MAPE {payload['mape_percent']:.4g}%")
     return 0
 
 
@@ -505,10 +499,10 @@ def cmd_compare(args) -> int:
             raise ValidationError(f"unknown kind {kind!r}; expected subset of {ALL_KINDS}")
     if len(set(kinds)) != len(kinds):
         raise ValidationError(f"--kinds lists a kind twice: {args.kinds}")
-    config, kind_configs, frame, graph, horizons, inputs = _prepare_run(args, kinds)
+    config, runs, frame, graph, horizons, inputs = _prepare_run(args, kinds)
     rows = {kind: [] for kind in kinds}  # filled horizon-major, written kind-major
     for kind_config, minutes, _, report, test_ws, normalizer in _fit_each(
-        frame, graph, config, kind_configs, horizons
+        frame, graph, config, runs, horizons
     ):
         selected = report.best_checkpoint if config["select"] == "best" else report.final_checkpoint
         chosen = _score(selected, test_ws, normalizer)
@@ -539,7 +533,7 @@ def cmd_compare(args) -> int:
         "compare",
         {
             **{k: v for k, v in config.items() if k not in KIND_SETTINGS},
-            "kinds": [{k: kc[k] for k in KIND_SETTINGS} for kc in kind_configs],
+            "kinds": [{k: kc[k] for k in KIND_SETTINGS} for kc, _ in runs],
         },
         config["seed"],
         inputs,

@@ -54,8 +54,8 @@ class WindowSet:
     """Supervised windows for direct step-p forecasting.
 
     inputs[b, h] is the observation h+1 steps before the forecast origin of
-    window b (newest lag first); targets[b] is the observation horizon_step
-    steps past the origin. Both are read-only views of the arrays given
+    window b (newest lag first); targets[b] is the observation the window
+    forecasts. Both are read-only views of the arrays given
     (make_windows passes views of the series, so no window is copied);
     take() gathers a C-contiguous subset. The shifted windows and the
     anchors that the adjustment reads are derived from inputs on access.
@@ -63,7 +63,6 @@ class WindowSet:
 
     inputs: np.ndarray   # (B, H, N)
     targets: np.ndarray  # (B, N)
-    horizon_step: int
 
     def __post_init__(self):
         for name in ("inputs", "targets"):
@@ -94,11 +93,7 @@ class WindowSet:
 
     def take(self, indices) -> "WindowSet":
         """Row subset for an index array, gathered into C-contiguous arrays."""
-        return WindowSet(
-            inputs=self.inputs[indices],
-            targets=self.targets[indices],
-            horizon_step=self.horizon_step,
-        )
+        return WindowSet(inputs=self.inputs[indices], targets=self.targets[indices])
 
 
 def ingest_csv(path, step_minutes: float = 5.0) -> SeriesFrame:
@@ -318,7 +313,7 @@ def make_windows(frame: SeriesFrame, history: int, horizon_step: int = 0) -> Win
     # inputs[b, h] = values[history + b - 1 - h], newest lag first
     inputs = sliding_window_view(values, history, axis=0)[:b].transpose(0, 2, 1)[:, ::-1]
     targets = values[history + horizon_step :]
-    return WindowSet(inputs=inputs, targets=targets, horizon_step=horizon_step)
+    return WindowSet(inputs=inputs, targets=targets)
 
 
 @dataclass(frozen=True)

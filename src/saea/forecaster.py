@@ -235,5 +235,7 @@ def forecaster_from_blob(blob: dict) -> Forecaster:
         model = MLP1(history, n, hidden=blob_field(blob, "hidden", int, "model"))
     else:
         raise ValidationError(f"unknown model kind {kind!r} in checkpoint")
+    if model.n != n:
+        raise ValidationError(f"model field 'n' is {n}, but its propagation has size {model.n}")
     model.set_params(blob_field(blob, "theta", list, "model"))
     return model

@@ -6,9 +6,11 @@ import numpy as np
 
 from .errors import UndefinedMetricError, ValidationError
 
+MASK_THRESHOLD = 1e-6
 
-def mape(y_true, y_pred, mask_threshold: float = 1e-6) -> tuple[float, int]:
-    """Mean absolute percentage error over entries with |truth| above threshold.
+
+def mape(y_true, y_pred) -> tuple[float, int]:
+    """Mean absolute percentage error over entries with |truth| > MASK_THRESHOLD.
 
     Returns (percent, masked_count). Raises if every entry is masked.
     """
@@ -16,7 +18,7 @@ def mape(y_true, y_pred, mask_threshold: float = 1e-6) -> tuple[float, int]:
     yp = np.asarray(y_pred, dtype=np.float64)
     if yt.shape != yp.shape:
         raise ValidationError(f"shape mismatch {yt.shape} vs {yp.shape}")
-    keep = np.abs(yt) > mask_threshold
+    keep = np.abs(yt) > MASK_THRESHOLD
     masked = int(yt.size - keep.sum())
     if not np.any(keep):
         raise UndefinedMetricError("MAPE undefined: every entry is below the mask threshold")
@@ -34,6 +36,13 @@ def rmse(y_true, y_pred) -> float:
         raise UndefinedMetricError("RMSE undefined on empty input")
     diff = yt - yp
     return float(np.sqrt(np.mean(diff * diff)))
+
+
+def accuracy(y_true, y_pred) -> dict:
+    """The accuracy block every scored output reports: MAPE with its masked
+    entry count, and RMSE."""
+    pct, masked = mape(y_true, y_pred)
+    return {"mape_percent": pct, "mape_masked_count": masked, "rmse": rmse(y_true, y_pred)}
 
 
 def ecm(residuals, orientation: str = "spatial") -> np.ndarray:
@@ -129,7 +138,6 @@ def residual_report(
     y_pred,
     max_lag: int = 20,
     ts_lags: tuple[int, ...] = (1,),
-    mask_threshold: float = 1e-6,
 ) -> dict:
     """JSON-ready bundle of accuracy metrics and correlation diagnostics.
 
@@ -139,7 +147,6 @@ def residual_report(
     yt = np.asarray(y_true, dtype=np.float64)
     yp = np.asarray(y_pred, dtype=np.float64)
     residuals = yt - yp
-    mape_pct, masked = mape(yt, yp, mask_threshold)
     spatial = ecm(residuals, "spatial")
     acf_values = []
     band = 2.0 / np.sqrt(residuals.shape[0])
@@ -150,9 +157,7 @@ def residual_report(
         except UndefinedMetricError:
             acf_values.append(None)
     return {
-        "mape_percent": mape_pct,
-        "mape_masked_count": masked,
-        "rmse": rmse(yt, yp),
+        **accuracy(yt, yp),
         "num_steps": int(residuals.shape[0]),
         "num_sensors": int(residuals.shape[1]),
         "ecm_spatial": spatial.tolist(),

@@ -118,7 +118,6 @@ class SynthBundle:
     graph: SensorGraph
     phi_star: np.ndarray
     floor: float
-    config: SynthConfig
 
 
 def _noise_chol(sigma, n: int) -> np.ndarray:
@@ -204,7 +203,6 @@ def generate(cfg: SynthConfig) -> SynthBundle:
         graph=graph,
         phi_star=phi.copy(),
         floor=oracle_floor(cfg),
-        config=cfg,
     )
 
 

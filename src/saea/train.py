@@ -43,8 +43,8 @@ class TrainConfig:
     """
 
     epochs: int = 300
-    learning_rate: float = 5e-4
-    batch_size: int = 50
+    lr: float = 5e-4
+    batch: int = 50
     optimizer: str = "rmsprop"  # one of OPTIMIZERS
     alpha: float | None = None
     beta: float | None = None
@@ -54,10 +54,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be > 0")
+        if self.batch < 1:
+            raise ValidationError("batch must be >= 1")
+        if self.lr <= 0:
+            raise ValidationError("lr must be > 0")
         if self.optimizer not in OPTIMIZERS:
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
 
@@ -126,7 +126,10 @@ def load_checkpoint_blob(blob: dict) -> tuple[Forecaster, ErrorModel | None]:
     model = forecaster_from_blob(blob_field(blob, "model", dict))
     if blob.get("error_model") is None:
         return model, None
-    return model, ErrorModel.from_blob(blob_field(blob, "error_model", dict))
+    em = ErrorModel.from_blob(blob_field(blob, "error_model", dict))
+    if em.n != model.n:
+        raise ValidationError(f"error model field 'n' is {em.n}, but its model's n is {model.n}")
+    return model, em
 
 
 def save_checkpoint(path, model: Forecaster, em: ErrorModel | None, extra: dict | None = None):
@@ -138,12 +141,6 @@ def save_checkpoint(path, model: Forecaster, em: ErrorModel | None, extra: dict 
 
 def load_checkpoint(path) -> tuple[Forecaster, ErrorModel | None]:
     return load_checkpoint_blob(read_json(path))
-
-
-def resolve_regularizer(cfg: TrainConfig, em: ErrorModel | None) -> RegularizerConfig:
-    if em is None:
-        return RegularizerConfig(alpha=0.0)
-    return default_regularizer(em.kind, alpha=cfg.alpha, beta=cfg.beta)
 
 
 def _clip_gradients(grad_theta, payload_grads, limit):
@@ -180,7 +177,10 @@ def fit(
     cfg.validate()
     if train_windows.batch == 0 or val_windows.batch == 0:
         raise ValidationError("train and validation window sets must be nonempty")
-    reg = resolve_regularizer(cfg, em)
+    if em is None:
+        reg = RegularizerConfig(0.0)
+    else:
+        reg = default_regularizer(em.kind, alpha=cfg.alpha, beta=cfg.beta)
     rng = np.random.default_rng(cfg.seed)
     theta = model.get_params()
     opt_state = {"theta": np.zeros_like(theta)}
@@ -189,22 +189,22 @@ def fit(
 
     def step(name, params, grads):
         if cfg.optimizer == "sgd":
-            return sgd_step(params, grads, cfg.learning_rate)
-        params, opt_state[name] = rmsprop_step(params, grads, opt_state[name], cfg.learning_rate)
+            return sgd_step(params, grads, cfg.lr)
+        params, opt_state[name] = rmsprop_step(params, grads, opt_state[name], cfg.lr)
         return params
 
     report = TrainReport()
     last_good = _snapshot(model, em, {"epoch": -1})
     best = None
     b_train = train_windows.batch
-    num_batches = (b_train + cfg.batch_size - 1) // cfg.batch_size
+    num_batches = (b_train + cfg.batch - 1) // cfg.batch
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         order = rng.permutation(b_train)
         epoch_losses = np.empty(num_batches)
         try:
             for i in range(num_batches):
-                idx = order[i * cfg.batch_size : (i + 1) * cfg.batch_size]
+                idx = order[i * cfg.batch : (i + 1) * cfg.batch]
                 result = saea_loss(model, em, reg, train_windows.take(idx))
                 grad_theta, payload_grads = result.grad_theta, result.payload_grads
                 if cfg.grad_clip is not None:

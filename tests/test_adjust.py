@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +203,18 @@ def test_default_regularizer_table():
     assert (lrs.alpha, lrs.beta) == (10.0, 1000.0)
     assert DEFAULT_REGULARIZATION["low_rank_sparse"]["rank"] == 10
     assert default_regularizer("sparse_full", alpha=7.0).alpha == 7.0
+
+
+def test_readme_penalty_table_is_the_default_table():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    table = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("|") and cells[0] in DEFAULT_REGULARIZATION:
+            table[cells[0]] = {
+                name: float(cell) for name, cell in zip(("alpha", "beta", "rank"), cells[1:]) if cell
+            }
+    assert table == DEFAULT_REGULARIZATION
 
 
 # -- transformed window --------------------------------------------------------

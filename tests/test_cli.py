@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import saea.cli
+from saea.adjust import ErrorModel
 from saea.cli import run
 from saea.data import ingest_csv
+from saea.forecaster import GraphFilterAR, NodeAR
 from saea.graph import load_adjacency_csv
 from saea.synth import GraphSpec, SynthConfig, generate, oracle_floor
-from saea.train import TrainConfig, load_checkpoint, save_checkpoint
+from saea.train import TrainConfig, checkpoint_blob, load_checkpoint, save_checkpoint
 
 
 def make_bundle_dir(tmp_path, steps=700, n=8, seed=3):
@@ -117,9 +119,6 @@ def test_eval_oracle_predictor_hits_floor(tmp_path):
 
     # Assemble the optimal predictor by hand: true dynamics taps in the base
     # model, true error coefficients in the adjustment.
-    from saea.adjust import ErrorModel
-    from saea.forecaster import GraphFilterAR
-
     graph = load_adjacency_csv(bundle_dir / "adjacency.csv")
     phi = np.loadtxt(bundle_dir / "phi_star.csv", delimiter=",")
     h = 5
@@ -507,14 +506,17 @@ def test_unreadable_input_files_fail_with_one_json_line(tmp_path, capsys, argv, 
         ("normalizer", {"mode": "zscore", "mean": "x", "std": [1.0, 1.0]}, "'mean'"),
         ("horizon_step", "x", "'horizon_step'"),
         ("step_minutes", "x", "'step_minutes'"),
+        ("train_frac", "x", "'train_frac'"),
+        ("normalizer", {"mode": "zscore", "mean": [0.0] * 3, "std": [1.0] * 2}, "'mean'"),
     ],
-    ids=["normalizer-list", "zscore-mean-string", "horizon-step-string", "step-minutes-string"],
+    ids=[
+        "normalizer-list", "zscore-mean-string", "horizon-step-string", "step-minutes-string",
+        "train-frac-string", "zscore-mean-length",
+    ],
 )
 def test_malformed_checkpoint_run_fields_fail_with_one_json_line(
     tmp_path, capsys, field, value, named
 ):
-    from saea.forecaster import NodeAR
-
     series = tmp_path / "series.csv"
     series.write_text("a,b\n" + "1.0,2.0\n" * 30)
     ckpt = tmp_path / "checkpoint.json"
@@ -528,6 +530,32 @@ def test_malformed_checkpoint_run_fields_fail_with_one_json_line(
     # an absent field keeps its default, and step_minutes may be a JSON integer
     save_checkpoint(ckpt, NodeAR(3, 2), None, extra={"step_minutes": 5})
     assert run([*argv, "--out", str(tmp_path / "ok")]) == 0
+
+
+@pytest.mark.parametrize(
+    "sensors, fields, named",
+    [
+        (3, {}, "series has 3 sensors"),
+        (3, {"normalizer": {"mode": "zscore", "mean": [0.0] * 2, "std": [1.0] * 2}}, "series has 3"),
+        (2, {"error_model": ErrorModel("scalar", 3).to_blob()}, "error model field 'n'"),
+        (2, {"model": {**GraphFilterAR(3, np.eye(2)).to_blob(), "n": 3}}, "model field 'n'"),
+    ],
+    ids=["series", "zscore-series", "error-model", "graphfilter-propagation"],
+)
+def test_checkpoint_sensor_count_disagreement_fails_before_scoring(
+    tmp_path, capsys, sensors, fields, named
+):
+    series = tmp_path / "series.csv"
+    series.write_text(",".join("abc"[:sensors]) + "\n" + (",".join(["1.0"] * sensors) + "\n") * 30)
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps({**checkpoint_blob(NodeAR(3, 2), None), **fields}))
+    for command in ("eval", "diagnose"):
+        argv = [command, "--checkpoint", str(ckpt), "--series", str(series)]
+        assert run([*argv, "--out", str(tmp_path / command)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        parsed = json.loads(err)
+        assert parsed["error"] == "ValidationError" and named in parsed["message"]
 
 
 def test_eval_uses_the_split_recorded_at_training(tmp_path, capsys):

@@ -259,7 +259,7 @@ def test_make_windows_are_views_equal_to_the_row_gather(horizon_step):
 
 def test_window_set_leaves_the_callers_arrays_writeable():
     inputs, targets = np.zeros((3, 4, 2)), np.zeros((3, 2))
-    ws = WindowSet(inputs=inputs, targets=targets, horizon_step=0)
+    ws = WindowSet(inputs=inputs, targets=targets)
     assert inputs.flags.writeable and targets.flags.writeable
     assert not (ws.inputs.flags.writeable or ws.targets.flags.writeable)
 

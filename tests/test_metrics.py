@@ -5,13 +5,25 @@ from scipy.linalg import solve_discrete_lyapunov
 
 from saea.data import Normalizer
 from saea.errors import UndefinedMetricError, ValidationError
-from saea.metrics import acf, crosslag_cov, ecm, mape, offdiag_energy, residual_report, rmse
+from saea.metrics import (
+    accuracy,
+    acf,
+    crosslag_cov,
+    ecm,
+    mape,
+    offdiag_energy,
+    residual_report,
+    rmse,
+)
 
 
 def test_mape_hand_value():
     pct, masked = mape([2.0, 4.0], [1.0, 5.0])
     assert pct == pytest.approx(37.5)
     assert masked == 0
+    assert accuracy([2.0, 4.0], [1.0, 5.0]) == {
+        "mape_percent": pct, "mape_masked_count": 0, "rmse": rmse([2.0, 4.0], [1.0, 5.0])
+    }
 
 
 def test_mape_perfect_is_zero():
@@ -23,6 +35,9 @@ def test_mape_masks_zero_truth():
     pct, masked = mape([0.0, 2.0], [5.0, 1.0])
     assert masked == 1
     assert pct == pytest.approx(50.0)
+    assert accuracy([0.0, 2.0], [5.0, 1.0]) == {
+        "mape_percent": pct, "mape_masked_count": 1, "rmse": rmse([0.0, 2.0], [5.0, 1.0])
+    }
 
 
 def test_mape_all_masked_undefined():

@@ -17,7 +17,6 @@ from saea.train import (
     load_checkpoint,
     load_checkpoint_blob,
     predict_recursive,
-    resolve_regularizer,
     rmsprop_step,
     save_checkpoint,
     sgd_step,
@@ -85,7 +84,7 @@ def exact_recovery_report(epochs=800, lr=2e-4):
     vws = make_windows(val_f, h, 0)
     model = NodeAR(h, frame.num_sensors, seed=0)
     em = ErrorModel.for_training("sparse_full", frame.num_sensors, seed=0)
-    cfg = TrainConfig(epochs=epochs, learning_rate=lr, alpha=100.0, seed=0)
+    cfg = TrainConfig(epochs=epochs, lr=lr, alpha=100.0, seed=0)
     return fit(model, em, cfg, tws, vws)
 
 
@@ -124,7 +123,7 @@ def test_fit_divergence_keeps_last_good_state():
     frame = sinusoid_frame(t=120)
     tws = make_windows(frame, 3, 0)
     model = NodeAR(3, 4, seed=0)
-    cfg = TrainConfig(epochs=50, learning_rate=1e12, optimizer="sgd", seed=0)
+    cfg = TrainConfig(epochs=50, lr=1e12, optimizer="sgd", seed=0)
     report = fit(model, None, cfg, tws, tws)
     assert report.diverged
     assert report.epochs_run < 50
@@ -140,7 +139,7 @@ def test_fit_best_and_final_checkpoints_hold_their_states():
     vws = make_windows(val_f, 3, 0)
     model = NodeAR(3, 4, seed=1)
     em = ErrorModel.for_training("diagonal", 4, seed=1)
-    report = fit(model, em, TrainConfig(epochs=8, learning_rate=0.2, seed=3), tws, vws)
+    report = fit(model, em, TrainConfig(epochs=8, lr=0.2, seed=3), tws, vws)
     assert report.best_epoch < report.epochs_run - 1  # best and final states differ
     best = report.best_checkpoint
     assert (best["epoch"], best["val_mse"]) == (report.best_epoch, report.best_val_mse)
@@ -214,14 +213,19 @@ def test_fit_radius_logged_every_epoch():
     assert len(report.radius) == 4 == len(report.train_loss) == len(report.val_mse)
 
 
-def test_resolve_regularizer_uses_kind_defaults():
-    cfg = TrainConfig()
-    structural = ErrorModel("structural", 4, mask=structural_mask(ring_graph(4), 1))
-    assert resolve_regularizer(cfg, structural).alpha == 1000.0
-    assert resolve_regularizer(cfg, ErrorModel("sparse_full", 4)).alpha == 100.0
-    assert resolve_regularizer(cfg, None).alpha == 0.0
-    override = TrainConfig(alpha=5.0)
-    assert resolve_regularizer(override, ErrorModel("scalar", 4)).alpha == 5.0
+def test_fit_penalizes_with_the_kinds_default_alpha():
+    """TrainConfig's alpha of None is the kind's default (structural: 1000)."""
+    train_f, val_f, _ = chronological_split(sinusoid_frame(t=120), 0.6, 0.2)
+    tws, vws = make_windows(train_f, 3, 0), make_windows(val_f, 3, 0)
+    mask = structural_mask(ring_graph(4), 1)
+
+    def fitted(cfg):
+        em = ErrorModel.for_training("structural", 4, mask=mask, seed=0)
+        return fit(NodeAR(3, 4, seed=0), em, cfg, tws, vws).final_checkpoint
+
+    default = fitted(TrainConfig())
+    assert fitted(TrainConfig(alpha=1000.0)) == default
+    assert fitted(TrainConfig(alpha=5.0)) != default
 
 
 def test_grad_clip_limits_update():
@@ -229,7 +233,7 @@ def test_grad_clip_limits_update():
     tws = make_windows(frame, 3, 0)
     model = NodeAR(3, 4, seed=0)
     theta0 = model.get_params().copy()
-    cfg = TrainConfig(epochs=1, optimizer="sgd", learning_rate=1.0, grad_clip=1e-6, seed=0)
+    cfg = TrainConfig(epochs=1, optimizer="sgd", lr=1.0, grad_clip=1e-6, seed=0)
     fit(model, None, cfg, tws, tws)
     # with a tiny clip the total parameter movement stays tiny
     moved = np.linalg.norm(model.get_params() - theta0)

@@ -44,7 +44,6 @@ from .graph import (
     StructuralMask,
     load_adjacency_csv,
     normalized_adjacency,
-    normalized_laplacian,
     structural_mask,
 )
 from .metrics import acf, crosslag_cov, ecm, mape, offdiag_energy, rmse

@@ -23,7 +23,7 @@ points (l1 at zero, hinge kinks, matrix norms at the origin).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,6 +84,7 @@ def default_regularizer(kind: str, **overrides) -> RegularizerConfig:
     return RegularizerConfig(**settings)
 
 
+@dataclass(eq=False)
 class ErrorModel:
     """VAR(p) error coefficients in one of six parameterizations.
 
@@ -92,15 +93,15 @@ class ErrorModel:
     StructuralMask.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        n: int,
-        var_order: int = 1,
-        rank: int | None = None,
-        mask: StructuralMask | None = None,
-        payload: dict | None = None,
-    ):
+    kind: str
+    n: int
+    var_order: int = 1
+    rank: int | None = None
+    mask: StructuralMask | None = None
+    payload: dict | None = None
+
+    def __post_init__(self):
+        kind, n, var_order, rank, mask = self.kind, self.n, self.var_order, self.rank, self.mask
         if kind not in KINDS:
             raise ValidationError(f"unknown error-model kind {kind!r}; expected {KINDS}")
         if var_order < 1:
@@ -119,13 +120,9 @@ class ErrorModel:
             raise ConfigurationError(
                 f"mask shape {mask.mask.shape} does not match n={n}"
             )
-        self.kind = kind
-        self.n = n
-        self.var_order = var_order
-        self.rank = rank
-        self.mask = mask
         dims = {"p": var_order, "n": n, "k": rank}
         expected = {name: tuple(dims[a] for a in axes) for name, axes in PAYLOAD_AXES[kind].items()}
+        payload = self.payload
         if payload is None:
             payload = {name: np.zeros(shape) for name, shape in expected.items()}
         if set(payload) != set(expected):
@@ -161,14 +158,7 @@ class ErrorModel:
         return em
 
     def clone(self) -> "ErrorModel":
-        return ErrorModel(
-            self.kind,
-            self.n,
-            var_order=self.var_order,
-            rank=self.rank,
-            mask=self.mask,
-            payload={k: v.copy() for k, v in self.payload.items()},
-        )
+        return replace(self, payload={k: v.copy() for k, v in self.payload.items()})
 
     def to_blob(self) -> dict:
         blob = {

@@ -197,18 +197,6 @@ def write_manifest(out_dir, command, config, seed, inputs, outputs) -> None:
 # shared training pipeline
 
 
-def build_error_model(config: dict, n: int, graph: SensorGraph | None) -> ErrorModel | None:
-    """The kind's untrained error model; building it and its penalty check the settings."""
-    kind = config["kind"]
-    if kind == "none":
-        return None
-    default_regularizer(kind, alpha=config["alpha"], beta=config["beta"])
-    mask = structural_mask(graph, config["mask_order"]) if kind == "structural" else None
-    return ErrorModel.for_training(
-        kind, n, var_order=config["var_order"], rank=config["rank"], mask=mask, seed=config["seed"]
-    )
-
-
 def _train_config(config: dict) -> TrainConfig:
     return TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)})
 
@@ -349,10 +337,13 @@ def _load_series_and_graph(args, step_minutes: float):
 KIND_SETTINGS = ("kind", "alpha", "beta", "rank")
 
 
-def _kind_config(config: dict, kind: str, n: int) -> dict:
-    """config for one kind with the alpha/beta/rank it uses filled in from
-    the kind's built-in defaults, and the ones it does not use set to None,
-    so the manifest records the settings actually used."""
+def _kind_run(
+    config: dict, kind: str, n: int, graph: SensorGraph | None
+) -> tuple[dict, ErrorModel | None]:
+    """(config for one kind, its untrained error model or None). The config
+    fills in the alpha/beta/rank the kind uses from its built-in defaults and
+    sets the ones it does not use to None, so the manifest records the
+    settings actually used; building the penalty and the model checks them."""
     defaults = DEFAULT_REGULARIZATION.get(kind, {})
     kind_config = {**config, "kind": kind}
     for name in KIND_SETTINGS[1:]:
@@ -360,7 +351,13 @@ def _kind_config(config: dict, kind: str, n: int) -> dict:
             kind_config[name] = None
         elif kind_config[name] is None:
             kind_config[name] = min(defaults[name], n) if name == "rank" else defaults[name]
-    return kind_config
+    if kind == "none":
+        return kind_config, None
+    default_regularizer(kind, alpha=kind_config["alpha"], beta=kind_config["beta"])
+    mask = structural_mask(graph, config["mask_order"]) if kind == "structural" else None
+    return kind_config, ErrorModel.for_training(
+        kind, n, var_order=config["var_order"], rank=kind_config["rank"], mask=mask, seed=config["seed"]
+    )
 
 
 def _prepare_run(args, kinds=None):
@@ -377,8 +374,7 @@ def _prepare_run(args, kinds=None):
     kinds = kinds or (config["kind"],)
     if graph is None and "structural" in kinds:
         raise ConfigurationError("structural kind requires --adjacency")
-    kind_configs = [_kind_config(config, kind, frame.num_sensors) for kind in kinds]
-    runs = [(kc, build_error_model(kc, frame.num_sensors, graph)) for kc in kind_configs]
+    runs = [_kind_run(config, kind, frame.num_sensors, graph) for kind in kinds]
     horizons = parse_horizons(config["horizon_min"], config["step_min"])
     os.makedirs(args.out, exist_ok=True)
     inputs = [args.series] + ([args.adjacency] if args.adjacency else [])

@@ -1,8 +1,9 @@
-"""Sensor-graph utilities: normalized adjacency/Laplacian and hop-limited structural masks.
+"""Sensor-graph utilities: normalized adjacency and hop-limited structural masks.
 
 The structural mask marks sensor pairs that are *not* reachable within a given
-number of hops; penalizing the masked entries of an error-coefficient matrix
-confines learned error coupling to the physical network.
+number of hops over the graph's edge set (the pairs of positive weight);
+penalizing the masked entries of an error-coefficient matrix confines learned
+error coupling to the physical network.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 from .data import readonly, write_float_rows
 from .errors import ParseError, UnsupportedOrderError, ValidationError
 
-# |entry| at or below this counts as a structural zero; float noise must not
-# flip mask bits.
+# A diagonal entry above this is a self-loop. Masks need no tolerance: they
+# count hops over the exact 0/1 edge set.
 SUPPORT_TOL = 1e-12
 
 
@@ -24,8 +25,8 @@ class SensorGraph:
     """Weighted sensor network: a dense float64 (n, n) adjacency, square,
     finite, nonnegative and without self-loops, stored as a read-only copy.
 
-    Matrices derived from it (normalized adjacency and Laplacian) are
-    computed by the functions below when needed.
+    Matrices derived from it (normalized adjacency, hop masks) are computed
+    by the functions below when needed.
     """
 
     adjacency: np.ndarray
@@ -64,18 +65,6 @@ class StructuralMask:
         object.__setattr__(self, "mask", readonly(self.mask))
 
 
-def normalized_laplacian(graph: SensorGraph) -> np.ndarray:
-    """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2}.
-
-    Rows and columns of zero-degree nodes are all-zero, including the
-    diagonal entry (isolated-node convention).
-    """
-    lap = -normalized_adjacency(graph)
-    # Diagonal is 1 for connected nodes; isolated nodes get an all-zero row.
-    np.fill_diagonal(lap, np.where(graph.adjacency.sum(axis=1) > 0, 1.0, 0.0))
-    return lap
-
-
 def normalized_adjacency(graph: SensorGraph) -> np.ndarray:
     """Symmetrically normalized adjacency D^{-1/2} W D^{-1/2}, taking
     D^{-1/2} to be 0 at zero-degree nodes."""
@@ -88,21 +77,15 @@ def normalized_adjacency(graph: SensorGraph) -> np.ndarray:
 def structural_mask(graph: SensorGraph, order: int) -> StructuralMask:
     """Mask of sensor pairs beyond `order` hops of each other.
 
-    Order 1 takes the support of the normalized Laplacian (one minus the
-    ceiling of its absolute value); order 2 applies the same construction to
-    the support of W + W^2. Entries are strictly binary and the diagonal is
-    forced to 0.
+    (I + A)^order counts the walks of at most `order` hops over the 0/1 edge
+    set A (weight > 0), so its zero entries are exactly the pairs to mask.
+    The counts are small integers, so no tolerance is involved, and the
+    diagonal is 0 by construction.
     """
     if order not in (1, 2):
         raise UnsupportedOrderError(f"mask order must be 1 or 2, got {order}")
-    if order == 1:
-        support = np.abs(normalized_laplacian(graph)) > SUPPORT_TOL
-    else:
-        w = graph.adjacency
-        support = np.abs(w + w @ w) > SUPPORT_TOL
-    mask = np.where(support, 0.0, 1.0)
-    np.fill_diagonal(mask, 0.0)
-    return StructuralMask(order=order, mask=mask)
+    walks = np.linalg.matrix_power(np.eye(graph.n) + (graph.adjacency > 0), order)
+    return StructuralMask(order=order, mask=np.where(walks > 0, 0.0, 1.0))
 
 
 def load_adjacency_csv(path) -> SensorGraph:

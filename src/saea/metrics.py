@@ -72,8 +72,8 @@ def acf(series, max_lag: int) -> tuple[np.ndarray, float]:
     """
     x = np.asarray(series, dtype=np.float64).ravel()
     t = x.size
-    if max_lag >= t:
-        raise ValidationError(f"max_lag {max_lag} must be < series length {t}")
+    if not 0 <= max_lag < t:
+        raise ValidationError(f"max_lag {max_lag} must be in [0, series length {t})")
     centered = x - x.mean()
     denom = float(np.dot(centered, centered))
     if denom <= 0.0:

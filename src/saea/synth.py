@@ -242,7 +242,7 @@ def structured_var_coefficients(
 def bfs_mask_oracle(graph: SensorGraph, order: int) -> np.ndarray:
     """Reachability oracle: mask[i, j] = 1 iff hop-distance(i, j) > order, i != j.
 
-    Deliberately independent of the Laplacian-based construction; used to
+    Deliberately independent of the matrix-power construction; used to
     cross-check structural masks.
     """
     n = graph.n

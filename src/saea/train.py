@@ -34,12 +34,13 @@ RMSPROP_EPS = 1e-8
 OPTIMIZERS = ("rmsprop", "sgd")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Optimization and regularization settings for one training run.
+    """Optimization and regularization settings for one training run,
+    checked at construction (frozen, so they stay checked).
 
     alpha/beta of None resolve to the built-in defaults for the error model's
-    kind at fit time.
+    kind at fit time; grad_clip of None leaves gradients unclipped.
     """
 
     epochs: int = 300
@@ -51,7 +52,7 @@ class TrainConfig:
     seed: int = 0
     grad_clip: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
         if self.batch < 1:
@@ -60,6 +61,8 @@ class TrainConfig:
             raise ValidationError("lr must be > 0")
         if self.optimizer not in OPTIMIZERS:
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
+        if self.grad_clip is not None and self.grad_clip <= 0:
+            raise ValidationError(f"grad_clip must be > 0, got {self.grad_clip}")
 
 
 @dataclass
@@ -174,7 +177,6 @@ def fit(
     built once at the end from array snapshots. A non-finite loss aborts with
     the last finished epoch's state retained.
     """
-    cfg.validate()
     if train_windows.batch == 0 or val_windows.batch == 0:
         raise ValidationError("train and validation window sets must be nonempty")
     if em is None:

@@ -620,6 +620,12 @@ def test_clone_is_independent():
     other = em.clone()
     other.payload["diag"][0, 0] += 1.0
     assert em.payload["diag"][0, 0] != other.payload["diag"][0, 0]
+    em = make_em("structural", 4, var_order=2, randomize=2)
+    other = em.clone()
+    assert other.mask is em.mask
+    assert (other.kind, other.n, other.var_order, other.rank) == ("structural", 4, 2, None)
+    assert other.payload["matrix"] is not em.payload["matrix"]
+    assert_array_equal(other.payload["matrix"], em.payload["matrix"])
 
 
 def test_error_model_blob_roundtrip_with_mask_hash():

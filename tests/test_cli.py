@@ -168,6 +168,31 @@ def test_diagnose_emits_plottable_json(tmp_path):
     assert 0.0 <= payload["ecm_spatial_offdiag_energy"] <= 1.0
 
 
+def test_train_nonpositive_grad_clip_exits_1_on_one_json_line(tmp_path, capsys):
+    bundle = make_bundle_dir(tmp_path, n=6)
+    capsys.readouterr()
+    code = run(train_args(bundle, tmp_path / "run", ("--kind", "none", "--grad-clip", "-1")))
+    assert code == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ValidationError" and "grad_clip" in err["message"]
+
+
+def test_diagnose_negative_max_lag_exits_1_on_one_json_line(tmp_path, capsys):
+    bundle = make_bundle_dir(tmp_path, n=6)
+    out = tmp_path / "run"
+    assert run(train_args(bundle, out, ("--kind", "none"))) == 0
+    capsys.readouterr()
+    code = run(
+        ["diagnose", "--checkpoint", str(out / "checkpoint_h5min_best.json"),
+         "--series", str(bundle / "series.csv"), "--max-lag", "-2", "--out", str(tmp_path / "d")]
+    )
+    assert code == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ValidationError" and "max_lag" in err["message"]
+
+
 def test_compare_all_kinds_row_count(tmp_path):
     bundle = make_bundle_dir(tmp_path, steps=400)
     out = tmp_path / "cmp"

@@ -11,7 +11,6 @@ from saea.graph import (
     StructuralMask,
     load_adjacency_csv,
     normalized_adjacency,
-    normalized_laplacian,
     save_adjacency_csv,
     structural_mask,
 )
@@ -19,25 +18,6 @@ from saea.synth import bfs_mask_oracle, erdos_renyi_graph, path_graph
 
 P3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 K3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-
-
-def test_no_edges_laplacian_is_zero():
-    g = SensorGraph(np.zeros((3, 3)))
-    assert_array_equal(normalized_laplacian(g), np.zeros((3, 3)))
-
-
-def test_path3_norm_laplacian_hand_values():
-    g = SensorGraph(P3)
-    s = 1.0 / np.sqrt(2.0)
-    expected = np.array([[1.0, -s, 0.0], [-s, 1.0, -s], [0.0, -s, 1.0]])
-    assert_allclose(normalized_laplacian(g), expected, atol=1e-15)
-
-
-def test_k3_norm_laplacian_hand_values():
-    g = SensorGraph(K3)
-    expected = np.full((3, 3), -0.5)
-    np.fill_diagonal(expected, 1.0)
-    assert_allclose(normalized_laplacian(g), expected, atol=1e-15)
 
 
 def test_graph_stores_only_its_read_only_adjacency():
@@ -64,20 +44,47 @@ def test_structural_mask_path3_order2_zero():
     assert_array_equal(bfs_mask_oracle(g, 2), np.zeros((3, 3)))
 
 
+def weighted_random_graphs(rng, trials):
+    """Erdos-Renyi graphs whose symmetric positive weights are log-uniform
+    over 1e-13..1e3, so some edges weigh far below any float tolerance."""
+    for _ in range(trials):
+        n = int(rng.integers(2, 31))
+        base = erdos_renyi_graph(n, float(rng.choice([0.1, 0.3])), seed=int(rng.integers(1 << 30)))
+        weights = np.triu(10.0 ** rng.uniform(-13, 3, size=(n, n)), 1)
+        yield SensorGraph(base.adjacency * (weights + weights.T))
+
+
+def tiny_edge_graphs():
+    # a lone 5e-13 edge; a 1e-11 edge between two nodes that each carry 1e3
+    lone = np.zeros((3, 3))
+    lone[0, 1] = lone[1, 0] = 5e-13
+    heavy = np.zeros((4, 4))
+    heavy[0, 1] = heavy[1, 0] = 1e-11
+    heavy[0, 2] = heavy[2, 0] = heavy[1, 3] = heavy[3, 1] = 1e3
+    return [SensorGraph(lone), SensorGraph(heavy)]
+
+
 def test_mask_matches_bfs_oracle_on_random_graphs():
     rng = np.random.default_rng(1234)
-    for trial in range(30):
-        n = int(rng.integers(2, 51))
-        p_edge = float(rng.choice([0.05, 0.2]))
-        g = erdos_renyi_graph(n, p_edge, seed=int(rng.integers(1 << 30)))
-        for order in (1, 2):
-            assert_array_equal(structural_mask(g, order).mask, bfs_mask_oracle(g, order))
+    unit = [
+        erdos_renyi_graph(
+            int(rng.integers(2, 51)), float(rng.choice([0.05, 0.2])), seed=int(rng.integers(1 << 30))
+        )
+        for _ in range(30)
+    ]
+    for g in unit + list(weighted_random_graphs(rng, 30)) + tiny_edge_graphs():
+        masks = [structural_mask(g, order).mask for order in (1, 2)]
+        for order, mask in zip((1, 2), masks):
+            assert_array_equal(mask, bfs_mask_oracle(g, order))
+        assert np.all(masks[1] <= masks[0])
 
 
 def test_mask_zeroes_laplacian_support():
-    g = erdos_renyi_graph(25, 0.15, seed=9)
-    mask = structural_mask(g, 1).mask
-    assert_array_equal(mask * normalized_laplacian(g), np.zeros((25, 25)))
+    # the Laplacian's support is the edge set (weight > 0) plus the diagonal
+    for g in [erdos_renyi_graph(25, 0.15, seed=9), *tiny_edge_graphs()]:
+        mask = structural_mask(g, 1).mask
+        assert_array_equal(mask[g.adjacency > 0], 0.0)
+        assert_array_equal(np.diag(mask), 0.0)
 
 
 def test_mask_idempotent_bit_identical():
@@ -93,7 +100,7 @@ def test_symmetric_adjacency_gives_symmetric_outputs():
     weights = rng.uniform(0.5, 2.0, size=(15, 15))
     w = g.adjacency * (weights + weights.T)
     g2 = SensorGraph(w)
-    assert_allclose(normalized_laplacian(g2), normalized_laplacian(g2).T, atol=1e-15)
+    assert_allclose(normalized_adjacency(g2), normalized_adjacency(g2).T, atol=1e-15)
     for order in (1, 2):
         m = structural_mask(g2, order).mask
         assert_array_equal(m, m.T)
@@ -103,19 +110,19 @@ def test_isolated_node_conventions():
     w = np.zeros((4, 4))
     w[0, 1] = w[1, 0] = 1.0  # node 2, 3 isolated
     g = SensorGraph(w)
-    lap = normalized_laplacian(g)
-    assert_array_equal(lap[2], np.zeros(4))
-    assert_array_equal(lap[:, 2], np.zeros(4))
+    norm_adj = normalized_adjacency(g)
+    assert_array_equal(norm_adj[2], np.zeros(4))
+    assert_array_equal(norm_adj[:, 2], np.zeros(4))
     mask = structural_mask(g, 1).mask
     assert_array_equal(mask[2], [1, 1, 0, 1])
     assert_array_equal(mask[3], [1, 1, 1, 0])
 
 
 def test_normalized_adjacency_complement():
-    g = SensorGraph(P3)
-    assert_allclose(
-        normalized_adjacency(g) + normalized_laplacian(g), np.eye(3), atol=1e-15
-    )
+    # I minus the normalized Laplacian of P3: D^{-1/2} W D^{-1/2} by hand
+    s = 1.0 / np.sqrt(2.0)
+    expected = np.array([[0.0, s, 0.0], [s, 0.0, s], [0.0, s, 0.0]])
+    assert_allclose(normalized_adjacency(SensorGraph(P3)), expected, atol=1e-15)
 
 
 def test_weighted_entries_do_not_change_mask():

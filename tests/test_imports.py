@@ -1,8 +1,10 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports, and every private name it defines,
+is used in that module.
 
 No linter ships with the toolchain, so this walks each module's syntax tree:
-an import left behind by a deletion fails here. `__init__` re-exports what it
-imports and `__future__` imports are directives, so both are skipped.
+an import or a private helper left behind by a deletion fails here. `__init__`
+re-exports what it imports and `__future__` imports are directives, so both
+are skipped by the import check.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "saea"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +37,41 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def orphaned_private_names(source: str) -> list[str]:
+    """Module-level `_name`s (not dunders) that no other top-level statement
+    of the module reads."""
+    body = ast.parse(source).body
+    reads = [
+        {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for stmt in body
+    ]
+    orphans = []
+    for i, stmt in enumerate(body):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = [stmt.name]
+        else:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+            defined = [t.id for t in targets if isinstance(t, ast.Name)]
+        for name in defined:
+            private = name.startswith("_") and not name.startswith("__")
+            if private and not any(name in r for j, r in enumerate(reads) if j != i):
+                orphans.append(name)
+    return sorted(orphans)
+
+
+def test_orphaned_private_names_are_found():
+    source = (
+        "_LIMIT = 3\n_USED: int = 1\n__all__ = []\n"
+        "def _helper(x):\n    return _helper(x - 1) if x else _USED\n"
+        "class _Unused:\n    pass\n"
+        "def public():\n    return _LIMIT\n"
+    )
+    # a call from inside its own definition is not a use
+    assert orphaned_private_names(source) == ["_Unused", "_helper"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_module_reads_every_private_name_it_defines(path):
+    assert orphaned_private_names(path.read_text(encoding="utf-8")) == []

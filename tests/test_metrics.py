@@ -140,8 +140,9 @@ def test_acf_constant_series_undefined():
 
 
 def test_acf_max_lag_bounds():
-    with pytest.raises(ValidationError):
-        acf(np.arange(10.0), 10)
+    for max_lag in (10, -1, -2):
+        with pytest.raises(ValidationError):
+            acf(np.arange(10.0), max_lag)
 
 
 def test_crosslag_zero_lag_equals_mean_removed_ecm():

@@ -117,6 +117,13 @@ def test_fit_rejects_zero_epochs():
         fit(NodeAR(3, 4, seed=0), None, TrainConfig(epochs=0), tws, tws)
 
 
+@pytest.mark.parametrize("grad_clip", [0.0, -1.0])
+def test_train_config_rejects_nonpositive_grad_clip(grad_clip):
+    # a negative clip scale would reverse every step and raise the loss
+    with pytest.raises(ValidationError, match="grad_clip"):
+        TrainConfig(grad_clip=grad_clip)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_fit_divergence_keeps_last_good_state():

@@ -89,8 +89,9 @@ class ErrorModel:
     """VAR(p) error coefficients in one of six parameterizations.
 
     payload maps each array name of PAYLOAD_AXES[kind] to a float64 array of
-    those axes (zeros when no payload is given); structural also holds a
-    StructuralMask.
+    those axes (zeros when no payload is given); the model holds copies of
+    the arrays given, never the caller's dict or arrays. structural also
+    holds a StructuralMask.
     """
 
     kind: str
@@ -129,14 +130,12 @@ class ErrorModel:
             raise ConfigurationError(
                 f"payload keys {sorted(payload)} != expected {sorted(expected)}"
             )
+        self.payload = {name: np.array(payload[name], dtype=np.float64) for name in expected}
         for name, shape in expected.items():
-            arr = np.asarray(payload[name], dtype=np.float64)
-            if arr.shape != shape:
+            if self.payload[name].shape != shape:
                 raise ConfigurationError(
-                    f"payload {name!r} has shape {arr.shape}, expected {shape}"
+                    f"payload {name!r} has shape {self.payload[name].shape}, expected {shape}"
                 )
-            payload[name] = arr
-        self.payload = payload
 
     @classmethod
     def for_training(
@@ -158,7 +157,7 @@ class ErrorModel:
         return em
 
     def clone(self) -> "ErrorModel":
-        return replace(self, payload={k: v.copy() for k, v in self.payload.items()})
+        return replace(self)
 
     def to_blob(self) -> dict:
         blob = {

@@ -270,9 +270,7 @@ def _eval_checkpoint(args):
         values = getattr(normalizer, name)
         if values is not None and values.shape != (n,):
             raise ValidationError(f"normalizer field {name!r} has {values.size} values, not {n}")
-    frame = ingest_csv(args.series, step_minutes=blob_field(blob, "step_minutes", float))
-    if frame.num_sensors != n:
-        raise ValidationError(f"series has {frame.num_sensors} sensors, but the model's n is {n}")
+    frame = ingest_csv(args.series, blob_field(blob, "step_minutes", float), num_sensors=n)
     part = dict(zip(("train", "val", "test"), chronological_split(frame, *fracs)))[args.split]
     part_n = SeriesFrame(normalizer.transform(part.values), part.step_minutes)
     ws = make_windows(part_n, model.history, horizon_step)
@@ -325,12 +323,8 @@ def cmd_synth(args) -> int:
 
 
 def _load_series_and_graph(args, step_minutes: float):
-    frame = ingest_csv(args.series, step_minutes=step_minutes)
     graph = load_adjacency_csv(args.adjacency) if args.adjacency else None
-    if graph is not None and graph.n != frame.num_sensors:
-        raise ValidationError(
-            f"adjacency has {graph.n} nodes but series has {frame.num_sensors} sensors"
-        )
+    frame = ingest_csv(args.series, step_minutes, num_sensors=graph.n if graph else None)
     return frame, graph
 
 

@@ -96,12 +96,14 @@ class WindowSet:
         return WindowSet(inputs=self.inputs[indices], targets=self.targets[indices])
 
 
-def ingest_csv(path, step_minutes: float = 5.0) -> SeriesFrame:
+def ingest_csv(path, step_minutes: float = 5.0, num_sensors: int | None = None) -> SeriesFrame:
     """Read a sensor series CSV (one header row naming columns, one row per step).
 
     Raises ParseError with the offending (row, column) for ragged rows or
     non-numeric cells; rows are indexed from 0 over the data body. Rows that
     parse but contain NaN/Inf are rejected with their indices reported.
+    Given num_sensors, a header naming another number of columns is a
+    ValidationError, raised before the body is read.
     A body of plain decimal numbers is parsed by np.loadtxt in blocks of
     lines; any other body, and every error, goes through the per-cell parser.
     """
@@ -119,6 +121,8 @@ def ingest_csv(path, step_minutes: float = 5.0) -> SeriesFrame:
                 f"{path}: first row is numeric; expected a header row naming sensors"
             )
         n = len(header)
+        if num_sensors is not None and n != num_sensors:
+            raise ValidationError(f"{path}: series has {n} sensors, expected {num_sensors}")
         values = _read_plain_rows(fh, n)
         if values is not None:
             return SeriesFrame(values=values, step_minutes=step_minutes)

@@ -15,10 +15,6 @@ import numpy as np
 from .data import readonly, write_float_rows
 from .errors import ParseError, UnsupportedOrderError, ValidationError
 
-# A diagonal entry above this is a self-loop. Masks need no tolerance: they
-# count hops over the exact 0/1 edge set.
-SUPPORT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SensorGraph:
@@ -41,7 +37,7 @@ class SensorGraph:
             raise ValidationError("adjacency contains non-finite entries")
         if np.any(w < 0):
             raise ValidationError("adjacency weights must be nonnegative")
-        if np.any(np.abs(np.diag(w)) > SUPPORT_TOL):
+        if np.any(np.diag(w) != 0):
             raise ValidationError("adjacency may not contain self-loops (nonzero diagonal)")
         object.__setattr__(self, "adjacency", w)
 
@@ -55,14 +51,28 @@ class StructuralMask:
     """Binary matrix: 1 marks pairs farther apart than `order` hops, 0 otherwise.
 
     The diagonal is always 0 (self-dependence is never penalized). The
-    mask is stored as a read-only view of the array given.
+    mask is stored as a read-only view of the array given; a mask that
+    structural_mask could not have built is rejected.
     """
 
     order: int
     mask: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mask", readonly(self.mask))
+        _check_mask_order(self.order)
+        m = readonly(self.mask)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValidationError(f"structural mask must be square, got shape {m.shape}")
+        if not np.all((m == 0) | (m == 1)):
+            raise ValidationError("structural mask entries must all be 0 or 1")
+        if np.any(np.diag(m) != 0):
+            raise ValidationError("structural mask must have a zero diagonal")
+        object.__setattr__(self, "mask", m)
+
+
+def _check_mask_order(order: int) -> None:
+    if order not in (1, 2):
+        raise UnsupportedOrderError(f"mask order must be 1 or 2, got {order}")
 
 
 def normalized_adjacency(graph: SensorGraph) -> np.ndarray:
@@ -82,8 +92,7 @@ def structural_mask(graph: SensorGraph, order: int) -> StructuralMask:
     The counts are small integers, so no tolerance is involved, and the
     diagonal is 0 by construction.
     """
-    if order not in (1, 2):
-        raise UnsupportedOrderError(f"mask order must be 1 or 2, got {order}")
+    _check_mask_order(order)
     walks = np.linalg.matrix_power(np.eye(graph.n) + (graph.adjacency > 0), order)
     return StructuralMask(order=order, mask=np.where(walks > 0, 0.0, 1.0))
 

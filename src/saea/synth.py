@@ -13,7 +13,7 @@ pins the bundle bit-for-bit on a given numpy version.
 
 from __future__ import annotations
 
-from collections import deque
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -73,6 +73,12 @@ class GraphSpec:
         raise ValidationError(f"unknown graph kind {self.kind!r}")
 
 
+# Steps simulated and dropped before the kept series: the recursions start
+# from all-zero history and errors, and 200 steps lets that start decay
+# towards the stationary distribution.
+BURN_IN = 200
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Everything needed to simulate one bundle.
@@ -80,9 +86,9 @@ class SynthConfig:
     dgp_self / dgp_hop are the identity-tap and one-hop-tap coefficients of
     the true dynamics per lag; phi_star couples past errors into current
     errors and must be structurally supported (within one hop) with spectral
-    radius below 1. sigma is a noise scale (covariance sigma^2 I) or a full
-    covariance matrix. quad_coeff adds a small quadratic term to the dynamics
-    to emulate model misspecification.
+    radius below 1. sigma is the nonnegative innovation scale: the
+    innovations are white noise N(0, sigma^2 I). quad_coeff adds a small
+    quadratic term to the dynamics to emulate model misspecification.
     """
 
     graph: GraphSpec
@@ -90,23 +96,21 @@ class SynthConfig:
     dgp_self: tuple
     dgp_hop: tuple
     phi_star: np.ndarray
-    sigma: float | np.ndarray = 1.0
+    sigma: float = 1.0
     quad_coeff: float = 0.0
     seed: int = 0
-    burn_in: int = 200
 
     def to_dict(self) -> dict:
-        sigma = self.sigma
         return {
             "graph": asdict(self.graph),
             "steps": self.steps,
             "dgp_self": [float(c) for c in self.dgp_self],
             "dgp_hop": [float(c) for c in self.dgp_hop],
             "phi_star": np.asarray(self.phi_star).tolist(),
-            "sigma": sigma.tolist() if isinstance(sigma, np.ndarray) else float(sigma),
+            "sigma": float(self.sigma),
             "quad_coeff": float(self.quad_coeff),
             "seed": self.seed,
-            "burn_in": self.burn_in,
+            "burn_in": BURN_IN,
         }
 
 
@@ -120,34 +124,18 @@ class SynthBundle:
     floor: float
 
 
-def _noise_chol(sigma, n: int) -> np.ndarray:
-    if np.isscalar(sigma):
-        if sigma < 0:
-            raise ValidationError("sigma must be nonnegative")
-        return float(sigma) * np.eye(n)
-    cov = np.asarray(sigma, dtype=np.float64)
-    if cov.shape != (n, n):
-        raise ValidationError(f"noise covariance shape {cov.shape} != ({n}, {n})")
-    return np.linalg.cholesky(cov)
-
-
-def _noise_trace(sigma, n: int) -> float:
-    if np.isscalar(sigma):
-        return n * float(sigma) ** 2
-    return float(np.trace(np.asarray(sigma, dtype=np.float64)))
-
-
 def oracle_floor(cfg: SynthConfig) -> float:
     """Best achievable one-step RMSE: the optimal predictor's residual is the
-    white-noise innovation, so the floor is sqrt(trace(Sigma) / N)."""
-    return float(np.sqrt(_noise_trace(cfg.sigma, cfg.graph.n) / cfg.graph.n))
+    white-noise innovation, so the floor is sqrt(trace(sigma^2 I) / N) = sigma."""
+    return float(cfg.sigma)
 
 
 def generate(cfg: SynthConfig) -> SynthBundle:
     """Simulate a bundle: VAR(1) errors riding on graph-filter dynamics.
 
     Rejects configurations whose error coefficients are nonstationary or
-    whose support leaves the one-hop structural pattern.
+    whose support leaves the one-hop structural pattern, and a sigma that is
+    not a nonnegative number.
     """
     graph = cfg.graph.build()
     n = graph.n
@@ -164,42 +152,39 @@ def generate(cfg: SynthConfig) -> SynthBundle:
         raise ValidationError("dgp_self and dgp_hop must be equal-length and nonempty")
     if cfg.steps < 1:
         raise ValidationError("steps must be >= 1")
+    if not isinstance(cfg.sigma, numbers.Real) or not cfg.sigma >= 0:
+        raise ValidationError(f"sigma must be a nonnegative number, got {cfg.sigma!r}")
 
     hop = normalized_adjacency(graph)
     lags = len(cfg.dgp_self)
     taps = [
         cfg.dgp_self[h] * np.eye(n) + cfg.dgp_hop[h] * hop for h in range(lags)
     ]
-    chol = _noise_chol(cfg.sigma, n)
     rng = np.random.default_rng(cfg.seed)
 
-    total = cfg.burn_in + cfg.steps
-    history = deque([np.zeros(n)] * lags, maxlen=lags)  # newest first
-    eta_prev = np.zeros(n)
-    values = np.empty((total, n))
+    total = BURN_IN + cfg.steps
+    innovations = rng.standard_normal((total, n))
+    innovations *= cfg.sigma
+    # `lags` leading zero rows are the initial history: step t writes row
+    # lags + t and reads lag h from row lags + t - 1 - h
+    values = np.zeros((lags + total, n))
     residuals = np.empty((total, n))
-    innovations = np.empty((total, n))
+    eta = np.zeros(n)
     for t in range(total):
-        eps = chol @ rng.standard_normal(n)
-        eta = phi @ eta_prev + eps
-        x = sum(taps[h] @ history[h] for h in range(lags))
+        eta = phi @ eta + innovations[t]
+        x = sum(taps[h] @ values[lags + t - 1 - h] for h in range(lags))
         if cfg.quad_coeff != 0.0:
-            x = x + cfg.quad_coeff * history[0] ** 2
-        x = x + eta
-        values[t] = x
+            x = x + cfg.quad_coeff * values[lags + t - 1] ** 2
+        values[lags + t] = x + eta
         residuals[t] = eta
-        innovations[t] = eps
-        history.appendleft(x)
-        eta_prev = eta
     if not np.all(np.isfinite(values)):
         raise ValidationError("simulation diverged; reduce tap magnitudes or quad_coeff")
 
-    keep = slice(cfg.burn_in, total)
-    frame = SeriesFrame(values=values[keep].copy(), step_minutes=5.0)
+    frame = SeriesFrame(values=values[lags + BURN_IN :].copy(), step_minutes=5.0)
     return SynthBundle(
         frame=frame,
-        residuals=residuals[keep].copy(),
-        innovations=innovations[keep].copy(),
+        residuals=residuals[BURN_IN:].copy(),
+        innovations=innovations[BURN_IN:].copy(),
         graph=graph,
         phi_star=phi.copy(),
         floor=oracle_floor(cfg),
@@ -232,7 +217,7 @@ def structured_var_coefficients(
     diag = rng.uniform(diag_low, radius, n)
     diag[rng.integers(n)] = radius
     phi[np.arange(n), np.arange(n)] = diag
-    support = np.abs(graph.adjacency) > 0
+    support = graph.adjacency > 0
     lower_i, lower_j = np.nonzero(np.tril(support, k=-1))
     signs = rng.choice([-1.0, 1.0], lower_i.size)
     phi[lower_i, lower_j] = signs * rng.uniform(coupling_low, coupling_high, lower_i.size)
@@ -246,7 +231,7 @@ def bfs_mask_oracle(graph: SensorGraph, order: int) -> np.ndarray:
     cross-check structural masks.
     """
     n = graph.n
-    support = np.abs(graph.adjacency) > 0
+    support = graph.adjacency > 0
     neighbors = [np.nonzero(support[i])[0] for i in range(n)]
     mask = np.ones((n, n))
     for start in range(n):

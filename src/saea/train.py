@@ -151,7 +151,7 @@ def _clip_gradients(grad_theta, payload_grads, limit):
     for g in payload_grads.values():
         total += float(np.sum(g * g))
     norm = np.sqrt(total)
-    if norm <= limit or norm == 0.0:
+    if norm <= limit:
         return grad_theta, payload_grads
     scale = limit / norm
     return grad_theta * scale, {k: v * scale for k, v in payload_grads.items()}

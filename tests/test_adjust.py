@@ -628,6 +628,18 @@ def test_clone_is_independent():
     assert_array_equal(other.payload["matrix"], em.payload["matrix"])
 
 
+def test_error_model_owns_its_payload():
+    given = {"coef": [0.5]}
+    em = ErrorModel("scalar", 3, payload=given)
+    assert given == {"coef": [0.5]} and isinstance(given["coef"], list)
+    assert em.payload is not given
+    diag = np.full((1, 3), 0.25)
+    em = ErrorModel("diagonal", 3, payload={"diag": diag})
+    assert em.payload["diag"] is not diag
+    em.payload["diag"][0, 0] = 1.0
+    assert diag[0, 0] == 0.25
+
+
 def test_error_model_blob_roundtrip_with_mask_hash():
     # every kind keeps its payload shapes (p = 2, n = 5, k = 2) through a blob
     shapes = {

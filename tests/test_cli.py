@@ -1,4 +1,9 @@
+import argparse
+import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -581,6 +586,86 @@ def test_checkpoint_sensor_count_disagreement_fails_before_scoring(
         assert err.count("\n") == 1 and "Traceback" not in err
         parsed = json.loads(err)
         assert parsed["error"] == "ValidationError" and named in parsed["message"]
+
+
+def one_json_error(capsys) -> dict:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return json.loads(err)
+
+
+def test_series_sensor_count_is_checked_from_the_header(tmp_path, capsys):
+    # the body's malformed cell is never reached: the header already disagrees
+    series = tmp_path / "series.csv"
+    series.write_text("a,b,c\n" + "1.0,2.0,3.0\n" * 10 + "1.0,x,3.0\n" + "1.0,2.0,3.0\n" * 20)
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, NodeAR(3, 2), None)
+    for command in ("eval", "diagnose"):
+        argv = [command, "--checkpoint", str(ckpt), "--series", str(series)]
+        assert run([*argv, "--out", str(tmp_path / command)]) == 1
+        parsed = one_json_error(capsys)
+        assert parsed["error"] == "ValidationError"
+        assert "series has 3 sensors, expected 2" in parsed["message"]
+    adjacency = tmp_path / "adjacency.csv"
+    adjacency.write_text("0,1\n1,0\n")
+    argv = ["train", "--series", str(series), "--adjacency", str(adjacency), "--out", str(tmp_path / "t")]
+    assert run(argv) == 1
+    assert "series has 3 sensors, expected 2" in one_json_error(capsys)["message"]
+
+
+def test_eval_rejects_a_checkpoint_mask_structural_mask_cannot_build(tmp_path, capsys):
+    bundle = make_bundle_dir(tmp_path)
+    out = tmp_path / "run"
+    assert run(train_args(bundle, out, ("--kind", "structural", "--epochs", "1"))) == 0
+    ckpt = out / "checkpoint_h5min_best.json"
+    blob = json.loads(ckpt.read_text())
+    fives = np.full((8, 8), 5.0)
+    blob["error_model"]["mask"] = fives.tolist()
+    blob["error_model"]["mask_sha256"] = hashlib.sha256(fives.tobytes()).hexdigest()
+    ckpt.write_text(json.dumps(blob))
+    capsys.readouterr()
+    argv = ["eval", "--checkpoint", str(ckpt), "--series", str(bundle / "series.csv")]
+    assert run([*argv, "--out", str(tmp_path / "eval")]) == 1
+    assert one_json_error(capsys)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("flags", [("--var-order", "13", "--history", "12"), ("--var-order", "0")])
+def test_train_var_order_outside_the_window_fails_before_any_fit(tmp_path, capsys, monkeypatch, flags):
+    bundle = make_bundle_dir(tmp_path)
+    fits = []
+    monkeypatch.setattr(saea.cli, "fit", lambda *a: fits.append(1))
+    capsys.readouterr()
+    assert run(train_args(bundle, tmp_path / "bad", ("--kind", "diagonal", *flags))) == 1
+    parsed = one_json_error(capsys)
+    assert parsed["error"] == "ValidationError" and "var_order" in parsed["message"]
+    assert fits == []
+
+
+def test_synth_phi_radius_rescales_the_coefficients(tmp_path, capsys):
+    base = ["synth", "--n", "8", "--steps", "50", "--phi-radius", "0.5"]
+    assert run([*base, "--out", str(tmp_path / "ok")]) == 0
+    phi = np.loadtxt(tmp_path / "ok" / "phi_star.csv", delimiter=",")
+    assert np.max(np.abs(np.linalg.eigvals(phi))) == pytest.approx(0.5, abs=1e-12)
+    capsys.readouterr()
+    zero = ["--phi-diag", "0", "--phi-hop", "0"]
+    assert run([*base, *zero, "--out", str(tmp_path / "zero")]) == 1
+    parsed = one_json_error(capsys)
+    assert parsed["error"] == "ValidationError" and "zero coefficient matrix" in parsed["message"]
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```bash\n(.*?)```", readme, flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["saea"]]
+    assert [argv[0] for argv in commands] == ["synth", "train", "eval", "diagnose", "compare"]
+    parser = saea.cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for p in (parser, *subparsers.choices.values()):
+        p.allow_abbrev = False  # a renamed flag must not pass as a prefix of its new name
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_eval_uses_the_split_recorded_at_training(tmp_path, capsys):

@@ -142,6 +142,7 @@ def test_weighted_entries_do_not_change_mask():
         np.eye(3),                            # self-loop
         np.array([[0.0, np.nan], [1.0, 0.0]]),
         np.array([[1.0, -2.0], [np.nan, 0.0]]),
+        1e-13 * np.eye(3),                    # self-loop, however small
     ],
 )
 def test_invalid_adjacency_rejected(bad):
@@ -158,6 +159,27 @@ def test_constructors_store_read_only_arrays_and_leave_the_callers(build, field)
     given = np.zeros((3, 3))
     stored = getattr(build(given), field)
     assert given.flags.writeable and not stored.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.zeros((2, 3)),                 # not square
+        np.zeros(3),                      # not a matrix
+        5.0 * (1.0 - np.eye(3)),          # not 0/1
+        np.array([[0.0, np.nan], [1.0, 0.0]]),
+        np.ones((3, 3)),                  # nonzero diagonal
+    ],
+)
+def test_structural_mask_rejects_a_mask_structural_mask_cannot_build(bad):
+    with pytest.raises(ValidationError):
+        StructuralMask(1, bad)
+
+
+def test_structural_mask_order_must_be_1_or_2():
+    for order in (0, 3):
+        with pytest.raises(UnsupportedOrderError):
+            StructuralMask(order, np.zeros((3, 3)))
 
 
 def test_unsupported_mask_order():

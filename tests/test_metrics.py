@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -6,6 +8,7 @@ from scipy.linalg import solve_discrete_lyapunov
 from saea.data import Normalizer
 from saea.errors import UndefinedMetricError, ValidationError
 from saea.metrics import (
+    _temporal_summary,
     accuracy,
     acf,
     crosslag_cov,
@@ -220,3 +223,24 @@ def test_residual_report_structure():
     assert report["acf"][0][0] == pytest.approx(1.0)
     assert set(report["crosslag"]) == {"1", "2"}
     assert len(report["ecm_spatial"]) == 3
+
+
+def test_residual_report_writes_null_acf_for_a_constant_residual_column():
+    rng = np.random.default_rng(12)
+    truth = rng.normal(size=(40, 3))
+    preds = truth + rng.normal(size=(40, 3))
+    truth[:, 2], preds[:, 2] = 3.0, 2.5  # a constant residual in column 2
+    report = residual_report(truth, preds, max_lag=4)
+    assert report["acf"][2] is None and len(report["acf"][0]) == 5
+    assert json.loads(json.dumps(report))["acf"][2] is None
+
+
+@pytest.mark.parametrize("shape", [(30, 4), (5, 12)])
+def test_temporal_summary_matches_the_temporal_ecm(shape):
+    e = np.random.default_rng(13).normal(size=shape)
+    full = ecm(e, "temporal")
+    summary = _temporal_summary(e)
+    assert summary["shape"] == list(full.shape)
+    assert summary["trace_mean"] == pytest.approx(float(np.mean(np.diag(full))), rel=1e-12)
+    assert summary["offdiag_energy"] == pytest.approx(offdiag_energy(full), rel=1e-9)
+    assert _temporal_summary(np.zeros(shape))["offdiag_energy"] == 0.0

@@ -1,10 +1,13 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from saea.errors import ValidationError
-from saea.graph import structural_mask
+from saea.graph import normalized_adjacency, structural_mask
 from saea.synth import (
+    BURN_IN,
     GraphSpec,
     SynthConfig,
     bfs_mask_oracle,
@@ -98,7 +101,68 @@ def test_oracle_floor_values():
     assert oracle_floor(simple_config(sigma=0.7)) == pytest.approx(0.7)
     cfg = simple_config(graph=GraphSpec("path", 2), phi_star=np.zeros((2, 2)),
                         sigma=np.diag([1.0, 4.0]))
-    assert oracle_floor(cfg) == pytest.approx(np.sqrt(5.0 / 2.0))
+    with pytest.raises(ValidationError, match="sigma"):
+        generate(cfg)
+
+
+@pytest.mark.parametrize("sigma", [-0.5, float("nan"), np.array(1.0), [1.0], "1.0"])
+def test_sigma_must_be_a_nonnegative_number(sigma):
+    with pytest.raises(ValidationError, match="sigma"):
+        generate(simple_config(sigma=sigma))
+
+
+def reference_generate(cfg):
+    """The simulation written step by step: a (sigma I) @ z innovation per
+    step and a newest-first deque of the last `lags` values."""
+    graph = cfg.graph.build()
+    n, lags = graph.n, len(cfg.dgp_self)
+    hop = normalized_adjacency(graph)
+    taps = [cfg.dgp_self[h] * np.eye(n) + cfg.dgp_hop[h] * hop for h in range(lags)]
+    chol = cfg.sigma * np.eye(n)
+    rng = np.random.default_rng(cfg.seed)
+    history = deque([np.zeros(n)] * lags, maxlen=lags)
+    eta_prev = np.zeros(n)
+    values, residuals, innovations = [], [], []
+    for _ in range(BURN_IN + cfg.steps):
+        eps = chol @ rng.standard_normal(n)
+        eta = cfg.phi_star @ eta_prev + eps
+        x = sum(taps[h] @ history[h] for h in range(lags))
+        if cfg.quad_coeff != 0.0:
+            x = x + cfg.quad_coeff * history[0] ** 2
+        x = x + eta
+        values.append(x)
+        residuals.append(eta)
+        innovations.append(eps)
+        history.appendleft(x)
+        eta_prev = eta
+    return tuple(np.array(a[BURN_IN:]) for a in (values, residuals, innovations))
+
+
+@pytest.mark.parametrize(
+    "spec, sigma, dgp_self, dgp_hop, quad, structured",
+    [
+        (GraphSpec("ring", 8), 0.7, (0.5,), (0.3,), 0.0, True),
+        (GraphSpec("ring", 20), 1.0, (0.4, 0.2), (0.2, 0.1), 0.002, False),
+        (GraphSpec("erdos_renyi", 30, p_edge=0.1, seed=2), 0.5, (0.5, 0.2), (0.0, 0.1), 0.0, True),
+    ],
+    ids=["ring8", "ring20-quad", "er30"],
+)
+def test_generate_matches_the_step_by_step_reference_bit_for_bit(
+    spec, sigma, dgp_self, dgp_hop, quad, structured
+):
+    graph = spec.build()
+    if structured:
+        phi = structured_var_coefficients(graph, seed=1, radius=0.6)
+    else:
+        phi = 0.4 * np.eye(graph.n) + 0.15 * normalized_adjacency(graph)
+    cfg = SynthConfig(graph=spec, steps=300, dgp_self=dgp_self, dgp_hop=dgp_hop,
+                      phi_star=phi, sigma=sigma, quad_coeff=quad, seed=4)
+    bundle = generate(cfg)
+    values, residuals, innovations = reference_generate(cfg)
+    assert bundle.frame.values.tobytes() == values.tobytes()
+    assert bundle.residuals.tobytes() == residuals.tobytes()
+    assert bundle.innovations.tobytes() == innovations.tobytes()
+    assert bundle.floor == sigma
 
 
 def test_oracle_predictor_rmse_matches_floor():

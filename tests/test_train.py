@@ -11,6 +11,7 @@ from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import structural_mask
 from saea.synth import GraphSpec, SynthConfig, generate, ring_graph, structured_var_coefficients
 from saea.train import (
+    _clip_gradients,
     TrainConfig,
     checkpoint_blob,
     fit,
@@ -139,6 +140,28 @@ def test_fit_divergence_keeps_last_good_state():
     assert np.all(np.isfinite(model.get_params()))
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_fit_divergence_rolls_the_error_model_back_to_the_last_finished_epoch():
+    tws = make_windows(sinusoid_frame(t=120), 3, 0)
+
+    def run(epochs):
+        model, em = NodeAR(3, 4, seed=0), ErrorModel.for_training("diagonal", 4, seed=0)
+        report = fit(model, em, TrainConfig(epochs=epochs, lr=100.0, optimizer="sgd", seed=0), tws, tws)
+        return model, em, report
+
+    model, em, report = run(50)
+    assert report.diverged and report.epochs_run >= 1
+    # the same fit stopped after its last finished epoch holds the same state
+    kept_model, kept_em, kept = run(report.epochs_run)
+    assert not kept.diverged
+    assert np.all(np.isfinite(em.payload["diag"]))
+    assert_array_equal(em.payload["diag"], kept_em.payload["diag"])
+    assert_array_equal(model.get_params(), kept_model.get_params())
+    _, final_em = load_checkpoint_blob(report.final_checkpoint)
+    assert_array_equal(final_em.payload["diag"], kept_em.payload["diag"])
+
+
 def test_fit_best_and_final_checkpoints_hold_their_states():
     frame = sinusoid_frame(t=120)
     train_f, val_f, _ = chronological_split(frame, 0.7, 0.15)
@@ -245,6 +268,15 @@ def test_grad_clip_limits_update():
     # with a tiny clip the total parameter movement stays tiny
     moved = np.linalg.norm(model.get_params() - theta0)
     assert 0 < moved < 1e-4
+
+
+def test_clip_gradients_scales_all_gradients_by_one_factor():
+    grad_theta, payload_grads = np.array([3.0, 0.0]), {"diag": np.array([[4.0]])}  # norm 5
+    same_theta, same_payload = _clip_gradients(grad_theta, payload_grads, 5.0)
+    assert same_theta is grad_theta and same_payload is payload_grads
+    clipped_theta, clipped_payload = _clip_gradients(grad_theta, payload_grads, 2.5)
+    assert_array_equal(clipped_theta, [1.5, 0.0])
+    assert_array_equal(clipped_payload["diag"], [[2.0]])
 
 
 # -- recursive rollout ----------------------------------------------

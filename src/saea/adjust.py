@@ -23,6 +23,7 @@ points (l1 at zero, hinge kinks, matrix norms at the origin).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,10 +67,10 @@ class RegularizerConfig:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValidationError("alpha must be >= 0")
-        if self.beta < 0:
-            raise ValidationError("beta must be >= 0")
+        if not 0 <= self.alpha < math.inf:
+            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 <= self.beta < math.inf:
+            raise ValidationError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 def default_regularizer(kind: str, **overrides) -> RegularizerConfig:

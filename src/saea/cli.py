@@ -291,6 +291,11 @@ def cmd_synth(args) -> int:
     else:
         phi = args.phi_diag * np.eye(graph.n) + args.phi_hop * normalized_adjacency(graph)
         if args.phi_radius is not None:
+            if not (0 <= args.phi_radius < math.inf and np.all(np.isfinite(phi))):
+                raise ValidationError(
+                    f"--phi-radius {args.phi_radius} needs a finite radius >= 0 "
+                    "and finite coefficients"
+                )
             current = float(np.max(np.abs(np.linalg.eigvals(phi))))
             if current == 0:
                 raise ValidationError("cannot rescale a zero coefficient matrix")
@@ -438,42 +443,36 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _write_scored(args, name: str, payload: dict, fracs, **config) -> None:
+    """The tail of eval and diagnose: the scored JSON and a manifest that
+    records the split it scored."""
+    os.makedirs(args.out, exist_ok=True)
+    write_json(os.path.join(args.out, name), payload, indent=1)
+    split = {"split": args.split, "train_frac": fracs[0], "val_frac": fracs[1]}
+    inputs = [args.checkpoint, args.series]
+    write_manifest(args.out, args.command, {**split, **config}, 0, inputs, [name])
+
+
 def cmd_eval(args) -> int:
-    truth, preds, horizon_step, (train_frac, val_frac) = _eval_checkpoint(args)
+    truth, preds, horizon_step, fracs = _eval_checkpoint(args)
     payload = {
         "split": args.split,
         "horizon_step": horizon_step,
         **accuracy(truth, preds),
         "num_windows": int(truth.shape[0]),
     }
-    os.makedirs(args.out, exist_ok=True)
-    write_json(os.path.join(args.out, "metrics.json"), payload, indent=1)
-    write_manifest(
-        args.out,
-        "eval",
-        {"split": args.split, "train_frac": train_frac, "val_frac": val_frac},
-        0,
-        inputs=[args.checkpoint, args.series],
-        outputs=["metrics.json"],
-    )
+    _write_scored(args, "metrics.json", payload, fracs)
     print(f"{args.split} RMSE {payload['rmse']:.6g}, MAPE {payload['mape_percent']:.4g}%")
     return 0
 
 
 def cmd_diagnose(args) -> int:
     ts_lags = parse_list(args.ts_lags, int, "--ts-lags")
-    truth, preds, _, _ = _eval_checkpoint(args)
+    truth, preds, _, fracs = _eval_checkpoint(args)
     payload = residual_report(truth, preds, max_lag=args.max_lag, ts_lags=ts_lags)
     payload["split"] = args.split
-    os.makedirs(args.out, exist_ok=True)
-    write_json(os.path.join(args.out, "diagnostics.json"), payload, indent=1)
-    write_manifest(
-        args.out,
-        "diagnose",
-        {"split": args.split, "max_lag": args.max_lag, "ts_lags": list(ts_lags)},
-        0,
-        inputs=[args.checkpoint, args.series],
-        outputs=["diagnostics.json"],
+    _write_scored(
+        args, "diagnostics.json", payload, fracs, max_lag=args.max_lag, ts_lags=list(ts_lags)
     )
     print(
         f"spatial ECM off-diagonal energy {payload['ecm_spatial_offdiag_energy']:.4f}, "

@@ -255,9 +255,10 @@ def chronological_split(
 ) -> tuple[SeriesFrame, SeriesFrame, SeriesFrame]:
     """Contiguous, order-preserving train/val/test segments covering all rows,
     as read-only views of the frame's values."""
-    if train_frac <= 0 or val_frac <= 0:
-        raise ValidationError("split fractions must be positive")
-    if train_frac + val_frac >= 1:
+    # written so that a NaN fraction fails them
+    if not (train_frac > 0 and val_frac > 0):
+        raise ValidationError(f"split fractions must be positive, got ({train_frac}, {val_frac})")
+    if not train_frac + val_frac < 1:
         raise ValidationError("train_frac + val_frac must be < 1")
     t = frame.num_steps
     n_train = int(t * train_frac)

@@ -133,15 +133,17 @@ def oracle_floor(cfg: SynthConfig) -> float:
 def generate(cfg: SynthConfig) -> SynthBundle:
     """Simulate a bundle: VAR(1) errors riding on graph-filter dynamics.
 
-    Rejects configurations whose error coefficients are nonstationary or
-    whose support leaves the one-hop structural pattern, and a sigma that is
-    not a nonnegative number.
+    Rejects configurations whose error coefficients are not finite, are
+    nonstationary or leave the one-hop structural pattern, and a sigma that
+    is not a nonnegative number.
     """
     graph = cfg.graph.build()
     n = graph.n
     phi = np.asarray(cfg.phi_star, dtype=np.float64)
     if phi.shape != (n, n):
         raise ValidationError(f"phi_star shape {phi.shape} != ({n}, {n})")
+    if not np.all(np.isfinite(phi)):
+        raise ValidationError("phi_star must be finite")
     radius = float(np.max(np.abs(np.linalg.eigvals(phi))))
     if radius >= 1.0:
         raise ValidationError(f"phi_star spectral radius {radius:.4f} >= 1; nonstationary")

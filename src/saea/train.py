@@ -1,14 +1,15 @@
 """Joint minibatch optimization of the base model and the error coefficients.
 
-A single optimizer and learning rate update the flat model parameters and
-every error-model payload array, driven by the adjusted loss. Shuffling is
-seeded, gradient reduction order is fixed, and the best-validation state is
-retained alongside the final one, so a (seed, config) pair pins the run
-bit-for-bit.
+A single optimizer and learning rate update one vector, the flat model
+parameters followed by every error-model payload array in its stored order,
+driven by the adjusted loss. Shuffling is seeded, gradient reduction order
+is fixed, and the best-validation state is retained alongside the final
+one, so a (seed, config) pair pins the run bit-for-bit.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -57,12 +58,12 @@ class TrainConfig:
             raise ValidationError("epochs must be >= 1")
         if self.batch < 1:
             raise ValidationError("batch must be >= 1")
-        if self.lr <= 0:
-            raise ValidationError("lr must be > 0")
+        if not 0 < self.lr < math.inf:
+            raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
         if self.optimizer not in OPTIMIZERS:
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValidationError(f"grad_clip must be > 0, got {self.grad_clip}")
+        if self.grad_clip is not None and not 0 < self.grad_clip < math.inf:
+            raise ValidationError(f"grad_clip must be finite and > 0, got {self.grad_clip}")
 
 
 @dataclass
@@ -74,7 +75,7 @@ class TrainReport:
     radius: list = field(default_factory=list)
     epoch_seconds: list = field(default_factory=list)
     best_epoch: int = -1
-    best_val_mse: float = float("inf")
+    best_val_mse: float | None = None  # None until an epoch finishes
     best_checkpoint: dict | None = None
     final_checkpoint: dict | None = None
     diverged: bool = False
@@ -146,22 +147,6 @@ def load_checkpoint(path) -> tuple[Forecaster, ErrorModel | None]:
     return load_checkpoint_blob(read_json(path))
 
 
-def _clip_gradients(grad_theta, payload_grads, limit):
-    total = float(np.sum(grad_theta * grad_theta))
-    for g in payload_grads.values():
-        total += float(np.sum(g * g))
-    norm = np.sqrt(total)
-    if norm <= limit:
-        return grad_theta, payload_grads
-    scale = limit / norm
-    return grad_theta * scale, {k: v * scale for k, v in payload_grads.items()}
-
-
-def _snapshot(model: Forecaster, em: ErrorModel | None, extra: dict) -> tuple:
-    """Copies of the trained state plus the blob fields that describe it."""
-    return model.get_params(), (em.clone() if em is not None else None), extra
-
-
 def fit(
     model: Forecaster,
     em: ErrorModel | None,
@@ -174,7 +159,7 @@ def fit(
     Every epoch records the mean batch loss, validation MSE of the adjusted
     predictions, and the spectral radius of the error coefficients. The best
     validation state and the final state are both kept as checkpoint blobs,
-    built once at the end from array snapshots. A non-finite loss aborts with
+    built once at the end. A non-finite loss or validation MSE aborts with
     the last finished epoch's state retained.
     """
     if train_windows.batch == 0 or val_windows.batch == 0:
@@ -183,57 +168,63 @@ def fit(
         reg = RegularizerConfig(0.0)
     else:
         reg = default_regularizer(em.kind, alpha=cfg.alpha, beta=cfg.beta)
+    names = list(em.payload) if em is not None else []
+    arrays = [model.get_params()] + [em.payload[name] for name in names]
+    vector = np.concatenate(arrays, axis=None)
+    splits = np.cumsum([arr.size for arr in arrays[:-1]])
+
+    def load(vector):
+        """Hand the vector's slices to the model and the error model."""
+        theta, *payload = np.split(vector, splits)
+        model.set_params(theta)
+        for name, arr in zip(names, payload):
+            em.payload[name] = arr.reshape(em.payload[name].shape)
+
     rng = np.random.default_rng(cfg.seed)
-    theta = model.get_params()
-    opt_state = {"theta": np.zeros_like(theta)}
-    if em is not None:
-        opt_state.update({name: np.zeros_like(arr) for name, arr in em.payload.items()})
-
-    def step(name, params, grads):
-        if cfg.optimizer == "sgd":
-            return sgd_step(params, grads, cfg.lr)
-        params, opt_state[name] = rmsprop_step(params, grads, opt_state[name], cfg.lr)
-        return params
-
+    state = np.zeros_like(vector)
     report = TrainReport()
-    last_good = _snapshot(model, em, {"epoch": -1})
+    # (vector, blob fields) pairs, kept by reference: rmsprop_step and
+    # sgd_step return new arrays and never write their inputs in place
+    last_good = (vector, {"epoch": -1})
     best = None
-    b_train = train_windows.batch
-    num_batches = (b_train + cfg.batch - 1) // cfg.batch
+    num_batches = (train_windows.batch + cfg.batch - 1) // cfg.batch
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-        order = rng.permutation(b_train)
+        order = rng.permutation(train_windows.batch)
         epoch_losses = np.empty(num_batches)
         try:
             for i in range(num_batches):
                 idx = order[i * cfg.batch : (i + 1) * cfg.batch]
                 result = saea_loss(model, em, reg, train_windows.take(idx))
-                grad_theta, payload_grads = result.grad_theta, result.payload_grads
+                grads = [result.grad_theta] + [result.payload_grads[name] for name in names]
+                grad = np.concatenate(grads, axis=None)
                 if cfg.grad_clip is not None:
-                    grad_theta, payload_grads = _clip_gradients(
-                        grad_theta, payload_grads, cfg.grad_clip
-                    )
-                theta = step("theta", theta, grad_theta)
-                for name in sorted(payload_grads):
-                    em.payload[name] = step(name, em.payload[name], payload_grads[name])
-                model.set_params(theta)
+                    # summed array by array, theta first: this order fixes the norm's rounding
+                    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+                    if norm > cfg.grad_clip:
+                        grad = grad * (cfg.grad_clip / norm)
+                if cfg.optimizer == "sgd":
+                    vector = sgd_step(vector, grad, cfg.lr)
+                else:
+                    vector, state = rmsprop_step(vector, grad, state, cfg.lr)
+                load(vector)
                 epoch_losses[i] = result.loss
+            preds = predict_windows(model, em, val_windows)
+            val_mse = float(np.mean((preds - val_windows.targets) ** 2))
+            if not np.isfinite(val_mse):
+                raise DivergenceError("non-finite validation MSE")
         except DivergenceError:
             # roll back to the end of the last finished epoch
             report.diverged = True
-            model.set_params(last_good[0])
-            if em is not None:
-                em.payload = last_good[1].payload
+            load(last_good[0])
             break
-        preds = predict_windows(model, em, val_windows)
-        val_mse = float(np.mean((preds - val_windows.targets) ** 2))
         report.train_loss.append(float(epoch_losses.mean()))
         report.val_mse.append(val_mse)
         report.radius.append(spectral_radius(em) if em is not None else 0.0)
         report.epoch_seconds.append(time.perf_counter() - started)
         report.epochs_run = epoch + 1
-        last_good = _snapshot(model, em, {"epoch": epoch, "val_mse": val_mse})
-        if val_mse < report.best_val_mse:
+        last_good = (vector, {"epoch": epoch, "val_mse": val_mse})
+        if best is None or val_mse < report.best_val_mse:
             report.best_val_mse = val_mse
             report.best_epoch = epoch
             best = last_good
@@ -242,10 +233,9 @@ def fit(
     )
     report.best_checkpoint = report.final_checkpoint
     if best is not None:
-        final_theta = model.get_params()
-        model.set_params(best[0])
-        report.best_checkpoint = checkpoint_blob(model, best[1], best[2])
-        model.set_params(final_theta)
+        load(best[0])
+        report.best_checkpoint = checkpoint_blob(model, em, best[1])
+        load(last_good[0])
     return report
 
 

@@ -205,6 +205,18 @@ def test_default_regularizer_table():
     assert default_regularizer("sparse_full", alpha=7.0).alpha == 7.0
 
 
+def test_default_regularizer_rejects_an_unknown_kind():
+    with pytest.raises(ValidationError, match="'bogus'"):
+        default_regularizer("bogus")
+
+
+@pytest.mark.parametrize("setting", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_regularizer_config_rejects_a_negative_or_nonfinite_weight(setting, value):
+    with pytest.raises(ValidationError, match=setting):
+        RegularizerConfig(**{"alpha": 1.0, setting: value})
+
+
 def test_readme_penalty_table_is_the_default_table():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     table = {}

@@ -183,6 +183,69 @@ def test_train_nonpositive_grad_clip_exits_1_on_one_json_line(tmp_path, capsys):
     assert err["error"] == "ValidationError" and "grad_clip" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (("--lr", "nan"), "lr"),
+        (("--lr", "inf"), "lr"),
+        (("--alpha", "nan"), "alpha"),
+        (("--alpha", "inf"), "alpha"),
+        (("--kind", "low_rank_sparse", "--beta", "nan"), "beta"),
+        (("--grad-clip", "nan"), "grad_clip"),
+    ],
+    ids=["lr-nan", "lr-inf", "alpha-nan", "alpha-inf", "beta-nan", "grad-clip-nan"],
+)
+def test_train_nonfinite_setting_exits_1_naming_it(tmp_path, capsys, flags, field):
+    bundle = make_bundle_dir(tmp_path, n=6)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run(train_args(bundle, out, ("--kind", "diagonal", *flags))) == 1
+    parsed = one_json_error(capsys)
+    assert parsed["error"] == "ValidationError" and field in parsed["message"]
+    assert not list(out.glob("checkpoint_*"))
+
+
+def test_nan_split_fraction_exits_1_on_one_json_line(tmp_path, capsys):
+    bundle = make_bundle_dir(tmp_path, n=6)
+    out = tmp_path / "run"
+    assert run(train_args(bundle, out, ("--kind", "none", "--epochs", "1"))) == 0
+    # a checkpoint that records no fractions, as hand-built ones may not
+    ckpt = tmp_path / "no_fractions.json"
+    blob = json.loads((out / "checkpoint_h5min_best.json").read_text())
+    ckpt.write_text(json.dumps({k: v for k, v in blob.items() if not k.endswith("_frac")}))
+    series = str(bundle / "series.csv")
+    score = ["--checkpoint", str(ckpt), "--series", series, "--train-frac", "nan"]
+    argvs = [
+        train_args(bundle, tmp_path / "t", ("--kind", "none", "--train-frac", "nan")),
+        ["compare", "--series", series, "--kinds", "none", "--val-frac", "nan",
+         "--out", str(tmp_path / "c")],
+        ["eval", *score, "--out", str(tmp_path / "e")],
+        ["diagnose", *score, "--out", str(tmp_path / "d")],
+    ]
+    capsys.readouterr()
+    for argv in argvs:
+        assert run(argv) == 1
+        parsed = one_json_error(capsys)
+        assert parsed["error"] == "ValidationError" and "split fractions" in parsed["message"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_run_whose_validation_mse_overflows_writes_strict_json(tmp_path):
+    bundle = make_bundle_dir(tmp_path)
+    out = tmp_path / "run"
+    flags = ("--kind", "none", "--optimizer", "sgd", "--lr", "1e6", "--batch", "1000",
+             "--history", "12", "--epochs", "300")
+    assert run(train_args(bundle, out, flags)) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    metrics = json.loads((out / "metrics.json").read_text(), parse_constant=reject)
+    report = json.loads((out / "train_report_h5min.json").read_text(), parse_constant=reject)
+    assert metrics["horizons"][0]["diverged"] and report["diverged"]
+
+
 def test_diagnose_negative_max_lag_exits_1_on_one_json_line(tmp_path, capsys):
     bundle = make_bundle_dir(tmp_path, n=6)
     out = tmp_path / "run"
@@ -268,6 +331,16 @@ def test_compare_rejects_repeated_kind(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ValidationError"
+
+
+def test_compare_rejects_unknown_kind(tmp_path, capsys):
+    code = run(
+        ["compare", "--series", str(tmp_path / "unread.csv"), "--kinds", "none,bogus",
+         "--out", str(tmp_path / "cmp")]
+    )
+    assert code == 1
+    parsed = one_json_error(capsys)
+    assert parsed["error"] == "ValidationError" and "'bogus'" in parsed["message"]
 
 
 def test_multi_horizon_train(tmp_path):
@@ -465,6 +538,21 @@ def test_out_of_choice_config_value_fails_validation(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize(
+    "line, named", [("kind none", "expected 'key = value'"), ("epochs = ten", "epochs = 'ten'")]
+)
+def test_malformed_config_line_fails_validation_naming_it(tmp_path, capsys, line, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"seed = 1\n{line}\n")
+    code = run(
+        ["train", "--series", str(tmp_path / "unread.csv"), "--config", str(cfg),
+         "--out", str(tmp_path / "x")]
+    )
+    assert code == 1
+    parsed = one_json_error(capsys)
+    assert parsed["error"] == "ValidationError" and named in parsed["message"]
+
+
+@pytest.mark.parametrize(
     "argv, error, named",
     [
         (("synth", "--dgp-self", "0.5,x"), "ValidationError", "--dgp-self: 'x'"),
@@ -653,6 +741,21 @@ def test_synth_phi_radius_rescales_the_coefficients(tmp_path, capsys):
     assert parsed["error"] == "ValidationError" and "zero coefficient matrix" in parsed["message"]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--phi-diag", "nan"), ("--phi-radius", "nan"), ("--phi-radius", "inf"),
+     ("--phi-radius", "-0.5"), ("--phi-star", "{phi}")],
+    ids=["phi-diag-nan", "phi-radius-nan", "phi-radius-inf", "phi-radius-negative", "phi-star-nan"],
+)
+def test_synth_nonfinite_or_negative_coefficients_exit_1(tmp_path, capsys, flags):
+    phi = tmp_path / "phi.csv"
+    phi.write_text("0.1,0\n0,nan\n")
+    argv = ["synth", "--graph", "path", "--n", "2", "--steps", "50", *flags]
+    assert run([arg.format(phi=phi) for arg in argv] + ["--out", str(tmp_path / "out")]) == 1
+    assert one_json_error(capsys)["error"] == "ValidationError"
+    assert not (tmp_path / "out" / "series.csv").exists()
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks = re.findall(r"```bash\n(.*?)```", readme, flags=re.S)
@@ -666,6 +769,17 @@ def test_readme_command_lines_parse():
         p.allow_abbrev = False  # a renamed flag must not pass as a prefix of its new name
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_library_use_block_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"## Library use\n\n```python\n(.*?)```", readme, flags=re.S)
+    assert run(["synth", "--n", "5", "--steps", "300", "--out", str(tmp_path)]) == 0
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(block, names)
+    assert names["report"].epochs_run == 300 and not names["report"].diverged
+    assert np.isfinite(names["rmse"])
 
 
 def test_eval_uses_the_split_recorded_at_training(tmp_path, capsys):
@@ -684,6 +798,11 @@ def test_eval_uses_the_split_recorded_at_training(tmp_path, capsys):
         # val is steps [420, 560) of 700; history 4 leaves 136 windows (0.7/0.1 gives 66)
         assert metrics["num_windows"] == 136
         manifest = json.loads((eval_out / "manifest.json").read_text())
+        assert (manifest["config"]["train_frac"], manifest["config"]["val_frac"]) == (0.6, 0.2)
+        diagnose_out = tmp_path / f"diagnose{len(flags)}"
+        assert run(["diagnose", *eval_args[1:], *flags, "--out", str(diagnose_out)]) == 0
+        manifest = json.loads((diagnose_out / "manifest.json").read_text())
+        assert manifest["config"]["split"] == "val"
         assert (manifest["config"]["train_frac"], manifest["config"]["val_frac"]) == (0.6, 0.2)
     capsys.readouterr()
     for command in ("eval", "diagnose"):

@@ -204,6 +204,12 @@ def test_split_invalid_fractions():
         chronological_split(frame, 0.0, 0.2)
 
 
+@pytest.mark.parametrize("fracs", [(float("nan"), 0.2), (0.6, float("nan")), (float("inf"), 0.1)])
+def test_split_nonfinite_fraction_is_a_validation_error(fracs):
+    with pytest.raises(ValidationError, match="frac"):
+        chronological_split(SeriesFrame(np.zeros((10, 1))), *fracs)
+
+
 def test_split_order_preserving_no_leak():
     values = np.arange(30.0)[:, None]  # row index as sentinel value
     train, val, test = chronological_split(SeriesFrame(values), 0.6, 0.2)

@@ -284,6 +284,12 @@ def test_checkpoint_rejects_other_version():
             forecaster_from_blob({**blob, "version": version})
 
 
+def test_checkpoint_rejects_an_unknown_kind():
+    blob = NodeAR(2, 2, seed=0).to_blob()
+    with pytest.raises(ValidationError, match="'svr'"):
+        forecaster_from_blob({**blob, "kind": "svr"})
+
+
 def test_build_forecaster_dispatch_and_errors():
     graph = ring_graph(N)
     assert build_forecaster("nodear", H, N).kind == "nodear"

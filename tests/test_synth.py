@@ -185,6 +185,21 @@ def test_nonstationary_phi_rejected():
         generate(simple_config(phi_star=1.05 * np.eye(6)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_phi_rejected(value):
+    phi = np.zeros((6, 6))
+    phi[0, 0] = value
+    with pytest.raises(ValidationError, match="finite"):
+        generate(simple_config(phi_star=phi))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_diverging_simulation_rejected():
+    with pytest.raises(ValidationError, match="simulation diverged"):
+        generate(simple_config(quad_coeff=1.0, steps=50))
+
+
 def test_phi_support_outside_one_hop_rejected():
     phi = np.zeros((6, 6))
     phi[0, 3] = 0.3  # three hops away on a 6-ring

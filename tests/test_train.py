@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from saea.adjust import ErrorModel, predict_windows, saea_predict
+from saea.adjust import ErrorModel, default_regularizer, predict_windows, saea_loss, saea_predict
 from saea.data import SeriesFrame, chronological_split, make_windows
 from saea.errors import ValidationError
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import structural_mask
 from saea.synth import GraphSpec, SynthConfig, generate, ring_graph, structured_var_coefficients
 from saea.train import (
-    _clip_gradients,
     TrainConfig,
     checkpoint_blob,
     fit,
@@ -125,6 +124,23 @@ def test_train_config_rejects_nonpositive_grad_clip(grad_clip):
         TrainConfig(grad_clip=grad_clip)
 
 
+@pytest.mark.parametrize(
+    "setting, value",
+    [
+        ("lr", 0.0),
+        ("lr", float("nan")),
+        ("lr", float("inf")),
+        ("grad_clip", float("nan")),
+        ("grad_clip", float("inf")),
+        ("batch", 0),
+        ("optimizer", "adam"),
+    ],
+)
+def test_train_config_rejects_a_bad_setting_naming_it(setting, value):
+    with pytest.raises(ValidationError, match=setting):
+        TrainConfig(**{setting: value})
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_fit_divergence_keeps_last_good_state():
@@ -160,6 +176,33 @@ def test_fit_divergence_rolls_the_error_model_back_to_the_last_finished_epoch():
     assert_array_equal(model.get_params(), kept_model.get_params())
     _, final_em = load_checkpoint_blob(report.final_checkpoint)
     assert_array_equal(final_em.payload["diag"], kept_em.payload["diag"])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_fit_nonfinite_validation_mse_is_a_divergence():
+    tws = make_windows(sinusoid_frame(t=120), 3, 0)
+    model, em = NodeAR(3, 4), ErrorModel.for_training("diagonal", 4)
+    report = fit(model, em, TrainConfig(epochs=60, lr=1e12, optimizer="sgd"), tws, tws)
+    assert report.diverged
+    assert np.all(np.isfinite(report.val_mse))
+    # the kept state (the model's and the final checkpoint's) predicts finite values
+    assert np.all(np.isfinite(predict_windows(model, em, tws)))
+    kept_model, kept_em = load_checkpoint_blob(report.final_checkpoint)
+    assert np.all(np.isfinite(predict_windows(kept_model, kept_em, tws)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_fit_diverging_in_its_first_epoch_keeps_the_starting_state():
+    tws = make_windows(sinusoid_frame(t=120), 3, 0)
+    model = NodeAR(3, 4, seed=0)
+    theta0 = model.get_params()
+    report = fit(model, None, TrainConfig(epochs=5, lr=1e200, optimizer="sgd"), tws, tws)
+    assert report.diverged and report.epochs_run == 0
+    assert report.best_val_mse is None and report.best_epoch == -1
+    assert report.best_checkpoint is report.final_checkpoint
+    assert_array_equal(model.get_params(), theta0)
 
 
 def test_fit_best_and_final_checkpoints_hold_their_states():
@@ -270,13 +313,21 @@ def test_grad_clip_limits_update():
     assert 0 < moved < 1e-4
 
 
-def test_clip_gradients_scales_all_gradients_by_one_factor():
-    grad_theta, payload_grads = np.array([3.0, 0.0]), {"diag": np.array([[4.0]])}  # norm 5
-    same_theta, same_payload = _clip_gradients(grad_theta, payload_grads, 5.0)
-    assert same_theta is grad_theta and same_payload is payload_grads
-    clipped_theta, clipped_payload = _clip_gradients(grad_theta, payload_grads, 2.5)
-    assert_array_equal(clipped_theta, [1.5, 0.0])
-    assert_array_equal(clipped_payload["diag"], [[2.0]])
+def test_grad_clip_scales_theta_and_payload_by_one_factor():
+    """One SGD step on one batch moves theta and the payload along the whole
+    gradient, shortened by one factor to the clip norm."""
+    tws = make_windows(sinusoid_frame(t=100), 3, 0)
+    model, em = NodeAR(3, 4, seed=0), ErrorModel.for_training("diagonal", 4, seed=0)
+    theta0, diag0 = model.get_params(), em.payload["diag"].copy()
+    result = saea_loss(model, em, default_regularizer("diagonal"), tws)
+    norm = np.linalg.norm(np.concatenate([result.grad_theta, result.payload_grads["diag"]], axis=None))
+    lr, clip = 0.5, 1e-3
+    assert norm > 10 * clip and np.any(result.payload_grads["diag"] != 0)
+    cfg = TrainConfig(epochs=1, batch=tws.batch, optimizer="sgd", lr=lr, grad_clip=clip, seed=0)
+    fit(model, em, cfg, tws, tws)
+    scale = lr * clip / norm
+    assert_allclose(theta0 - model.get_params(), scale * result.grad_theta, rtol=1e-9, atol=1e-18)
+    assert_allclose(diag0 - em.payload["diag"], scale * result.payload_grads["diag"], rtol=1e-9, atol=1e-18)
 
 
 # -- recursive rollout ----------------------------------------------
@@ -325,6 +376,11 @@ def test_predict_recursive_ar1_closed_form():
 def test_predict_recursive_validates_steps():
     with pytest.raises(ValidationError):
         predict_recursive(NodeAR(2, 1, seed=0), None, np.zeros((2, 1)), 0)
+
+
+def test_predict_recursive_rejects_a_1d_window():
+    with pytest.raises(ValidationError, match="window"):
+        predict_recursive(NodeAR(2, 1, seed=0), None, np.zeros(2), 3)
 
 
 # -- checkpoints ---------------------------------------------------------------

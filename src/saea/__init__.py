@@ -12,8 +12,6 @@ from .adjust import (
     DEFAULT_REGULARIZATION,
     ErrorModel,
     LossResult,
-    RegularizerConfig,
-    default_regularizer,
     materialize_phi,
     predict_windows,
     regularize,

@@ -45,8 +45,8 @@ PAYLOAD_AXES = {
 }
 KINDS = tuple(PAYLOAD_AXES)
 
-# Tuned default penalty settings per parameterization (alpha, beta) and the
-# default rank of the low-rank kinds (read by the CLI, not the regularizer).
+# Tuned default settings per parameterization: the penalty weights alpha
+# (and beta) and the rank of the low-rank kinds, capped at the sensor count.
 DEFAULT_REGULARIZATION = {
     "scalar": {"alpha": 1000.0},
     "diagonal": {"alpha": 1000.0},
@@ -57,42 +57,17 @@ DEFAULT_REGULARIZATION = {
 }
 
 
-@dataclass(frozen=True)
-class RegularizerConfig:
-    """Penalty settings: the penalty is alpha * R(payload), plus
-    beta * l1(sparse) for low_rank_sparse (so alpha = 0 keeps the beta term).
-    """
-
-    alpha: float
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.alpha < math.inf:
-            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not 0 <= self.beta < math.inf:
-            raise ValidationError(f"beta must be finite and >= 0, got {self.beta}")
-
-
-def default_regularizer(kind: str, **overrides) -> RegularizerConfig:
-    """RegularizerConfig with the tuned defaults for a parameterization."""
-    if kind not in DEFAULT_REGULARIZATION:
-        raise ValidationError(f"unknown error-model kind {kind!r}")
-    settings = dict(DEFAULT_REGULARIZATION[kind])
-    settings.pop("rank", None)
-    for key, value in overrides.items():
-        if value is not None:
-            settings[key] = value
-    return RegularizerConfig(**settings)
-
-
 @dataclass(eq=False)
 class ErrorModel:
-    """VAR(p) error coefficients in one of six parameterizations.
+    """VAR(p) error coefficients in one of six parameterizations, with the
+    penalty that training puts on them.
 
     payload maps each array name of PAYLOAD_AXES[kind] to a float64 array of
     those axes (zeros when no payload is given); the model holds copies of
     the arrays given, never the caller's dict or arrays. structural also
-    holds a StructuralMask.
+    holds a StructuralMask. alpha, beta and rank are settled here, for the
+    kind, from DEFAULT_REGULARIZATION: None takes the default (rank at most
+    n), and a setting the kind does not use is None whatever was given.
     """
 
     kind: str
@@ -101,20 +76,29 @@ class ErrorModel:
     rank: int | None = None
     mask: StructuralMask | None = None
     payload: dict | None = None
+    alpha: float | None = None
+    beta: float | None = None
 
     def __post_init__(self):
-        kind, n, var_order, rank, mask = self.kind, self.n, self.var_order, self.rank, self.mask
+        kind, n, var_order, mask = self.kind, self.n, self.var_order, self.mask
         if kind not in KINDS:
             raise ValidationError(f"unknown error-model kind {kind!r}; expected {KINDS}")
         if var_order < 1:
             raise ValidationError(f"var_order must be >= 1, got {var_order}")
         if n < 1:
             raise ValidationError("sensor count must be >= 1")
-        if kind in ("low_rank", "low_rank_sparse"):
-            if rank is None:
-                raise ConfigurationError(f"{kind} requires a rank")
-            if not 1 <= rank <= n:
-                raise ConfigurationError(f"rank must be in [1, {n}], got {rank}")
+        defaults = DEFAULT_REGULARIZATION[kind]
+        for name in ("alpha", "beta", "rank"):
+            if name not in defaults:
+                setattr(self, name, None)
+            elif getattr(self, name) is None:
+                setattr(self, name, min(defaults[name], n) if name == "rank" else defaults[name])
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+        if self.rank is not None and not 1 <= self.rank <= n:
+            raise ConfigurationError(f"rank must be in [1, {n}], got {self.rank}")
         if (mask is None) == (kind == "structural"):
             need = "requires a" if mask is None else "takes no"
             raise ConfigurationError(f"{kind} error model {need} StructuralMask")
@@ -122,7 +106,7 @@ class ErrorModel:
             raise ConfigurationError(
                 f"mask shape {mask.mask.shape} does not match n={n}"
             )
-        dims = {"p": var_order, "n": n, "k": rank}
+        dims = {"p": var_order, "n": n, "k": self.rank}
         expected = {name: tuple(dims[a] for a in axes) for name, axes in PAYLOAD_AXES[kind].items()}
         payload = self.payload
         if payload is None:
@@ -139,19 +123,12 @@ class ErrorModel:
                 )
 
     @classmethod
-    def for_training(
-        cls,
-        kind: str,
-        n: int,
-        var_order: int = 1,
-        rank: int | None = None,
-        mask: StructuralMask | None = None,
-        seed: int = 0,
-    ) -> "ErrorModel":
+    def for_training(cls, kind: str, n: int, seed: int = 0, **fields) -> "ErrorModel":
         """Zero-initialized payload, except low-rank left factors get tiny
         Gaussian noise (right factors stay zero, so the product is still zero
-        and training starts exactly at the unadjusted baseline)."""
-        em = cls(kind, n, var_order=var_order, rank=rank, mask=mask)
+        and training starts exactly at the unadjusted baseline). The other
+        fields go to the constructor as given."""
+        em = cls(kind, n, **fields)
         if kind in ("low_rank", "low_rank_sparse"):
             rng = np.random.default_rng(seed)
             em.payload["left"] = rng.normal(0.0, 1e-3, size=em.payload["left"].shape)
@@ -229,9 +206,10 @@ def _frobenius_and_grad(arr: np.ndarray) -> tuple[float, np.ndarray]:
     return norm, arr / norm
 
 
-def regularize(em: ErrorModel, cfg: RegularizerConfig) -> tuple[float, dict]:
-    """The weighted penalty alpha * R(payload), plus beta * l1(sparse) for
-    low_rank_sparse, and its subgradients over the raw payload arrays.
+def regularize(em: ErrorModel) -> tuple[float, dict]:
+    """The error model's weighted penalty alpha * R(payload), plus
+    beta * l1(sparse) for low_rank_sparse (so alpha = 0 keeps the beta term),
+    and its subgradients over the raw payload arrays.
 
     The same per-lag term is summed across VAR lags. The training loss adds
     the value and the subgradients as they are.
@@ -259,11 +237,11 @@ def regularize(em: ErrorModel, cfg: RegularizerConfig) -> tuple[float, dict]:
             for name, arr in normed.items():
                 norm, grads[name][lag] = _frobenius_and_grad(arr[lag])
                 value += norm
-    value, grads = cfg.alpha * value, {name: cfg.alpha * g for name, g in grads.items()}
+    value, grads = em.alpha * value, {name: em.alpha * g for name, g in grads.items()}
     if em.kind == "low_rank_sparse":
         sparse = em.payload["sparse"]
-        value += cfg.beta * float(np.sum(np.abs(sparse)))
-        grads["sparse"] = cfg.beta * np.sign(sparse)
+        value += em.beta * float(np.sum(np.abs(sparse)))
+        grads["sparse"] = em.beta * np.sign(sparse)
     return value, grads
 
 
@@ -375,16 +353,12 @@ def _phi_to_payload_grads(em: ErrorModel, grad_phis: np.ndarray) -> dict:
     return grads
 
 
-def saea_loss(
-    model: Forecaster,
-    em: ErrorModel | None,
-    cfg: RegularizerConfig,
-    batch: WindowSet,
-) -> LossResult:
+def saea_loss(model: Forecaster, em: ErrorModel | None, batch: WindowSet) -> LossResult:
     """Adjusted training loss and its analytic gradients.
 
     loss = mean over batch and sensors of squared residual
-           (target - adjusted prediction), plus regularize's penalty.
+           (target - adjusted prediction), plus regularize's penalty with
+           the error model's own weights.
 
     Gradients flow to theta through the base model and to the payload through
     both the anchor term and the transformed inputs. With em=None this is the
@@ -396,7 +370,7 @@ def saea_loss(
     preds, transformed, shifts = _adjusted_forward(model, em, inputs)
     resid = preds - batch.targets
     mse = float(np.mean(resid * resid))
-    penalty, reg_grads = regularize(em, cfg) if em is not None else (0.0, {})
+    penalty, reg_grads = regularize(em) if em is not None else (0.0, {})
     loss = mse + penalty
     if not np.isfinite(loss):
         raise DivergenceError("non-finite loss")

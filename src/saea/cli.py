@@ -28,13 +28,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .adjust import (
-    DEFAULT_REGULARIZATION,
-    KINDS,
-    ErrorModel,
-    default_regularizer,
-    predict_windows,
-)
+from .adjust import KINDS, ErrorModel, predict_windows
 from .data import (
     Normalizer,
     SeriesFrame,
@@ -74,8 +68,8 @@ TRAIN_FIELDS = {
     "hidden": (int, 64, None),
     "kind": (str, "sparse_full", ALL_KINDS),
     "mask_order": (int, 1, (1, 2)),
-    "alpha": (float, TrainConfig.alpha, None),
-    "beta": (float, TrainConfig.beta, None),
+    "alpha": (float, None, None),
+    "beta": (float, None, None),
     "rank": (int, None, None),
     "var_order": (int, 1, None),
     "horizon_min": (str, "5", None),
@@ -197,19 +191,17 @@ def write_manifest(out_dir, command, config, seed, inputs, outputs) -> None:
 # shared training pipeline
 
 
-def _train_config(config: dict) -> TrainConfig:
-    return TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)})
-
-
-def _fit_each(frame: SeriesFrame, graph: SensorGraph | None, config: dict, runs, horizons):
+def _fit_each(
+    frame: SeriesFrame, graph: SensorGraph | None, config: dict, train_cfg: TrainConfig, runs, horizons
+):
     """The per-horizon training loop of train and compare.
 
     The series is split and normalized once per command; each horizon's
     train/val/test windows are built once and replaced by the next
-    horizon's, and one model is fitted on them per (kind config, error
-    model) of runs, starting from a copy of the error model. Yields (kind
-    config, horizon minutes, horizon step, report, test windows,
-    normalizer), horizons outermost.
+    horizon's, and one model is fitted on them with train_cfg per (kind
+    config, error model) of runs, starting from a copy of the error model.
+    Yields (kind config, horizon minutes, horizon step, report, test
+    windows, normalizer), horizons outermost.
     """
     parts = chronological_split(frame, config["train_frac"], config["val_frac"])
     normalizer = Normalizer.fit(config["normalize"], parts[0].values)
@@ -218,15 +210,15 @@ def _fit_each(frame: SeriesFrame, graph: SensorGraph | None, config: dict, runs,
         train_ws, val_ws, test_ws = (make_windows(f, config["history"], horizon_step) for f in parts)
         for kind_config, untrained in runs:
             model = build_forecaster(
-                kind_config["model"],
-                kind_config["history"],
+                config["model"],
+                config["history"],
                 frame.num_sensors,
-                seed=kind_config["seed"],
+                seed=config["seed"],
                 graph=graph,
-                hidden=kind_config["hidden"],
+                hidden=config["hidden"],
             )
             em = untrained.clone() if untrained is not None else None
-            report = fit(model, em, _train_config(kind_config), train_ws, val_ws)
+            report = fit(model, em, train_cfg, train_ws, val_ws)
             yield kind_config, minutes, horizon_step, report, test_ws, normalizer
 
 
@@ -283,7 +275,6 @@ def _eval_checkpoint(args):
 
 
 def cmd_synth(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     spec = GraphSpec(args.graph, args.n, p_edge=args.p_edge, seed=args.graph_seed)
     graph = spec.build()
     if args.phi_star:
@@ -311,6 +302,7 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     bundle = generate(cfg)
+    os.makedirs(args.out, exist_ok=True)
     save_series_csv(bundle.frame, os.path.join(args.out, "series.csv"))
     save_adjacency_csv(bundle.graph, os.path.join(args.out, "adjacency.csv"))
     write_float_rows(os.path.join(args.out, "phi_star.csv"), bundle.phi_star)
@@ -340,55 +332,51 @@ def _kind_run(
     config: dict, kind: str, n: int, graph: SensorGraph | None
 ) -> tuple[dict, ErrorModel | None]:
     """(config for one kind, its untrained error model or None). The config
-    fills in the alpha/beta/rank the kind uses from its built-in defaults and
-    sets the ones it does not use to None, so the manifest records the
-    settings actually used; building the penalty and the model checks them."""
-    defaults = DEFAULT_REGULARIZATION.get(kind, {})
-    kind_config = {**config, "kind": kind}
-    for name in KIND_SETTINGS[1:]:
-        if name not in defaults:
-            kind_config[name] = None
-        elif kind_config[name] is None:
-            kind_config[name] = min(defaults[name], n) if name == "rank" else defaults[name]
+    records the alpha/beta/rank the error model settled on, so the manifest
+    holds the settings actually used (None for those the kind does not use)."""
     if kind == "none":
-        return kind_config, None
-    default_regularizer(kind, alpha=kind_config["alpha"], beta=kind_config["beta"])
+        return {**config, **dict.fromkeys(KIND_SETTINGS), "kind": kind}, None
     mask = structural_mask(graph, config["mask_order"]) if kind == "structural" else None
-    return kind_config, ErrorModel.for_training(
-        kind, n, var_order=config["var_order"], rank=kind_config["rank"], mask=mask, seed=config["seed"]
+    em = ErrorModel.for_training(
+        kind, n, seed=config["seed"], var_order=config["var_order"], mask=mask,
+        **{name: config[name] for name in KIND_SETTINGS[1:]},
     )
+    return {**config, **{name: getattr(em, name) for name in KIND_SETTINGS}}, em
 
 
 def _prepare_run(args, kinds=None):
-    """The prologue of train and compare: (resolved config, one (resolved
-    config, untrained error model) pair per kind, series, graph, horizons,
-    manifest input files). kinds default to the config's kind; all settings
-    are checked here, before any training."""
+    """The prologue of train and compare: (resolved config, training
+    settings, one (resolved config, untrained error model) pair per kind,
+    series, graph, horizons, manifest input files). kinds default to the
+    config's kind; all settings but the model's are checked here, before any
+    training. The commands make the run directory just before their first
+    write, so a rejected setting leaves none behind."""
     config = resolve_config(args, read_config_file(args.config) if args.config else {})
     if not 1 <= config["var_order"] <= config["history"]:
         raise ValidationError(
             f"var_order {config['var_order']} is outside [1, history = {config['history']}]"
         )
+    train_cfg = TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)})
     frame, graph = _load_series_and_graph(args, config["step_min"])
     kinds = kinds or (config["kind"],)
     if graph is None and "structural" in kinds:
         raise ConfigurationError("structural kind requires --adjacency")
     runs = [_kind_run(config, kind, frame.num_sensors, graph) for kind in kinds]
     horizons = parse_horizons(config["horizon_min"], config["step_min"])
-    os.makedirs(args.out, exist_ok=True)
     inputs = [args.series] + ([args.adjacency] if args.adjacency else [])
     if args.config:
         inputs.append(args.config)
-    return config, runs, frame, graph, horizons, inputs
+    return config, train_cfg, runs, frame, graph, horizons, inputs
 
 
 def cmd_train(args) -> int:
-    _, runs, frame, graph, horizons, inputs = _prepare_run(args)
+    _, train_cfg, runs, frame, graph, horizons, inputs = _prepare_run(args)
     ((config, _),) = runs
     all_metrics, outputs = [], []
     for _, minutes, horizon_step, report, test_ws, normalizer in _fit_each(
-        frame, graph, config, runs, horizons
+        frame, graph, config, train_cfg, runs, horizons
     ):
+        os.makedirs(args.out, exist_ok=True)  # once the first fit has run
         extra = {
             "horizon_step": horizon_step,
             "step_minutes": frame.step_minutes,
@@ -488,10 +476,10 @@ def cmd_compare(args) -> int:
             raise ValidationError(f"unknown kind {kind!r}; expected subset of {ALL_KINDS}")
     if len(set(kinds)) != len(kinds):
         raise ValidationError(f"--kinds lists a kind twice: {args.kinds}")
-    config, runs, frame, graph, horizons, inputs = _prepare_run(args, kinds)
+    config, train_cfg, runs, frame, graph, horizons, inputs = _prepare_run(args, kinds)
     rows = {kind: [] for kind in kinds}  # filled horizon-major, written kind-major
     for kind_config, minutes, _, report, test_ws, normalizer in _fit_each(
-        frame, graph, config, runs, horizons
+        frame, graph, config, train_cfg, runs, horizons
     ):
         selected = report.best_checkpoint if config["select"] == "best" else report.final_checkpoint
         chosen = _score(selected, test_ws, normalizer)
@@ -505,6 +493,7 @@ def cmd_compare(args) -> int:
             }
         )
     rows = [row for kind in kinds for row in rows[kind]]
+    os.makedirs(args.out, exist_ok=True)
     write_json(
         os.path.join(args.out, "compare.json"),
         {"kinds": list(kinds), "horizons": [m for m, _ in horizons], "rows": rows},

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -239,13 +240,19 @@ def read_json(path):
 
 def blob_field(blob: dict, name: str, kind: type, what: str = "checkpoint"):
     """blob[name] if it holds a JSON value of type `kind` (a list comes back
-    as a float64 array, and a float field also takes an integer); else a
-    ValidationError naming the field."""
+    as a float64 array, and a float field also takes an integer); a boolean
+    is no number, and a number or list must be finite. Else a ValidationError
+    naming the field."""
     value = blob.get(name)
     try:
-        if isinstance(value, (int, float) if kind is float else kind):
-            return np.asarray(value, dtype=np.float64) if kind is list else value
-    except (TypeError, ValueError):
+        if isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool):
+            if kind is list:
+                value = np.asarray(value, dtype=np.float64)
+                if np.all(np.isfinite(value)):
+                    return value
+            elif kind is not float or math.isfinite(value):
+                return value
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ValidationError(f"{what} field {name!r} is missing or not a valid {kind.__name__}")
 

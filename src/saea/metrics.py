@@ -98,9 +98,7 @@ def crosslag_cov(residuals, ts: int) -> np.ndarray:
     if not 0 <= ts < t:
         raise ValidationError(f"lag {ts} must be in [0, {t})")
     centered = e - e.mean(axis=0)
-    if ts == 0:
-        return centered.T @ centered / t
-    return centered[:-ts].T @ centered[ts:] / (t - ts)
+    return centered[: t - ts].T @ centered[ts:] / (t - ts)
 
 
 def offdiag_energy(matrix) -> float:

@@ -62,6 +62,8 @@ class GraphSpec:
     seed: int = 0
 
     def build(self) -> SensorGraph:
+        if self.n < 1:
+            raise ValidationError(f"a graph needs at least 1 node, got n={self.n}")
         if self.kind == "path":
             return path_graph(self.n)
         if self.kind == "ring":

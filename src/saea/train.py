@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjust import (
-    ErrorModel,
-    RegularizerConfig,
-    default_regularizer,
-    predict_windows,
-    saea_loss,
-    saea_predict,
-    spectral_radius,
-)
+from .adjust import ErrorModel, predict_windows, saea_loss, saea_predict, spectral_radius
 from .data import WindowSet, blob_field, read_json, write_json
 from .errors import DivergenceError, ValidationError
 from .forecaster import Forecaster, forecaster_from_blob
@@ -37,19 +29,15 @@ OPTIMIZERS = ("rmsprop", "sgd")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization and regularization settings for one training run,
-    checked at construction (frozen, so they stay checked).
-
-    alpha/beta of None resolve to the built-in defaults for the error model's
-    kind at fit time; grad_clip of None leaves gradients unclipped.
+    """Optimization settings for one training run, checked at construction
+    (frozen, so they stay checked). The penalty weights belong to the error
+    model; grad_clip of None leaves gradients unclipped.
     """
 
     epochs: int = 300
     lr: float = 5e-4
     batch: int = 50
     optimizer: str = "rmsprop"  # one of OPTIMIZERS
-    alpha: float | None = None
-    beta: float | None = None
     seed: int = 0
     grad_clip: float | None = None
 
@@ -164,10 +152,6 @@ def fit(
     """
     if train_windows.batch == 0 or val_windows.batch == 0:
         raise ValidationError("train and validation window sets must be nonempty")
-    if em is None:
-        reg = RegularizerConfig(0.0)
-    else:
-        reg = default_regularizer(em.kind, alpha=cfg.alpha, beta=cfg.beta)
     names = list(em.payload) if em is not None else []
     arrays = [model.get_params()] + [em.payload[name] for name in names]
     vector = np.concatenate(arrays, axis=None)
@@ -195,7 +179,7 @@ def fit(
         try:
             for i in range(num_batches):
                 idx = order[i * cfg.batch : (i + 1) * cfg.batch]
-                result = saea_loss(model, em, reg, train_windows.take(idx))
+                result = saea_loss(model, em, train_windows.take(idx))
                 grads = [result.grad_theta] + [result.payload_grads[name] for name in names]
                 grad = np.concatenate(grads, axis=None)
                 if cfg.grad_clip is not None:

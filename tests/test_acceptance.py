@@ -16,7 +16,6 @@ from scipy.linalg import solve_discrete_lyapunov
 from _helpers import central_diff, max_rel_err, payload_fd_grads
 from saea.adjust import (
     ErrorModel,
-    RegularizerConfig,
     predict_windows,
     saea_loss,
     saea_predict,
@@ -45,7 +44,7 @@ def report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def zero_em(kind, n, var_order=1, graph=None):
+def zero_em(kind, n, var_order=1, graph=None, **weights):
     return ErrorModel(
         kind,
         n,
@@ -54,11 +53,12 @@ def zero_em(kind, n, var_order=1, graph=None):
         mask=structural_mask(graph if graph is not None else ring_graph(n), 1)
         if kind == "structural"
         else None,
+        **weights,
     )
 
 
-def random_em(kind, n, var_order, graph, seed):
-    em = zero_em(kind, n, var_order=var_order, graph=graph)
+def random_em(kind, n, var_order, graph, seed, **weights):
+    em = zero_em(kind, n, var_order=var_order, graph=graph, **weights)
     rng = np.random.default_rng(seed)
     for name, arr in em.payload.items():
         magnitude = rng.uniform(0.15, 0.6, size=arr.shape)
@@ -87,15 +87,14 @@ def test_criterion_01_reduction_identity():
             if instance % 3 == 1
             else MLP1(h, n, hidden=6, seed=instance)
         )
-        plain = saea_loss(model, None, RegularizerConfig(alpha=0.0), batch)
+        plain = saea_loss(model, None, batch)
         base = model.forward_batch(batch.inputs)
         for kind in ALL_KINDS:
             if kind == "structural" and n < 3:
                 continue
             for var_order in range(1, min(3, h) + 1):
-                em = zero_em(kind, n, var_order=var_order, graph=graph)
-                cfg = RegularizerConfig(alpha=100.0, beta=10.0)
-                res = saea_loss(model, em, cfg, batch)
+                em = zero_em(kind, n, var_order=var_order, graph=graph, alpha=100.0, beta=10.0)
+                res = saea_loss(model, em, batch)
                 worst = max(worst, abs(res.loss - plain.loss) / abs(plain.loss))
                 preds = predict_windows(model, em, batch)
                 worst = max(worst, max_rel_err(preds, base, floor=1e-9))
@@ -130,21 +129,20 @@ def test_criterion_02_gradient_suite():
             ):
                 combos += 1
                 model = make_model(combos)
-                em = random_em(kind, n, var_order, graph, seed=100 + combos)
-                cfg = RegularizerConfig(alpha=0.7, beta=0.3)
-                res = saea_loss(model, em, cfg, batch)
+                em = random_em(kind, n, var_order, graph, seed=100 + combos, alpha=0.7, beta=0.3)
+                res = saea_loss(model, em, batch)
                 theta0 = model.get_params()
 
                 def loss_theta(theta):
                     model.set_params(theta)
-                    value = saea_loss(model, em, cfg, batch).loss
+                    value = saea_loss(model, em, batch).loss
                     model.set_params(theta0)
                     return value
 
                 worst = max(
                     worst, max_rel_err(res.grad_theta, central_diff(loss_theta, theta0))
                 )
-                fd = payload_fd_grads(lambda: saea_loss(model, em, cfg, batch).loss, em)
+                fd = payload_fd_grads(lambda: saea_loss(model, em, batch).loss, em)
                 for name in em.payload:
                     worst = max(worst, max_rel_err(res.payload_grads[name], fd[name]))
     elapsed = time.perf_counter() - started
@@ -224,7 +222,7 @@ def recovery_runs():
                 if kind == "none"
                 else ErrorModel.for_training("structural", n, mask=mask, seed=seed)
             )
-            cfg = TrainConfig(epochs=150, seed=seed)  # alpha defaults to 1000
+            cfg = TrainConfig(epochs=150, seed=seed)  # the error model's alpha defaults to 1000
             rep = fit(model, em, cfg, tws, vws)
             best_model, best_em = load_checkpoint_blob(rep.best_checkpoint)
             resid = ews.targets - predict_windows(best_model, best_em, ews)

@@ -12,9 +12,7 @@ from saea.adjust import (
     ErrorModel,
     _adjusted_forward,
     _phi_to_payload_grads,
-    RegularizerConfig,
     companion_matrix,
-    default_regularizer,
     materialize_phi,
     predict_windows,
     regularize,
@@ -31,7 +29,7 @@ from saea.synth import path_graph, ring_graph
 ALL_KINDS = ("scalar", "diagonal", "sparse_full", "low_rank", "low_rank_sparse", "structural")
 
 
-def make_em(kind, n, var_order=1, rank=2, graph=None, randomize=None):
+def make_em(kind, n, var_order=1, rank=2, graph=None, randomize=None, **weights):
     mask = structural_mask(graph if graph is not None else ring_graph(n), 1)
     em = ErrorModel(
         kind,
@@ -39,6 +37,7 @@ def make_em(kind, n, var_order=1, rank=2, graph=None, randomize=None):
         var_order=var_order,
         rank=rank if kind in ("low_rank", "low_rank_sparse") else None,
         mask=mask if kind == "structural" else None,
+        **weights,
     )
     if randomize is not None:
         rng = np.random.default_rng(randomize)
@@ -99,81 +98,80 @@ def test_materialized_low_rank_has_rank_at_most_k():
 
 
 def test_regularize_scalar_hinge():
-    cfg = RegularizerConfig(alpha=1.0)
-    em = ErrorModel("scalar", 3)
+    em = ErrorModel("scalar", 3, alpha=1.0)
     em.payload["coef"][0] = 0.5
-    value, grads = regularize(em, cfg)
+    value, grads = regularize(em)
     assert value == 0.0 and grads["coef"][0] == 0.0
     em.payload["coef"][0] = 1.5
-    value, grads = regularize(em, cfg)
+    value, grads = regularize(em)
     assert value == pytest.approx(0.5) and grads["coef"][0] == 1.0
 
 
 def test_regularize_diagonal_hinge():
-    em = ErrorModel("diagonal", 2)
+    em = ErrorModel("diagonal", 2, alpha=1.0)
     em.payload["diag"][0] = [0.2, -1.3]
-    value, grads = regularize(em, RegularizerConfig(alpha=1.0))
+    value, grads = regularize(em)
     assert value == pytest.approx(0.3)
     assert_array_equal(grads["diag"][0], [0.0, -1.0])
 
 
 def test_regularize_sparse_l1():
-    em = ErrorModel("sparse_full", 2)
+    em = ErrorModel("sparse_full", 2, alpha=1.0)
     em.payload["matrix"][0] = [[0.5, -1.0], [0.0, 2.0]]
-    value, grads = regularize(em, RegularizerConfig(alpha=1.0))
+    value, grads = regularize(em)
     assert value == pytest.approx(3.5)
     assert_array_equal(grads["matrix"][0], [[1.0, -1.0], [0.0, 1.0]])
 
 
 def test_regularize_structural_hand_frobenius():
     g = path_graph(3)
-    em = ErrorModel("structural", 3, mask=structural_mask(g, 1))
+    em = ErrorModel("structural", 3, mask=structural_mask(g, 1), alpha=1.0)
     em.payload["matrix"][0] = [[0.0, 0.0, 3.0], [0.0, 0.0, 0.0], [4.0, 0.0, 0.0]]
-    value, grads = regularize(em, RegularizerConfig(alpha=1.0))
+    value, grads = regularize(em)
     assert value == pytest.approx(5.0)
     assert_allclose(grads["matrix"][0], np.array(em.payload["matrix"][0]) / 5.0)
 
 
 def test_regularize_low_rank_frobenius_sum():
-    em = ErrorModel("low_rank", 2, rank=1)
+    em = ErrorModel("low_rank", 2, rank=1, alpha=1.0)
     em.payload["left"][0] = [[3.0], [4.0]]
     em.payload["right"][0] = [[0.0, 2.0]]
-    value, grads = regularize(em, RegularizerConfig(alpha=1.0))
+    value, grads = regularize(em)
     assert value == pytest.approx(7.0)
     assert_allclose(grads["left"][0], [[0.6], [0.8]])
     assert_allclose(grads["right"][0], [[0.0, 1.0]])
 
 
 def test_regularize_low_rank_sparse_beta_weighting():
-    em = ErrorModel("low_rank_sparse", 2, rank=1)
+    em = ErrorModel("low_rank_sparse", 2, rank=1, alpha=10.0, beta=1000.0)
     em.payload["sparse"][0] = [[1.0, 0.0], [0.0, -1.0]]
-    value, grads = regularize(em, RegularizerConfig(alpha=10.0, beta=1000.0))
+    value, grads = regularize(em)
     assert value == pytest.approx(2000.0)  # beta * l1 = 1000 * 2
     assert_array_equal(grads["sparse"][0], [[1000.0, 0.0], [0.0, -1000.0]])
 
 
 def test_regularize_low_rank_sparse_zero_alpha_keeps_beta():
-    em = ErrorModel("low_rank_sparse", 2, rank=1)
+    em = ErrorModel("low_rank_sparse", 2, rank=1, alpha=0.0, beta=1000.0)
     em.payload["left"][0] = [[3.0], [4.0]]
     em.payload["sparse"][0] = np.ones((2, 2))
-    value, grads = regularize(em, RegularizerConfig(alpha=0.0, beta=1000.0))
+    value, grads = regularize(em)
     assert value == 4000.0
     assert_array_equal(grads["sparse"][0], np.full((2, 2), 1000.0))
     assert_array_equal(grads["left"], np.zeros_like(grads["left"]))
 
 
 def test_regularize_sums_over_lags():
-    em = ErrorModel("diagonal", 2, var_order=2)
+    em = ErrorModel("diagonal", 2, var_order=2, alpha=1.0)
     em.payload["diag"][0] = [1.5, 0.0]
     em.payload["diag"][1] = [0.0, -2.0]
-    value, _ = regularize(em, RegularizerConfig(alpha=1.0))
+    value, _ = regularize(em)
     assert value == pytest.approx(0.5 + 1.0)
 
 
 def test_regularize_zero_payload_zero_subgradient():
     for kind in ALL_KINDS:
-        em = make_em(kind, 4)
-        value, grads = regularize(em, RegularizerConfig(alpha=1.0, beta=1.0))
+        em = make_em(kind, 4, alpha=1.0, beta=1.0)
+        value, grads = regularize(em)
         assert value == 0.0
         for g in grads.values():
             assert_array_equal(g, np.zeros_like(g))
@@ -192,29 +190,37 @@ def test_structural_without_mask_is_configuration_error():
             ErrorModel.from_blob(bad)
 
 
-def test_default_regularizer_table():
-    assert default_regularizer("structural").alpha == 1000.0
-    assert default_regularizer("scalar").alpha == 1000.0
-    assert default_regularizer("diagonal").alpha == 1000.0
-    assert default_regularizer("sparse_full").alpha == 100.0
-    assert default_regularizer("low_rank").alpha == 100.0
+def test_error_model_settles_the_default_table():
+    """None takes the kind's default (rank at most n); a setting the kind does
+    not use is None, whatever was given; a given weight is kept."""
+    ems = {kind: make_em(kind, 12, rank=None) for kind in ALL_KINDS}
+    assert {kind: (em.alpha, em.beta, em.rank) for kind, em in ems.items()} == {
+        "scalar": (1000.0, None, None),
+        "diagonal": (1000.0, None, None),
+        "sparse_full": (100.0, None, None),
+        "low_rank": (100.0, None, 10),
+        "low_rank_sparse": (10.0, 1000.0, 10),
+        "structural": (1000.0, None, None),
+    }
     assert DEFAULT_REGULARIZATION["low_rank"]["rank"] == 10
-    lrs = default_regularizer("low_rank_sparse")
-    assert (lrs.alpha, lrs.beta) == (10.0, 1000.0)
-    assert DEFAULT_REGULARIZATION["low_rank_sparse"]["rank"] == 10
-    assert default_regularizer("sparse_full", alpha=7.0).alpha == 7.0
+    assert ErrorModel("low_rank_sparse", 6).rank == 6  # min(10, n)
+    assert ErrorModel("sparse_full", 3, alpha=7.0).alpha == 7.0
+    dropped = ErrorModel("diagonal", 3, rank=3, beta=float("nan"))
+    assert (dropped.alpha, dropped.beta, dropped.rank) == (1000.0, None, None)
+    assert ErrorModel("low_rank", 3, alpha=0.0).clone().alpha == 0.0
 
 
-def test_default_regularizer_rejects_an_unknown_kind():
+def test_error_model_names_an_unknown_kind():
     with pytest.raises(ValidationError, match="'bogus'"):
-        default_regularizer("bogus")
+        ErrorModel("bogus", 3)
 
 
 @pytest.mark.parametrize("setting", ["alpha", "beta"])
 @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
 def test_regularizer_config_rejects_a_negative_or_nonfinite_weight(setting, value):
-    with pytest.raises(ValidationError, match=setting):
-        RegularizerConfig(**{"alpha": 1.0, setting: value})
+    """The error model's penalty weights are checked where they are settled."""
+    with pytest.raises(ValidationError, match=f"{setting} must be finite and >= 0"):
+        ErrorModel("low_rank_sparse", 3, **{"alpha": 1.0, setting: value})
 
 
 def test_readme_penalty_table_is_the_default_table():
@@ -286,7 +292,7 @@ def test_var_order_above_history_is_contract_error():
     with pytest.raises(ContractError):
         predict_windows(model, em, batch)
     with pytest.raises(ContractError):
-        saea_loss(model, em, RegularizerConfig(alpha=1.0), batch)
+        saea_loss(model, em, batch)
     with pytest.raises(ContractError):
         saea_predict(model, em, w)
 
@@ -431,9 +437,9 @@ def random_batch(n=4, h=3, b=8, seed=5):
 def test_loss_with_frozen_zero_phi_is_plain_mse():
     batch = random_batch()
     model = NodeAR(3, 4, seed=1)
-    em = ErrorModel("sparse_full", 4)
-    adjusted = saea_loss(model, em, RegularizerConfig(alpha=100.0), batch)
-    plain = saea_loss(model, None, RegularizerConfig(alpha=0.0), batch)
+    em = ErrorModel("sparse_full", 4, alpha=100.0)
+    adjusted = saea_loss(model, em, batch)
+    plain = saea_loss(model, None, batch)
     assert adjusted.loss == pytest.approx(plain.loss, rel=1e-15)
     assert adjusted.penalty == 0.0
     assert_allclose(adjusted.grad_theta, plain.grad_theta, atol=1e-15)
@@ -445,21 +451,20 @@ def test_loss_zero_for_perfect_model_on_noiseless_data():
     ws = make_windows(SeriesFrame(values), 2, 0)
     model = NodeAR(2, 2, seed=0)
     model.set_params(np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
-    em = ErrorModel("sparse_full", 2)
-    res = saea_loss(model, em, RegularizerConfig(alpha=0.0), ws)
+    em = ErrorModel("sparse_full", 2, alpha=0.0)
+    res = saea_loss(model, em, ws)
     assert res.loss == pytest.approx(0.0, abs=1e-24)
 
 
 def test_reduction_identity_all_kinds():
     batch = random_batch(n=5, h=4, b=6, seed=9)
     model = MLP1(4, 5, hidden=7, seed=4)
-    plain = saea_loss(model, None, RegularizerConfig(alpha=0.0), batch)
+    plain = saea_loss(model, None, batch)
     base_forward = model.forward_batch(batch.inputs)
     for kind in ALL_KINDS:
         for var_order in (1, 2, 3):
             em = make_em(kind, 5, var_order=var_order)
-            cfg = default_regularizer(kind)
-            res = saea_loss(model, em, cfg, batch)
+            res = saea_loss(model, em, batch)
             assert abs(res.loss - plain.loss) <= 1e-12 * abs(plain.loss)
             assert_allclose(predict_windows(model, em, batch), base_forward, atol=1e-15)
 
@@ -470,21 +475,20 @@ def test_loss_gradients_match_finite_differences(kind, var_order):
     batch = random_batch(n=4, h=3, b=8, seed=13)
     graph = ring_graph(4)
     model = GraphFilterAR.from_graph(3, graph, seed=5)
-    em = make_em(kind, 4, var_order=var_order, graph=graph, randomize=21)
-    cfg = RegularizerConfig(alpha=0.7, beta=0.3)
-    res = saea_loss(model, em, cfg, batch)
+    em = make_em(kind, 4, var_order=var_order, graph=graph, randomize=21, alpha=0.7, beta=0.3)
+    res = saea_loss(model, em, batch)
 
     theta0 = model.get_params()
 
     def loss_theta(theta):
         model.set_params(theta)
-        out = saea_loss(model, em, cfg, batch).loss
+        out = saea_loss(model, em, batch).loss
         model.set_params(theta0)
         return out
 
     assert max_rel_err(res.grad_theta, central_diff(loss_theta, theta0)) < 1e-4
 
-    fd = payload_fd_grads(lambda: saea_loss(model, em, cfg, batch).loss, em)
+    fd = payload_fd_grads(lambda: saea_loss(model, em, batch).loss, em)
     for name in em.payload:
         assert max_rel_err(res.payload_grads[name], fd[name]) < 1e-4
 
@@ -513,9 +517,9 @@ def test_loss_coefficient_gradient_matches_einsum_reference(kind, var_order):
     batch = random_batch(n=n, h=5, b=7, seed=17)
     graph = ring_graph(n)
     model = GraphFilterAR.from_graph(5, graph, seed=6)
-    em = make_em(kind, n, var_order=var_order, rank=3, graph=graph, randomize=23)
-    # alpha = 0 leaves only the data term, which is what the reference computes
-    res = saea_loss(model, em, RegularizerConfig(alpha=0.0), batch)
+    # zero weights leave only the data term, which is what the reference computes
+    em = make_em(kind, n, var_order=var_order, rank=3, graph=graph, randomize=23, alpha=0.0, beta=0.0)
+    res = saea_loss(model, em, batch)
     expected = _phi_to_payload_grads(em, reference_coefficient_grads(model, em, batch))
     for name, grad in expected.items():
         assert np.max(np.abs(res.payload_grads[name] - grad)) <= 1e-12 * np.max(np.abs(grad))
@@ -528,8 +532,8 @@ def test_loss_mse_equals_predict_windows_mse(kind, var_order):
     batch = random_batch(n=5, h=4, b=9, seed=19)
     graph = ring_graph(5)
     model = GraphFilterAR.from_graph(4, graph, seed=7)
-    em = make_em(kind, 5, var_order=var_order, graph=graph, randomize=29)
-    mse = saea_loss(model, em, RegularizerConfig(alpha=0.5, beta=0.2), batch).mse
+    em = make_em(kind, 5, var_order=var_order, graph=graph, randomize=29, alpha=0.5, beta=0.2)
+    mse = saea_loss(model, em, batch).mse
     expected = np.mean((predict_windows(model, em, batch) - batch.targets) ** 2)
     assert abs(mse - expected) <= 1e-12 * expected
 
@@ -538,7 +542,7 @@ def test_loss_empty_batch_rejected():
     batch = random_batch()
     empty = batch.take(np.array([], dtype=int))
     with pytest.raises(ValidationError):
-        saea_loss(NodeAR(3, 4, seed=0), None, RegularizerConfig(alpha=0.0), empty)
+        saea_loss(NodeAR(3, 4, seed=0), None, empty)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -549,7 +553,7 @@ def test_loss_nan_raises_divergence():
     model = NodeAR(3, 4, seed=0)
     model.set_params(np.full(model.get_params().size, np.inf))
     with pytest.raises(DivergenceError):
-        saea_loss(model, None, RegularizerConfig(alpha=0.0), batch)
+        saea_loss(model, None, batch)
 
 
 # -- spectral radius ---------------------------------------------------------
@@ -613,10 +617,11 @@ def test_error_model_validation():
         ErrorModel("banana", 3)
     with pytest.raises(ValidationError):
         ErrorModel("scalar", 3, var_order=0)
-    with pytest.raises(ConfigurationError):
-        ErrorModel("low_rank", 3)  # rank missing
+    assert ErrorModel("low_rank", 3).rank == 3  # rank missing: min(10, n)
     with pytest.raises(ConfigurationError):
         ErrorModel("low_rank", 3, rank=4)  # rank > n
+    with pytest.raises(ConfigurationError):
+        ErrorModel("low_rank", 3, rank=0)
     with pytest.raises(ConfigurationError):
         ErrorModel("scalar", 3, payload={"coef": np.zeros(2)})  # wrong lag count
 

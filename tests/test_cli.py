@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import shlex
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -467,7 +468,11 @@ def test_config_file_precedence(tmp_path):
 
 def test_resolve_config_defaults_are_train_config_defaults():
     args = saea.cli.build_parser().parse_args(["train", "--series", "s.csv", "--out", "o"])
-    assert saea.cli._train_config(saea.cli.resolve_config(args, {})) == TrainConfig()
+    config = saea.cli.resolve_config(args, {})
+    names = [f.name for f in dataclasses.fields(TrainConfig)]
+    assert TrainConfig(**{name: config[name] for name in names}) == TrainConfig()
+    # the error model settles the penalty weights and the rank for its kind
+    assert (config["alpha"], config["beta"], config["rank"]) == (None, None, None)
 
 
 def test_unknown_config_key_fails(tmp_path):
@@ -626,10 +631,22 @@ def test_unreadable_input_files_fail_with_one_json_line(tmp_path, capsys, argv, 
         ("step_minutes", "x", "'step_minutes'"),
         ("train_frac", "x", "'train_frac'"),
         ("normalizer", {"mode": "zscore", "mean": [0.0] * 3, "std": [1.0] * 2}, "'mean'"),
+        ("horizon_step", True, "'horizon_step'"),
+        ("step_minutes", True, "'step_minutes'"),
+        ("step_minutes", float("nan"), "'step_minutes'"),
+        ("train_frac", float("inf"), "'train_frac'"),
+        ("normalizer", {"mode": "zscore", "mean": [0.0, float("nan")], "std": [1.0] * 2}, "'mean'"),
+        ("model", {**NodeAR(3, 2).to_blob(), "history": True}, "'history'"),
+        ("model", {**NodeAR(3, 2).to_blob(), "theta": [float("nan")] * 8}, "'theta'"),
+        ("error_model", {**ErrorModel("scalar", 2).to_blob(), "var_order": True}, "'var_order'"),
+        ("error_model", {**ErrorModel("scalar", 2).to_blob(), "payload": {"coef": [float("inf")]}},
+         "'coef'"),
     ],
     ids=[
         "normalizer-list", "zscore-mean-string", "horizon-step-string", "step-minutes-string",
-        "train-frac-string", "zscore-mean-length",
+        "train-frac-string", "zscore-mean-length", "horizon-step-bool", "step-minutes-bool",
+        "step-minutes-nan", "train-frac-inf", "zscore-mean-nan", "model-history-bool",
+        "model-theta-nan", "error-model-var-order-bool", "error-model-payload-inf",
     ],
 )
 def test_malformed_checkpoint_run_fields_fail_with_one_json_line(
@@ -754,6 +771,36 @@ def test_synth_nonfinite_or_negative_coefficients_exit_1(tmp_path, capsys, flags
     assert run([arg.format(phi=phi) for arg in argv] + ["--out", str(tmp_path / "out")]) == 1
     assert one_json_error(capsys)["error"] == "ValidationError"
     assert not (tmp_path / "out" / "series.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--epochs", "0"), ("--batch", "0"), ("--lr", "nan"), ("--model", "mlp1", "--hidden", "0")],
+    ids=["epochs-0", "batch-0", "lr-nan", "mlp1-hidden-0"],
+)
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_rejected_setting_leaves_no_run_directory(tmp_path, capsys, command, flags):
+    bundle = make_bundle_dir(tmp_path, n=6)
+    out = tmp_path / "run"
+    argv = train_args(bundle, out, flags)
+    argv[0] = command
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert one_json_error(capsys)["error"] == "ValidationError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--phi-radius", "-1"), ("--graph", "path", "--n", "-1"),
+     ("--graph", "erdos_renyi", "--n", "-2", "--p-edge", "0.1")],
+    ids=["phi-radius-negative", "path-n-negative", "erdos-renyi-n-negative"],
+)
+def test_rejected_synth_setting_leaves_no_run_directory(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert run(["synth", "--steps", "50", *flags, "--out", str(out)]) == 1
+    assert one_json_error(capsys)["error"] == "ValidationError"
+    assert not out.exists()
 
 
 def test_readme_command_lines_parse():

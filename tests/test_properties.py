@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from saea.adjust import KINDS, ErrorModel, RegularizerConfig, predict_windows, saea_loss, saea_predict
+from saea.adjust import KINDS, ErrorModel, predict_windows, saea_loss, saea_predict
 from saea.data import SeriesFrame, make_windows, shift_with_mean
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import structural_mask
@@ -90,7 +90,7 @@ def test_zero_coefficients_reduce_to_the_base_model(n, h, b, var_order, model_ki
         "graphfilter": lambda: GraphFilterAR.from_graph(h, graph, seed=seed),
         "mlp1": lambda: MLP1(h, n, hidden=5, seed=seed),
     }[model_kind]()
-    plain = saea_loss(model, None, RegularizerConfig(alpha=0.0), ws).loss
+    plain = saea_loss(model, None, ws).loss
     base = model.forward_batch(ws.inputs)
     window = ws.inputs[0]
     for kind in KINDS:
@@ -100,8 +100,10 @@ def test_zero_coefficients_reduce_to_the_base_model(n, h, b, var_order, model_ki
             var_order=var_order,
             rank=min(2, n) if kind in ("low_rank", "low_rank_sparse") else None,
             mask=structural_mask(graph, 1) if kind == "structural" else None,
+            alpha=1.0,
+            beta=1.0,
         )
-        loss = saea_loss(model, em, RegularizerConfig(alpha=1.0, beta=1.0), ws).loss
+        loss = saea_loss(model, em, ws).loss
         assert abs(loss - plain) <= 1e-12 * abs(plain)
         assert_allclose(predict_windows(model, em, ws), base, rtol=1e-12, atol=1e-15)
         assert_allclose(saea_predict(model, em, window), base[0], rtol=1e-12, atol=1e-15)

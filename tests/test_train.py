@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from saea.adjust import ErrorModel, default_regularizer, predict_windows, saea_loss, saea_predict
+from saea.adjust import ErrorModel, predict_windows, saea_loss, saea_predict
 from saea.data import SeriesFrame, chronological_split, make_windows
 from saea.errors import ValidationError
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
@@ -83,8 +83,8 @@ def exact_recovery_report(epochs=800, lr=2e-4):
     tws = make_windows(train_f, h, 0)
     vws = make_windows(val_f, h, 0)
     model = NodeAR(h, frame.num_sensors, seed=0)
-    em = ErrorModel.for_training("sparse_full", frame.num_sensors, seed=0)
-    cfg = TrainConfig(epochs=epochs, lr=lr, alpha=100.0, seed=0)
+    em = ErrorModel.for_training("sparse_full", frame.num_sensors, seed=0, alpha=100.0)
+    cfg = TrainConfig(epochs=epochs, lr=lr, seed=0)
     return fit(model, em, cfg, tws, vws)
 
 
@@ -287,18 +287,18 @@ def test_fit_radius_logged_every_epoch():
 
 
 def test_fit_penalizes_with_the_kinds_default_alpha():
-    """TrainConfig's alpha of None is the kind's default (structural: 1000)."""
+    """An error model's alpha of None is the kind's default (structural: 1000)."""
     train_f, val_f, _ = chronological_split(sinusoid_frame(t=120), 0.6, 0.2)
     tws, vws = make_windows(train_f, 3, 0), make_windows(val_f, 3, 0)
     mask = structural_mask(ring_graph(4), 1)
 
-    def fitted(cfg):
-        em = ErrorModel.for_training("structural", 4, mask=mask, seed=0)
-        return fit(NodeAR(3, 4, seed=0), em, cfg, tws, vws).final_checkpoint
+    def fitted(**weights):
+        em = ErrorModel.for_training("structural", 4, mask=mask, seed=0, **weights)
+        return fit(NodeAR(3, 4, seed=0), em, TrainConfig(), tws, vws).final_checkpoint
 
-    default = fitted(TrainConfig())
-    assert fitted(TrainConfig(alpha=1000.0)) == default
-    assert fitted(TrainConfig(alpha=5.0)) != default
+    default = fitted()
+    assert fitted(alpha=1000.0) == default
+    assert fitted(alpha=5.0) != default
 
 
 def test_grad_clip_limits_update():
@@ -319,7 +319,7 @@ def test_grad_clip_scales_theta_and_payload_by_one_factor():
     tws = make_windows(sinusoid_frame(t=100), 3, 0)
     model, em = NodeAR(3, 4, seed=0), ErrorModel.for_training("diagonal", 4, seed=0)
     theta0, diag0 = model.get_params(), em.payload["diag"].copy()
-    result = saea_loss(model, em, default_regularizer("diagonal"), tws)
+    result = saea_loss(model, em, tws)
     norm = np.linalg.norm(np.concatenate([result.grad_theta, result.payload_grads["diag"]], axis=None))
     lr, clip = 0.5, 1e-3
     assert norm > 10 * clip and np.any(result.payload_grads["diag"] != 0)
@@ -448,10 +448,33 @@ def _with(blob, value, *path):
     ],
 )
 def test_malformed_checkpoint_field_is_a_validation_error_naming_it(edit, field):
-    graph = ring_graph(4)
-    model = GraphFilterAR.from_graph(3, graph, seed=0)
-    em = ErrorModel("structural", 4, mask=structural_mask(graph, 1))
-    blob = json.loads(json.dumps(checkpoint_blob(model, em)))
+    blob = structural_checkpoint()
     load_checkpoint_blob(blob)
     with pytest.raises(ValidationError, match=field):
         load_checkpoint_blob(edit(blob))
+
+
+def structural_checkpoint():
+    """The JSON round trip of a graphfilter + structural checkpoint on 4 sensors."""
+    graph = ring_graph(4)
+    model = GraphFilterAR.from_graph(3, graph, seed=0)
+    em = ErrorModel("structural", 4, mask=structural_mask(graph, 1))
+    return json.loads(json.dumps(checkpoint_blob(model, em)))
+
+
+@pytest.mark.parametrize(
+    "value, path",
+    [
+        (True, ("model", "history")),
+        (True, ("error_model", "var_order")),
+        (True, ("error_model", "mask_order")),
+        ([float("nan")] + [0.0] * 9, ("model", "theta")),  # 10 values, as stored
+        ([[[float("inf")] * 4] * 4], ("error_model", "payload", "matrix")),
+    ],
+    ids=["history-bool", "var-order-bool", "mask-order-bool", "theta-nan", "matrix-inf"],
+)
+def test_checkpoint_number_is_finite_and_not_a_boolean(value, path):
+    blob = structural_checkpoint()
+    assert len(blob["model"]["theta"]) == 10
+    with pytest.raises(ValidationError, match=f"'{path[-1]}'"):
+        load_checkpoint_blob(_with(blob, value, *path))

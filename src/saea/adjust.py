@@ -22,7 +22,6 @@ points (l1 at zero, hinge kinks, matrix norms at the origin).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -31,7 +30,7 @@ import numpy as np
 from .data import WindowSet, blob_field, readonly, shift_with_mean
 from .errors import ConfigurationError, ContractError, DivergenceError, ValidationError
 from .forecaster import Forecaster
-from .graph import StructuralMask
+from .graph import SensorGraph, StructuralMask, structural_mask
 
 # The payload arrays of each parameterization, by name, with their axes:
 # p the VAR order (the leading lag axis), n the sensors, k the rank.
@@ -102,10 +101,8 @@ class ErrorModel:
         if (mask is None) == (kind == "structural"):
             need = "requires a" if mask is None else "takes no"
             raise ConfigurationError(f"{kind} error model {need} StructuralMask")
-        if mask is not None and mask.mask.shape != (n, n):
-            raise ConfigurationError(
-                f"mask shape {mask.mask.shape} does not match n={n}"
-            )
+        if mask is not None and mask.graph.n != n:
+            raise ConfigurationError(f"mask graph has {mask.graph.n} nodes, not n={n}")
         dims = {"p": var_order, "n": n, "k": self.rank}
         expected = {name: tuple(dims[a] for a in axes) for name, axes in PAYLOAD_AXES[kind].items()}
         payload = self.payload
@@ -148,37 +145,31 @@ class ErrorModel:
             blob["rank"] = self.rank
         if self.mask is not None:
             blob["mask_order"] = self.mask.order
-            blob["mask"] = self.mask.mask.tolist()
-            blob["mask_sha256"] = mask_hash(self.mask)
+            blob["adjacency"] = self.mask.graph.adjacency.tolist()
         return blob
 
     @classmethod
     def from_blob(cls, blob: dict) -> "ErrorModel":
-        """Rebuild from to_blob's output; a missing or mistyped field is a
-        ValidationError naming it."""
+        """Rebuild from to_blob's output, a structural mask from its graph; a
+        missing or mistyped field is a ValidationError naming it."""
+        n = blob_field(blob, "n", int, "error model")
         mask = None
-        if "mask" in blob:
-            mask = StructuralMask(
-                order=blob_field(blob, "mask_order", int, "error model"),
-                mask=blob_field(blob, "mask", list, "error model"),
-            )
-            if blob.get("mask_sha256") != mask_hash(mask):
-                raise ValidationError("checkpoint mask does not match its recorded mask_sha256")
+        if blob.keys() & {"adjacency", "mask_order"}:
+            graph = SensorGraph(blob_field(blob, "adjacency", list, "error model"))
+            if graph.n != n:
+                raise ValidationError(
+                    f"error model field 'adjacency' has {graph.n} nodes, but its 'n' is {n}"
+                )
+            mask = structural_mask(graph, blob_field(blob, "mask_order", int, "error model"))
         payload = blob_field(blob, "payload", dict, "error model")
         return cls(
             blob_field(blob, "kind", str, "error model"),
-            blob_field(blob, "n", int, "error model"),
+            n,
             var_order=blob_field(blob, "var_order", int, "error model"),
             rank=blob_field(blob, "rank", int, "error model") if "rank" in blob else None,
             mask=mask,
             payload={k: blob_field(payload, k, list, "error model payload") for k in payload},
         )
-
-
-def mask_hash(mask: StructuralMask) -> str:
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(mask.mask, dtype=np.float64).tobytes())
-    return digest.hexdigest()
 
 
 def materialize_phi(em: ErrorModel) -> np.ndarray:

@@ -238,18 +238,27 @@ def read_json(path):
             raise ParseError(f"{path}: malformed JSON: {exc}") from None
 
 
+def _only_numbers(values: list) -> bool:
+    """Whether a nested list holds numbers, and no booleans, at every depth."""
+    types = set(map(type, values))
+    if list in types:
+        return types == {list} and all(map(_only_numbers, values))
+    return all(issubclass(t, (int, float)) and t is not bool for t in types)
+
+
 def blob_field(blob: dict, name: str, kind: type, what: str = "checkpoint"):
     """blob[name] if it holds a JSON value of type `kind` (a list comes back
     as a float64 array, and a float field also takes an integer); a boolean
-    is no number, and a number or list must be finite. Else a ValidationError
-    naming the field."""
+    is no number, at any depth of a list, and a number or list must be
+    finite. Else a ValidationError naming the field."""
     value = blob.get(name)
     try:
         if isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool):
             if kind is list:
-                value = np.asarray(value, dtype=np.float64)
-                if np.all(np.isfinite(value)):
-                    return value
+                if _only_numbers(value):
+                    value = np.asarray(value, dtype=np.float64)
+                    if np.all(np.isfinite(value)):
+                        return value
             elif kind is not float or math.isfinite(value):
                 return value
     except (TypeError, ValueError, OverflowError):

@@ -17,8 +17,6 @@ from .data import blob_field, readonly
 from .errors import ContractError, ValidationError
 from .graph import SensorGraph, normalized_adjacency
 
-CHECKPOINT_VERSION = 1
-
 
 class Forecaster:
     """Contract for a deterministic differentiable map (B, H, N) -> (B, N).
@@ -51,7 +49,7 @@ class Forecaster:
         arrays = [getattr(self, name) for name in self.params]
         total = sum(arr.size for arr in arrays)
         if theta.shape != (total,):
-            raise ContractError(f"theta length {theta.size} != {total}")
+            raise ContractError(f"theta shape {theta.shape} != ({total},)")
         start = 0
         for name, arr in zip(self.params, arrays):
             setattr(self, name, theta[start : start + arr.size].reshape(arr.shape).copy())
@@ -67,7 +65,6 @@ class Forecaster:
     # -- serialization ------------------------------------------------------
     def to_blob(self) -> dict:
         blob = {
-            "version": CHECKPOINT_VERSION,
             "kind": self.kind,
             "history": self.history,
             "n": self.n,
@@ -220,11 +217,6 @@ def build_forecaster(
 def forecaster_from_blob(blob: dict) -> Forecaster:
     """Rebuild a model from its checkpoint blob; a missing or mistyped field
     is a ValidationError naming it."""
-    if blob.get("version") != CHECKPOINT_VERSION:
-        raise ValidationError(
-            f"model checkpoint version {blob.get('version')!r} is not the supported "
-            f"{CHECKPOINT_VERSION}"
-        )
     kind = blob.get("kind")
     history, n = blob_field(blob, "history", int, "model"), blob_field(blob, "n", int, "model")
     if kind == "nodear":

@@ -8,7 +8,7 @@ error coupling to the physical network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,31 +48,26 @@ class SensorGraph:
 
 @dataclass(frozen=True)
 class StructuralMask:
-    """Binary matrix: 1 marks pairs farther apart than `order` hops, 0 otherwise.
+    """Hop mask of a sensor graph: 1 marks pairs farther apart than `order`
+    (1 or 2) hops, 0 otherwise, so the diagonal is always 0 (self-dependence
+    is never penalized).
 
-    The diagonal is always 0 (self-dependence is never penalized). The
-    mask is stored as a read-only view of the array given; a mask that
-    structural_mask could not have built is rejected.
+    The mask is derived from the graph once, at construction, and stored
+    read-only: (I + A)^order counts the walks of at most `order` hops over
+    the 0/1 edge set A (weight > 0), so its zero entries are exactly the
+    pairs to mask. The counts are small integers, so no tolerance is involved.
     """
 
+    graph: SensorGraph
     order: int
-    mask: np.ndarray
+    mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_mask_order(self.order)
-        m = readonly(self.mask)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"structural mask must be square, got shape {m.shape}")
-        if not np.all((m == 0) | (m == 1)):
-            raise ValidationError("structural mask entries must all be 0 or 1")
-        if np.any(np.diag(m) != 0):
-            raise ValidationError("structural mask must have a zero diagonal")
-        object.__setattr__(self, "mask", m)
-
-
-def _check_mask_order(order: int) -> None:
-    if order not in (1, 2):
-        raise UnsupportedOrderError(f"mask order must be 1 or 2, got {order}")
+        if self.order not in (1, 2):
+            raise UnsupportedOrderError(f"mask order must be 1 or 2, got {self.order}")
+        edges = self.graph.adjacency > 0
+        walks = np.linalg.matrix_power(np.eye(self.graph.n) + edges, self.order)
+        object.__setattr__(self, "mask", readonly(np.where(walks > 0, 0.0, 1.0)))
 
 
 def normalized_adjacency(graph: SensorGraph) -> np.ndarray:
@@ -85,16 +80,8 @@ def normalized_adjacency(graph: SensorGraph) -> np.ndarray:
 
 
 def structural_mask(graph: SensorGraph, order: int) -> StructuralMask:
-    """Mask of sensor pairs beyond `order` hops of each other.
-
-    (I + A)^order counts the walks of at most `order` hops over the 0/1 edge
-    set A (weight > 0), so its zero entries are exactly the pairs to mask.
-    The counts are small integers, so no tolerance is involved, and the
-    diagonal is 0 by construction.
-    """
-    _check_mask_order(order)
-    walks = np.linalg.matrix_power(np.eye(graph.n) + (graph.adjacency > 0), order)
-    return StructuralMask(order=order, mask=np.where(walks > 0, 0.0, 1.0))
+    """Mask of sensor pairs beyond `order` hops of each other."""
+    return StructuralMask(graph, order)
 
 
 def load_adjacency_csv(path) -> SensorGraph:

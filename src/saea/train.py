@@ -20,7 +20,7 @@ from .data import WindowSet, blob_field, read_json, write_json
 from .errors import DivergenceError, ValidationError
 from .forecaster import Forecaster, forecaster_from_blob
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 RMSPROP_RHO = 0.9
 RMSPROP_EPS = 1e-8

@@ -184,7 +184,7 @@ def test_structural_without_mask_is_configuration_error():
     with pytest.raises(ConfigurationError):
         ErrorModel("sparse_full", 3, mask=mask)
     blob = ErrorModel("structural", 3, mask=mask).to_blob()
-    unmasked = {k: v for k, v in blob.items() if not k.startswith("mask")}
+    unmasked = {k: v for k, v in blob.items() if k not in ("adjacency", "mask_order")}
     for bad in (unmasked, {**blob, "kind": "sparse_full"}):
         with pytest.raises(ConfigurationError):
             ErrorModel.from_blob(bad)
@@ -657,7 +657,7 @@ def test_error_model_owns_its_payload():
     assert diag[0, 0] == 0.25
 
 
-def test_error_model_blob_roundtrip_with_mask_hash():
+def test_error_model_blob_roundtrip():
     # every kind keeps its payload shapes (p = 2, n = 5, k = 2) through a blob
     shapes = {
         "scalar": {"coef": (2,)},
@@ -678,20 +678,23 @@ def test_error_model_blob_roundtrip_with_mask_hash():
             short = {**blob, "payload": {**blob["payload"], name: blob["payload"][name][:1]}}
             with pytest.raises(ConfigurationError):
                 ErrorModel.from_blob(short)
-    g = ring_graph(5)
-    em = make_em("structural", 5, graph=g, randomize=2)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_error_model_blob_rebuilds_the_mask_from_the_adjacency(order):
+    g = path_graph(6)
+    payload = {"matrix": np.ones((1, 6, 6))}
+    em = ErrorModel("structural", 6, mask=structural_mask(g, order), payload=payload)
     blob = em.to_blob()
-    assert "mask_sha256" in blob
+    assert "mask" not in blob and blob["mask_order"] == order
     again = ErrorModel.from_blob(blob)
+    assert_array_equal(again.mask.graph.adjacency, g.adjacency)
+    assert_array_equal(again.mask.mask, structural_mask(g, order).mask)
     assert_array_equal(again.payload["matrix"], em.payload["matrix"])
-    blob["mask"][0][1] = 1.0 - blob["mask"][0][1]
-    with pytest.raises(ValidationError):
-        ErrorModel.from_blob(blob)
 
 
-def test_error_model_blob_mask_without_hash_rejected():
-    em = make_em("structural", 5, graph=ring_graph(5), randomize=2)
-    blob = em.to_blob()
-    del blob["mask_sha256"]
-    with pytest.raises(ValidationError):
+def test_error_model_blob_without_adjacency_rejected():
+    blob = make_em("structural", 5, graph=ring_graph(5), randomize=2).to_blob()
+    del blob["adjacency"]
+    with pytest.raises(ValidationError, match="'adjacency'"):
         ErrorModel.from_blob(blob)

@@ -5,7 +5,9 @@ and `benchmarks/tracing.py` wraps layer functions in the namespaces the CLI
 calls them through; a rename or a call that bypasses those names leaves the
 benchmark counting nothing without failing. The benchmark's online serving
 (`saea_predict` and `predict_recursive` with its call signature) runs here
-too, on a tiny workload.
+too, on a tiny workload, and so do `eval` and `diagnose` on the oracle
+checkpoint the benchmark writes, so a checkpoint format the benchmark cannot
+load fails here.
 """
 
 import json
@@ -17,6 +19,16 @@ from saea.cli import run
 from test_cli import make_bundle_dir, train_args
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def ring8(workloads):
+    """A tiny workload whose oracle checkpoint is graphfilter + structural,
+    the checkpoint path of the road200 workloads."""
+    return workloads.Workload(
+        name="ring8_serve", why="serve-path check", graph="ring", n=8, steps=300, history=4,
+        epochs=1, kinds="none,structural", train_frac=0.5, val_frac=0.1,
+        score_train_frac=0.5, score_val_frac=0.1, floor_from="oracle", phi_form="diffusion",
+    )
 
 
 def test_fit_observer_and_tracer_see_compare_and_eval(tmp_path, monkeypatch):
@@ -64,11 +76,7 @@ def test_serve_path_matches_batched_predictions_under_tracer(tmp_path, monkeypat
     import tracing
     import workloads
 
-    wl = workloads.Workload(
-        name="ring8_serve", why="serve-path check", graph="ring", n=8, steps=300, history=4,
-        epochs=1, kinds="none,structural", train_frac=0.5, val_frac=0.1,
-        score_train_frac=0.5, score_val_frac=0.1, floor_from="oracle", phi_form="diffusion",
-    )
+    wl = ring8(workloads)
     prep = workloads.prepare(wl, workloads.setup_inputs(wl, 0, tmp_path / "inputs"))
     calls, rollouts = 40, 10
     served = {"predict_s": [None] * calls, "rollout_s": [None] * rollouts,
@@ -90,3 +98,18 @@ def test_serve_path_matches_batched_predictions_under_tracer(tmp_path, monkeypat
     assert spans.count("train.predict_recursive") == rollouts
     # every rollout step is served through the name the tracer wraps in saea.train
     assert spans.count("adjust.saea_predict") == calls + rollouts * workloads.ROLLOUT_STEPS
+
+
+def test_eval_and_diagnose_score_the_benchmark_oracle_checkpoint(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+
+    wl = ring8(workloads)
+    inputs = workloads.setup_inputs(wl, 0, tmp_path / "inputs")
+    split = ["--train-frac", str(wl.score_train_frac), "--val-frac", str(wl.score_val_frac)]
+    for command, written in (("eval", "metrics.json"), ("diagnose", "diagnostics.json")):
+        out = tmp_path / command
+        argv = [command, "--checkpoint", str(inputs.paths.oracle),
+                "--series", str(inputs.paths.series), *split, "--out", str(out)]
+        assert run(argv) == 0
+        assert json.loads((out / written).read_text())

@@ -1,5 +1,4 @@
 import argparse
-import hashlib
 import json
 import re
 import shlex
@@ -14,8 +13,8 @@ from saea.adjust import ErrorModel
 from saea.cli import run
 from saea.data import ingest_csv
 from saea.forecaster import GraphFilterAR, NodeAR
-from saea.graph import load_adjacency_csv
-from saea.synth import GraphSpec, SynthConfig, generate, oracle_floor
+from saea.graph import load_adjacency_csv, structural_mask
+from saea.synth import GraphSpec, SynthConfig, generate, oracle_floor, ring_graph
 from saea.train import TrainConfig, checkpoint_blob, load_checkpoint, save_checkpoint
 
 
@@ -610,8 +609,8 @@ def test_unreadable_input_files_fail_with_one_json_line(tmp_path, capsys, argv, 
     paths["series"].write_text("a,b\n" + "1.0,2.0\n" * 30)
     paths["brace"].write_text("{")
     paths["array"].write_text("[]")
-    paths["bare"].write_text('{"format_version": 1}')
-    paths["listmodel"].write_text('{"format_version": 1, "model": []}')
+    paths["bare"].write_text('{"format_version": 2}')
+    paths["listmodel"].write_text('{"format_version": 2, "model": []}')
     paths["latin"].write_bytes("caf\u00e9,b\n1.0,2.0\n".encode("latin-1"))
     argv = [arg.format(**paths) for arg in argv]
     assert run([*argv, "--out", str(tmp_path / "out")]) == 1
@@ -718,20 +717,31 @@ def test_series_sensor_count_is_checked_from_the_header(tmp_path, capsys):
     assert "series has 3 sensors, expected 2" in one_json_error(capsys)["message"]
 
 
-def test_eval_rejects_a_checkpoint_mask_structural_mask_cannot_build(tmp_path, capsys):
-    bundle = make_bundle_dir(tmp_path)
-    out = tmp_path / "run"
-    assert run(train_args(bundle, out, ("--kind", "structural", "--epochs", "1"))) == 0
-    ckpt = out / "checkpoint_h5min_best.json"
-    blob = json.loads(ckpt.read_text())
-    fives = np.full((8, 8), 5.0)
-    blob["error_model"]["mask"] = fives.tolist()
-    blob["error_model"]["mask_sha256"] = hashlib.sha256(fives.tobytes()).hexdigest()
+@pytest.mark.parametrize(
+    "adjacency",
+    [
+        np.eye(8),                                  # self-loop
+        -(np.ones((8, 8)) - np.eye(8)),             # negative weights
+        np.ones((9, 9)) - np.eye(9),                # wrong size
+        np.zeros((8, 7)),                           # not square
+        np.where(np.eye(8) > 0, 0.0, np.nan),       # not finite
+        [[True] * 8] * 8,                           # booleans, not weights
+    ],
+    ids=["self-loop", "negative", "wrong-size", "not-square", "nan", "boolean"],
+)
+def test_eval_rejects_a_bad_checkpoint_adjacency(tmp_path, capsys, adjacency):
+    series = tmp_path / "series.csv"
+    series.write_text(",".join("abcdefgh") + "\n" + (",".join(["1.0"] * 8) + "\n") * 30)
+    em = ErrorModel("structural", 8, mask=structural_mask(ring_graph(8), 1))
+    blob = checkpoint_blob(NodeAR(3, 8), em)
+    blob["error_model"]["adjacency"] = np.asarray(adjacency).tolist()
+    ckpt = tmp_path / "checkpoint.json"
     ckpt.write_text(json.dumps(blob))
-    capsys.readouterr()
-    argv = ["eval", "--checkpoint", str(ckpt), "--series", str(bundle / "series.csv")]
-    assert run([*argv, "--out", str(tmp_path / "eval")]) == 1
-    assert one_json_error(capsys)["error"] == "ValidationError"
+    for command in ("eval", "diagnose"):
+        argv = [command, "--checkpoint", str(ckpt), "--series", str(series)]
+        assert run([*argv, "--out", str(tmp_path / command)]) == 1
+        parsed = one_json_error(capsys)
+        assert parsed["error"] == "ValidationError" and "adjacency" in parsed["message"]
 
 
 @pytest.mark.parametrize("flags", [("--var-order", "13", "--history", "12"), ("--var-order", "0")])

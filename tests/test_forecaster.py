@@ -194,6 +194,12 @@ def test_contract_errors_on_shape_mismatch():
                 model.set_params(theta)
 
 
+def test_set_params_reports_both_shapes():
+    # eight one-element lists hold NodeAR(3, 2)'s eight values in the wrong shape
+    with pytest.raises(ContractError, match=r"theta shape \(8, 1\) != \(8,\)"):
+        NodeAR(3, 2).set_params([[0.0]] * 8)
+
+
 def test_set_params_copies_theta():
     windows = np.random.default_rng(8).normal(size=(2, H, N))
     for model in all_models(seed=1):
@@ -265,23 +271,9 @@ def test_checkpoint_blob_roundtrip():
     windows = rng.normal(size=(3, H, N))
     for model in all_models(seed=7, hidden=9):
         blob = model.to_blob()
-        assert blob["version"] == 1
+        assert "version" not in blob
         clone = forecaster_from_blob(blob)
         assert_array_equal(clone.forward_batch(windows), model.forward_batch(windows))
-
-
-def test_checkpoint_requires_version():
-    blob = NodeAR(2, 2, seed=0).to_blob()
-    del blob["version"]
-    with pytest.raises(ValidationError):
-        forecaster_from_blob(blob)
-
-
-def test_checkpoint_rejects_other_version():
-    blob = NodeAR(2, 2, seed=0).to_blob()
-    for version in (0, 2, "1"):
-        with pytest.raises(ValidationError):
-            forecaster_from_blob({**blob, "version": version})
 
 
 def test_checkpoint_rejects_an_unknown_kind():

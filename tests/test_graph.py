@@ -152,7 +152,11 @@ def test_invalid_adjacency_rejected(bad):
 
 @pytest.mark.parametrize(
     "build, field",
-    [(SeriesFrame, "values"), (lambda a: StructuralMask(1, a), "mask"), (SensorGraph, "adjacency")],
+    [
+        (SeriesFrame, "values"),
+        (lambda a: structural_mask(SensorGraph(a), 1), "mask"),
+        (SensorGraph, "adjacency"),
+    ],
     ids=["SeriesFrame", "StructuralMask", "SensorGraph"],
 )
 def test_constructors_store_read_only_arrays_and_leave_the_callers(build, field):
@@ -161,25 +165,13 @@ def test_constructors_store_read_only_arrays_and_leave_the_callers(build, field)
     assert given.flags.writeable and not stored.flags.writeable
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        np.zeros((2, 3)),                 # not square
-        np.zeros(3),                      # not a matrix
-        5.0 * (1.0 - np.eye(3)),          # not 0/1
-        np.array([[0.0, np.nan], [1.0, 0.0]]),
-        np.ones((3, 3)),                  # nonzero diagonal
-    ],
-)
-def test_structural_mask_rejects_a_mask_structural_mask_cannot_build(bad):
-    with pytest.raises(ValidationError):
-        StructuralMask(1, bad)
-
-
-def test_structural_mask_order_must_be_1_or_2():
-    for order in (0, 3):
-        with pytest.raises(UnsupportedOrderError):
-            StructuralMask(order, np.zeros((3, 3)))
+def test_structural_mask_keeps_its_graph_and_order():
+    g = SensorGraph(P3)
+    m = StructuralMask(g, 2)
+    assert m.graph is g and m.order == 2
+    assert_array_equal(m.mask, structural_mask(g, 2).mask)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.mask = np.zeros((3, 3))
 
 
 def test_unsupported_mask_order():

@@ -409,8 +409,8 @@ def test_checkpoint_none_error_model(tmp_path):
 def test_checkpoint_format_version_must_match():
     blob = checkpoint_blob(NodeAR(3, 2, seed=0), ErrorModel("diagonal", 2))
     load_checkpoint_blob(blob)
-    for version in (None, 0, 2, "1"):
-        with pytest.raises(ValidationError):
+    for version in (None, 0, 1, 3, "2"):
+        with pytest.raises(ValidationError, match=f"format_version {version!r} "):
             load_checkpoint_blob({**blob, "format_version": version})
     del blob["format_version"]
     with pytest.raises(ValidationError):
@@ -470,8 +470,14 @@ def structural_checkpoint():
         (True, ("error_model", "mask_order")),
         ([float("nan")] + [0.0] * 9, ("model", "theta")),  # 10 values, as stored
         ([[[float("inf")] * 4] * 4], ("error_model", "payload", "matrix")),
+        ([True] + [0.0] * 9, ("model", "theta")),
+        ([[[0.0, True, 0.0, 0.0]] + [[0.0] * 4] * 3], ("error_model", "payload", "matrix")),
+        ([[0, True, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], ("error_model", "adjacency")),
     ],
-    ids=["history-bool", "var-order-bool", "mask-order-bool", "theta-nan", "matrix-inf"],
+    ids=[
+        "history-bool", "var-order-bool", "mask-order-bool", "theta-nan", "matrix-inf",
+        "theta-bool", "matrix-bool", "adjacency-bool",
+    ],
 )
 def test_checkpoint_number_is_finite_and_not_a_boolean(value, path):
     blob = structural_checkpoint()

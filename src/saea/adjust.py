@@ -236,44 +236,74 @@ def regularize(em: ErrorModel) -> tuple[float, dict]:
     return value, grads
 
 
-def _minus_shifted(inputs: np.ndarray, shifts, phis) -> np.ndarray:
-    """inputs - sum over lags of shift @ phi^T, each one 2-D BLAS product.
+def _lag_maps(em: ErrorModel):
+    """Each lag's coefficient map and its payload gradient, through em's own
+    payload: apply(k, rows) = rows @ Phi_k^T for an (M, N) block of rows, and
+    contract(k, u, v) = the lag-k payload gradients of sum_r u_r^T Phi_k v_r,
+    for (M, N) blocks u and v.
 
-    Written (phi @ shift^T)^T so that BLAS packs the (B*H)-row operand in
-    blocks; shift @ phi^T packs it whole into BLAS's resident buffer."""
-    n = inputs.shape[-1]
-    out = inputs.reshape(-1, n)
-    for shift, phi in zip(shifts, phis):
-        out = out - (phi @ shift.reshape(-1, n).T).T
-    return out.reshape(inputs.shape)
+    scalar and diagonal scale the rows elementwise, O(MN); low_rank goes
+    through its factors, (rows @ R^T) @ L^T, O(MNk); the other kinds use the
+    dense Phi_k, materialized once here, O(MN^2), as (Phi_k @ rows^T)^T so
+    that BLAS packs the M-row operand in blocks.
+    """
+    payload = em.payload
+    if em.kind in ("scalar", "diagonal"):
+        name, summed = ("coef", "ri,ri->") if em.kind == "scalar" else ("diag", "ri,ri->i")
+        scale = payload[name]
+        return (lambda k, rows: rows * scale[k]), (lambda k, u, v: {name: np.einsum(summed, u, v)})
+
+    if em.kind == "low_rank":
+        left, right = payload["left"], payload["right"]
+
+        def contract(k, u, v):
+            return {"left": u.T @ (v @ right[k].T), "right": (u @ left[k]).T @ v}
+
+        return lambda k, rows: (rows @ right[k].T) @ left[k].T, contract
+
+    phis = materialize_phi(em)
+
+    def contract(k, u, v):
+        grad_phi = u.T @ v
+        if em.kind != "low_rank_sparse":
+            return {"matrix": grad_phi}
+        return {
+            "left": grad_phi @ payload["right"][k].T,
+            "right": payload["left"][k].T @ grad_phi,
+            "sparse": grad_phi,
+        }
+
+    return lambda k, rows: (phis[k] @ rows.T).T, contract
 
 
-def _adjusted_forward(
-    model: Forecaster, em: ErrorModel | None, inputs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """Adjusted predictions, transformed windows and lag shifts for a (B, H, N)
-    batch. The only place shifts are formed: over the lags k = 1..p, with
-    shifts[k-1] = shift_with_mean(inputs, k),
+def _adjusted_forward(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray):
+    """Adjusted predictions, transformed windows, lag shifts and the lag
+    maps' contract for a (B, H, N) batch. The only place shifts are formed:
+    over the lags k = 1..p, with shifts[k-1] = shift_with_mean(inputs, k),
 
       transformed = inputs - sum_k shifts[k-1] @ Phi_k^T
       preds       = sum_k inputs[:, k-1] @ Phi_k^T + f(transformed)
 
-    With no error model this is the plain forward on the inputs, no shifts.
-    The anchor of lag k is row k-1 of the window, so p may not exceed H.
+    each Phi_k applied by _lag_maps. With no error model this is the plain
+    forward on the inputs, no shifts and no contract. The anchor of lag k is
+    row k-1 of the window, so p may not exceed H.
     """
     if em is None:
-        return model.forward_batch(inputs), inputs, []
+        return model.forward_batch(inputs), inputs, [], None
     if em.var_order > inputs.shape[1]:
         raise ContractError(
             f"var_order {em.var_order} exceeds the window's {inputs.shape[1]} rows"
         )
-    phis = materialize_phi(em)
+    apply, contract = _lag_maps(em)
     shifts = [shift_with_mean(inputs, k) for k in range(1, em.var_order + 1)]
-    transformed = _minus_shifted(inputs, shifts, phis)
+    transformed = inputs.reshape(-1, em.n)
+    for lag, shift in enumerate(shifts):
+        transformed = transformed - apply(lag, shift.reshape(-1, em.n))
+    transformed = transformed.reshape(inputs.shape)
     preds = model.forward_batch(transformed)
-    for lag, phi in enumerate(phis):
-        preds = preds + (phi @ inputs[:, lag].T).T
-    return preds, transformed, shifts
+    for lag in range(em.var_order):
+        preds = preds + apply(lag, inputs[:, lag])
+    return preds, transformed, shifts, contract
 
 
 def saea_predict(model: Forecaster, em: ErrorModel | None, window, *shifted) -> np.ndarray:
@@ -326,24 +356,6 @@ class LossResult:
     penalty: float
 
 
-def _phi_to_payload_grads(em: ErrorModel, grad_phis: np.ndarray) -> dict:
-    """Chain rule from the stacked (p, N, N) dense-coefficient gradient to
-    the payload gradients."""
-    if em.kind == "scalar":
-        return {"coef": grad_phis.trace(axis1=1, axis2=2)}
-    if em.kind == "diagonal":
-        return {"diag": grad_phis.diagonal(axis1=1, axis2=2).copy()}
-    if em.kind in ("sparse_full", "structural"):
-        return {"matrix": grad_phis}
-    grads = {
-        "left": grad_phis @ em.payload["right"].transpose(0, 2, 1),
-        "right": em.payload["left"].transpose(0, 2, 1) @ grad_phis,
-    }
-    if em.kind == "low_rank_sparse":
-        grads["sparse"] = grad_phis
-    return grads
-
-
 def saea_loss(model: Forecaster, em: ErrorModel | None, batch: WindowSet) -> LossResult:
     """Adjusted training loss and its analytic gradients.
 
@@ -358,7 +370,7 @@ def saea_loss(model: Forecaster, em: ErrorModel | None, batch: WindowSet) -> Los
     if batch.batch == 0:
         raise ValidationError("loss requires a nonempty batch")
     inputs = batch.inputs
-    preds, transformed, shifts = _adjusted_forward(model, em, inputs)
+    preds, transformed, shifts, contract = _adjusted_forward(model, em, inputs)
     resid = preds - batch.targets
     mse = float(np.mean(resid * resid))
     penalty, reg_grads = regularize(em) if em is not None else (0.0, {})
@@ -372,13 +384,15 @@ def saea_loss(model: Forecaster, em: ErrorModel | None, batch: WindowSet) -> Los
         return LossResult(loss, grad_theta, {}, mse, penalty)
 
     grad_flat = grad_input.reshape(-1, em.n)
-    grad_phis = np.empty((em.var_order, em.n, em.n))
+    payload_grads = {name: np.empty_like(arr) for name, arr in em.payload.items()}
     for lag, shift in enumerate(shifts):
-        # anchor path d(anchor @ phi^T)/d phi, minus the input path through f
-        grad_phis[lag] = cots.T @ inputs[:, lag]
-        grad_phis[lag] -= grad_flat.T @ shift.reshape(-1, em.n)
+        # anchor path d(anchor @ Phi^T), minus the input path through f
+        anchor = contract(lag, cots, inputs[:, lag])
+        through_f = contract(lag, grad_flat, shift.reshape(-1, em.n))
+        for name in anchor:
+            anchor[name] -= through_f[name]
+            payload_grads[name][lag] = anchor[name]
 
-    payload_grads = _phi_to_payload_grads(em, grad_phis)
     for name, grad in reg_grads.items():
         payload_grads[name] = payload_grads[name] + grad
     return LossResult(loss, grad_theta, payload_grads, mse, penalty)

@@ -432,10 +432,10 @@ def cmd_train(args) -> int:
 
 
 def _write_scored(args, name: str, payload: dict, fracs, **config) -> None:
-    """The tail of eval and diagnose: the scored JSON and a manifest that
-    records the split it scored."""
+    """The tail of eval and diagnose: the scored JSON, compact (json's C
+    encoder), and a manifest that records the split it scored."""
     os.makedirs(args.out, exist_ok=True)
-    write_json(os.path.join(args.out, name), payload, indent=1)
+    write_json(os.path.join(args.out, name), payload)
     split = {"split": args.split, "train_frac": fracs[0], "val_frac": fracs[1]}
     inputs = [args.checkpoint, args.series]
     write_manifest(args.out, args.command, {**split, **config}, 0, inputs, [name])

@@ -201,7 +201,7 @@ def write_float_rows(path, rows, header=None) -> None:
         if header is not None:
             fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, np.asarray(row, dtype=np.float64).tolist())) + "\n")
 
 
 def save_series_csv(frame: SeriesFrame, path) -> None:
@@ -308,7 +308,8 @@ def shift_with_mean(windows: np.ndarray, shift: int = 1) -> np.ndarray:
     keep = max(h - shift, 0)
     out = np.empty(w.shape)
     out[..., :keep, :] = w[..., shift:, :]
-    out[..., keep:, :] = w.mean(axis=-2, keepdims=True)
+    # np.mean's own reduce and divide, without its Python wrapper: bit-equal
+    out[..., keep:, :] = w.sum(axis=-2, keepdims=True) / h
     return out
 
 

@@ -135,10 +135,11 @@ class GraphFilterAR(Forecaster):
         grad_self = np.einsum("bhn,bn->h", windows, cotangents)
         grad_hop = np.einsum("bhn,bn->h", windows, back_hopped)
         grad_b = cotangents.sum(axis=0)
-        grad_input = (
-            self.tap_self[None, :, None] * cotangents[:, None, :]
-            + self.tap_hop[None, :, None] * back_hopped[:, None, :]
-        )
+        # one lag at a time: the (B, N) temporaries stay in cache, where the
+        # broadcast (B, H, N) form's three would not
+        grad_input = np.empty(windows.shape)
+        for h in range(self.history):
+            grad_input[:, h] = self.tap_self[h] * cotangents + self.tap_hop[h] * back_hopped
         return np.concatenate([grad_self, grad_hop, grad_b]), grad_input
 
     def _extra_blob(self) -> dict:

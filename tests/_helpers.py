@@ -1,4 +1,5 @@
-"""Shared test utilities: finite differences and relative-error reduction."""
+"""Shared test utilities: finite differences, relative-error reduction and
+the dense coefficient chain rule the adjusted loss is checked against."""
 
 import numpy as np
 
@@ -39,4 +40,23 @@ def payload_fd_grads(loss_fn, em, h=1e-5):
             flat[i] = orig
             g[i] = (up - down) / (2.0 * h)
         grads[name] = g.reshape(arr.shape)
+    return grads
+
+
+def phi_to_payload_grads(em, grad_phis):
+    """Chain rule from the stacked (p, N, N) dense-coefficient gradient to
+    the payload gradients: the reference for the per-kind factored gradients
+    of the adjusted loss."""
+    if em.kind == "scalar":
+        return {"coef": grad_phis.trace(axis1=1, axis2=2)}
+    if em.kind == "diagonal":
+        return {"diag": grad_phis.diagonal(axis1=1, axis2=2).copy()}
+    if em.kind in ("sparse_full", "structural"):
+        return {"matrix": grad_phis}
+    grads = {
+        "left": grad_phis @ em.payload["right"].transpose(0, 2, 1),
+        "right": em.payload["left"].transpose(0, 2, 1) @ grad_phis,
+    }
+    if em.kind == "low_rank_sparse":
+        grads["sparse"] = grad_phis
     return grads

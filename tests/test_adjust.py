@@ -6,12 +6,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import saea.adjust
-from _helpers import central_diff, max_rel_err, payload_fd_grads
+from _helpers import central_diff, max_rel_err, payload_fd_grads, phi_to_payload_grads
 from saea.adjust import (
     DEFAULT_REGULARIZATION,
     ErrorModel,
     _adjusted_forward,
-    _phi_to_payload_grads,
     companion_matrix,
     materialize_phi,
     predict_windows,
@@ -25,6 +24,7 @@ from saea.errors import ConfigurationError, ContractError, ValidationError
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import structural_mask
 from saea.synth import path_graph, ring_graph
+from saea.train import predict_recursive
 
 ALL_KINDS = ("scalar", "diagonal", "sparse_full", "low_rank", "low_rank_sparse", "structural")
 
@@ -493,8 +493,9 @@ def test_loss_gradients_match_finite_differences(kind, var_order):
         assert max_rel_err(res.payload_grads[name], fd[name]) < 1e-4
 
 
-def reference_coefficient_grads(model, em, batch):
-    """Per-lag dMSE/dPhi by the einsum formulas the loss was first written with."""
+def dense_reference(model, em, batch):
+    """Adjusted predictions and per-lag dMSE/dPhi through the dense (p, N, N)
+    coefficients, by the einsum formulas the loss was first written with."""
     lags = range(em.var_order)
     phis = materialize_phi(em)
     shifts = [shift_with_mean(batch.inputs, lag + 1) for lag in lags]
@@ -504,7 +505,7 @@ def reference_coefficient_grads(model, em, batch):
     resid = preds - batch.targets
     cots = (2.0 / resid.size) * resid
     _, grad_input = model.vjp_batch(transformed, cots)
-    return np.stack([
+    return preds, np.stack([
         np.einsum("bi,bj->ij", cots, a) - np.einsum("bhi,bhj->ij", grad_input, s)
         for a, s in zip(anchors, shifts)
     ])
@@ -520,9 +521,54 @@ def test_loss_coefficient_gradient_matches_einsum_reference(kind, var_order):
     # zero weights leave only the data term, which is what the reference computes
     em = make_em(kind, n, var_order=var_order, rank=3, graph=graph, randomize=23, alpha=0.0, beta=0.0)
     res = saea_loss(model, em, batch)
-    expected = _phi_to_payload_grads(em, reference_coefficient_grads(model, em, batch))
+    expected = phi_to_payload_grads(em, dense_reference(model, em, batch)[1])
     for name, grad in expected.items():
         assert np.max(np.abs(res.payload_grads[name] - grad)) <= 1e-12 * np.max(np.abs(grad))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("var_order", [1, 2, 3])
+@pytest.mark.parametrize("model_kind", ["nodear", "graphfilter", "mlp1"])
+def test_factored_core_matches_dense_reference(kind, var_order, model_kind):
+    # each kind applies its coefficients through its own payload; the
+    # predictions and payload gradients equal the dense (p, N, N) chain rule's
+    n, h = 12, 5
+    batch = random_batch(n=n, h=h, b=9, seed=31)
+    graph = ring_graph(n)
+    model = {
+        "nodear": NodeAR(h, n, seed=3),
+        "graphfilter": GraphFilterAR.from_graph(h, graph, seed=3),
+        "mlp1": MLP1(h, n, hidden=7, seed=3),
+    }[model_kind]
+    em = make_em(kind, n, var_order=var_order, rank=3, graph=graph, randomize=37, alpha=0.0, beta=0.0)
+    preds, grad_phis = dense_reference(model, em, batch)
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    assert_close(predict_windows(model, em, batch), preds)
+    for b in (0, batch.batch - 1):
+        assert_close(saea_predict(model, em, batch.inputs[b]), preds[b])
+    res = saea_loss(model, em, batch)
+    for name, grad in phi_to_payload_grads(em, grad_phis).items():
+        assert_close(res.payload_grads[name], grad)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "diagonal", "low_rank"])
+def test_factored_kinds_never_materialize_phi(monkeypatch, kind):
+    def refuse(em):
+        raise AssertionError(f"materialize_phi called for {em.kind}")
+
+    monkeypatch.setattr(saea.adjust, "materialize_phi", refuse)
+    n, h = 6, 4
+    batch = random_batch(n=n, h=h, b=5, seed=41)
+    model = GraphFilterAR.from_graph(h, ring_graph(n), seed=4)
+    for var_order in (1, 2, 3):
+        em = make_em(kind, n, var_order=var_order, rank=2, randomize=43)
+        saea_loss(model, em, batch)
+        predict_windows(model, em, batch)
+        saea_predict(model, em, batch.inputs[0])
+        predict_recursive(model, em, batch.inputs[0], 3)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

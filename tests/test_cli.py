@@ -145,7 +145,9 @@ def test_eval_oracle_predictor_hits_floor(tmp_path):
          "--split", "test", "--out", str(out)]
     )
     assert code == 0
-    metrics = json.loads((out / "metrics.json").read_text())
+    text = (out / "metrics.json").read_text()
+    metrics = json.loads(text)
+    assert text == json.dumps(metrics, sort_keys=True) + "\n"  # compact, one line
     assert abs(metrics["rmse"] - floor) / floor < 0.02
 
 
@@ -165,7 +167,9 @@ def test_diagnose_emits_plottable_json(tmp_path):
         ]
     )
     assert code == 0
-    payload = json.loads((diag_out / "diagnostics.json").read_text())
+    text = (diag_out / "diagnostics.json").read_text()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, sort_keys=True) + "\n"  # compact, one line
     assert len(payload["ecm_spatial"]) == 8
     assert len(payload["acf"]) == 8
     assert len(payload["acf"][0]) == 11

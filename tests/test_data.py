@@ -16,6 +16,7 @@ from saea.data import (
     make_windows,
     save_series_csv,
     shift_with_mean,
+    write_float_rows,
     write_json,
 )
 from saea.errors import ParseError, SplitError, ValidationError, WindowError
@@ -178,6 +179,19 @@ def test_write_json_bytes_equal_json_dump(tmp_path):
         assert path.read_bytes() == (expected.getvalue() + "\n").encode()
 
 
+def test_write_float_rows_bytes_equal_per_value_repr(tmp_path):
+    # the bytes of the per-value expression the writer was first written with
+    rows = np.array([[-0.0, 5e-324, 1e16], [3.0, -2.5, 0.1]])
+    cases = [(rows, None), ([[1, 2, 3], [-4, 0, 7]], ["a", "b", "c"]), ([[0.1, -0.0], [2.0**-1074, 1e16]], None)]
+    for data, header in cases:
+        path = tmp_path / "rows.csv"
+        write_float_rows(path, data, header)
+        expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in data)
+        if header is not None:
+            expected = ",".join(header) + "\n" + expected
+        assert path.read_bytes() == expected.encode()
+
+
 def test_split_sizes_default_fractions():
     frame = SeriesFrame(np.arange(20.0).reshape(10, 2))
     train, val, test = chronological_split(frame, 0.7, 0.1)
@@ -308,6 +322,16 @@ def test_shift_with_mean_second_shift():
     mean = window.mean(axis=0)
     assert_allclose(shifted2[2], mean, atol=1e-15)
     assert_allclose(shifted2[3], mean, atol=1e-15)
+
+
+def test_shift_with_mean_pad_is_bit_equal_to_np_mean():
+    rng = np.random.default_rng(3)
+    inputs = [rng.normal(size=shape) for shape in ((50, 6, 20), (50, 12, 200), (3, 7, 5), (12, 20))]
+    inputs.append(rng.normal(size=(8, 9, 10))[::2, 1:, ::3])  # a non-contiguous view
+    for w in inputs:
+        for k in (1, 2):
+            padded = shift_with_mean(w, k)[..., -k:, :]
+            assert_array_equal(padded, np.broadcast_to(w.mean(axis=-2, keepdims=True), padded.shape))
 
 
 def test_shift_with_mean_batched_matches_loop():

@@ -49,7 +49,6 @@ from .synth import (
     GraphSpec,
     SynthBundle,
     SynthConfig,
-    bfs_mask_oracle,
     erdos_renyi_graph,
     generate,
     oracle_floor,

@@ -32,17 +32,19 @@ from .errors import ConfigurationError, ContractError, DivergenceError, Validati
 from .forecaster import Forecaster
 from .graph import SensorGraph, StructuralMask, structural_mask
 
-# The payload arrays of each parameterization, by name, with their axes:
-# p the VAR order (the leading lag axis), n the sensors, k the rank.
-PAYLOAD_AXES = {
-    "scalar": {"coef": "p"},
-    "diagonal": {"diag": "pn"},
-    "sparse_full": {"matrix": "pnn"},
-    "low_rank": {"left": "pnk", "right": "pkn"},
-    "low_rank_sparse": {"left": "pnk", "right": "pkn", "sparse": "pnn"},
-    "structural": {"matrix": "pnn"},
+# The payload arrays of each parameterization, by name: their axes (p the VAR
+# order, the leading lag axis; n the sensors; k the rank), their penalty rule
+# (see regularize) and the error-model field that weights it.
+_FACTORS = {"left": ("pnk", "frobenius", "alpha"), "right": ("pkn", "frobenius", "alpha")}
+PAYLOAD = {
+    "scalar": {"coef": ("p", "hinge", "alpha")},
+    "diagonal": {"diag": ("pn", "hinge", "alpha")},
+    "sparse_full": {"matrix": ("pnn", "l1", "alpha")},
+    "low_rank": _FACTORS,
+    "low_rank_sparse": {**_FACTORS, "sparse": ("pnn", "l1", "beta")},
+    "structural": {"matrix": ("pnn", "masked_frobenius", "alpha")},
 }
-KINDS = tuple(PAYLOAD_AXES)
+KINDS = tuple(PAYLOAD)
 
 # Tuned default settings per parameterization: the penalty weights alpha
 # (and beta) and the rank of the low-rank kinds, capped at the sensor count.
@@ -61,8 +63,8 @@ class ErrorModel:
     """VAR(p) error coefficients in one of six parameterizations, with the
     penalty that training puts on them.
 
-    payload maps each array name of PAYLOAD_AXES[kind] to a float64 array of
-    those axes (zeros when no payload is given); the model holds copies of
+    payload maps each array name of PAYLOAD[kind] to a float64 array of its
+    axes (zeros when no payload is given); the model holds copies of
     the arrays given, never the caller's dict or arrays. structural also
     holds a StructuralMask. alpha, beta and rank are settled here, for the
     kind, from DEFAULT_REGULARIZATION: None takes the default (rank at most
@@ -104,14 +106,12 @@ class ErrorModel:
         if mask is not None and mask.graph.n != n:
             raise ConfigurationError(f"mask graph has {mask.graph.n} nodes, not n={n}")
         dims = {"p": var_order, "n": n, "k": self.rank}
-        expected = {name: tuple(dims[a] for a in axes) for name, axes in PAYLOAD_AXES[kind].items()}
+        expected = {name: tuple(dims[a] for a in spec[0]) for name, spec in PAYLOAD[kind].items()}
         payload = self.payload
         if payload is None:
             payload = {name: np.zeros(shape) for name, shape in expected.items()}
         if set(payload) != set(expected):
-            raise ConfigurationError(
-                f"payload keys {sorted(payload)} != expected {sorted(expected)}"
-            )
+            raise ConfigurationError(f"payload keys {sorted(payload)} != expected {sorted(expected)}")
         self.payload = {name: np.array(payload[name], dtype=np.float64) for name in expected}
         for name, shape in expected.items():
             if self.payload[name].shape != shape:
@@ -126,7 +126,7 @@ class ErrorModel:
         and training starts exactly at the unadjusted baseline). The other
         fields go to the constructor as given."""
         em = cls(kind, n, **fields)
-        if kind in ("low_rank", "low_rank_sparse"):
+        if "left" in em.payload:
             rng = np.random.default_rng(seed)
             em.payload["left"] = rng.normal(0.0, 1e-3, size=em.payload["left"].shape)
         return em
@@ -185,54 +185,39 @@ def materialize_phi(em: ErrorModel) -> np.ndarray:
     if em.kind in ("sparse_full", "structural"):
         return readonly(payload["matrix"])
     product = payload["left"] @ payload["right"]
-    if em.kind == "low_rank":
-        return product
-    return product + payload["sparse"]
-
-
-def _frobenius_and_grad(arr: np.ndarray) -> tuple[float, np.ndarray]:
-    norm = float(np.sqrt(np.sum(arr * arr)))
-    if norm == 0.0:
-        return 0.0, np.zeros_like(arr)
-    return norm, arr / norm
+    return product + payload["sparse"] if em.kind == "low_rank_sparse" else product
 
 
 def regularize(em: ErrorModel) -> tuple[float, dict]:
-    """The error model's weighted penalty alpha * R(payload), plus
-    beta * l1(sparse) for low_rank_sparse (so alpha = 0 keeps the beta term),
-    and its subgradients over the raw payload arrays.
+    """The error model's penalty, each payload array's PAYLOAD rule times its
+    weight, summed (so alpha = 0 keeps low_rank_sparse's beta term), and its
+    subgradients over the raw payload arrays, each a fresh array that the
+    training loss adds its data gradient into.
 
-    The same per-lag term is summed across VAR lags. The training loss adds
-    the value and the subgradients as they are.
+    hinge is the sum of the coefficients' magnitudes above 1, l1 that of all
+    magnitudes, frobenius the sum over lags of each lag's Frobenius norm and
+    masked_frobenius that of the entries outside the graph's hop support.
     """
-    grads = {name: np.zeros_like(arr) for name, arr in em.payload.items()}
-    value = 0.0
-    if em.kind in ("scalar", "diagonal"):
-        # hinge on each coefficient's magnitude above 1
-        name = "coef" if em.kind == "scalar" else "diag"
-        coef = em.payload[name]
-        value = float(np.sum(np.maximum(0.0, np.abs(coef) - 1.0)))
-        grads[name] = np.where(np.abs(coef) > 1.0, np.sign(coef), 0.0)
-    elif em.kind == "sparse_full":
-        matrix = em.payload["matrix"]
-        value = float(np.sum(np.abs(matrix)))
-        grads["matrix"] = np.sign(matrix)
-    else:
-        # per-lag Frobenius norms: of both low-rank factors, or of the
-        # structural matrix's entries outside the graph's hop support
-        if em.kind == "structural":
-            normed = {"matrix": em.mask.mask * em.payload["matrix"]}
+    value, grads = 0.0, {}
+    for name, (_, rule, field) in PAYLOAD[em.kind].items():
+        arr, weight = em.payload[name], getattr(em, field)
+        if rule == "hinge":
+            term = np.sum(np.maximum(0.0, np.abs(arr) - 1.0))
+            grad = np.where(np.abs(arr) > 1.0, np.sign(arr), 0.0)
+        elif rule == "l1":
+            term, grad = np.sum(np.abs(arr)), np.sign(arr)
         else:
-            normed = {name: em.payload[name] for name in ("left", "right")}
-        for lag in range(em.var_order):
-            for name, arr in normed.items():
-                norm, grads[name][lag] = _frobenius_and_grad(arr[lag])
-                value += norm
-    value, grads = em.alpha * value, {name: em.alpha * g for name, g in grads.items()}
-    if em.kind == "low_rank_sparse":
-        sparse = em.payload["sparse"]
-        value += em.beta * float(np.sum(np.abs(sparse)))
-        grads["sparse"] = em.beta * np.sign(sparse)
+            if rule == "masked_frobenius":
+                arr = em.mask.mask * arr
+            term, grad = 0.0, np.zeros_like(arr)
+            for lag, block in enumerate(arr):
+                norm = float(np.sqrt(np.sum(block * block)))
+                if norm > 0.0:
+                    term += norm
+                    grad[lag] = block / norm
+        grad *= weight
+        value += weight * float(term)
+        grads[name] = grad
     return value, grads
 
 
@@ -291,9 +276,9 @@ def _adjusted_forward(model: Forecaster, em: ErrorModel | None, inputs: np.ndarr
     if em is None:
         return model.forward_batch(inputs), inputs, [], None
     if em.var_order > inputs.shape[1]:
-        raise ContractError(
-            f"var_order {em.var_order} exceeds the window's {inputs.shape[1]} rows"
-        )
+        raise ContractError(f"var_order {em.var_order} exceeds the window's {inputs.shape[1]} rows")
+    if em.n != model.n:
+        raise ContractError(f"error model has {em.n} sensors, the forecaster {model.n}")
     apply, contract = _lag_maps(em)
     shifts = [shift_with_mean(inputs, k) for k in range(1, em.var_order + 1)]
     transformed = inputs.reshape(-1, em.n)
@@ -373,28 +358,21 @@ def saea_loss(model: Forecaster, em: ErrorModel | None, batch: WindowSet) -> Los
     preds, transformed, shifts, contract = _adjusted_forward(model, em, inputs)
     resid = preds - batch.targets
     mse = float(np.mean(resid * resid))
-    penalty, reg_grads = regularize(em) if em is not None else (0.0, {})
+    penalty, payload_grads = regularize(em) if em is not None else (0.0, {})
     loss = mse + penalty
     if not np.isfinite(loss):
         raise DivergenceError("non-finite loss")
 
     cots = (2.0 / resid.size) * resid
     grad_theta, grad_input = model.vjp_batch(transformed, cots)
-    if em is None:
-        return LossResult(loss, grad_theta, {}, mse, penalty)
-
-    grad_flat = grad_input.reshape(-1, em.n)
-    payload_grads = {name: np.empty_like(arr) for name, arr in em.payload.items()}
+    grad_flat = grad_input.reshape(-1, model.n)
     for lag, shift in enumerate(shifts):
-        # anchor path d(anchor @ Phi^T), minus the input path through f
+        # add the anchor path d(anchor @ Phi^T), minus the input path through f
         anchor = contract(lag, cots, inputs[:, lag])
         through_f = contract(lag, grad_flat, shift.reshape(-1, em.n))
-        for name in anchor:
-            anchor[name] -= through_f[name]
-            payload_grads[name][lag] = anchor[name]
-
-    for name, grad in reg_grads.items():
-        payload_grads[name] = payload_grads[name] + grad
+        for name, grad in anchor.items():
+            grad -= through_f[name]
+            payload_grads[name][lag] += grad
     return LossResult(loss, grad_theta, payload_grads, mse, penalty)
 
 

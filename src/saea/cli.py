@@ -281,16 +281,17 @@ def cmd_synth(args) -> int:
         phi = load_matrix_csv(args.phi_star, "coefficient")
     else:
         phi = args.phi_diag * np.eye(graph.n) + args.phi_hop * normalized_adjacency(graph)
-        if args.phi_radius is not None:
-            if not (0 <= args.phi_radius < math.inf and np.all(np.isfinite(phi))):
-                raise ValidationError(
-                    f"--phi-radius {args.phi_radius} needs a finite radius >= 0 "
-                    "and finite coefficients"
-                )
-            current = float(np.max(np.abs(np.linalg.eigvals(phi))))
-            if current == 0:
-                raise ValidationError("cannot rescale a zero coefficient matrix")
-            phi *= args.phi_radius / current
+    # a matrix of the wrong shape is left for generate to reject
+    if args.phi_radius is not None and phi.shape == (graph.n, graph.n):
+        if not (0 <= args.phi_radius < math.inf and np.all(np.isfinite(phi))):
+            raise ValidationError(
+                f"--phi-radius {args.phi_radius} needs a finite radius >= 0 "
+                "and finite coefficients"
+            )
+        current = float(np.max(np.abs(np.linalg.eigvals(phi))))
+        if current == 0:
+            raise ValidationError("cannot rescale a zero coefficient matrix")
+        phi *= args.phi_radius / current
     cfg = SynthConfig(
         graph=spec,
         steps=args.steps,

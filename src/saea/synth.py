@@ -226,33 +226,3 @@ def structured_var_coefficients(
     signs = rng.choice([-1.0, 1.0], lower_i.size)
     phi[lower_i, lower_j] = signs * rng.uniform(coupling_low, coupling_high, lower_i.size)
     return phi
-
-
-def bfs_mask_oracle(graph: SensorGraph, order: int) -> np.ndarray:
-    """Reachability oracle: mask[i, j] = 1 iff hop-distance(i, j) > order, i != j.
-
-    Deliberately independent of the matrix-power construction; used to
-    cross-check structural masks.
-    """
-    n = graph.n
-    support = graph.adjacency > 0
-    neighbors = [np.nonzero(support[i])[0] for i in range(n)]
-    mask = np.ones((n, n))
-    for start in range(n):
-        dist = {start: 0}
-        frontier = [start]
-        depth = 0
-        while frontier and depth < order:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for v in neighbors[u]:
-                    if v not in dist:
-                        dist[v] = depth
-                        nxt.append(v)
-            frontier = nxt
-        for j, d in dist.items():
-            if d <= order:
-                mask[start, j] = 0.0
-    np.fill_diagonal(mask, 0.0)
-    return mask

@@ -1,7 +1,10 @@
-"""Shared test utilities: finite differences, relative-error reduction and
-the dense coefficient chain rule the adjusted loss is checked against."""
+"""Shared test utilities: finite differences, relative-error reduction, the
+dense coefficient chain rule the adjusted loss is checked against and the
+reachability oracle structural masks are checked against."""
 
 import numpy as np
+
+from saea.graph import SensorGraph
 
 
 def central_diff(f, x, h=1e-5):
@@ -60,3 +63,33 @@ def phi_to_payload_grads(em, grad_phis):
     if em.kind == "low_rank_sparse":
         grads["sparse"] = grad_phis
     return grads
+
+
+def bfs_mask_oracle(graph: SensorGraph, order: int) -> np.ndarray:
+    """Reachability oracle: mask[i, j] = 1 iff hop-distance(i, j) > order, i != j.
+
+    Deliberately independent of the matrix-power construction; used to
+    cross-check structural masks.
+    """
+    n = graph.n
+    support = graph.adjacency > 0
+    neighbors = [np.nonzero(support[i])[0] for i in range(n)]
+    mask = np.ones((n, n))
+    for start in range(n):
+        dist = {start: 0}
+        frontier = [start]
+        depth = 0
+        while frontier and depth < order:
+            depth += 1
+            nxt = []
+            for u in frontier:
+                for v in neighbors[u]:
+                    if v not in dist:
+                        dist[v] = depth
+                        nxt.append(v)
+            frontier = nxt
+        for j, d in dist.items():
+            if d <= order:
+                mask[start, j] = 0.0
+    np.fill_diagonal(mask, 0.0)
+    return mask

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
-from _helpers import central_diff, max_rel_err, payload_fd_grads
+from _helpers import bfs_mask_oracle, central_diff, max_rel_err, payload_fd_grads
 from saea.adjust import (
     ErrorModel,
     predict_windows,
@@ -28,7 +28,6 @@ from saea.metrics import acf, crosslag_cov, ecm, mape, offdiag_energy, rmse
 from saea.synth import (
     GraphSpec,
     SynthConfig,
-    bfs_mask_oracle,
     erdos_renyi_graph,
     generate,
     ring_graph,

@@ -9,6 +9,7 @@ import saea.adjust
 from _helpers import central_diff, max_rel_err, payload_fd_grads, phi_to_payload_grads
 from saea.adjust import (
     DEFAULT_REGULARIZATION,
+    PAYLOAD,
     ErrorModel,
     _adjusted_forward,
     companion_matrix,
@@ -177,6 +178,31 @@ def test_regularize_zero_payload_zero_subgradient():
             assert_array_equal(g, np.zeros_like(g))
 
 
+@pytest.mark.parametrize("kind", ["low_rank", "structural"])
+def test_regularize_per_lag_frobenius_with_a_zero_lag(kind):
+    """p=3 with an all-zero middle lag: the value is alpha times the other
+    lags' norms, the zero lag's subgradient is exactly 0 and each other
+    lag's is alpha * arr / ||arr||."""
+    alpha = 2.0
+    if kind == "low_rank":
+        em = ErrorModel("low_rank", 2, var_order=3, rank=1, alpha=alpha)
+        em.payload["left"][[0, 2]] = [[[3.0], [4.0]], [[0.0], [1.0]]]  # norms 5, 1
+        em.payload["right"][[0, 2]] = [[[6.0, 8.0]], [[0.0, 2.0]]]  # norms 10, 2
+        normed, expected = em.payload, alpha * (5.0 + 10.0 + 1.0 + 2.0)
+    else:
+        g = path_graph(3)  # the hop mask keeps only entries (0, 2) and (2, 0)
+        em = ErrorModel("structural", 3, var_order=3, mask=structural_mask(g, 1), alpha=alpha)
+        em.payload["matrix"][0] = [[9.0, 1.0, 3.0], [1.0, 9.0, 1.0], [4.0, 1.0, 9.0]]  # 5
+        em.payload["matrix"][2] = [[9.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]  # 2
+        normed, expected = {"matrix": em.mask.mask * em.payload["matrix"]}, alpha * (5.0 + 2.0)
+    value, grads = regularize(em)
+    assert value == pytest.approx(expected, rel=1e-15)
+    for name, arr in normed.items():
+        assert_array_equal(grads[name][1], np.zeros_like(arr[1]))
+        for lag in (0, 2):
+            assert_allclose(grads[name][lag], alpha * arr[lag] / np.linalg.norm(arr[lag]), rtol=1e-15)
+
+
 def test_structural_without_mask_is_configuration_error():
     mask = structural_mask(ring_graph(3), 1)
     with pytest.raises(ConfigurationError):
@@ -223,16 +249,27 @@ def test_regularizer_config_rejects_a_negative_or_nonfinite_weight(setting, valu
         ErrorModel("low_rank_sparse", 3, **{"alpha": 1.0, setting: value})
 
 
+def penalty_formula(kind):
+    """A kind's penalty as the README writes it, from the PAYLOAD table: its
+    arrays grouped by weight and rule, e.g. alpha·frobenius(left, right)."""
+    terms = {}
+    for name, (_, rule, weight) in PAYLOAD[kind].items():
+        terms.setdefault(f"{weight}·{rule}", []).append(name)
+    return " + ".join(f"{term}({', '.join(names)})" for term, names in terms.items())
+
+
 def test_readme_penalty_table_is_the_default_table():
     readme = Path(__file__).resolve().parent.parent / "README.md"
-    table = {}
+    table, penalties = {}, {}
     for line in readme.read_text(encoding="utf-8").splitlines():
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         if line.startswith("|") and cells[0] in DEFAULT_REGULARIZATION:
             table[cells[0]] = {
                 name: float(cell) for name, cell in zip(("alpha", "beta", "rank"), cells[1:]) if cell
             }
+            penalties[cells[0]] = cells[4]
     assert table == DEFAULT_REGULARIZATION
+    assert penalties == {kind: penalty_formula(kind) for kind in PAYLOAD}
 
 
 # -- transformed window --------------------------------------------------------
@@ -295,6 +332,21 @@ def test_var_order_above_history_is_contract_error():
         saea_loss(model, em, batch)
     with pytest.raises(ContractError):
         saea_predict(model, em, w)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_sensor_count_mismatch_is_contract_error_naming_both(kind):
+    batch = random_batch(n=6, h=3, b=5)
+    model = NodeAR(3, 6, seed=0)
+    em = make_em(kind, 3, randomize=0)
+    calls = (
+        lambda: saea_loss(model, em, batch),
+        lambda: saea_predict(model, em, batch.inputs[0]),
+        lambda: predict_windows(model, em, batch),
+    )
+    for call in calls:
+        with pytest.raises(ContractError, match="error model has 3 sensors, the forecaster 6"):
+            call()
 
 
 def test_transform_var2_both_lags():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import saea.cli
 from saea.adjust import ErrorModel
@@ -765,6 +766,14 @@ def test_synth_phi_radius_rescales_the_coefficients(tmp_path, capsys):
     assert run([*base, "--out", str(tmp_path / "ok")]) == 0
     phi = np.loadtxt(tmp_path / "ok" / "phi_star.csv", delimiter=",")
     assert np.max(np.abs(np.linalg.eigvals(phi))) == pytest.approx(0.5, abs=1e-12)
+    # a --phi-star matrix is rescaled too: the ring's own coefficients at 0.8
+    star = tmp_path / "star.csv"
+    np.savetxt(star, 0.8 / 0.5 * phi, fmt="%.17g", delimiter=",")
+    assert run([*base, "--phi-star", str(star), "--out", str(tmp_path / "star")]) == 0
+    rescaled = np.loadtxt(tmp_path / "star" / "phi_star.csv", delimiter=",")
+    assert_allclose(rescaled, phi, rtol=1e-12, atol=1e-15)
+    manifest = json.loads((tmp_path / "star" / "manifest.json").read_text())
+    assert_allclose(manifest["config"]["phi_star"], phi, rtol=1e-12, atol=1e-15)
     capsys.readouterr()
     zero = ["--phi-diag", "0", "--phi-hop", "0"]
     assert run([*base, *zero, "--out", str(tmp_path / "zero")]) == 1
@@ -775,14 +784,18 @@ def test_synth_phi_radius_rescales_the_coefficients(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags",
     [("--phi-diag", "nan"), ("--phi-radius", "nan"), ("--phi-radius", "inf"),
-     ("--phi-radius", "-0.5"), ("--phi-star", "{phi}")],
-    ids=["phi-diag-nan", "phi-radius-nan", "phi-radius-inf", "phi-radius-negative", "phi-star-nan"],
+     ("--phi-radius", "-0.5"), ("--phi-star", "{phi}"),
+     ("--phi-star", "{wide}", "--phi-radius", "0.5")],
+    ids=["phi-diag-nan", "phi-radius-nan", "phi-radius-inf", "phi-radius-negative", "phi-star-nan",
+         "phi-star-wrong-shape-with-radius"],
 )
 def test_synth_nonfinite_or_negative_coefficients_exit_1(tmp_path, capsys, flags):
-    phi = tmp_path / "phi.csv"
+    phi, wide = tmp_path / "phi.csv", tmp_path / "wide.csv"
     phi.write_text("0.1,0\n0,nan\n")
+    wide.write_text("0.1,0,0\n0,0.2,0\n")
     argv = ["synth", "--graph", "path", "--n", "2", "--steps", "50", *flags]
-    assert run([arg.format(phi=phi) for arg in argv] + ["--out", str(tmp_path / "out")]) == 1
+    argv = [arg.format(phi=phi, wide=wide) for arg in argv]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
     assert one_json_error(capsys)["error"] == "ValidationError"
     assert not (tmp_path / "out" / "series.csv").exists()
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from _helpers import bfs_mask_oracle
 from saea.errors import ParseError, UnsupportedOrderError, ValidationError
 from saea.data import SeriesFrame
 from saea.graph import (
@@ -14,7 +15,7 @@ from saea.graph import (
     save_adjacency_csv,
     structural_mask,
 )
-from saea.synth import bfs_mask_oracle, erdos_renyi_graph, path_graph
+from saea.synth import erdos_renyi_graph, path_graph
 
 P3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 K3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
+from _helpers import bfs_mask_oracle
 from saea.adjust import KINDS, ErrorModel, predict_windows, saea_loss, saea_predict
 from saea.data import SeriesFrame, make_windows, shift_with_mean
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import structural_mask
-from saea.synth import bfs_mask_oracle, erdos_renyi_graph, ring_graph
+from saea.synth import erdos_renyi_graph, ring_graph
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None, database=None)
 

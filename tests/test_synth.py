@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from _helpers import bfs_mask_oracle
 from saea.errors import ValidationError
 from saea.graph import normalized_adjacency, structural_mask
 from saea.synth import (
     BURN_IN,
     GraphSpec,
     SynthConfig,
-    bfs_mask_oracle,
     erdos_renyi_graph,
     generate,
     oracle_floor,

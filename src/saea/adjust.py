@@ -176,12 +176,9 @@ def materialize_phi(em: ErrorModel) -> np.ndarray:
     """Dense coefficient matrices of all VAR lags, stacked (p, N, N); for the
     kinds that store them, a read-only view of the payload, not a copy."""
     payload = em.payload
-    if em.kind == "scalar":
-        return payload["coef"][:, None, None] * np.eye(em.n)
-    if em.kind == "diagonal":
-        phis = np.zeros((em.var_order, em.n, em.n))
-        phis[:, np.arange(em.n), np.arange(em.n)] = payload["diag"]
-        return phis
+    if em.kind in ("scalar", "diagonal"):
+        coefs = payload["coef" if em.kind == "scalar" else "diag"]
+        return np.reshape(coefs, (em.var_order, -1, 1)) * np.eye(em.n)
     if em.kind in ("sparse_full", "structural"):
         return readonly(payload["matrix"])
     product = payload["left"] @ payload["right"]
@@ -271,8 +268,11 @@ def _adjusted_forward(model: Forecaster, em: ErrorModel | None, inputs: np.ndarr
 
     each Phi_k applied by _lag_maps. With no error model this is the plain
     forward on the inputs, no shifts and no contract. The anchor of lag k is
-    row k-1 of the window, so p may not exceed H.
+    row k-1 of the window, so p may not exceed H; each window must be the
+    model's (H, N), or a size-1 axis would broadcast silently.
     """
+    if inputs.shape[1:] != (model.history, model.n):
+        raise ContractError(f"window shape {inputs.shape[1:]} != ({model.history}, {model.n})")
     if em is None:
         return model.forward_batch(inputs), inputs, [], None
     if em.var_order > inputs.shape[1]:
@@ -298,15 +298,14 @@ def saea_predict(model: Forecaster, em: ErrorModel | None, window, *shifted) -> 
     lag shifts derived from the window itself; it reduces to the plain
     forward for a zero (or absent) error model. Shifted windows passed after
     the window are accepted for older callers but never used: at most
-    max(p, 1) of them, each of the window's shape, else a ContractError.
+    max(p, 1) of them, each of the model's (H, N) window shape, else a
+    ContractError.
     """
-    w = np.asarray(window, dtype=np.float64)
-    if w.shape != (model.history, model.n):
-        raise ContractError(f"window shape {w.shape} != ({model.history}, {model.n})")
+    shape = (model.history, model.n)
     limit = max(em.var_order if em is not None else 0, 1)
-    if len(shifted) > limit or any(np.shape(s) != w.shape for s in shifted):
-        raise ContractError(f"at most {limit} shifted windows of shape {w.shape} are accepted")
-    return _adjusted_forward(model, em, w[None])[0][0]
+    if len(shifted) > limit or any(np.shape(s) != shape for s in shifted):
+        raise ContractError(f"at most {limit} shifted windows of shape {shape} are accepted")
+    return _adjusted_forward(model, em, np.asarray(window, dtype=np.float64)[None])[0][0]
 
 
 # predict_windows scores about this many values' worth of windows at a time
@@ -378,9 +377,12 @@ def saea_loss(model: Forecaster, em: ErrorModel | None, batch: WindowSet) -> Los
 
 def companion_matrix(em: ErrorModel) -> np.ndarray:
     """Companion form of the VAR(p) coefficients, (N*p) x (N*p): the blocks
-    [Phi_1 ... Phi_p] over the identity that moves each lag down one slot."""
+    [Phi_1 ... Phi_p] over the identity that moves each lag down one slot.
+    Adding 0.0 turns every -0.0 into +0.0, so eigenvalue solves do not depend
+    on how a kind's dense form signs its zeros."""
     n, p = em.n, em.var_order
-    return np.vstack([np.concatenate(materialize_phi(em), axis=1), np.eye(n * (p - 1), n * p)])
+    blocks = np.concatenate(materialize_phi(em), axis=1)
+    return np.vstack([blocks, np.eye(n * (p - 1), n * p)]) + 0.0
 
 
 def spectral_radius(em: ErrorModel) -> float:

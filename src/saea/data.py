@@ -377,9 +377,12 @@ class Normalizer:
 
     @classmethod
     def from_blob(cls, blob: dict) -> "Normalizer":
-        """Rebuild from to_blob's output; a missing or mistyped field is a
-        ValidationError naming it."""
+        """Rebuild from to_blob's output; a missing or mistyped field, or a
+        std that is not > 0 throughout, is a ValidationError naming it."""
         mode = blob_field(blob, "mode", str, "normalizer")
         if mode != "zscore":
             return cls.fit(mode, None)  # the identity, or the unknown mode's error
-        return cls(*(blob_field(blob, name, list, "normalizer") for name in ("mean", "std")))
+        mean, std = (blob_field(blob, name, list, "normalizer") for name in ("mean", "std"))
+        if not np.all(std > 0):
+            raise ValidationError("normalizer field 'std' must be > 0 for every sensor")
+        return cls(mean, std)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from saea.adjust import (
     saea_predict,
     spectral_radius,
 )
-from saea.data import SeriesFrame, make_windows, shift_with_mean
+from saea.data import SeriesFrame, WindowSet, make_windows, shift_with_mean
 from saea.errors import ConfigurationError, ContractError, ValidationError
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import structural_mask
@@ -346,6 +347,28 @@ def test_sensor_count_mismatch_is_contract_error_naming_both(kind):
     )
     for call in calls:
         with pytest.raises(ContractError, match="error model has 3 sensors, the forecaster 6"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [NodeAR(3, 4, seed=0), GraphFilterAR.from_graph(3, ring_graph(4), seed=0), MLP1(3, 4, hidden=5)],
+    ids=["nodear", "graphfilter", "mlp1"],
+)
+@pytest.mark.parametrize("kind", [None, "sparse_full"])
+@pytest.mark.parametrize("h, n", [(1, 4), (3, 1)], ids=["H=1", "N=1"])
+def test_misshaped_windows_are_contract_error_naming_both_shapes(model, kind, h, n):
+    # a size-1 axis would otherwise broadcast against the (3, 4) model
+    em = make_em(kind, 4, randomize=0) if kind else None
+    rng = np.random.default_rng(0)
+    batch = WindowSet(rng.normal(size=(5, h, n)), rng.normal(size=(5, n)))
+    calls = (
+        lambda: saea_loss(model, em, batch),
+        lambda: predict_windows(model, em, batch),
+        lambda: saea_predict(model, em, batch.inputs[0]),
+    )
+    for call in calls:
+        with pytest.raises(ContractError, match=re.escape(f"window shape ({h}, {n}) != (3, 4)")):
             call()
 
 
@@ -682,6 +705,18 @@ def test_spectral_radius_matches_eig_random():
                 em.payload["matrix"][lag] = rng.normal(scale=0.3, size=(4, 4))
             expected = np.max(np.abs(np.linalg.eigvals(companion_matrix(em))))
             assert spectral_radius(em) == pytest.approx(expected, rel=2e-3, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [20, 50])
+def test_scalar_radius_equals_the_equal_diagonal_radius_bit_for_bit(n):
+    # the kinds' dense forms differ only in the signs of their zeros, which
+    # the companion matrix drops
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        coef = rng.uniform(-0.6, 0.6, size=3)
+        scalar = ErrorModel("scalar", n, var_order=3, payload={"coef": coef})
+        diag = ErrorModel("diagonal", n, var_order=3, payload={"diag": np.repeat(coef[:, None], n, 1)})
+        assert spectral_radius(scalar) == spectral_radius(diag)
 
 
 def test_companion_matrix_var2_shape():

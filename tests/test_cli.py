@@ -678,8 +678,12 @@ def test_malformed_checkpoint_run_fields_fail_with_one_json_line(
         (3, {"normalizer": {"mode": "zscore", "mean": [0.0] * 2, "std": [1.0] * 2}}, "series has 3"),
         (2, {"error_model": ErrorModel("scalar", 3).to_blob()}, "error model field 'n'"),
         (2, {"model": {**GraphFilterAR(3, np.eye(2)).to_blob(), "n": 3}}, "model field 'n'"),
+        # a negative std would score in wrong units, a zero one divide by zero
+        (2, {"normalizer": {"mode": "zscore", "mean": [0.0] * 2, "std": [-1.0] * 2}}, "'std'"),
+        (2, {"normalizer": {"mode": "zscore", "mean": [0.0] * 2, "std": [0.0] * 2}}, "'std'"),
     ],
-    ids=["series", "zscore-series", "error-model", "graphfilter-propagation"],
+    ids=["series", "zscore-series", "error-model", "graphfilter-propagation",
+         "zscore-std-negative", "zscore-std-zero"],
 )
 def test_checkpoint_sensor_count_disagreement_fails_before_scoring(
     tmp_path, capsys, sensors, fields, named
@@ -843,6 +847,22 @@ def test_readme_command_lines_parse():
         p.allow_abbrev = False  # a renamed flag must not pass as a prefix of its new name
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_names_every_flag():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (subparsers,) = [
+        a for a in saea.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    flags = {
+        flag
+        for p in subparsers.choices.values()
+        for action in p._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    # a flag must not pass as the prefix of a longer one (--n of --normalize)
+    assert sorted(f for f in flags if not re.search(re.escape(f) + r"(?![\w-])", readme)) == []
 
 
 def test_readme_library_use_block_runs(tmp_path, monkeypatch):

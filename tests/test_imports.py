@@ -4,15 +4,18 @@ is used in that module.
 No linter ships with the toolchain, so this walks each module's syntax tree:
 an import or a private helper left behind by a deletion fails here. `__init__`
 re-exports what it imports and `__future__` imports are directives, so both
-are skipped by the import check.
+are skipped by the import check; what `__init__` re-exports is checked
+against README's Library-use block instead.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "saea"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "saea"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
@@ -75,3 +78,21 @@ def test_orphaned_private_names_are_found():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_module_reads_every_private_name_it_defines(path):
     assert orphaned_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def from_import_names(source: str, keep) -> set[str]:
+    """Names bound by the `from ... import` statements for which keep(node)."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and keep(node)
+        for alias in node.names
+    }
+
+
+def test_package_exports_what_the_readme_library_block_imports():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Library use\n\n```python\n(.*?)```", readme, flags=re.S)
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    exported = from_import_names(init, lambda node: node.level == 1)
+    assert exported == from_import_names(block, lambda node: node.module == "saea")

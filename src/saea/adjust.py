@@ -258,37 +258,49 @@ def _lag_maps(em: ErrorModel):
     return lambda k, rows: (phis[k] @ rows.T).T, contract
 
 
-def _adjusted_forward(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray):
-    """Adjusted predictions, transformed windows, lag shifts and the lag
-    maps' contract for a (B, H, N) batch. The only place shifts are formed:
-    over the lags k = 1..p, with shifts[k-1] = shift_with_mean(inputs, k),
-
-      transformed = inputs - sum_k shifts[k-1] @ Phi_k^T
-      preds       = sum_k inputs[:, k-1] @ Phi_k^T + f(transformed)
-
-    each Phi_k applied by _lag_maps. With no error model this is the plain
-    forward on the inputs, no shifts and no contract. The anchor of lag k is
-    row k-1 of the window, so p may not exceed H; each window must be the
-    model's (H, N), or a size-1 axis would broadcast silently.
+def _lag_products(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray):
+    """Per lag k = 1..p of a (B, H, N) batch: the shift shift_with_mean(inputs,
+    k), its product shifted[k-1] = shift @ Phi_k^T, (B*H, N), and the anchor
+    product anchored[k-1] = inputs[:, k-1] @ Phi_k^T, (B, N), each Phi_k
+    applied by _lag_maps, whose apply and contract come last. The only place
+    a batch's shifts are formed; with no error model the lists are empty.
+    The anchor of lag k is row k-1, so p may not exceed H; each window must
+    be the model's (H, N), or a size-1 axis would broadcast silently.
     """
     if inputs.shape[1:] != (model.history, model.n):
         raise ContractError(f"window shape {inputs.shape[1:]} != ({model.history}, {model.n})")
     if em is None:
-        return model.forward_batch(inputs), inputs, [], None
+        return [], [], [], None, None
     if em.var_order > inputs.shape[1]:
         raise ContractError(f"var_order {em.var_order} exceeds the window's {inputs.shape[1]} rows")
     if em.n != model.n:
         raise ContractError(f"error model has {em.n} sensors, the forecaster {model.n}")
     apply, contract = _lag_maps(em)
     shifts = [shift_with_mean(inputs, k) for k in range(1, em.var_order + 1)]
-    transformed = inputs.reshape(-1, em.n)
-    for lag, shift in enumerate(shifts):
-        transformed = transformed - apply(lag, shift.reshape(-1, em.n))
+    shifted = [apply(lag, shift.reshape(-1, em.n)) for lag, shift in enumerate(shifts)]
+    anchored = [apply(lag, inputs[:, lag]) for lag in range(em.var_order)]
+    return shifts, shifted, anchored, apply, contract
+
+
+def _combine(model: Forecaster, inputs: np.ndarray, shifted: list, anchored: list):
+    """Adjusted predictions and transformed windows of a (B, H, N) batch from
+    its lag products, transformed = inputs - sum shifted and preds =
+    f(transformed) + sum anchored; with none, the plain forward."""
+    transformed = inputs
+    for product in shifted:
+        transformed = transformed.reshape(product.shape) - product
     transformed = transformed.reshape(inputs.shape)
     preds = model.forward_batch(transformed)
-    for lag in range(em.var_order):
-        preds = preds + apply(lag, inputs[:, lag])
-    return preds, transformed, shifts, contract
+    for product in anchored:
+        preds = preds + product
+    return preds, transformed
+
+
+def _adjusted_forward(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray):
+    """Adjusted predictions, transformed windows, lag shifts and the lag
+    maps' contract for a (B, H, N) batch: _combine on its _lag_products."""
+    shifts, shifted, anchored, _, contract = _lag_products(model, em, inputs)
+    return (*_combine(model, inputs, shifted, anchored), shifts, contract)
 
 
 def saea_predict(model: Forecaster, em: ErrorModel | None, window, *shifted) -> np.ndarray:

@@ -68,6 +68,10 @@ class WindowSet:
     def __post_init__(self):
         for name in ("inputs", "targets"):
             object.__setattr__(self, name, readonly(getattr(self, name)))
+        if self.inputs.ndim != 3 or self.targets.shape != (self.batch, self.num_sensors):
+            raise ValidationError(
+                f"inputs {self.inputs.shape} and targets {self.targets.shape} are not (B, H, N) and (B, N)"
+            )
 
     @property
     def inputs_shifted(self) -> np.ndarray:

@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjust import ErrorModel, predict_windows, saea_loss, saea_predict, spectral_radius
+from .adjust import (
+    ErrorModel,
+    _combine,
+    _lag_products,
+    predict_windows,
+    saea_loss,
+    saea_predict,
+    spectral_radius,
+)
 from .data import WindowSet, blob_field, read_json, write_json
 from .errors import DivergenceError, ValidationError
 from .forecaster import Forecaster, forecaster_from_blob
@@ -228,19 +236,32 @@ def predict_recursive(
 ) -> np.ndarray:
     """Roll a one-step model forward, feeding each adjusted prediction back in.
 
-    Each step serves the rolled window through saea_predict, which derives
-    its lag shifts (and their mean pads) from it; the rolling works on a copy,
-    so the caller's window is left as it was. Requires a model trained at
-    horizon step 0.
+    Step 0 is saea_predict on the window; later steps roll the lag products
+    with the window, so Phi_k sees two rows per lag and step (the new anchor
+    row and window mean), and equal saea_predict on the rolled window to
+    rounding. The rolling works on a copy, so the caller's window is left as
+    it was. Requires a model trained at horizon step 0.
     """
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValidationError(f"steps must be an integer >= 1, got {steps!r}")
     buffer = np.array(window, dtype=np.float64)
     if buffer.ndim != 2:
         raise ValidationError("window must be (H, N)")
-    out = np.empty((steps, buffer.shape[1]))
-    for s in range(steps):
-        out[s] = saea_predict(model, em, buffer)
+    h, n = buffer.shape
+    out = np.empty((steps, n))
+    out[0] = saea_predict(model, em, buffer)
+    _, shifted, anchored, apply, _ = _lag_products(model, em, buffer[None])
+    for s in range(1, steps):
         buffer[1:] = buffer[:-1]
-        buffer[0] = out[s]
+        buffer[0] = out[s - 1]
+        mean = buffer.sum(axis=0, keepdims=True) / h
+        for lag in range(len(anchored)):
+            keep = max(h - lag - 1, 0)
+            # lag k's shifted rows: its old anchor product, its old shifted rows
+            # but the last, then the new mean's product in the last k rows
+            rows = apply(lag, np.concatenate([buffer[lag : lag + 1], mean]))
+            head = np.concatenate([anchored[lag], shifted[lag]])[:keep]
+            shifted[lag] = np.concatenate([head, np.repeat(rows[1:], h - keep, axis=0)])
+            anchored[lag] = rows[:1]
+        out[s] = _combine(model, buffer[None], shifted, anchored)[0][0]
     return out

@@ -677,6 +677,65 @@ def test_loss_nan_raises_divergence():
         saea_loss(model, None, batch)
 
 
+# -- recursive rollout -------------------------------------------------------
+
+
+def stepwise_rollout(model, em, window, steps):
+    """The reference rollout: saea_predict on a copy rolled one row per step."""
+    buffer, out = np.array(window), []
+    for _ in range(steps):
+        out.append(saea_predict(model, em, buffer))
+        buffer[1:] = buffer[:-1]
+        buffer[0] = out[-1]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", (None,) + ALL_KINDS)
+@pytest.mark.parametrize("model_kind", ["nodear", "graphfilter", "mlp1"])
+def test_rollout_equals_the_stepwise_reference(kind, model_kind):
+    # later steps roll the lag products instead of forming them afresh; at
+    # p = H every shifted row is the window mean
+    n, steps = 6, 24
+    graph = ring_graph(n)
+    for h in (3, 5):
+        model = {
+            "nodear": NodeAR(h, n, seed=3),
+            "graphfilter": GraphFilterAR.from_graph(h, graph, seed=3),
+            "mlp1": MLP1(h, n, hidden=5, seed=3),
+        }[model_kind]
+        for var_order in (1, 2, h):
+            em = make_em(kind, n, var_order=var_order, graph=graph, randomize=var_order) if kind else None
+            window = np.random.default_rng(h + var_order).normal(size=(h, n))
+            rolled = predict_recursive(model, em, window, steps)
+            reference = stepwise_rollout(model, em, window, steps)
+            assert_array_equal(rolled[0], saea_predict(model, em, window))
+            scale = np.max(np.abs(reference), axis=1)
+            assert np.all(np.max(np.abs(rolled - reference), axis=1) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("kind", ["low_rank", "structural"])
+def test_a_rolled_step_applies_each_lag_map_to_two_rows(monkeypatch, kind):
+    lag_maps, rows = saea.adjust._lag_maps, []
+
+    def counted_lag_maps(em):
+        apply, contract = lag_maps(em)
+
+        def counted_apply(k, block):
+            rows.append(len(block))
+            return apply(k, block)
+
+        return counted_apply, contract
+
+    monkeypatch.setattr(saea.adjust, "_lag_maps", counted_lag_maps)
+    p, h, n, steps = 2, 5, 6, 8
+    model = GraphFilterAR.from_graph(h, ring_graph(n), seed=4)
+    em = make_em(kind, n, var_order=p, randomize=5)
+    predict_recursive(model, em, np.random.default_rng(6).normal(size=(h, n)), steps)
+    # step 0 and the rollout's own lag products take H + 1 rows per lag each,
+    # every later step two: the new anchor row and the new window mean
+    assert 0 < sum(rows) <= 2 * p * (h + 1) + 2 * p * (steps - 1)
+
+
 # -- spectral radius ---------------------------------------------------------
 
 

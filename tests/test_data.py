@@ -284,6 +284,18 @@ def test_window_set_leaves_the_callers_arrays_writeable():
     assert not (ws.inputs.flags.writeable or ws.targets.flags.writeable)
 
 
+
+@pytest.mark.parametrize("inputs_shape, targets_shape", [
+    ((5, 3, 4), (5, 1)),
+    ((5, 3, 4), (1, 4)),
+    ((5, 3, 4), (5,)),
+    ((15, 4), (5, 4)),
+])
+def test_window_set_rejects_targets_that_do_not_match_its_inputs(inputs_shape, targets_shape):
+    # a (5, 1) or (1, 4) target would broadcast against (5, 4) predictions in the loss
+    with pytest.raises(ValidationError, match="targets"):
+        WindowSet(inputs=np.zeros(inputs_shape), targets=np.zeros(targets_shape))
+
 def test_window_count_arithmetic():
     frame = SeriesFrame(np.zeros((100, 2)))
     assert make_windows(frame, 12, 2).batch == 86

@@ -378,6 +378,17 @@ def test_predict_recursive_validates_steps():
         predict_recursive(NodeAR(2, 1, seed=0), None, np.zeros((2, 1)), 0)
 
 
+
+@pytest.mark.parametrize("steps", [2.5, True, "3"])
+def test_predict_recursive_rejects_a_step_count_that_is_not_an_integer(steps):
+    with pytest.raises(ValidationError, match="steps"):
+        predict_recursive(NodeAR(2, 1, seed=0), None, np.zeros((2, 1)), steps)
+
+
+def test_predict_recursive_takes_a_numpy_integer_step_count():
+    out = predict_recursive(NodeAR(2, 1, seed=0), None, np.zeros((2, 1)), np.int64(2))
+    assert out.shape == (2, 1)
+
 def test_predict_recursive_rejects_a_1d_window():
     with pytest.raises(ValidationError, match="window"):
         predict_recursive(NodeAR(2, 1, seed=0), None, np.zeros(2), 3)

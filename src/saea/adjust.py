@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import WindowSet, blob_field, readonly, shift_with_mean
+from .data import WindowSet, blob_field, shift_with_mean
 from .errors import ConfigurationError, ContractError, DivergenceError, ValidationError
 from .forecaster import Forecaster
 from .graph import SensorGraph, StructuralMask, structural_mask
@@ -173,16 +173,10 @@ class ErrorModel:
 
 
 def materialize_phi(em: ErrorModel) -> np.ndarray:
-    """Dense coefficient matrices of all VAR lags, stacked (p, N, N); for the
-    kinds that store them, a read-only view of the payload, not a copy."""
-    payload = em.payload
-    if em.kind in ("scalar", "diagonal"):
-        coefs = payload["coef" if em.kind == "scalar" else "diag"]
-        return np.reshape(coefs, (em.var_order, -1, 1)) * np.eye(em.n)
-    if em.kind in ("sparse_full", "structural"):
-        return readonly(payload["matrix"])
-    product = payload["left"] @ payload["right"]
-    return product + payload["sparse"] if em.kind == "low_rank_sparse" else product
+    """Dense coefficient matrices of all VAR lags, stacked (p, N, N): the lag
+    maps applied to the identity, Phi_k = apply(k, I)^T."""
+    apply, eye = _lag_maps(em)[0], np.eye(em.n)
+    return np.stack([apply(lag, eye).T for lag in range(em.var_order)])
 
 
 def regularize(em: ErrorModel) -> tuple[float, dict]:
@@ -218,44 +212,45 @@ def regularize(em: ErrorModel) -> tuple[float, dict]:
     return value, grads
 
 
+def _term(axes: str, name: str, payload: dict):
+    """apply and contract (see _lag_maps) of payload array name's term of Phi_k
+    by its PAYLOAD axes: p and pn scale the rows, O(MN); a left factor takes
+    its right one, (rows @ R_k^T) @ L_k^T, O(MNk); a pnn matrix M gives
+    (M_k @ rows^T)^T, O(MN^2), so that BLAS packs the M-row operand in blocks."""
+    arr = payload[name]
+    if axes in ("p", "pn"):
+        summed = "ri,ri->i" if axes == "pn" else "ri,ri->"
+        return (lambda k, rows: rows * arr[k]), (lambda k, u, v: {name: np.einsum(summed, u, v)})
+    if axes == "pnn":
+        return (lambda k, rows: (arr[k] @ rows.T).T), (lambda k, u, v: {name: u.T @ v})
+    right = payload["right"]
+    return (lambda k, rows: (rows @ right[k].T) @ arr[k].T), (
+        lambda k, u, v: {"left": u.T @ (v @ right[k].T), "right": (u @ arr[k]).T @ v}
+    )
+
+
 def _lag_maps(em: ErrorModel):
     """Each lag's coefficient map and its payload gradient, through em's own
     payload: apply(k, rows) = rows @ Phi_k^T for an (M, N) block of rows, and
     contract(k, u, v) = the lag-k payload gradients of sum_r u_r^T Phi_k v_r,
-    for (M, N) blocks u and v.
-
-    scalar and diagonal scale the rows elementwise, O(MN); low_rank goes
-    through its factors, (rows @ R^T) @ L^T, O(MNk); the other kinds use the
-    dense Phi_k, materialized once here, O(MN^2), as (Phi_k @ rows^T)^T so
-    that BLAS packs the M-row operand in blocks.
+    for (M, N) blocks u and v. Phi_k sums one _term per payload array, a
+    left/right pair counting as one: apply adds the terms' products into the
+    first one's fresh array, and contract merges their gradients.
     """
-    payload = em.payload
-    if em.kind in ("scalar", "diagonal"):
-        name, summed = ("coef", "ri,ri->") if em.kind == "scalar" else ("diag", "ri,ri->i")
-        scale = payload[name]
-        return (lambda k, rows: rows * scale[k]), (lambda k, u, v: {name: np.einsum(summed, u, v)})
+    specs = PAYLOAD[em.kind].items()
+    terms = [_term(axes, name, em.payload) for name, (axes, _, _) in specs if axes != "pkn"]
+    applies, contracts = zip(*terms)
 
-    if em.kind == "low_rank":
-        left, right = payload["left"], payload["right"]
-
-        def contract(k, u, v):
-            return {"left": u.T @ (v @ right[k].T), "right": (u @ left[k]).T @ v}
-
-        return lambda k, rows: (rows @ right[k].T) @ left[k].T, contract
-
-    phis = materialize_phi(em)
+    def apply(k, rows):
+        product = applies[0](k, rows)
+        for term in applies[1:]:
+            product += term(k, rows)
+        return product
 
     def contract(k, u, v):
-        grad_phi = u.T @ v
-        if em.kind != "low_rank_sparse":
-            return {"matrix": grad_phi}
-        return {
-            "left": grad_phi @ payload["right"][k].T,
-            "right": payload["left"][k].T @ grad_phi,
-            "sparse": grad_phi,
-        }
+        return {name: grad for term in contracts for name, grad in term(k, u, v).items()}
 
-    return lambda k, rows: (phis[k] @ rows.T).T, contract
+    return apply, contract
 
 
 def _lag_products(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray):

@@ -42,7 +42,7 @@ from .data import (
     write_float_rows,
     write_json,
 )
-from .errors import ConfigurationError, SaeaError, ValidationError
+from .errors import ConfigurationError, DivergenceError, SaeaError, ValidationError
 from .forecaster import MODEL_KINDS, build_forecaster
 from .graph import (
     SensorGraph,
@@ -266,8 +266,10 @@ def _eval_checkpoint(args):
     part = dict(zip(("train", "val", "test"), chronological_split(frame, *fracs)))[args.split]
     part_n = SeriesFrame(normalizer.transform(part.values), part.step_minutes)
     ws = make_windows(part_n, model.history, horizon_step)
-    preds = predict_windows(model, em, ws)
-    return normalizer.inverse(ws.targets), normalizer.inverse(preds), horizon_step, fracs
+    preds = normalizer.inverse(predict_windows(model, em, ws))
+    if not np.all(np.isfinite(preds)):
+        raise DivergenceError(f"the checkpoint's {args.split} predictions are not finite")
+    return normalizer.inverse(ws.targets), preds, horizon_step, fracs
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +322,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_series_and_graph(args, step_minutes: float):
-    graph = load_adjacency_csv(args.adjacency) if args.adjacency else None
-    frame = ingest_csv(args.series, step_minutes, num_sensors=graph.n if graph else None)
-    return frame, graph
-
-
 KIND_SETTINGS = ("kind", "alpha", "beta", "rank")
 
 
@@ -358,7 +354,8 @@ def _prepare_run(args, kinds=None):
             f"var_order {config['var_order']} is outside [1, history = {config['history']}]"
         )
     train_cfg = TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)})
-    frame, graph = _load_series_and_graph(args, config["step_min"])
+    graph = load_adjacency_csv(args.adjacency) if args.adjacency else None
+    frame = ingest_csv(args.series, config["step_min"], num_sensors=graph.n if graph else None)
     kinds = kinds or (config["kind"],)
     if graph is None and "structural" in kinds:
         raise ConfigurationError("structural kind requires --adjacency")
@@ -615,11 +612,10 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SaeaError, OSError) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
+    except (SaeaError, OSError, MemoryError) as exc:
+        # numpy's allocation failure is a private MemoryError subclass
+        error = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": error, "message": str(exc)}), file=sys.stderr)
         return 1
 
 

@@ -216,19 +216,27 @@ def build_forecaster(
 
 
 def forecaster_from_blob(blob: dict) -> Forecaster:
-    """Rebuild a model from its checkpoint blob; a missing or mistyped field
-    is a ValidationError naming it."""
-    kind = blob.get("kind")
-    history, n = blob_field(blob, "history", int, "model"), blob_field(blob, "n", int, "model")
+    """Rebuild a model from its checkpoint blob. A missing or mistyped field
+    is a ValidationError naming it, and so, before any model is built, is a
+    history, n or hidden above theta's length: no model has fewer parameters."""
+    kind, theta = blob.get("kind"), blob_field(blob, "theta", list, "model")
+
+    def size(name):
+        value = blob_field(blob, name, int, "model")
+        if value > theta.size:
+            raise ValidationError(f"model field {name!r} is {value} > len(theta) = {theta.size}")
+        return value
+
+    history, n = size("history"), size("n")
     if kind == "nodear":
         model = NodeAR(history, n)
     elif kind == "graphfilter":
         model = GraphFilterAR(history, blob_field(blob, "propagation", list, "model"))
     elif kind == "mlp1":
-        model = MLP1(history, n, hidden=blob_field(blob, "hidden", int, "model"))
+        model = MLP1(history, n, hidden=size("hidden"))
     else:
         raise ValidationError(f"unknown model kind {kind!r} in checkpoint")
     if model.n != n:
         raise ValidationError(f"model field 'n' is {n}, but its propagation has size {model.n}")
-    model.set_params(blob_field(blob, "theta", list, "model"))
+    model.set_params(theta)
     return model

@@ -1,6 +1,6 @@
 """Shared test utilities: finite differences, relative-error reduction, the
-dense coefficient chain rule the adjusted loss is checked against and the
-reachability oracle structural masks are checked against."""
+dense coefficients and coefficient chain rule the adjusted loss is checked
+against and the reachability oracle structural masks are checked against."""
 
 import numpy as np
 
@@ -44,6 +44,20 @@ def payload_fd_grads(loss_fn, em, h=1e-5):
             g[i] = (up - down) / (2.0 * h)
         grads[name] = g.reshape(arr.shape)
     return grads
+
+
+def dense_phi_oracle(em):
+    """The stacked (p, N, N) coefficient matrices by each kind's hand formula:
+    coef * I, diag(d), the matrix, L @ R and L @ R + S."""
+    payload = em.payload
+    if em.kind == "scalar":
+        return payload["coef"][:, None, None] * np.eye(em.n)
+    if em.kind == "diagonal":
+        return np.stack([np.diag(d) for d in payload["diag"]])
+    if em.kind in ("sparse_full", "structural"):
+        return payload["matrix"].copy()
+    product = payload["left"] @ payload["right"]
+    return product + payload["sparse"] if em.kind == "low_rank_sparse" else product
 
 
 def phi_to_payload_grads(em, grad_phis):

@@ -7,7 +7,13 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import saea.adjust
-from _helpers import central_diff, max_rel_err, payload_fd_grads, phi_to_payload_grads
+from _helpers import (
+    central_diff,
+    dense_phi_oracle,
+    max_rel_err,
+    payload_fd_grads,
+    phi_to_payload_grads,
+)
 from saea.adjust import (
     DEFAULT_REGULARIZATION,
     PAYLOAD,
@@ -86,6 +92,20 @@ def test_materialize_stacks_every_lag():
     for lag in range(3):
         expected = em.payload["left"][lag] @ em.payload["right"][lag] + em.payload["sparse"][lag]
         assert_allclose(phis[lag], expected, rtol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("var_order", [1, 2, 3])
+def test_materialize_phi_matches_the_hand_formulas(kind, var_order):
+    # Phi_k = apply(k, I)^T: exact where one term holds a single product per
+    # entry, last-bit rounding where the factors' rank-k sum is reassociated
+    em = make_em(kind, 9, var_order=var_order, rank=3, randomize=var_order + 50)
+    got, want = materialize_phi(em), dense_phi_oracle(em)
+    assert got.shape == want.shape == (var_order, 9, 9)
+    if kind in ("low_rank", "low_rank_sparse"):
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    else:
+        assert_array_equal(got, want)
 
 
 def test_materialized_low_rank_has_rank_at_most_k():
@@ -570,9 +590,10 @@ def test_loss_gradients_match_finite_differences(kind, var_order):
 
 def dense_reference(model, em, batch):
     """Adjusted predictions and per-lag dMSE/dPhi through the dense (p, N, N)
-    coefficients, by the einsum formulas the loss was first written with."""
+    coefficients of the kind's hand formula, by the einsum formulas the loss
+    was first written with."""
     lags = range(em.var_order)
-    phis = materialize_phi(em)
+    phis = dense_phi_oracle(em)
     shifts = [shift_with_mean(batch.inputs, lag + 1) for lag in lags]
     anchors = [batch.inputs[:, lag] for lag in lags]
     transformed = batch.inputs - sum(s @ phi.T for s, phi in zip(shifts, phis))
@@ -629,7 +650,7 @@ def test_factored_core_matches_dense_reference(kind, var_order, model_kind):
         assert_close(res.payload_grads[name], grad)
 
 
-@pytest.mark.parametrize("kind", ["scalar", "diagonal", "low_rank"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_factored_kinds_never_materialize_phi(monkeypatch, kind):
     def refuse(em):
         raise AssertionError(f"materialize_phi called for {em.kind}")

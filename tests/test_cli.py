@@ -13,7 +13,7 @@ import saea.cli
 from saea.adjust import ErrorModel
 from saea.cli import run
 from saea.data import ingest_csv
-from saea.forecaster import GraphFilterAR, NodeAR
+from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import load_adjacency_csv, structural_mask
 from saea.synth import GraphSpec, SynthConfig, generate, oracle_floor, ring_graph
 from saea.train import TrainConfig, checkpoint_blob, load_checkpoint, save_checkpoint
@@ -751,6 +751,65 @@ def test_eval_rejects_a_bad_checkpoint_adjacency(tmp_path, capsys, adjacency):
         assert run([*argv, "--out", str(tmp_path / command)]) == 1
         parsed = one_json_error(capsys)
         assert parsed["error"] == "ValidationError" and "adjacency" in parsed["message"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("field", ["theta", "matrix"])
+def test_nonfinite_predictions_exit_1_naming_the_split(tmp_path, capsys, field):
+    # finite but extreme fields overflow in scoring; no metrics file is written
+    series = tmp_path / "series.csv"
+    rows = np.random.default_rng(0).normal(size=(60, 8))
+    np.savetxt(series, rows, fmt="%.17g", delimiter=",", header=",".join("abcdefgh"), comments="")
+    em = ErrorModel("structural", 8, mask=structural_mask(ring_graph(8), 1))
+    blob = checkpoint_blob(NodeAR(3, 8), em)
+    if field == "theta":
+        blob["model"]["theta"] = [1e308] * len(blob["model"]["theta"])
+    else:
+        blob["error_model"]["payload"]["matrix"] = np.full((1, 8, 8), 1e308).tolist()
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(blob))
+    for command in ("eval", "diagnose"):
+        out = tmp_path / command
+        argv = [command, "--checkpoint", str(ckpt), "--series", str(series), "--split", "val"]
+        assert run([*argv, "--out", str(out)]) == 1
+        parsed = one_json_error(capsys)
+        assert parsed["error"] == "DivergenceError" and "val predictions" in parsed["message"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "model, field, value",
+    [
+        (NodeAR(3, 2), "history", 10**30),
+        (GraphFilterAR(3, np.eye(2)), "history", 10**30),
+        (MLP1(3, 2, hidden=4), "history", 10**30),
+        (NodeAR(3, 2), "n", 10**30),
+        (MLP1(3, 2, hidden=4), "hidden", 10**12),
+    ],
+    ids=["nodear-history", "graphfilter-history", "mlp1-history", "nodear-n", "mlp1-hidden"],
+)
+def test_checkpoint_sizes_over_theta_exit_1_before_building(tmp_path, capsys, model, field, value):
+    # each would fail inside numpy (a TypeError, a ValueError, a MemoryError)
+    series = tmp_path / "series.csv"
+    series.write_text("a,b\n" + "1.0,2.0\n" * 30)
+    blob = checkpoint_blob(model, None)
+    blob["model"][field] = value
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(blob))
+    argv = ["eval", "--checkpoint", str(ckpt), "--series", str(series), "--out", str(tmp_path / "o")]
+    assert run(argv) == 1
+    parsed = one_json_error(capsys)
+    assert parsed["error"] == "ValidationError" and f"model field {field!r}" in parsed["message"]
+
+
+def test_synth_too_large_to_allocate_exits_1_on_one_json_line(tmp_path, capsys):
+    # the N x N adjacency alone asks for 71 PiB, so numpy refuses at once
+    out = tmp_path / "out"
+    assert run(["synth", "--n", "100000000", "--steps", "50", "--out", str(out)]) == 1
+    parsed = one_json_error(capsys)
+    assert parsed["error"] == "MemoryError" and "allocate" in parsed["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [("--var-order", "13", "--history", "12"), ("--var-order", "0")])

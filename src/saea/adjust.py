@@ -254,48 +254,47 @@ def _lag_maps(em: ErrorModel):
 
 
 def _lag_products(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray):
-    """Per lag k = 1..p of a (B, H, N) batch: the shift shift_with_mean(inputs,
-    k), its product shifted[k-1] = shift @ Phi_k^T, (B*H, N), and the anchor
-    product anchored[k-1] = inputs[:, k-1] @ Phi_k^T, (B, N), each Phi_k
-    applied by _lag_maps, whose apply and contract come last. The only place
-    a batch's shifts are formed; with no error model the lists are empty.
-    The anchor of lag k is row k-1, so p may not exceed H; each window must
-    be the model's (H, N), or a size-1 axis would broadcast silently.
+    """Per lag k = 1..p of a (B, H, N) batch, its rows through Phi_k once:
+    products[k-1] = inputs @ Phi_k^T, (B, H, N), by _lag_maps, whose apply
+    and contract come last. As Phi_k maps each row alone, _combine reads both
+    terms from this one product. With no error model the list is empty. The
+    anchor of lag k is row k-1, so p may not exceed H; each window must be
+    the model's (H, N), or a size-1 axis would broadcast silently.
     """
     if inputs.shape[1:] != (model.history, model.n):
         raise ContractError(f"window shape {inputs.shape[1:]} != ({model.history}, {model.n})")
     if em is None:
-        return [], [], [], None, None
+        return [], None, None
     if em.var_order > inputs.shape[1]:
         raise ContractError(f"var_order {em.var_order} exceeds the window's {inputs.shape[1]} rows")
     if em.n != model.n:
         raise ContractError(f"error model has {em.n} sensors, the forecaster {model.n}")
     apply, contract = _lag_maps(em)
-    shifts = [shift_with_mean(inputs, k) for k in range(1, em.var_order + 1)]
-    shifted = [apply(lag, shift.reshape(-1, em.n)) for lag, shift in enumerate(shifts)]
-    anchored = [apply(lag, inputs[:, lag]) for lag in range(em.var_order)]
-    return shifts, shifted, anchored, apply, contract
+    rows = inputs.reshape(-1, em.n)
+    products = [apply(lag, rows).reshape(inputs.shape) for lag in range(em.var_order)]
+    return products, apply, contract
 
 
-def _combine(model: Forecaster, inputs: np.ndarray, shifted: list, anchored: list):
+def _combine(model: Forecaster, inputs: np.ndarray, products: list):
     """Adjusted predictions and transformed windows of a (B, H, N) batch from
-    its lag products, transformed = inputs - sum shifted and preds =
-    f(transformed) + sum anchored; with none, the plain forward."""
+    its lag products: transformed = inputs - sum_k shift_with_mean(products[k-1],
+    k), the shift moved onto the product (shift(x) @ Phi^T = shift(x @ Phi^T)),
+    and preds = f(transformed) + sum_k products[k-1][:, k-1], the anchor terms;
+    with no products, the plain forward."""
     transformed = inputs
-    for product in shifted:
-        transformed = transformed.reshape(product.shape) - product
-    transformed = transformed.reshape(inputs.shape)
+    for k, product in enumerate(products, start=1):
+        transformed = transformed - shift_with_mean(product, k)
     preds = model.forward_batch(transformed)
-    for product in anchored:
-        preds = preds + product
+    for lag, product in enumerate(products):
+        preds = preds + product[:, lag]
     return preds, transformed
 
 
 def _adjusted_forward(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray):
-    """Adjusted predictions, transformed windows, lag shifts and the lag
-    maps' contract for a (B, H, N) batch: _combine on its _lag_products."""
-    shifts, shifted, anchored, _, contract = _lag_products(model, em, inputs)
-    return (*_combine(model, inputs, shifted, anchored), shifts, contract)
+    """Adjusted predictions, transformed windows and the lag maps' contract
+    for a (B, H, N) batch: _combine on its _lag_products."""
+    products, _, contract = _lag_products(model, em, inputs)
+    return (*_combine(model, inputs, products), contract)
 
 
 def saea_predict(model: Forecaster, em: ErrorModel | None, window, *shifted) -> np.ndarray:
@@ -361,7 +360,7 @@ def saea_loss(model: Forecaster, em: ErrorModel | None, batch: WindowSet) -> Los
     if batch.batch == 0:
         raise ValidationError("loss requires a nonempty batch")
     inputs = batch.inputs
-    preds, transformed, shifts, contract = _adjusted_forward(model, em, inputs)
+    preds, transformed, contract = _adjusted_forward(model, em, inputs)
     resid = preds - batch.targets
     mse = float(np.mean(resid * resid))
     penalty, payload_grads = regularize(em) if em is not None else (0.0, {})
@@ -372,10 +371,10 @@ def saea_loss(model: Forecaster, em: ErrorModel | None, batch: WindowSet) -> Los
     cots = (2.0 / resid.size) * resid
     grad_theta, grad_input = model.vjp_batch(transformed, cots)
     grad_flat = grad_input.reshape(-1, model.n)
-    for lag, shift in enumerate(shifts):
+    for lag in range(em.var_order if em is not None else 0):
         # add the anchor path d(anchor @ Phi^T), minus the input path through f
         anchor = contract(lag, cots, inputs[:, lag])
-        through_f = contract(lag, grad_flat, shift.reshape(-1, em.n))
+        through_f = contract(lag, grad_flat, shift_with_mean(inputs, lag + 1).reshape(-1, em.n))
         for name, grad in anchor.items():
             grad -= through_f[name]
             payload_grads[name][lag] += grad

@@ -431,9 +431,13 @@ def cmd_train(args) -> int:
 
 def _write_scored(args, name: str, payload: dict, fracs, **config) -> None:
     """The tail of eval and diagnose: the scored JSON, compact (json's C
-    encoder), and a manifest that records the split it scored."""
+    encoder), and a manifest that records the split it scored. A score that
+    is not finite is a DivergenceError naming the split, and no file."""
     os.makedirs(args.out, exist_ok=True)
-    write_json(os.path.join(args.out, name), payload)
+    try:
+        write_json(os.path.join(args.out, name), payload, allow_nan=False)
+    except ValueError:
+        raise DivergenceError(f"the checkpoint's {args.split} scores are not finite") from None
     split = {"split": args.split, "train_frac": fracs[0], "val_frac": fracs[1]}
     inputs = [args.checkpoint, args.series]
     write_manifest(args.out, args.command, {**split, **config}, 0, inputs, [name])

@@ -213,12 +213,14 @@ def save_series_csv(frame: SeriesFrame, path) -> None:
     write_float_rows(path, frame.values, [f"sensor_{i}" for i in range(frame.num_sensors)])
 
 
-def write_json(path, obj, indent=None) -> None:
+def write_json(path, obj, indent=None, allow_nan=True) -> None:
     """Atomic write (temp file then rename) of JSON-native values, keys
-    sorted, newline-terminated."""
+    sorted, newline-terminated. Encoded before any file is opened, so with
+    allow_nan=False a non-finite float is json's ValueError and no file."""
+    text = json.dumps(obj, sort_keys=True, indent=indent, allow_nan=allow_nan) + "\n"
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=indent) + "\n")
+        fh.write(text)
     os.replace(tmp, path)
 
 

@@ -218,24 +218,26 @@ def build_forecaster(
 def forecaster_from_blob(blob: dict) -> Forecaster:
     """Rebuild a model from its checkpoint blob. A missing or mistyped field
     is a ValidationError naming it, and so, before any model is built, is a
-    history, n or hidden above theta's length: no model has fewer parameters."""
+    theta whose length is not the kind's parameter count for the blob's
+    sizes, counted in Python ints."""
     kind, theta = blob.get("kind"), blob_field(blob, "theta", list, "model")
-
-    def size(name):
-        value = blob_field(blob, name, int, "model")
-        if value > theta.size:
-            raise ValidationError(f"model field {name!r} is {value} > len(theta) = {theta.size}")
-        return value
-
-    history, n = size("history"), size("n")
+    names = ("history", "n", "hidden") if kind == "mlp1" else ("history", "n")
+    sizes = {name: blob_field(blob, name, int, "model") for name in names}
+    history, n = sizes["history"], sizes["n"]
     if kind == "nodear":
-        model = NodeAR(history, n)
+        count, build = history * n + n, lambda: NodeAR(history, n)
     elif kind == "graphfilter":
-        model = GraphFilterAR(history, blob_field(blob, "propagation", list, "model"))
+        propagation = blob_field(blob, "propagation", list, "model")
+        count, build = 2 * history + n, lambda: GraphFilterAR(history, propagation)
     elif kind == "mlp1":
-        model = MLP1(history, n, hidden=size("hidden"))
+        hidden = sizes["hidden"]
+        count, build = hidden * (history * n + 1 + n) + n, lambda: MLP1(history, n, hidden=hidden)
     else:
         raise ValidationError(f"unknown model kind {kind!r} in checkpoint")
+    if count != theta.size:
+        named = ", ".join(f"model field {name!r} = {value}" for name, value in sizes.items())
+        raise ValidationError(f"{named} give {count} parameters, not len(theta) = {theta.size}")
+    model = build()
     if model.n != n:
         raise ValidationError(f"model field 'n' is {n}, but its propagation has size {model.n}")
     model.set_params(theta)

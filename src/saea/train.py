@@ -236,9 +236,9 @@ def predict_recursive(
 ) -> np.ndarray:
     """Roll a one-step model forward, feeding each adjusted prediction back in.
 
-    Step 0 is saea_predict on the window; later steps roll the lag products
-    with the window, so Phi_k sees two rows per lag and step (the new anchor
-    row and window mean), and equal saea_predict on the rolled window to
+    Step 0 is saea_predict on the window; later steps roll each lag's product
+    (see adjust._lag_products) with the window, so Phi_k sees one row per lag
+    and step, the new one, and equal saea_predict on the rolled window to
     rounding. The rolling works on a copy, so the caller's window is left as
     it was. Requires a model trained at horizon step 0.
     """
@@ -247,21 +247,13 @@ def predict_recursive(
     buffer = np.array(window, dtype=np.float64)
     if buffer.ndim != 2:
         raise ValidationError("window must be (H, N)")
-    h, n = buffer.shape
-    out = np.empty((steps, n))
+    out = np.empty((steps, buffer.shape[1]))
     out[0] = saea_predict(model, em, buffer)
-    _, shifted, anchored, apply, _ = _lag_products(model, em, buffer[None])
+    products, apply, _ = _lag_products(model, em, buffer[None])
     for s in range(1, steps):
         buffer[1:] = buffer[:-1]
         buffer[0] = out[s - 1]
-        mean = buffer.sum(axis=0, keepdims=True) / h
-        for lag in range(len(anchored)):
-            keep = max(h - lag - 1, 0)
-            # lag k's shifted rows: its old anchor product, its old shifted rows
-            # but the last, then the new mean's product in the last k rows
-            rows = apply(lag, np.concatenate([buffer[lag : lag + 1], mean]))
-            head = np.concatenate([anchored[lag], shifted[lag]])[:keep]
-            shifted[lag] = np.concatenate([head, np.repeat(rows[1:], h - keep, axis=0)])
-            anchored[lag] = rows[:1]
-        out[s] = _combine(model, buffer[None], shifted, anchored)[0][0]
+        for lag, product in enumerate(products):
+            products[lag] = np.concatenate([apply(lag, buffer[:1]), product[0, :-1]])[None]
+        out[s] = _combine(model, buffer[None], products)[0][0]
     return out

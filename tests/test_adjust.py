@@ -735,7 +735,7 @@ def test_rollout_equals_the_stepwise_reference(kind, model_kind):
 
 
 @pytest.mark.parametrize("kind", ["low_rank", "structural"])
-def test_a_rolled_step_applies_each_lag_map_to_two_rows(monkeypatch, kind):
+def test_a_rolled_step_applies_each_lag_map_to_one_row(monkeypatch, kind):
     lag_maps, rows = saea.adjust._lag_maps, []
 
     def counted_lag_maps(em):
@@ -752,9 +752,9 @@ def test_a_rolled_step_applies_each_lag_map_to_two_rows(monkeypatch, kind):
     model = GraphFilterAR.from_graph(h, ring_graph(n), seed=4)
     em = make_em(kind, n, var_order=p, randomize=5)
     predict_recursive(model, em, np.random.default_rng(6).normal(size=(h, n)), steps)
-    # step 0 and the rollout's own lag products take H + 1 rows per lag each,
-    # every later step two: the new anchor row and the new window mean
-    assert 0 < sum(rows) <= 2 * p * (h + 1) + 2 * p * (steps - 1)
+    # step 0 and the rollout's own lag products take H rows per lag each,
+    # every later step one: the new row
+    assert sum(rows) == 2 * p * h + p * (steps - 1)
 
 
 # -- spectral radius ---------------------------------------------------------

@@ -778,6 +778,27 @@ def test_nonfinite_predictions_exit_1_naming_the_split(tmp_path, capsys, field):
         assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nonfinite_scores_exit_1_naming_the_split(tmp_path, capsys):
+    # the predictions are finite, near 1e200, but their squares overflow in
+    # the scores; neither command writes its scored file or a manifest
+    series = tmp_path / "series.csv"
+    rows = np.random.default_rng(0).normal(size=(200, 2))
+    np.savetxt(series, rows, fmt="%.17g", delimiter=",", header="a,b", comments="")
+    blob = checkpoint_blob(NodeAR(3, 2), None)
+    blob["model"]["theta"] = [1e200] * len(blob["model"]["theta"])
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(blob))
+    for command, flags in (("eval", ()), ("diagnose", ("--max-lag", "5"))):
+        out = tmp_path / command
+        argv = [command, "--checkpoint", str(ckpt), "--series", str(series), "--split", "val"]
+        assert run([*argv, *flags, "--out", str(out)]) == 1
+        parsed = one_json_error(capsys)
+        assert parsed["error"] == "DivergenceError" and "val scores" in parsed["message"]
+        assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "model, field, value",
     [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -293,3 +295,16 @@ def test_build_forecaster_dispatch_and_errors():
         build_forecaster("svr", H, N)
     with pytest.raises(ValidationError):
         build_forecaster("graphfilter", H, N + 1, graph=graph)
+
+
+def test_a_theta_of_the_wrong_length_fails_before_the_model_is_built():
+    # mlp1 at history = n = hidden = 100 would allocate 8 MB of weights
+    blob = {"kind": "mlp1", "history": 100, "n": 100, "hidden": 100, "theta": [0.0] * 100}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"1010200 parameters, not len\(theta\) = 100"):
+            forecaster_from_blob(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -222,11 +222,13 @@ def _fit_each(
             yield kind_config, minutes, horizon_step, report, test_ws, normalizer
 
 
-def _score(blob: dict, test_ws, normalizer: Normalizer) -> dict:
-    """Test accuracy of a checkpoint blob, in original units."""
-    model, em = load_checkpoint_blob(blob)
-    truth = normalizer.inverse(test_ws.targets)
-    return accuracy(truth, normalizer.inverse(predict_windows(model, em, test_ws)))
+def _predict(model, em, ws, normalizer: Normalizer, split: str):
+    """(truth, predictions) of a window set in original units; a prediction
+    that is not finite is a DivergenceError naming the split."""
+    preds = normalizer.inverse(predict_windows(model, em, ws))
+    if not np.all(np.isfinite(preds)):
+        raise DivergenceError(f"the checkpoint's {split} predictions are not finite")
+    return normalizer.inverse(ws.targets), preds
 
 
 def _checkpoint_split(blob: dict, args) -> tuple[float, float]:
@@ -266,10 +268,7 @@ def _eval_checkpoint(args):
     part = dict(zip(("train", "val", "test"), chronological_split(frame, *fracs)))[args.split]
     part_n = SeriesFrame(normalizer.transform(part.values), part.step_minutes)
     ws = make_windows(part_n, model.history, horizon_step)
-    preds = normalizer.inverse(predict_windows(model, em, ws))
-    if not np.all(np.isfinite(preds)):
-        raise DivergenceError(f"the checkpoint's {args.split} predictions are not finite")
-    return normalizer.inverse(ws.targets), preds, horizon_step, fracs
+    return (*_predict(model, em, ws, normalizer, args.split), horizon_step, fracs)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +304,6 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     bundle = generate(cfg)
-    os.makedirs(args.out, exist_ok=True)
     save_series_csv(bundle.frame, os.path.join(args.out, "series.csv"))
     save_adjacency_csv(bundle.graph, os.path.join(args.out, "adjacency.csv"))
     write_float_rows(os.path.join(args.out, "phi_star.csv"), bundle.phi_star)
@@ -346,8 +344,8 @@ def _prepare_run(args, kinds=None):
     settings, one (resolved config, untrained error model) pair per kind,
     series, graph, horizons, manifest input files). kinds default to the
     config's kind; all settings but the model's are checked here, before any
-    training. The commands make the run directory just before their first
-    write, so a rejected setting leaves none behind."""
+    training. The run directory appears with the first file written, so a
+    rejected setting leaves none behind."""
     config = resolve_config(args, read_config_file(args.config) if args.config else {})
     if not 1 <= config["var_order"] <= config["history"]:
         raise ValidationError(
@@ -374,7 +372,6 @@ def cmd_train(args) -> int:
     for _, minutes, horizon_step, report, test_ws, normalizer in _fit_each(
         frame, graph, config, train_cfg, runs, horizons
     ):
-        os.makedirs(args.out, exist_ok=True)  # once the first fit has run
         extra = {
             "horizon_step": horizon_step,
             "step_minutes": frame.step_minutes,
@@ -394,7 +391,8 @@ def cmd_train(args) -> int:
         }
         for label, checkpoint in (("best", report.best_checkpoint), ("last", report.final_checkpoint)):
             blob = {**checkpoint, **extra}
-            metrics[f"test_{label}"] = _score(blob, test_ws, normalizer)
+            scored = _predict(*load_checkpoint_blob(blob), test_ws, normalizer, "test")
+            metrics[f"test_{label}"] = accuracy(*scored)
             name = f"checkpoint_{tag}_{label}.json"
             write_json(os.path.join(args.out, name), blob)
             outputs.append(name)
@@ -433,10 +431,9 @@ def _write_scored(args, name: str, payload: dict, fracs, **config) -> None:
     """The tail of eval and diagnose: the scored JSON, compact (json's C
     encoder), and a manifest that records the split it scored. A score that
     is not finite is a DivergenceError naming the split, and no file."""
-    os.makedirs(args.out, exist_ok=True)
     try:
-        write_json(os.path.join(args.out, name), payload, allow_nan=False)
-    except ValueError:
+        write_json(os.path.join(args.out, name), payload)
+    except DivergenceError:
         raise DivergenceError(f"the checkpoint's {args.split} scores are not finite") from None
     split = {"split": args.split, "train_frac": fracs[0], "val_frac": fracs[1]}
     inputs = [args.checkpoint, args.series]
@@ -484,7 +481,7 @@ def cmd_compare(args) -> int:
         frame, graph, config, train_cfg, runs, horizons
     ):
         selected = report.best_checkpoint if config["select"] == "best" else report.final_checkpoint
-        chosen = _score(selected, test_ws, normalizer)
+        chosen = accuracy(*_predict(*load_checkpoint_blob(selected), test_ws, normalizer, "test"))
         rows[kind_config["kind"]].append(
             {
                 "kind": kind_config["kind"],
@@ -495,7 +492,6 @@ def cmd_compare(args) -> int:
             }
         )
     rows = [row for kind in kinds for row in rows[kind]]
-    os.makedirs(args.out, exist_ok=True)
     write_json(
         os.path.join(args.out, "compare.json"),
         {"kinds": list(kinds), "horizons": [m for m, _ in horizons], "rows": rows},
@@ -615,7 +611,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # each command reports non-finite results itself
+            return args.func(args)
     except (SaeaError, OSError, MemoryError) as exc:
         # numpy's allocation failure is a private MemoryError subclass
         error = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__

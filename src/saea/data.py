@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParseError, SplitError, ValidationError, WindowError
+from .errors import DivergenceError, ParseError, SplitError, ValidationError, WindowError
 
 
 def readonly(values) -> np.ndarray:
@@ -201,6 +201,7 @@ def _is_number(text: str) -> bool:
 
 def write_float_rows(path, rows, header=None) -> None:
     """Write a CSV of float rows, lossless (repr), after an optional header row."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
@@ -213,11 +214,16 @@ def save_series_csv(frame: SeriesFrame, path) -> None:
     write_float_rows(path, frame.values, [f"sensor_{i}" for i in range(frame.num_sensors)])
 
 
-def write_json(path, obj, indent=None, allow_nan=True) -> None:
-    """Atomic write (temp file then rename) of JSON-native values, keys
-    sorted, newline-terminated. Encoded before any file is opened, so with
-    allow_nan=False a non-finite float is json's ValueError and no file."""
-    text = json.dumps(obj, sort_keys=True, indent=indent, allow_nan=allow_nan) + "\n"
+def write_json(path, obj, indent=None) -> None:
+    """Atomic write (temp file then rename) of JSON-native values as strict
+    JSON, keys sorted, newline-terminated, into a directory made if missing.
+    A number that is not finite is a DivergenceError naming path, and no file
+    or directory: the text is encoded before either is made."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False) + "\n"
+    except ValueError:
+        raise DivergenceError(f"{path}: a number to write is not finite") from None
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -43,4 +43,4 @@ class UndefinedMetricError(SaeaError):
 
 
 class DivergenceError(SaeaError):
-    """Training produced a non-finite loss."""
+    """A number that must be finite is not: a loss, a prediction or a value to write."""

@@ -1,7 +1,10 @@
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import dataclasses
 from pathlib import Path
 
@@ -234,8 +237,6 @@ def test_nan_split_fraction_exits_1_on_one_json_line(tmp_path, capsys):
         assert parsed["error"] == "ValidationError" and "split fractions" in parsed["message"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_a_run_whose_validation_mse_overflows_writes_strict_json(tmp_path):
     bundle = make_bundle_dir(tmp_path)
     out = tmp_path / "run"
@@ -659,7 +660,8 @@ def test_malformed_checkpoint_run_fields_fail_with_one_json_line(
     series = tmp_path / "series.csv"
     series.write_text("a,b\n" + "1.0,2.0\n" * 30)
     ckpt = tmp_path / "checkpoint.json"
-    save_checkpoint(ckpt, NodeAR(3, 2), None, extra={field: value})
+    # json.dumps stands in for another tool's file: save_checkpoint refuses NaN and Infinity
+    ckpt.write_text(json.dumps(checkpoint_blob(NodeAR(3, 2), None, {field: value})))
     argv = ["eval", "--checkpoint", str(ckpt), "--series", str(series)]
     assert run([*argv, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -753,8 +755,6 @@ def test_eval_rejects_a_bad_checkpoint_adjacency(tmp_path, capsys, adjacency):
         assert parsed["error"] == "ValidationError" and "adjacency" in parsed["message"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("field", ["theta", "matrix"])
 def test_nonfinite_predictions_exit_1_naming_the_split(tmp_path, capsys, field):
     # finite but extreme fields overflow in scoring; no metrics file is written
@@ -778,8 +778,6 @@ def test_nonfinite_predictions_exit_1_naming_the_split(tmp_path, capsys, field):
         assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nonfinite_scores_exit_1_naming_the_split(tmp_path, capsys):
     # the predictions are finite, near 1e200, but their squares overflow in
     # the scores; neither command writes its scored file or a manifest
@@ -796,7 +794,59 @@ def test_nonfinite_scores_exit_1_naming_the_split(tmp_path, capsys):
         assert run([*argv, *flags, "--out", str(out)]) == 1
         parsed = one_json_error(capsys)
         assert parsed["error"] == "DivergenceError" and "val scores" in parsed["message"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+
+def test_train_and_compare_refuse_nonfinite_test_scores(tmp_path, capsys):
+    # the last 60 rows, all in the test split, are near 1e160: the test
+    # predictions are finite, but their squares overflow in the test RMSE
+    series = tmp_path / "series.csv"
+    rows = np.random.default_rng(0).normal(size=(400, 3))
+    rows[-60:] *= 1e160
+    np.savetxt(series, rows, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
+    flags = ("--series", str(series), "--history", "4", "--epochs", "2")
+    for argv in (("train", *flags, "--kind", "none"), ("compare", *flags, "--kinds", "none,diagonal")):
+        out = tmp_path / argv[0]
+        assert run([*argv, "--out", str(out)]) == 1
+        assert one_json_error(capsys)["error"] == "DivergenceError"
+        for name in ("metrics.json", "compare.json", "compare.csv", "manifest.json"):
+            assert not (out / name).exists()
+
+
+def test_train_and_compare_refuse_nonfinite_test_predictions(tmp_path, capsys, monkeypatch):
+    # the scoring path alone predicts inf; training is untouched
+    bundle = make_bundle_dir(tmp_path, steps=300, n=4)
+    monkeypatch.setattr(
+        saea.cli, "predict_windows", lambda model, em, ws: np.full(ws.targets.shape, np.inf)
+    )
+    flags = ("--series", str(bundle / "series.csv"), "--history", "4", "--epochs", "1")
+    for argv in (("train", *flags, "--kind", "none"), ("compare", *flags, "--kinds", "none")):
+        out = tmp_path / argv[0]
+        assert run([*argv, "--out", str(out)]) == 1
+        parsed = one_json_error(capsys)
+        assert parsed["error"] == "DivergenceError" and "test predictions" in parsed["message"]
+        assert not out.exists()
+
+
+def test_a_refused_eval_prints_one_json_line_and_no_numpy_warning(tmp_path):
+    # a fresh process keeps Python's default warning filters, which print
+    # numpy's overflow warnings; the scores overflow, as in the test above
+    series = tmp_path / "series.csv"
+    rows = np.random.default_rng(0).normal(size=(200, 2))
+    np.savetxt(series, rows, fmt="%.17g", delimiter=",", header="a,b", comments="")
+    blob = checkpoint_blob(NodeAR(3, 2), None)
+    blob["model"]["theta"] = [1e200] * len(blob["model"]["theta"])
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(blob))
+    argv = ["eval", "--checkpoint", str(ckpt), "--series", str(series), "--out", str(tmp_path / "e")]
+    env = {**os.environ, "PYTHONPATH": str(Path(saea.cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import saea.cli; saea.cli.main()", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "DivergenceError"
 
 
 @pytest.mark.parametrize(

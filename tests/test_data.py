@@ -19,7 +19,7 @@ from saea.data import (
     write_float_rows,
     write_json,
 )
-from saea.errors import ParseError, SplitError, ValidationError, WindowError
+from saea.errors import DivergenceError, ParseError, SplitError, ValidationError, WindowError
 from saea.forecaster import GraphFilterAR
 from saea.synth import ring_graph
 from saea.train import checkpoint_blob
@@ -170,13 +170,18 @@ def test_ingest_fast_path_bit_equal_across_blocks(tmp_path, monkeypatch):
 def test_write_json_bytes_equal_json_dump(tmp_path):
     model = GraphFilterAR.from_graph(3, ring_graph(4), seed=2)
     blob = checkpoint_blob(model, None, {"epoch": 3, "diverged": False, "val_mse": 0.1 / 3})
-    report = {"b": [1.5, float("inf"), None], "a": {"z": True, "y": [[1e-300, -0.0]]}}
+    report = {"b": [1.5, 1e308, None], "a": {"z": True, "y": [[1e-300, -0.0]]}}
     for obj, indent in ((blob, None), (report, 1)):
         path = tmp_path / "out.json"
         write_json(path, obj, indent=indent)
         expected = io.StringIO()
         json.dump(obj, expected, sort_keys=True, indent=indent)
         assert path.read_bytes() == (expected.getvalue() + "\n").encode()
+    # a number that is not finite is refused before any file or directory is made
+    path = tmp_path / "run" / "out.json"
+    with pytest.raises(DivergenceError, match="out.json"):
+        write_json(path, {**report, "b": [1.5, float("inf"), None]}, indent=1)
+    assert not path.parent.exists()
 
 
 def test_write_float_rows_bytes_equal_per_value_repr(tmp_path):

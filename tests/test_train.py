@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from saea.adjust import ErrorModel, predict_windows, saea_loss, saea_predict
 from saea.data import SeriesFrame, chronological_split, make_windows
-from saea.errors import ValidationError
+from saea.errors import DivergenceError, ValidationError
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import structural_mask
 from saea.synth import GraphSpec, SynthConfig, generate, ring_graph, structured_var_coefficients
@@ -408,6 +408,18 @@ def test_checkpoint_file_roundtrip(tmp_path):
     window = rng.normal(size=(3, 4))
     assert_allclose(saea_predict(model2, em2, window), saea_predict(model, em, window), atol=1e-15)
     assert not (tmp_path / "ckpt.json.tmp").exists()
+
+
+def test_save_checkpoint_of_a_nonfinite_model_writes_nothing(tmp_path):
+    diverged = NodeAR(2, 2, seed=0)
+    diverged.set_params(np.full(diverged.get_params().size, np.nan))
+    diverged_em = ErrorModel("diagonal", 2)
+    diverged_em.payload["diag"][0, 1] = np.inf
+    for model, em in ((diverged, None), (NodeAR(2, 2, seed=0), diverged_em)):
+        path = tmp_path / "run" / "ckpt.json"
+        with pytest.raises(DivergenceError, match="ckpt.json"):
+            save_checkpoint(path, model, em)
+        assert not path.parent.exists()
 
 
 def test_checkpoint_none_error_model(tmp_path):

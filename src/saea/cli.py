@@ -88,9 +88,10 @@ TRAIN_FIELDS = {
 }
 
 
-def read_config_file(path) -> dict:
-    """key = value lines; blank lines and '#' comments ignored."""
-    values = {}
+def config_flags(path) -> list[str]:
+    """A config file's `key = value` lines, each key a TRAIN_FIELDS name, as
+    `--key=value` flags for the command's parser; '#' starts a comment."""
+    flags = []
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -98,34 +99,11 @@ def read_config_file(path) -> dict:
                 continue
             if "=" not in text:
                 raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            values[key] = raw
-    return values
-
-
-def resolve_config(args, file_values: dict) -> dict:
-    """CLI flag > config file > built-in default, per field."""
-    resolved = {}
-    for name, (caster, default, choices) in TRAIN_FIELDS.items():
-        cli_value = getattr(args, name, None)
-        if cli_value is not None:
-            resolved[name] = cli_value
-        elif name in file_values:
-            raw = file_values[name]
-            try:
-                resolved[name] = caster(raw)
-            except ValueError as exc:
-                raise ValidationError(f"config value {name} = {raw!r}: {exc}")
-            if choices is not None and resolved[name] not in choices:
-                raise ValidationError(
-                    f"config value {name} = {raw!r}: expected one of {list(choices)}"
-                )
-        else:
-            resolved[name] = default
-    unknown = set(file_values) - set(TRAIN_FIELDS)
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    return resolved
+            key, value = (part.strip() for part in text.split("=", 1))
+            if key not in TRAIN_FIELDS:
+                raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def parse_list(text: str, caster, flag: str) -> tuple:
@@ -346,7 +324,7 @@ def _prepare_run(args, kinds=None):
     config's kind; all settings but the model's are checked here, before any
     training. The run directory appears with the first file written, so a
     rejected setting leaves none behind."""
-    config = resolve_config(args, read_config_file(args.config) if args.config else {})
+    config = {name: getattr(args, name, None) for name in TRAIN_FIELDS}  # compare has no kind
     if not 1 <= config["var_order"] <= config["history"]:
         raise ValidationError(
             f"var_order {config['var_order']} is outside [1, history = {config['history']}]"
@@ -359,16 +337,14 @@ def _prepare_run(args, kinds=None):
         raise ConfigurationError("structural kind requires --adjacency")
     runs = [_kind_run(config, kind, frame.num_sensors, graph) for kind in kinds]
     horizons = parse_horizons(config["horizon_min"], config["step_min"])
-    inputs = [args.series] + ([args.adjacency] if args.adjacency else [])
-    if args.config:
-        inputs.append(args.config)
+    inputs = [args.series] + [path for path in (args.adjacency, args.config) if path]
     return config, train_cfg, runs, frame, graph, horizons, inputs
 
 
 def cmd_train(args) -> int:
     _, train_cfg, runs, frame, graph, horizons, inputs = _prepare_run(args)
     ((config, _),) = runs
-    all_metrics, outputs = [], []
+    all_metrics, files = [], {}  # files: name -> (payload, indent)
     for _, minutes, horizon_step, report, test_ws, normalizer in _fit_each(
         frame, graph, config, train_cfg, runs, horizons
     ):
@@ -393,31 +369,23 @@ def cmd_train(args) -> int:
             blob = {**checkpoint, **extra}
             scored = _predict(*load_checkpoint_blob(blob), test_ws, normalizer, "test")
             metrics[f"test_{label}"] = accuracy(*scored)
-            name = f"checkpoint_{tag}_{label}.json"
-            write_json(os.path.join(args.out, name), blob)
-            outputs.append(name)
-        report_name = f"train_report_{tag}.json"
-        write_json(
-            os.path.join(args.out, report_name),
-            {
-                "train_loss": report.train_loss,
-                "val_mse": report.val_mse,
-                "radius": report.radius,
-                "epoch_seconds": report.epoch_seconds,
-                "best_epoch": report.best_epoch,
-                "diverged": report.diverged,
-            },
-            indent=1,
-        )
-        outputs.append(report_name)
+            files[f"checkpoint_{tag}_{label}.json"] = (blob, None)
+        train_report = {
+            "train_loss": report.train_loss,
+            "val_mse": report.val_mse,
+            "radius": report.radius,
+            "epoch_seconds": report.epoch_seconds,
+            "best_epoch": report.best_epoch,
+            "diverged": report.diverged,
+        }
+        files[f"train_report_{tag}.json"] = (train_report, 1)
         all_metrics.append(metrics)
-    write_json(
-        os.path.join(args.out, "metrics.json"),
-        {"selection": config["select"], "horizons": all_metrics},
-        indent=1,
-    )
-    outputs.append("metrics.json")
-    write_manifest(args.out, "train", config, config["seed"], inputs, outputs)
+    # the scores are the one set of numbers not yet checked finite, so a
+    # refused run stops at metrics.json and leaves no run directory
+    files = {"metrics.json": ({"selection": config["select"], "horizons": all_metrics}, 1), **files}
+    for name, (payload, indent) in files.items():
+        write_json(os.path.join(args.out, name), payload, indent=indent)
+    write_manifest(args.out, "train", config, config["seed"], inputs, files)
     for m in all_metrics:
         chosen = m["test_best" if config["select"] == "best" else "test_last"]
         print(
@@ -531,13 +499,14 @@ def _add_train_flags(parser, include_kind=True):
     parser.add_argument("--series", required=True, help="series CSV (header row)")
     parser.add_argument("--adjacency", help="headerless N x N adjacency CSV")
     parser.add_argument("--config", help="key = value config file")
-    for name, (caster, _, choices) in TRAIN_FIELDS.items():
+    for name, (caster, default, choices) in TRAIN_FIELDS.items():
         if name == "kind" and not include_kind:
             continue  # compare takes --kinds
         parser.add_argument(
             "--" + name.replace("_", "-"),
             dest=name,
             type=caster,
+            default=default,
             choices=choices,
             help="comma list of minutes" if name == "horizon_min" else None,
         )
@@ -558,8 +527,18 @@ def _add_score_flags(parser):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flags spelled in full; a malformed one is a ValidationError (subparsers too)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="saea",
         description="Forecasting with jointly learned autocorrelated-error adjustment",
     )
@@ -608,9 +587,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):  # the file's flags first: the command line's win
+            args = parser.parse_args(argv[:1] + config_flags(args.config) + argv[1:])
         with np.errstate(all="ignore"):  # each command reports non-finite results itself
             return args.func(args)
     except (SaeaError, OSError, MemoryError) as exc:
@@ -622,3 +604,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -156,6 +156,8 @@ class MLP1(Forecaster):
         super().__init__(history, n)
         if hidden < 1:
             raise ValidationError("hidden width must be >= 1")
+        if hidden * history * n * 8 > np.iinfo(np.intp).max:  # numpy's array size limit
+            raise ValidationError(f"hidden={hidden} is too large for a hidden x (H*N) layer")
         self.hidden = int(hidden)
         rng = np.random.default_rng(seed)
         d_in = history * n

@@ -64,6 +64,10 @@ class GraphSpec:
     def build(self) -> SensorGraph:
         if self.n < 1:
             raise ValidationError(f"a graph needs at least 1 node, got n={self.n}")
+        if self.n * self.n * 8 > np.iinfo(np.intp).max:  # numpy's array size limit
+            raise ValidationError(f"n={self.n} is too large for an N x N adjacency")
+        if self.seed < 0:
+            raise ValidationError(f"graph seed must be >= 0, got {self.seed}")
         if self.kind == "path":
             return path_graph(self.n)
         if self.kind == "ring":
@@ -136,8 +140,9 @@ def generate(cfg: SynthConfig) -> SynthBundle:
     """Simulate a bundle: VAR(1) errors riding on graph-filter dynamics.
 
     Rejects configurations whose error coefficients are not finite, are
-    nonstationary or leave the one-hop structural pattern, and a sigma that
-    is not a nonnegative number.
+    nonstationary or leave the one-hop structural pattern, a sigma that is
+    not a nonnegative number, a negative seed and more steps than numpy can
+    shape.
     """
     graph = cfg.graph.build()
     n = graph.n
@@ -156,6 +161,10 @@ def generate(cfg: SynthConfig) -> SynthBundle:
         raise ValidationError("dgp_self and dgp_hop must be equal-length and nonempty")
     if cfg.steps < 1:
         raise ValidationError("steps must be >= 1")
+    if (BURN_IN + cfg.steps) * n * 8 > np.iinfo(np.intp).max:  # numpy's array size limit
+        raise ValidationError(f"steps={cfg.steps} is too large for a steps x N series")
+    if cfg.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {cfg.seed}")
     if not isinstance(cfg.sigma, numbers.Real) or not cfg.sigma >= 0:
         raise ValidationError(f"sigma must be a nonnegative number, got {cfg.sigma!r}")
 

@@ -54,6 +54,8 @@ class TrainConfig:
             raise ValidationError("epochs must be >= 1")
         if self.batch < 1:
             raise ValidationError("batch must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.lr < math.inf:
             raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
         if self.optimizer not in OPTIMIZERS:

@@ -471,9 +471,9 @@ def test_config_file_precedence(tmp_path):
     assert manifest["config"]["kind"] == "diagonal"
 
 
-def test_resolve_config_defaults_are_train_config_defaults():
+def test_parser_defaults_are_train_config_defaults():
     args = saea.cli.build_parser().parse_args(["train", "--series", "s.csv", "--out", "o"])
-    config = saea.cli.resolve_config(args, {})
+    config = vars(args)
     names = [f.name for f in dataclasses.fields(TrainConfig)]
     assert TrainConfig(**{name: config[name] for name in names}) == TrainConfig()
     # the error model settles the penalty weights and the rank for its kind
@@ -492,10 +492,21 @@ def test_unknown_config_key_fails(tmp_path):
     assert code == 1
 
 
-def test_unknown_flag_exits_2(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        run(["train", "--does-not-exist", "1"])
-    assert err.value.code == 2
+def test_unknown_flag_exits_1_naming_it(tmp_path, capsys):
+    argv = ["train", "--series", "s.csv", "--out", str(tmp_path / "o"), "--does-not-exist", "1"]
+    assert run(argv) == 1
+    parsed = one_json_error(capsys)
+    assert parsed["error"] == "ValidationError" and "--does-not-exist" in parsed["message"]
+
+
+def test_compare_rejects_a_kind_config_line(tmp_path, capsys):
+    # compare takes --kinds; a flag is never read as the prefix of another
+    cfg = tmp_path / "kind.cfg"
+    cfg.write_text("kind = diagonal\n")
+    argv = ["compare", "--series", "s.csv", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert run(argv) == 1
+    parsed = one_json_error(capsys)
+    assert parsed["error"] == "ValidationError" and "--kind=diagonal" in parsed["message"]
 
 
 def test_validation_failure_exits_1_with_structured_message(tmp_path, capsys):
@@ -548,7 +559,9 @@ def test_out_of_choice_config_value_fails_validation(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize(
-    "line, named", [("kind none", "expected 'key = value'"), ("epochs = ten", "epochs = 'ten'")]
+    "line, named",
+    [("kind none", "expected 'key = value'"),
+     pytest.param("epochs = ten", "argument --epochs: invalid int value: 'ten'", id="epochs-ten")],
 )
 def test_malformed_config_line_fails_validation_naming_it(tmp_path, capsys, line, named):
     cfg = tmp_path / "bad.cfg"
@@ -809,8 +822,7 @@ def test_train_and_compare_refuse_nonfinite_test_scores(tmp_path, capsys):
         out = tmp_path / argv[0]
         assert run([*argv, "--out", str(out)]) == 1
         assert one_json_error(capsys)["error"] == "DivergenceError"
-        for name in ("metrics.json", "compare.json", "compare.csv", "manifest.json"):
-            assert not (out / name).exists()
+        assert not out.exists()
 
 
 def test_train_and_compare_refuse_nonfinite_test_predictions(tmp_path, capsys, monkeypatch):
@@ -881,6 +893,66 @@ def test_synth_too_large_to_allocate_exits_1_on_one_json_line(tmp_path, capsys):
     parsed = one_json_error(capsys)
     assert parsed["error"] == "MemoryError" and "allocate" in parsed["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("synth", "--n", "10000000000"), "n=10000000000"),
+        (("synth", "--n", str(10**30)), f"n={10**30}"),
+        (("synth", "--n", "4", "--steps", str(10**30)), f"steps={10**30}"),
+        (("train", "--series", "{series}", "--history", "2", "--model", "mlp1",
+          "--hidden", str(10**30)), f"hidden={10**30}"),
+    ],
+    ids=["synth-n-1e10", "synth-n-1e30", "synth-steps-1e30", "train-mlp1-hidden-1e30"],
+)
+def test_sizes_numpy_cannot_shape_exit_1_naming_them(tmp_path, capsys, argv, named):
+    # each first array would pass numpy's limit; numpy would raise a
+    # ValueError ("array is too big", "Maximum allowed dimension exceeded")
+    # or, for the hidden width, np.sqrt a TypeError on the Python int
+    series = tmp_path / "series.csv"
+    series.write_text("a,b\n" + "1.0,2.0\n" * 100)
+    out = tmp_path / "out"
+    assert run([*(arg.format(series=series) for arg in argv), "--out", str(out)]) == 1
+    parsed = one_json_error(capsys)
+    assert parsed["error"] == "ValidationError" and named in parsed["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("synth", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("synth", "--graph", "erdos_renyi", "--p-edge", "0.5", "--graph-seed", "-1"),
+         "graph seed must be >= 0, got -1"),
+        (("train", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("train", "--kind", "low_rank", "--seed", "-3"), "seed must be >= 0, got -3"),
+        (("compare", "--seed", "-1"), "seed must be >= 0, got -1"),
+    ],
+    ids=["synth", "synth-graph-seed", "train", "train-low-rank", "compare"],
+)
+def test_negative_seed_exits_1_naming_it(tmp_path, capsys, argv, named):
+    # numpy's generators would raise "expected non-negative integer"
+    bundle = make_bundle_dir(tmp_path, steps=300, n=4)
+    sizes = ("--n", "4", "--steps", "50")
+    data = ("--series", str(bundle / "series.csv"), "--history", "4", "--epochs", "1")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv, *(sizes if argv[0] == "synth" else data), "--out", str(out)]) == 1
+    parsed = one_json_error(capsys)
+    assert parsed["error"] == "ValidationError" and named in parsed["message"]
+    assert not out.exists()
+
+
+def test_python_m_saea_cli_runs_the_command(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(saea.cli.__file__).parents[1])}
+    out = tmp_path / "bundle"
+    proc = subprocess.run(
+        [sys.executable, "-m", "saea.cli", "synth", "--n", "4", "--steps", "50", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert (out / "series.csv").exists()
 
 
 @pytest.mark.parametrize("flags", [("--var-order", "13", "--history", "12"), ("--var-order", "0")])

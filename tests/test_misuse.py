@@ -1,0 +1,111 @@
+"""Misuse never escapes `saea.cli.run`, checked over fixed grids of bad input.
+
+Every run below ends in one of two ways: exit 0, with every JSON file it
+wrote strict (no NaN or Infinity), or exit 1 with exactly one JSON line on
+stderr. The first grid sets one numeric or choice flag of each command at a
+time to each of VALUES; the second sets one field of a trained checkpoint at
+a time to each of FIELD_VALUES and scores it with `eval` and `diagnose`.
+"""
+
+import argparse
+import json
+
+import pytest
+
+import saea.cli
+from saea.cli import run
+
+VALUES = ("-1", "0", str(10**30), "abc", "nan", "inf", "")
+FIELD_VALUES = (None, True, 1e308, float("nan"), 10**30, "x", [], {})
+
+
+def refuse(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def assert_clean_end(code, out, capsys):
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        for path in out.rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=refuse)
+    else:
+        assert code == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert set(json.loads(err)) == {"error", "message"}
+
+
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    """A 6-sensor, 300-step synth bundle and a graphfilter + structural
+    checkpoint trained on it at VAR order 2 with zscore."""
+    root = tmp_path_factory.mktemp("misuse")
+    assert run(["synth", "--n", "6", "--steps", "300", "--seed", "2", "--out", str(root)]) == 0
+    argv = [
+        "train", "--series", str(root / "series.csv"), "--adjacency", str(root / "adjacency.csv"),
+        "--model", "graphfilter", "--kind", "structural", "--var-order", "2",
+        "--normalize", "zscore", "--history", "4", "--epochs", "2", "--out", str(root / "run"),
+    ]
+    assert run(argv) == 0
+    return root
+
+
+def base_argv(command, root):
+    data = ["--series", str(root / "series.csv")]
+    train = [*data, "--adjacency", str(root / "adjacency.csv"), "--history", "4", "--epochs", "1"]
+    score = ["--checkpoint", str(root / "run" / "checkpoint_h5min_best.json"), *data]
+    return {
+        "synth": ["synth", "--n", "6", "--steps", "300"],
+        "train": ["train", *train, "--model", "mlp1", "--kind", "low_rank_sparse"],
+        "compare": ["compare", *train, "--kinds", "none,structural"],
+        "eval": ["eval", *score],
+        "diagnose": ["diagnose", *score, "--max-lag", "5"],
+    }[command]
+
+
+def numeric_and_choice_flags(command):
+    (subparsers,) = [
+        a for a in saea.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    actions = subparsers.choices[command]._actions
+    return [a.option_strings[0] for a in actions if a.type in (int, float) or a.choices]
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "compare", "eval", "diagnose"])
+def test_bad_flag_values_end_in_exit_0_or_one_json_line(bundle, tmp_path, capsys, command):
+    capsys.readouterr()
+    for i, (flag, value) in enumerate(
+        (flag, value) for flag in numeric_and_choice_flags(command) for value in VALUES
+    ):
+        if flag == "--epochs" and value == str(10**30):
+            continue  # a valid count: it trains for as long as it says
+        out = tmp_path / str(i)
+        code = run([*base_argv(command, bundle), f"{flag}={value}", "--out", str(out)])
+        assert_clean_end(code, out, capsys)
+
+
+def field_paths(blob, prefix=()):
+    """Every key path of a nested dict, containers included."""
+    for key, value in blob.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from field_paths(value, (*prefix, key))
+
+
+@pytest.mark.parametrize("command", ["eval", "diagnose"])
+def test_bad_checkpoint_fields_end_in_exit_0_or_one_json_line(bundle, tmp_path, capsys, command):
+    text = (bundle / "run" / "checkpoint_h5min_best.json").read_text()
+    argv = base_argv(command, bundle)
+    ckpt = tmp_path / "checkpoint.json"
+    argv[argv.index("--checkpoint") + 1] = str(ckpt)
+    capsys.readouterr()
+    for i, path in enumerate(field_paths(json.loads(text))):
+        for value in FIELD_VALUES:
+            blob = json.loads(text)
+            parent = blob
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            ckpt.write_text(json.dumps(blob))
+            out = tmp_path / f"{i}-{FIELD_VALUES.index(value)}"
+            assert_clean_end(run([*argv, "--out", str(out)]), out, capsys)

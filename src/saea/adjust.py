@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import WindowSet, blob_field, shift_with_mean
+from .data import WindowSet, blob_field, row_windows, shift_with_mean
 from .errors import ConfigurationError, ContractError, DivergenceError, ValidationError
 from .forecaster import Forecaster
 from .graph import SensorGraph, StructuralMask, structural_mask
@@ -253,13 +253,14 @@ def _lag_maps(em: ErrorModel):
     return apply, contract
 
 
-def _lag_products(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray):
-    """Per lag k = 1..p of a (B, H, N) batch, its rows through Phi_k once:
-    products[k-1] = inputs @ Phi_k^T, (B, H, N), by _lag_maps, whose apply
-    and contract come last. As Phi_k maps each row alone, _combine reads both
-    terms from this one product. With no error model the list is empty. The
-    anchor of lag k is row k-1, so p may not exceed H; each window must be
-    the model's (H, N), or a size-1 axis would broadcast silently.
+def _lag_products(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray, rows=None):
+    """Per lag k = 1..p of a (B, H, N) batch, its distinct rows through Phi_k
+    once and windowed back, by reshape or, given the rows inputs view, by
+    row_windows: products[k-1] = inputs @ Phi_k^T, (B, H, N), by _lag_maps,
+    whose apply and contract come last. As Phi_k maps each row alone, _combine
+    reads both terms from this one product. With no error model the list is
+    empty. The anchor of lag k is row k-1, so p may not exceed H; each window
+    must be the model's (H, N), or a size-1 axis would broadcast silently.
     """
     if inputs.shape[1:] != (model.history, model.n):
         raise ContractError(f"window shape {inputs.shape[1:]} != ({model.history}, {model.n})")
@@ -270,8 +271,11 @@ def _lag_products(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray):
     if em.n != model.n:
         raise ContractError(f"error model has {em.n} sensors, the forecaster {model.n}")
     apply, contract = _lag_maps(em)
-    rows = inputs.reshape(-1, em.n)
-    products = [apply(lag, rows).reshape(inputs.shape) for lag in range(em.var_order)]
+    if rows is None:
+        rows, window = inputs.reshape(-1, em.n), lambda product: product.reshape(inputs.shape)
+    else:
+        window = lambda product: row_windows(product, inputs.shape[1])
+    products = [window(apply(lag, rows)) for lag in range(em.var_order)]
     return products, apply, contract
 
 
@@ -290,10 +294,10 @@ def _combine(model: Forecaster, inputs: np.ndarray, products: list):
     return preds, transformed
 
 
-def _adjusted_forward(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray):
+def _adjusted_forward(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray, rows=None):
     """Adjusted predictions, transformed windows and the lag maps' contract
     for a (B, H, N) batch: _combine on its _lag_products."""
-    products, _, contract = _lag_products(model, em, inputs)
+    products, _, contract = _lag_products(model, em, inputs, rows)
     return (*_combine(model, inputs, products), contract)
 
 
@@ -321,19 +325,19 @@ _SCORE_CHUNK_VALUES = 1 << 20
 
 def predict_windows(model: Forecaster, em: ErrorModel | None, ws: WindowSet) -> np.ndarray:
     """Batched adjusted predictions for every window in a WindowSet, scored
-    by the adjusted-forward core in C-contiguous chunks of windows.
-
-    The chunk is a power of two and the remainder joins the last chunk, so
-    each BLAS product splits into column blocks as the whole-set product
-    does; with OpenBLAS 0.3.31 (Haswell kernels) the predictions then equal
-    one whole-set call's bit for bit."""
+    by the adjusted-forward core in chunks; a chunk of c windows with rows
+    (a make_windows set) maps its c+H-1 rows, not c*H, through each Phi_k.
+    The chunk is a power of two and the remainder joins the last chunk. The
+    predictions equal those of the gathered windows to about 1e-16 relative,
+    not bit for bit: BLAS splits c+H-1 rows into blocks otherwise."""
     limit = max(1, _SCORE_CHUNK_VALUES // (ws.history * ws.num_sensors))
     chunk = 1 << (limit.bit_length() - 1)
     count = max(1, ws.batch // chunk)
     preds = np.empty((ws.batch, ws.num_sensors))
     for i in range(count):
-        rows = slice(i * chunk, ws.batch if i == count - 1 else (i + 1) * chunk)
-        preds[rows] = _adjusted_forward(model, em, np.ascontiguousarray(ws.inputs[rows]))[0]
+        lo, hi = i * chunk, ws.batch if i == count - 1 else (i + 1) * chunk
+        rows = None if ws.rows is None else ws.rows[lo : hi + ws.history - 1]
+        preds[lo:hi] = _adjusted_forward(model, em, ws.inputs[lo:hi], rows)[0]
     return preds
 
 

@@ -88,10 +88,11 @@ TRAIN_FIELDS = {
 }
 
 
-def config_flags(path) -> list[str]:
+def config_flags(path) -> dict[int, str]:
     """A config file's `key = value` lines, each key a TRAIN_FIELDS name, as
-    `--key=value` flags for the command's parser; '#' starts a comment."""
-    flags = []
+    {line number: `--key=value` flag} for the command's parser; '#' starts a
+    comment."""
+    flags = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -102,7 +103,7 @@ def config_flags(path) -> list[str]:
             key, value = (part.strip() for part in text.split("=", 1))
             if key not in TRAIN_FIELDS:
                 raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-            flags.append(f"--{key.replace('_', '-')}={value}")
+            flags[lineno] = f"--{key.replace('_', '-')}={value}"
     return flags
 
 
@@ -325,6 +326,8 @@ def _prepare_run(args, kinds=None):
     training. The run directory appears with the first file written, so a
     rejected setting leaves none behind."""
     config = {name: getattr(args, name, None) for name in TRAIN_FIELDS}  # compare has no kind
+    if config["model"] != "mlp1":  # the one model with a hidden width
+        config["hidden"] = None
     if not 1 <= config["var_order"] <= config["history"]:
         raise ValidationError(
             f"var_order {config['var_order']} is outside [1, history = {config['history']}]"
@@ -592,7 +595,13 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):  # the file's flags first: the command line's win
-            args = parser.parse_args(argv[:1] + config_flags(args.config) + argv[1:])
+            flags = config_flags(args.config)
+            for lineno, flag in flags.items():  # each line alone, so a bad value names it
+                try:
+                    parser.parse_args(argv[:1] + [flag] + argv[1:])
+                except ValidationError as exc:
+                    raise ValidationError(f"{args.config}:{lineno}: {exc}") from None
+            args = parser.parse_args(argv[:1] + list(flags.values()) + argv[1:])
         with np.errstate(all="ignore"):  # each command reports non-finite results itself
             return args.func(args)
     except (SaeaError, OSError, MemoryError) as exc:

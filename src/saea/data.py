@@ -60,10 +60,13 @@ class WindowSet:
     (make_windows passes views of the series, so no window is copied);
     take() gathers a C-contiguous subset. The shifted windows and the
     anchors that the adjustment reads are derived from inputs on access.
+    rows (make_windows sets them, take() does not) are the (B+H-1, N) series
+    rows that inputs view as row_windows(rows, H), else a ValidationError.
     """
 
     inputs: np.ndarray   # (B, H, N)
     targets: np.ndarray  # (B, N)
+    rows: np.ndarray | None = None  # (B+H-1, N)
 
     def __post_init__(self):
         for name in ("inputs", "targets"):
@@ -72,6 +75,10 @@ class WindowSet:
             raise ValidationError(
                 f"inputs {self.inputs.shape} and targets {self.targets.shape} are not (B, H, N) and (B, N)"
             )
+        if self.rows is not None:  # the same memory, shape and strides, so the same values
+            object.__setattr__(self, "rows", readonly(self.rows))
+            if row_windows(self.rows, self.history).__array_interface__ != self.inputs.__array_interface__:
+                raise ValidationError("inputs are not the row_windows view of rows")
 
     @property
     def inputs_shifted(self) -> np.ndarray:
@@ -329,8 +336,8 @@ def make_windows(frame: SeriesFrame, history: int, horizon_step: int = 0) -> Win
     """Build all supervised windows for direct step-p forecasting.
 
     B = T - H - p windows; window b forecasts row H + b + p from the H rows
-    preceding row H + b. Inputs and targets are read-only views of the
-    frame's values: a strided window view and a row slice, not copies.
+    preceding row H + b. Inputs, targets and rows are read-only views of the
+    frame's values (inputs are row_windows of rows), not copies.
     """
     if history < 2:
         raise ValidationError("history must be >= 2 (the shifted window needs one more lag)")
@@ -343,11 +350,13 @@ def make_windows(frame: SeriesFrame, history: int, horizon_step: int = 0) -> Win
             f"series of T={t} too short for history={history}, "
             f"horizon_step={horizon_step} (need T >= {history + horizon_step + 1})"
         )
-    values = frame.values
-    # inputs[b, h] = values[history + b - 1 - h], newest lag first
-    inputs = sliding_window_view(values, history, axis=0)[:b].transpose(0, 2, 1)[:, ::-1]
-    targets = values[history + horizon_step :]
-    return WindowSet(inputs=inputs, targets=targets)
+    rows = frame.values[: b + history - 1]
+    return WindowSet(row_windows(rows, history), frame.values[history + horizon_step :], rows)
+
+
+def row_windows(rows: np.ndarray, history: int) -> np.ndarray:
+    """Read-only (M-H+1, H, N) view of an (M, N) block: windows[b, h] = rows[H - 1 + b - h]."""
+    return sliding_window_view(rows, history, axis=0).transpose(0, 2, 1)[:, ::-1]
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,17 @@ def erdos_renyi_graph(n: int, p_edge: float, seed: int = 0) -> SensorGraph:
 
 @dataclass(frozen=True)
 class GraphSpec:
+    """A graph to build; p_edge is None, whatever was given, unless the kind
+    is erdos_renyi, the one kind that uses it."""
+
     kind: str  # path | ring | erdos_renyi
     n: int
     p_edge: float | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        if self.kind != "erdos_renyi":
+            object.__setattr__(self, "p_edge", None)
 
     def build(self) -> SensorGraph:
         if self.n < 1:

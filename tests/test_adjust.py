@@ -483,21 +483,72 @@ def test_predict_windows_matches_single_window_loop():
 
 @pytest.mark.parametrize("budget", [1, 7, 12, 20, 64])
 def test_chunked_predict_windows_matches_one_shot_core(monkeypatch, budget):
-    # 37 windows of (4, 5); budgets of 1, 7, 12, 20 and 64 windows give
-    # chunks of 1, 4, 8, 16 and 32: the middle three leave a remainder that
-    # joins the last chunk, the last scores the set in one chunk
+    # 37 (or, at horizon step 2, 35) windows of (4, 5); budgets of 1, 7, 12,
+    # 20 and 64 windows give chunks of 1, 4, 8, 16 and 32: the first is
+    # smaller than H, the middle three leave a remainder that joins the last
+    # chunk, the last scores the set in one chunk. The series-backed chunks
+    # map their rows once; the one-shot core maps the gathered windows' rows.
     n, h = 5, 4
     rng = np.random.default_rng(8)
-    ws = make_windows(SeriesFrame(rng.normal(size=(41, n))), h, 0)
+    frame = SeriesFrame(rng.normal(size=(41, n)))
     monkeypatch.setattr(saea.adjust, "_SCORE_CHUNK_VALUES", budget * h * n)
     models = (NodeAR(h, n, seed=1), GraphFilterAR.from_graph(h, ring_graph(n), seed=2),
               MLP1(h, n, hidden=6, seed=3))
-    for model in models:
-        for kind in (None,) + ALL_KINDS:
-            for var_order in (1, 2):
-                em = None if kind is None else make_em(kind, n, var_order, randomize=var_order)
-                one_shot = _adjusted_forward(model, em, np.ascontiguousarray(ws.inputs))[0]
-                assert max_rel_err(predict_windows(model, em, ws), one_shot) <= 1e-12
+    for horizon_step in (0, 2):
+        ws = make_windows(frame, h, horizon_step)
+        for model in models:
+            for kind in (None,) + ALL_KINDS:
+                for var_order in (1, 2, 3):
+                    em = None if kind is None else make_em(kind, n, var_order, randomize=var_order)
+                    one_shot = _adjusted_forward(model, em, np.ascontiguousarray(ws.inputs))[0]
+                    assert max_rel_err(predict_windows(model, em, ws), one_shot) <= 1e-12
+
+
+@pytest.fixture
+def lag_map_rows(monkeypatch):
+    """The row count of every block sent through a lag map's apply."""
+    lag_maps, rows = saea.adjust._lag_maps, []
+
+    def counted_lag_maps(em):
+        apply, contract = lag_maps(em)
+
+        def counted_apply(k, block):
+            rows.append(len(block))
+            return apply(k, block)
+
+        return counted_apply, contract
+
+    monkeypatch.setattr(saea.adjust, "_lag_maps", counted_lag_maps)
+    return rows
+
+
+@pytest.mark.parametrize("budget, count", [(1, 37), (7, 9), (12, 4), (20, 2), (64, 1)])
+@pytest.mark.parametrize("kind", ["diagonal", "structural", "low_rank_sparse"])
+def test_scoring_a_series_backed_set_maps_each_chunks_rows_once(
+    monkeypatch, lag_map_rows, budget, count, kind
+):
+    # B = 37 windows in `count` chunks: each chunk's c windows span c+H-1 rows
+    n, h, p = 5, 4, 2
+    ws = make_windows(SeriesFrame(np.random.default_rng(9).normal(size=(41, n))), h, 0)
+    monkeypatch.setattr(saea.adjust, "_SCORE_CHUNK_VALUES", budget * h * n)
+    model = GraphFilterAR.from_graph(h, ring_graph(n), seed=2)
+    predict_windows(model, make_em(kind, n, var_order=p, randomize=4), ws)
+    assert sum(lag_map_rows) == p * (ws.batch + count * (h - 1))
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "structural", "low_rank_sparse"])
+def test_gathered_and_hand_built_sets_score_each_windows_own_rows(lag_map_rows, kind):
+    n, h, p = 5, 4, 2
+    ws = make_windows(SeriesFrame(np.random.default_rng(10).normal(size=(41, n))), h, 0)
+    model = MLP1(h, n, hidden=6, seed=3)
+    em = make_em(kind, n, var_order=p, randomize=5)
+    series_backed = predict_windows(model, em, ws)
+    order = np.random.default_rng(11).permutation(ws.batch)
+    for gathered in (ws.take(order), WindowSet(np.array(ws.inputs[order]), ws.targets[order])):
+        lag_map_rows.clear()
+        preds = predict_windows(model, em, gathered)
+        assert gathered.rows is None and sum(lag_map_rows) == p * ws.batch * h
+        assert max_rel_err(preds, series_backed[order]) <= 1e-12
 
 
 def test_predict_windows_peak_memory_does_not_grow_with_windows(monkeypatch):
@@ -735,26 +786,14 @@ def test_rollout_equals_the_stepwise_reference(kind, model_kind):
 
 
 @pytest.mark.parametrize("kind", ["low_rank", "structural"])
-def test_a_rolled_step_applies_each_lag_map_to_one_row(monkeypatch, kind):
-    lag_maps, rows = saea.adjust._lag_maps, []
-
-    def counted_lag_maps(em):
-        apply, contract = lag_maps(em)
-
-        def counted_apply(k, block):
-            rows.append(len(block))
-            return apply(k, block)
-
-        return counted_apply, contract
-
-    monkeypatch.setattr(saea.adjust, "_lag_maps", counted_lag_maps)
+def test_a_rolled_step_applies_each_lag_map_to_one_row(lag_map_rows, kind):
     p, h, n, steps = 2, 5, 6, 8
     model = GraphFilterAR.from_graph(h, ring_graph(n), seed=4)
     em = make_em(kind, n, var_order=p, randomize=5)
     predict_recursive(model, em, np.random.default_rng(6).normal(size=(h, n)), steps)
     # step 0 and the rollout's own lag products take H rows per lag each,
     # every later step one: the new row
-    assert sum(rows) == 2 * p * h + p * (steps - 1)
+    assert sum(lag_map_rows) == 2 * p * h + p * (steps - 1)
 
 
 # -- spectral radius ---------------------------------------------------------

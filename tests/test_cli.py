@@ -113,6 +113,16 @@ def test_train_structural_defaults_record_alpha_1000(tmp_path):
     assert manifest["inputs"]  # input hashes recorded
 
 
+@pytest.mark.parametrize(
+    "model, hidden, recorded", [("nodear", "-1", None), ("mlp1", "3", 3)], ids=["nodear", "mlp1"]
+)
+def test_manifest_records_hidden_only_for_mlp1(tmp_path, model, hidden, recorded):
+    bundle = make_bundle_dir(tmp_path)
+    out = tmp_path / "run"
+    assert run(train_args(bundle, out, ("--kind", "none", "--model", model, "--hidden", hidden))) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["hidden"] == recorded
+
+
 def test_train_rerun_metrics_bit_identical(tmp_path):
     bundle = make_bundle_dir(tmp_path)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -561,7 +571,10 @@ def test_out_of_choice_config_value_fails_validation(tmp_path, capsys, line):
 @pytest.mark.parametrize(
     "line, named",
     [("kind none", "expected 'key = value'"),
-     pytest.param("epochs = ten", "argument --epochs: invalid int value: 'ten'", id="epochs-ten")],
+     pytest.param("epochs = ten", "bad.cfg:2: saea train: argument --epochs: invalid int value: 'ten'",
+                  id="epochs-ten"),
+     pytest.param("optimizer = adam", "bad.cfg:2: saea train: argument --optimizer: invalid choice: 'adam'",
+                  id="optimizer-adam")],
 )
 def test_malformed_config_line_fails_validation_naming_it(tmp_path, capsys, line, named):
     cfg = tmp_path / "bad.cfg"

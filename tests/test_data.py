@@ -14,6 +14,7 @@ from saea.data import (
     chronological_split,
     ingest_csv,
     make_windows,
+    row_windows,
     save_series_csv,
     shift_with_mean,
     write_float_rows,
@@ -280,6 +281,34 @@ def test_make_windows_are_views_equal_to_the_row_gather(horizon_step):
     sub = ws.take(np.array([4, 0, 9]))
     assert sub.inputs.flags.c_contiguous and not np.shares_memory(sub.inputs, frame.values)
     assert sub.inputs.tobytes() == frame.values[row_idx[[4, 0, 9]]].tobytes()
+
+
+@pytest.mark.parametrize("horizon_step", [0, 2])
+def test_make_windows_rows_are_the_series_rows_its_inputs_view(horizon_step):
+    frame = SeriesFrame(np.random.default_rng(5).normal(size=(40, 3)))
+    ws = make_windows(frame, 6, horizon_step)
+    assert ws.rows.shape == (ws.batch + 6 - 1, 3)
+    assert np.shares_memory(ws.rows, frame.values) and not ws.rows.flags.writeable
+    assert ws.inputs.tobytes() == row_windows(ws.rows, 6).tobytes()
+    assert ws.take(np.arange(ws.batch)).rows is None
+    # a slice of windows and its rows are again the view: scoring's chunks
+    chunk = WindowSet(ws.inputs[3:9], ws.targets[3:9], ws.rows[3 : 9 + 6 - 1])
+    assert chunk.inputs.tobytes() == ws.inputs[3:9].tobytes()
+
+
+def test_window_set_refuses_rows_its_inputs_do_not_view():
+    ws = make_windows(SeriesFrame(np.random.default_rng(6).normal(size=(20, 3))), 4, 0)
+    cases = (
+        (np.array(ws.inputs), ws.targets, ws.rows),  # equal values, but a copy
+        (ws.inputs, ws.targets, ws.rows.copy()),
+        (ws.inputs, ws.targets, ws.rows[1:]),
+        (ws.inputs[1:], ws.targets[1:], ws.rows),
+        (ws.inputs[:, ::-1], ws.targets, ws.rows),
+        (ws.inputs, ws.targets, ws.rows.astype(np.float32)),
+    )
+    for inputs, targets, rows in cases:
+        with pytest.raises(ValidationError, match="row_windows view of rows"):
+            WindowSet(inputs, targets, rows)
 
 
 def test_window_set_leaves_the_callers_arrays_writeable():

@@ -2,9 +2,10 @@
 
 Every run below ends in one of two ways: exit 0, with every JSON file it
 wrote strict (no NaN or Infinity), or exit 1 with exactly one JSON line on
-stderr. The first grid sets one numeric or choice flag of each command at a
-time to each of VALUES; the second sets one field of a trained checkpoint at
-a time to each of FIELD_VALUES and scores it with `eval` and `diagnose`.
+stderr and no `--out` directory. The first grid sets one numeric or choice
+flag of each command at a time to each of VALUES; the second sets one field
+of each of three trained checkpoints (CHECKPOINTS) at a time to each of
+FIELD_VALUES and scores it with `eval` and `diagnose`.
 """
 
 import argparse
@@ -17,6 +18,12 @@ from saea.cli import run
 
 VALUES = ("-1", "0", str(10**30), "abc", "nan", "inf", "")
 FIELD_VALUES = (None, True, 1e308, float("nan"), 10**30, "x", [], {})
+# run directory: (model, kind), each trained at VAR order 2 with zscore
+CHECKPOINTS = {
+    "graphfilter-structural": ("graphfilter", "structural"),
+    "mlp1-low_rank_sparse": ("mlp1", "low_rank_sparse"),
+    "nodear-diagonal": ("nodear", "diagonal"),
+}
 
 
 def refuse(constant):
@@ -30,30 +37,30 @@ def assert_clean_end(code, out, capsys):
         for path in out.rglob("*.json"):
             json.loads(path.read_text(), parse_constant=refuse)
     else:
-        assert code == 1
+        assert code == 1 and not out.exists()
         assert err.count("\n") == 1 and "Traceback" not in err
         assert set(json.loads(err)) == {"error", "message"}
 
 
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
-    """A 6-sensor, 300-step synth bundle and a graphfilter + structural
-    checkpoint trained on it at VAR order 2 with zscore."""
+    """A 6-sensor, 300-step synth bundle and the CHECKPOINTS trained on it."""
     root = tmp_path_factory.mktemp("misuse")
     assert run(["synth", "--n", "6", "--steps", "300", "--seed", "2", "--out", str(root)]) == 0
-    argv = [
-        "train", "--series", str(root / "series.csv"), "--adjacency", str(root / "adjacency.csv"),
-        "--model", "graphfilter", "--kind", "structural", "--var-order", "2",
-        "--normalize", "zscore", "--history", "4", "--epochs", "2", "--out", str(root / "run"),
-    ]
-    assert run(argv) == 0
+    for name, (model, kind) in CHECKPOINTS.items():
+        argv = [
+            "train", "--series", str(root / "series.csv"), "--adjacency", str(root / "adjacency.csv"),
+            "--model", model, "--hidden", "3", "--kind", kind, "--rank", "2", "--var-order", "2",
+            "--normalize", "zscore", "--history", "4", "--epochs", "2", "--out", str(root / name),
+        ]
+        assert run(argv) == 0
     return root
 
 
 def base_argv(command, root):
     data = ["--series", str(root / "series.csv")]
     train = [*data, "--adjacency", str(root / "adjacency.csv"), "--history", "4", "--epochs", "1"]
-    score = ["--checkpoint", str(root / "run" / "checkpoint_h5min_best.json"), *data]
+    score = ["--checkpoint", str(root / "graphfilter-structural" / "checkpoint_h5min_best.json"), *data]
     return {
         "synth": ["synth", "--n", "6", "--steps", "300"],
         "train": ["train", *train, "--model", "mlp1", "--kind", "low_rank_sparse"],
@@ -94,18 +101,19 @@ def field_paths(blob, prefix=()):
 
 @pytest.mark.parametrize("command", ["eval", "diagnose"])
 def test_bad_checkpoint_fields_end_in_exit_0_or_one_json_line(bundle, tmp_path, capsys, command):
-    text = (bundle / "run" / "checkpoint_h5min_best.json").read_text()
     argv = base_argv(command, bundle)
     ckpt = tmp_path / "checkpoint.json"
     argv[argv.index("--checkpoint") + 1] = str(ckpt)
     capsys.readouterr()
-    for i, path in enumerate(field_paths(json.loads(text))):
-        for value in FIELD_VALUES:
-            blob = json.loads(text)
-            parent = blob
-            for key in path[:-1]:
-                parent = parent[key]
-            parent[path[-1]] = value
-            ckpt.write_text(json.dumps(blob))
-            out = tmp_path / f"{i}-{FIELD_VALUES.index(value)}"
-            assert_clean_end(run([*argv, "--out", str(out)]), out, capsys)
+    for name in CHECKPOINTS:
+        text = (bundle / name / "checkpoint_h5min_best.json").read_text()
+        for i, path in enumerate(field_paths(json.loads(text))):
+            for value in FIELD_VALUES:
+                blob = json.loads(text)
+                parent = blob
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
+                ckpt.write_text(json.dumps(blob))
+                out = tmp_path / f"{name}-{i}-{FIELD_VALUES.index(value)}"
+                assert_clean_end(run([*argv, "--out", str(out)]), out, capsys)

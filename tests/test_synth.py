@@ -268,3 +268,9 @@ def test_structured_var_coefficients_generate_compatible():
                     phi_star=phi, sigma=1.0, seed=6)
     )
     assert bundle.frame.num_steps == 300
+
+
+@pytest.mark.parametrize("kind", ["path", "ring"])
+def test_graph_spec_records_no_p_edge_for_a_graph_that_ignores_it(kind):
+    assert GraphSpec(kind, 5, p_edge=float("nan")).p_edge is None
+    assert GraphSpec("erdos_renyi", 5, p_edge=0.25).p_edge == 0.25

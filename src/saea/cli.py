@@ -35,6 +35,7 @@ from .data import (
     blob_field,
     chronological_split,
     ingest_csv,
+    load_matrix_csv,
     make_windows,
     open_text,
     read_json,
@@ -47,7 +48,6 @@ from .forecaster import MODEL_KINDS, build_forecaster
 from .graph import (
     SensorGraph,
     load_adjacency_csv,
-    load_matrix_csv,
     normalized_adjacency,
     save_adjacency_csv,
     structural_mask,
@@ -258,7 +258,7 @@ def cmd_synth(args) -> int:
     spec = GraphSpec(args.graph, args.n, p_edge=args.p_edge, seed=args.graph_seed)
     graph = spec.build()
     if args.phi_star:
-        phi = load_matrix_csv(args.phi_star, "coefficient")
+        phi = load_matrix_csv(args.phi_star)
     else:
         phi = args.phi_diag * np.eye(graph.n) + args.phi_hop * normalized_adjacency(graph)
     # a matrix of the wrong shape is left for generate to reject

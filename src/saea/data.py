@@ -8,6 +8,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -109,22 +110,14 @@ class WindowSet:
 
 
 def ingest_csv(path, step_minutes: float = 5.0, num_sensors: int | None = None) -> SeriesFrame:
-    """Read a sensor series CSV (one header row naming columns, one row per step).
-
-    Raises ParseError with the offending (row, column) for ragged rows or
-    non-numeric cells; rows are indexed from 0 over the data body. Rows that
-    parse but contain NaN/Inf are rejected with their indices reported.
-    Given num_sensors, a header naming another number of columns is a
-    ValidationError, raised before the body is read.
-    A body of plain decimal numbers is parsed by np.loadtxt in blocks of
-    lines; any other body, and every error, goes through the per-cell parser.
-    """
+    """Read a sensor series CSV: one header row naming columns, then a body
+    of one row per step, read by _read_records. Given num_sensors, a header
+    naming another number of columns is a ValidationError, raised before the
+    body is read."""
     with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, missing header row") from None
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ParseError(f"{path}: empty file, missing header row")
         header = [h.strip() for h in header]
         if len(header) == 0 or all(h == "" for h in header):
             raise ParseError(f"{path}: header names zero sensor columns")
@@ -135,39 +128,54 @@ def ingest_csv(path, step_minutes: float = 5.0, num_sensors: int | None = None) 
         n = len(header)
         if num_sensors is not None and n != num_sensors:
             raise ValidationError(f"{path}: series has {n} sensors, expected {num_sensors}")
-        values = _read_plain_rows(fh, n)
-        if values is not None:
-            return SeriesFrame(values=values, step_minutes=step_minutes)
+        return SeriesFrame(values=_read_records(path, fh, n, skip=1), step_minutes=step_minutes)
+
+
+def load_matrix_csv(path) -> np.ndarray:
+    """A headerless CSV as a (rows, n) float64 array, n the width of its
+    first row, read by _read_records as ingest_csv reads a series body."""
+    with open_text(path, newline="") as fh:
+        first = next(csv.reader(fh), None)
+        if first == []:
+            raise ParseError(f"{path}: row 0 is blank", row=0)
         fh.seek(0)
-        next(reader)
-        rows = []
-        nonfinite_rows = []
-        for r, row in enumerate(reader):
-            if len(row) != n:
+        return _read_records(path, fh, len(first or ()), skip=0)
+
+
+def _read_records(path, fh, n: int, skip: int) -> np.ndarray:
+    """The CSV records of fh after its first `skip`, where fh is positioned,
+    as (T, n) values. A ragged row or a non-numeric cell (a blank or `#` line
+    is one), or no row at all, is a ParseError with the (row, column), rows
+    counted from 0 after the skipped records; rows holding NaN/Inf are a
+    ValidationError naming them. A body of plain decimal numbers is parsed
+    by np.loadtxt in blocks of lines; any other body, and every error, goes
+    through the per-cell parser."""
+    values = _read_plain_rows(fh, n)
+    if values is not None:
+        return values
+    fh.seek(0)
+    rows, nonfinite_rows = [], []
+    for r, row in enumerate(islice(csv.reader(fh), skip, None)):
+        if len(row) != n:
+            raise ParseError(f"{path}: row {r} has {len(row)} columns, expected {n}", row=r)
+        vals = np.empty(n, dtype=np.float64)
+        for c, cell in enumerate(row):
+            try:
+                vals[c] = float(cell)
+            except ValueError:
                 raise ParseError(
-                    f"{path}: row {r} has {len(row)} columns, expected {n}", row=r
-                )
-            vals = np.empty(n, dtype=np.float64)
-            for c, cell in enumerate(row):
-                try:
-                    vals[c] = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric cell at row {r}, column {c}: {cell!r}",
-                        row=r,
-                        column=c,
-                    ) from None
-            if not np.all(np.isfinite(vals)):
-                nonfinite_rows.append(r)
-            rows.append(vals)
+                    f"{path}: non-numeric cell at row {r}, column {c}: {cell!r}", row=r, column=c
+                ) from None
+        if not np.all(np.isfinite(vals)):
+            nonfinite_rows.append(r)
+        rows.append(vals)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     if nonfinite_rows:
         raise ValidationError(
-            f"{path}: non-finite values in rows {nonfinite_rows}; "
-            "clean the series before ingestion"
+            f"{path}: non-finite values in rows {nonfinite_rows}; clean the file before reading it"
         )
-    return SeriesFrame(values=np.vstack(rows), step_minutes=step_minutes)
+    return np.vstack(rows)
 
 
 # _read_plain_rows hands np.loadtxt about this many characters of lines at a

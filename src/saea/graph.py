@@ -12,14 +12,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import readonly, write_float_rows
-from .errors import ParseError, UnsupportedOrderError, ValidationError
+from .data import load_matrix_csv, readonly, write_float_rows
+from .errors import UnsupportedOrderError, ValidationError
 
 
 @dataclass(frozen=True)
 class SensorGraph:
     """Weighted sensor network: a dense float64 (n, n) adjacency, square,
     finite, nonnegative and without self-loops, stored as a read-only copy.
+    Edges are directed: adjacency[i, j] > 0 lets sensor i receive from
+    sensor j, and row i of the adjacency, of the hop mask, of each Phi_k and
+    of the propagation is what sensor i receives.
 
     Matrices derived from it (normalized adjacency, hop masks) are computed
     by the functions below when needed.
@@ -71,12 +74,16 @@ class StructuralMask:
 
 
 def normalized_adjacency(graph: SensorGraph) -> np.ndarray:
-    """Symmetrically normalized adjacency D^{-1/2} W D^{-1/2}, taking
-    D^{-1/2} to be 0 at zero-degree nodes."""
-    deg = graph.adjacency.sum(axis=1)
-    inv_sqrt = np.zeros_like(deg)
-    inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
-    return np.outer(inv_sqrt, inv_sqrt) * graph.adjacency
+    """Normalized adjacency D_out^{-1/2} W D_in^{-1/2}, D_out holding the
+    row sums of W and D_in its column sums, taking D^{-1/2} to be 0 at
+    zero-degree nodes, so every edge keeps a positive weight. The column
+    sums are row sums of a C-contiguous copy of W^T: on a symmetric W they
+    are the same bits, and the result is D^{-1/2} W D^{-1/2}."""
+    w = graph.adjacency
+    deg = np.stack([w.sum(axis=1), np.ascontiguousarray(w.T).sum(axis=1)])
+    with np.errstate(divide="ignore"):
+        out_scale, in_scale = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
+    return np.outer(out_scale, in_scale) * w
 
 
 def structural_mask(graph: SensorGraph, order: int) -> StructuralMask:
@@ -86,16 +93,7 @@ def structural_mask(graph: SensorGraph, order: int) -> StructuralMask:
 
 def load_adjacency_csv(path) -> SensorGraph:
     """Read a headerless N x N CSV of nonnegative weights into a SensorGraph."""
-    return SensorGraph(load_matrix_csv(path, "adjacency"))
-
-
-def load_matrix_csv(path, what: str) -> np.ndarray:
-    """Read a headerless numeric CSV as a 2-D float64 array; a malformed cell
-    is a ParseError naming `what` and the file."""
-    try:
-        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    except ValueError as exc:
-        raise ParseError(f"malformed {what} CSV {path}: {exc}") from exc
+    return SensorGraph(load_matrix_csv(path))
 
 
 def save_adjacency_csv(graph: SensorGraph, path) -> None:

@@ -124,11 +124,23 @@ def test_manifest_records_hidden_only_for_mlp1(tmp_path, model, hidden, recorded
 
 
 def test_train_rerun_metrics_bit_identical(tmp_path):
+    # every file repeats byte for byte but the manifest and the train
+    # reports, which differ only in their wall-clock epoch_seconds
     bundle = make_bundle_dir(tmp_path)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert run(train_args(bundle, out1, ("--kind", "sparse_full"))) == 0
-    assert run(train_args(bundle, out2, ("--kind", "sparse_full"))) == 0
-    assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
+    for out in (out1, out2):
+        assert run(train_args(bundle, out, ("--kind", "sparse_full"))) == 0
+    names = sorted(path.name for path in out1.iterdir())
+    assert names == sorted(path.name for path in out2.iterdir())
+    reports = [name for name in names if name.startswith("train_report_")]
+    assert reports and "metrics.json" in names
+    for name in names:
+        if name == "manifest.json":  # its created_utc and the reports' hashes
+            continue
+        first, second = ((out / name).read_bytes() for out in (out1, out2))
+        if name in reports:
+            first, second = ({**json.loads(text), "epoch_seconds": None} for text in (first, second))
+        assert first == second, name
 
 
 def test_eval_oracle_predictor_hits_floor(tmp_path):
@@ -593,7 +605,7 @@ def test_malformed_config_line_fails_validation_naming_it(tmp_path, capsys, line
     [
         (("synth", "--dgp-self", "0.5,x"), "ValidationError", "--dgp-self: 'x'"),
         (("synth", "--dgp-hop", ""), "ValidationError", "--dgp-hop: ''"),
-        (("synth", "--phi-star", "{phi}"), "ParseError", "coefficient CSV"),
+        (("synth", "--phi-star", "{phi}"), "ParseError", "phi.csv: non-numeric cell at row 0, column 1"),
         # the lags are parsed before the (unreadable) checkpoint and series
         (("diagnose", "--checkpoint", "{unread}", "--series", "{unread}", "--ts-lags", "1,x"),
          "ValidationError", "--ts-lags: 'x'"),
@@ -733,6 +745,42 @@ def one_json_error(capsys) -> dict:
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     return json.loads(err)
+
+
+@pytest.mark.parametrize("text", ["", "# weights\n# of sensors 0-7\n"], ids=["empty", "comments"])
+@pytest.mark.parametrize("flag", ["--adjacency", "--phi-star"])
+def test_an_empty_or_comment_only_matrix_csv_is_one_json_error(tmp_path, capsys, flag, text):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text(text)
+    if flag == "--adjacency":  # read before the series, which is never opened
+        argv = ["train", "--series", str(tmp_path / "unread.csv"), flag, str(matrix)]
+    else:
+        argv = ["synth", "--n", "4", "--steps", "50", flag, str(matrix)]
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+    parsed = one_json_error(capsys)
+    assert parsed["error"] == "ParseError" and str(matrix) in parsed["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_and_eval_on_a_directed_adjacency(tmp_path):
+    bundle = make_bundle_dir(tmp_path)
+    # sensor i receives from sensor i + 1 only, and sensor 7 from none
+    chain = np.eye(8, k=1)
+    adjacency = tmp_path / "directed.csv"
+    adjacency.write_text("".join(",".join(map(str, row)) + "\n" for row in chain))
+    argv = train_args(bundle, tmp_path / "run", ("--model", "graphfilter", "--kind", "structural"))
+    argv[argv.index("--adjacency") + 1] = str(adjacency)
+    assert run(argv) == 0
+    ckpt = tmp_path / "run" / "checkpoint_h5min_best.json"
+    model, em = load_checkpoint(ckpt)
+    assert np.array_equal(model.propagation, chain)  # every degree is 0 or 1
+    assert np.array_equal(em.mask.graph.adjacency, chain)
+    assert np.array_equal(em.mask.mask == 0, np.eye(8) + chain > 0)
+    argv = ["eval", "--checkpoint", str(ckpt), "--series", str(bundle / "series.csv")]
+    assert run([*argv, "--out", str(tmp_path / "eval")]) == 0
+    scored = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+    trained = json.loads((tmp_path / "run" / "metrics.json").read_text())["horizons"][0]
+    assert scored["rmse"] == trained["test_best"]["rmse"]
 
 
 def test_series_sensor_count_is_checked_from_the_header(tmp_path, capsys):

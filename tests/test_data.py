@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import warnings
@@ -13,6 +14,7 @@ from saea.data import (
     WindowSet,
     chronological_split,
     ingest_csv,
+    load_matrix_csv,
     make_windows,
     row_windows,
     save_series_csv,
@@ -147,6 +149,31 @@ def test_ingest_fast_path_matches_the_cell_parser(tmp_path, monkeypatch, text, f
     assert (len(taken) == 1 and taken[0] is not None) == fast
     monkeypatch.setattr(saea.data, "_read_plain_rows", lambda fh, n: None)
     assert outcome == _ingest_outcome(path)
+
+
+# entries that test the header itself, or whose first body row is wider than
+# the header: a headerless reader takes its width from that row
+HEADER_DEPENDENT = {"numeric-header", "empty", "ragged-long", "trailing-commas", "form-feed"}
+
+
+def _read_outcome(read, path):
+    try:
+        return "ok", read(path).tobytes()
+    except Exception as exc:  # compared by type and location, and whether it names the file
+        row, column = getattr(exc, "row", None), getattr(exc, "column", None)
+        return type(exc).__name__, row, column, str(path) in str(exc)
+
+
+@pytest.mark.parametrize("text", [c[1] for c in INGEST_CORPUS if c[0] not in HEADER_DEPENDENT],
+                         ids=[c[0] for c in INGEST_CORPUS if c[0] not in HEADER_DEPENDENT])
+def test_headerless_matrix_reads_a_body_as_the_series_reader_does(tmp_path, text):
+    series, matrix = tmp_path / "s.csv", tmp_path / "m.csv"
+    series.write_bytes(text.encode("utf-8"))
+    body = io.StringIO(text, newline="")
+    next(csv.reader(body))  # the header record, which may span lines
+    matrix.write_bytes(body.read().encode("utf-8"))
+    outcome = _read_outcome(load_matrix_csv, matrix)
+    assert outcome == _read_outcome(lambda path: ingest_csv(path).values, series)
 
 
 def test_ingest_fast_path_bit_equal_across_blocks(tmp_path, monkeypatch):

@@ -126,6 +126,29 @@ def test_normalized_adjacency_complement():
     assert_allclose(normalized_adjacency(SensorGraph(P3)), expected, atol=1e-15)
 
 
+CHAIN = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]  # 0 receives from 1, ...
+
+
+def test_directed_chain_keeps_every_edge():
+    # node 0 has no in-edges and node 3 no out-edges: a row-sum-only
+    # normalization zeroed edge (2, 3), whose column belongs to node 3
+    assert_array_equal(normalized_adjacency(SensorGraph(CHAIN)), CHAIN)  # every degree is 0 or 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mask_and_propagation_see_one_edge_set(seed):
+    rng = np.random.default_rng(seed)
+    w = (rng.random((12, 12)) < 0.2) * rng.uniform(1e-9, 3.0, size=(12, 12))
+    np.fill_diagonal(w, 0.0)
+    graphs = [SensorGraph(CHAIN), SensorGraph(w)]
+    assert not np.array_equal(w, w.T)
+    for g in graphs:
+        within_one_hop = structural_mask(g, 1).mask == 0
+        np.fill_diagonal(within_one_hop, False)
+        assert_array_equal(normalized_adjacency(g) > 0, within_one_hop)
+        assert_array_equal(within_one_hop, g.adjacency > 0)
+
+
 def test_weighted_entries_do_not_change_mask():
     base = erdos_renyi_graph(12, 0.3, seed=11)
     rng = np.random.default_rng(2)

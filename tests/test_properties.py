@@ -1,6 +1,7 @@
 """Property tests over random shapes and values: window shifting, the
 zero-coefficient reduction identity, the structural mask against a BFS
-oracle, and the error-model blob round trip.
+oracle, the normalized adjacency of symmetric graphs, and the error-model
+blob round trip.
 
 Examples are derandomized and few, so the suite stays deterministic and fast.
 """
@@ -17,7 +18,7 @@ from _helpers import bfs_mask_oracle
 from saea.adjust import KINDS, ErrorModel, predict_windows, saea_loss, saea_predict
 from saea.data import SeriesFrame, make_windows, shift_with_mean
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
-from saea.graph import structural_mask
+from saea.graph import SensorGraph, normalized_adjacency, structural_mask
 from saea.synth import erdos_renyi_graph, ring_graph
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None, database=None)
@@ -120,6 +121,26 @@ def test_zero_coefficients_reduce_to_the_base_model(n, h, b, var_order, model_ki
 def test_laplacian_mask_equals_bfs_oracle(n, p_edge, graph_seed, order):
     graph = erdos_renyi_graph(n, p_edge, seed=graph_seed)
     assert_array_equal(structural_mask(graph, order).mask, bfs_mask_oracle(graph, order))
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 120),
+    p_edge=st.floats(0.0, 0.5),
+    graph_seed=st.integers(0, 2**16),
+    weighted=st.booleans(),
+)
+def test_symmetric_graphs_normalize_as_before_bit_for_bit(n, p_edge, graph_seed, weighted):
+    # the row-sum-only D^{-1/2} W D^{-1/2} that directed normalization replaced
+    w = erdos_renyi_graph(n, p_edge, seed=graph_seed).adjacency
+    if weighted:
+        upper = np.triu(np.random.default_rng(graph_seed).uniform(0.01, 5.0, size=(n, n)))
+        w = w * (upper + upper.T)
+    deg = w.sum(axis=1)
+    inv_sqrt = np.zeros_like(deg)
+    inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+    before = np.outer(inv_sqrt, inv_sqrt) * w
+    assert normalized_adjacency(SensorGraph(w)).tobytes() == before.tobytes()
 
 
 @PROPERTY

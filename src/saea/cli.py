@@ -62,6 +62,28 @@ ALL_KINDS = ("none",) + KINDS
 # ---------------------------------------------------------------------------
 # config handling
 
+
+def comma_list(caster, choices=None, distinct=False):
+    """An argparse type for a comma list: each item converted by caster and,
+    given choices, one of them; distinct refuses an item listed twice."""
+
+    def parse(text: str) -> tuple:
+        items = []
+        for token in text.split(","):
+            try:
+                item = caster(token)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"{token!r} is not a valid {caster.__name__}") from None
+            if choices is not None and item not in choices:
+                raise argparse.ArgumentTypeError(f"{token!r} is not one of {', '.join(choices)}")
+            if distinct and item in items:
+                raise argparse.ArgumentTypeError(f"{token!r} is listed twice")
+            items.append(item)
+        return tuple(items)
+
+    return parse
+
+
 TRAIN_FIELDS = {
     # name: (type, default, choices or None); every field is also a flag
     "model": (str, "nodear", MODEL_KINDS),
@@ -72,7 +94,7 @@ TRAIN_FIELDS = {
     "beta": (float, None, None),
     "rank": (int, None, None),
     "var_order": (int, 1, None),
-    "horizon_min": (str, "5", None),
+    "horizon_min": (comma_list(float, distinct=True), "5", None),
     "step_min": (float, 5.0, None),
     "history": (int, 12, None),
     "epochs": (int, TrainConfig.epochs, None),
@@ -107,23 +129,12 @@ def config_flags(path) -> dict[int, str]:
     return flags
 
 
-def parse_list(text: str, caster, flag: str) -> tuple:
-    """A comma list of numbers given to `flag`, each converted by caster."""
-    values = []
-    for token in str(text).split(","):
-        try:
-            values.append(caster(token))
-        except ValueError:
-            raise ValidationError(
-                f"{flag}: {token!r} is not a valid {caster.__name__}"
-            ) from None
-    return tuple(values)
-
-
-def parse_horizons(minutes_csv: str, step_min: float) -> list[tuple[float, int]]:
-    """Comma-separated horizon minutes -> [(minutes, zero-based step index)]."""
+def parse_horizons(horizon_min, step_min: float) -> list[tuple[float, int]]:
+    """Horizon minutes -> [(minutes, zero-based step index)] at step_min."""
+    if not 0 < step_min < math.inf:
+        raise ValidationError(f"--step-min {step_min} is not a finite number > 0")
     out = []
-    for minutes in parse_list(minutes_csv, float, "--horizon-min"):
+    for minutes in horizon_min:
         steps = minutes / step_min
         if not math.isfinite(steps) or steps < 1 or abs(steps - round(steps)) > 1e-9:
             raise ValidationError(
@@ -259,10 +270,11 @@ def cmd_synth(args) -> int:
     graph = spec.build()
     if args.phi_star:
         phi = load_matrix_csv(args.phi_star)
+        if phi.shape != (graph.n, graph.n):
+            raise ValidationError(f"{args.phi_star}: shape {phi.shape}, not ({args.n}, {args.n}) for --n")
     else:
         phi = args.phi_diag * np.eye(graph.n) + args.phi_hop * normalized_adjacency(graph)
-    # a matrix of the wrong shape is left for generate to reject
-    if args.phi_radius is not None and phi.shape == (graph.n, graph.n):
+    if args.phi_radius is not None:
         if not (0 <= args.phi_radius < math.inf and np.all(np.isfinite(phi))):
             raise ValidationError(
                 f"--phi-radius {args.phi_radius} needs a finite radius >= 0 "
@@ -275,8 +287,8 @@ def cmd_synth(args) -> int:
     cfg = SynthConfig(
         graph=spec,
         steps=args.steps,
-        dgp_self=parse_list(args.dgp_self, float, "--dgp-self"),
-        dgp_hop=parse_list(args.dgp_hop, float, "--dgp-hop"),
+        dgp_self=args.dgp_self,
+        dgp_hop=args.dgp_hop,
         phi_star=phi,
         sigma=args.sigma,
         quad_coeff=args.quad,
@@ -323,8 +335,9 @@ def _prepare_run(args, kinds=None):
     settings, one (resolved config, untrained error model) pair per kind,
     series, graph, horizons, manifest input files). kinds default to the
     config's kind; all settings but the model's are checked here, before any
-    training. The run directory appears with the first file written, so a
-    rejected setting leaves none behind."""
+    training, and those that need no input file before one is read. The run
+    directory appears with the first file written, so a rejected setting
+    leaves none behind."""
     config = {name: getattr(args, name, None) for name in TRAIN_FIELDS}  # compare has no kind
     if config["model"] != "mlp1":  # the one model with a hidden width
         config["hidden"] = None
@@ -333,13 +346,13 @@ def _prepare_run(args, kinds=None):
             f"var_order {config['var_order']} is outside [1, history = {config['history']}]"
         )
     train_cfg = TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)})
+    horizons = parse_horizons(config["horizon_min"], config["step_min"])
+    kinds = kinds or (config["kind"],)
+    if not args.adjacency and "structural" in kinds:
+        raise ConfigurationError("structural kind requires --adjacency")
     graph = load_adjacency_csv(args.adjacency) if args.adjacency else None
     frame = ingest_csv(args.series, config["step_min"], num_sensors=graph.n if graph else None)
-    kinds = kinds or (config["kind"],)
-    if graph is None and "structural" in kinds:
-        raise ConfigurationError("structural kind requires --adjacency")
     runs = [_kind_run(config, kind, frame.num_sensors, graph) for kind in kinds]
-    horizons = parse_horizons(config["horizon_min"], config["step_min"])
     inputs = [args.series] + [path for path in (args.adjacency, args.config) if path]
     return config, train_cfg, runs, frame, graph, horizons, inputs
 
@@ -425,12 +438,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    ts_lags = parse_list(args.ts_lags, int, "--ts-lags")
     truth, preds, _, fracs = _eval_checkpoint(args)
-    payload = residual_report(truth, preds, max_lag=args.max_lag, ts_lags=ts_lags)
+    payload = residual_report(truth, preds, max_lag=args.max_lag, ts_lags=args.ts_lags)
     payload["split"] = args.split
     _write_scored(
-        args, "diagnostics.json", payload, fracs, max_lag=args.max_lag, ts_lags=list(ts_lags)
+        args, "diagnostics.json", payload, fracs, max_lag=args.max_lag, ts_lags=args.ts_lags
     )
     print(
         f"spatial ECM off-diagonal energy {payload['ecm_spatial_offdiag_energy']:.4f}, "
@@ -440,14 +452,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    kinds = ALL_KINDS if args.kinds == "all" else tuple(args.kinds.split(","))
-    for kind in kinds:
-        if kind not in ALL_KINDS:
-            raise ValidationError(f"unknown kind {kind!r}; expected subset of {ALL_KINDS}")
-    if len(set(kinds)) != len(kinds):
-        raise ValidationError(f"--kinds lists a kind twice: {args.kinds}")
-    config, train_cfg, runs, frame, graph, horizons, inputs = _prepare_run(args, kinds)
-    rows = {kind: [] for kind in kinds}  # filled horizon-major, written kind-major
+    config, train_cfg, runs, frame, graph, horizons, inputs = _prepare_run(args, args.kinds)
+    rows = {kind: [] for kind in args.kinds}  # filled horizon-major, written kind-major
     for kind_config, minutes, _, report, test_ws, normalizer in _fit_each(
         frame, graph, config, train_cfg, runs, horizons
     ):
@@ -462,10 +468,10 @@ def cmd_compare(args) -> int:
                 "val_mse_best": report.best_val_mse,
             }
         )
-    rows = [row for kind in kinds for row in rows[kind]]
+    rows = [row for kind in args.kinds for row in rows[kind]]
     write_json(
         os.path.join(args.out, "compare.json"),
-        {"kinds": list(kinds), "horizons": [m for m, _ in horizons], "rows": rows},
+        {"kinds": list(args.kinds), "horizons": [m for m, _ in horizons], "rows": rows},
         indent=1,
     )
     with open(os.path.join(args.out, "compare.csv"), "w", encoding="utf-8") as fh:
@@ -554,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--graph-seed", dest="graph_seed", type=int, default=0)
     p_synth.add_argument("--steps", type=int, default=5000)
     p_synth.add_argument("--sigma", type=float, default=1.0)
-    p_synth.add_argument("--dgp-self", dest="dgp_self", default="0.5,0.2")
-    p_synth.add_argument("--dgp-hop", dest="dgp_hop", default="0.3,0.0")
+    p_synth.add_argument("--dgp-self", dest="dgp_self", type=comma_list(float), default="0.5,0.2")
+    p_synth.add_argument("--dgp-hop", dest="dgp_hop", type=comma_list(float), default="0.3,0.0")
     p_synth.add_argument("--quad", type=float, default=0.0)
     p_synth.add_argument("--phi-star", dest="phi_star", help="coefficient CSV")
     p_synth.add_argument("--phi-diag", dest="phi_diag", type=float, default=0.3)
@@ -577,13 +583,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag = sub.add_parser("diagnose", help="residual correlation diagnostics")
     _add_score_flags(p_diag)
     p_diag.add_argument("--max-lag", dest="max_lag", type=int, default=40)
-    p_diag.add_argument("--ts-lags", dest="ts_lags", default="1")
+    p_diag.add_argument("--ts-lags", dest="ts_lags", type=comma_list(int, distinct=True), default="1")
     p_diag.add_argument("--out", required=True)
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_cmp = sub.add_parser("compare", help="baseline vs parameterizations table")
     _add_train_flags(p_cmp, include_kind=False)
-    p_cmp.add_argument("--kinds", default="all", help="'all' or comma list")
+    kind_list = comma_list(str, ALL_KINDS, distinct=True)
+    p_cmp.add_argument("--kinds", default="all", help="'all' or comma list",
+                       type=lambda text: ALL_KINDS if text == "all" else kind_list(text))
     p_cmp.set_defaults(func=cmd_compare)
 
     return parser

@@ -38,8 +38,9 @@ class SeriesFrame:
             raise ValidationError(f"series values must be 2-D (T x N), got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValidationError("series values contain non-finite entries")
-        if self.step_minutes <= 0:
-            raise ValidationError("step_minutes must be positive")
+        # written so that a NaN step fails it
+        if not 0 < self.step_minutes < math.inf:
+            raise ValidationError(f"step_minutes must be a finite number > 0, got {self.step_minutes}")
         object.__setattr__(self, "values", v)
 
     @property

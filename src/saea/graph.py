@@ -92,8 +92,13 @@ def structural_mask(graph: SensorGraph, order: int) -> StructuralMask:
 
 
 def load_adjacency_csv(path) -> SensorGraph:
-    """Read a headerless N x N CSV of nonnegative weights into a SensorGraph."""
-    return SensorGraph(load_matrix_csv(path))
+    """Read a headerless N x N CSV of nonnegative weights into a SensorGraph;
+    an adjacency the graph rejects is a ValidationError naming the file."""
+    weights = load_matrix_csv(path)
+    try:
+        return SensorGraph(weights)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_adjacency_csv(graph: SensorGraph, path) -> None:

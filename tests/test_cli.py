@@ -567,6 +567,47 @@ def test_malformed_horizons_fail_validation(tmp_path, capsys, minutes):
 
 
 @pytest.mark.parametrize(
+    "flags, error",
+    [(("--horizon-min", "7"), "ValidationError"),
+     (("--step-min", "0"), "ValidationError"),
+     (("--kind", "structural"), "ConfigurationError")],
+    ids=["horizon-off-step", "step-zero", "structural-without-adjacency"],
+)
+def test_settings_that_need_no_file_fail_before_one_is_read(tmp_path, capsys, flags, error):
+    code = run(["train", "--series", str(tmp_path / "missing.csv"), *flags,
+                "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert one_json_error(capsys)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [(("diagnose", "--checkpoint", "{unread}", "--series", "{unread}", "--ts-lags", "1,1,0"),
+      "saea diagnose: argument --ts-lags: '1' is listed twice"),
+     (("train", "--series", "{unread}", "--horizon-min", "5,15,5.0"),
+      "saea train: argument --horizon-min: '5.0' is listed twice"),
+     (("compare", "--series", "{unread}", "--kinds", "all,none"),
+      "saea compare: argument --kinds: 'all' is not one of none, scalar,")],
+    ids=["ts-lags", "horizon-min", "all-in-a-list"],
+)
+def test_list_flags_refuse_a_repeat_and_all_in_a_list(tmp_path, capsys, argv, named):
+    argv = [arg.format(unread=tmp_path / "unread") for arg in argv]
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+    parsed = one_json_error(capsys)
+    assert parsed["error"] == "ValidationError" and parsed["message"].startswith(named)
+
+
+def test_manifest_records_horizon_min_as_a_list(tmp_path):
+    bundle = make_bundle_dir(tmp_path, n=4, steps=300)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("horizon_min = 5,15\n")
+    for extra, recorded in ((("--config", str(cfg)), [5.0, 15.0]), ((), [5.0])):
+        out = tmp_path / f"run{len(recorded)}"
+        assert run(train_args(bundle, out, ("--kind", "none", "--epochs", "1", *extra))) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["horizon_min"] == recorded
+
+
+@pytest.mark.parametrize(
     "line", ["kind = foo", "select = foo", "var_order = 13", "optimizer = adam", "normalize = minmax"]
 )
 def test_out_of_choice_config_value_fails_validation(tmp_path, capsys, line):
@@ -586,7 +627,10 @@ def test_out_of_choice_config_value_fails_validation(tmp_path, capsys, line):
      pytest.param("epochs = ten", "bad.cfg:2: saea train: argument --epochs: invalid int value: 'ten'",
                   id="epochs-ten"),
      pytest.param("optimizer = adam", "bad.cfg:2: saea train: argument --optimizer: invalid choice: 'adam'",
-                  id="optimizer-adam")],
+                  id="optimizer-adam"),
+     pytest.param("horizon_min = 5,abc",
+                  "bad.cfg:2: saea train: argument --horizon-min: 'abc' is not a valid float",
+                  id="horizon-min-abc")],
 )
 def test_malformed_config_line_fails_validation_naming_it(tmp_path, capsys, line, named):
     cfg = tmp_path / "bad.cfg"
@@ -759,6 +803,25 @@ def test_an_empty_or_comment_only_matrix_csv_is_one_json_error(tmp_path, capsys,
     assert run([*argv, "--out", str(tmp_path / "out")]) == 1
     parsed = one_json_error(capsys)
     assert parsed["error"] == "ParseError" and str(matrix) in parsed["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [("--adjacency", "0,1,0\n1,0,1\n"), ("--adjacency", "1,1\n1,0\n"),
+     ("--adjacency", "0,-1\n1,0\n"), ("--phi-star", "0,0.1,0\n0.1,0,0.1\n")],
+    ids=["adjacency-wide", "adjacency-self-loop", "adjacency-negative", "phi-star-wide"],
+)
+def test_a_rejected_matrix_csv_is_named(tmp_path, capsys, flag, text):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text(text)
+    if flag == "--adjacency":  # read before the series, which is never opened
+        argv = ["train", "--series", str(tmp_path / "unread.csv"), flag, str(matrix)]
+    else:  # the shape is checked before the radius is
+        argv = ["synth", "--n", "4", "--steps", "50", flag, str(matrix), "--phi-radius", "0.5"]
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+    parsed = one_json_error(capsys)
+    assert parsed["error"] == "ValidationError" and parsed["message"].startswith(f"{matrix}: ")
     assert not (tmp_path / "out").exists()
 
 

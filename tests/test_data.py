@@ -251,6 +251,12 @@ def test_split_invalid_fractions():
         chronological_split(frame, 0.0, 0.2)
 
 
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1.0])
+def test_series_frame_rejects_a_step_that_is_not_finite_and_positive(step):
+    with pytest.raises(ValidationError, match="step_minutes"):
+        SeriesFrame(np.zeros((3, 2)), step)
+
+
 @pytest.mark.parametrize("fracs", [(float("nan"), 0.2), (0.6, float("nan")), (float("inf"), 0.1)])
 def test_split_nonfinite_fraction_is_a_validation_error(fracs):
     with pytest.raises(ValidationError, match="frac"):

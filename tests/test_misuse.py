@@ -3,9 +3,10 @@
 Every run below ends in one of two ways: exit 0, with every JSON file it
 wrote strict (no NaN or Infinity), or exit 1 with exactly one JSON line on
 stderr and no `--out` directory. The first grid sets one numeric or choice
-flag of each command at a time to each of VALUES; the second sets one field
-of each of three trained checkpoints (CHECKPOINTS) at a time to each of
-FIELD_VALUES and scores it with `eval` and `diagnose`.
+flag of each command at a time to each of VALUES; the second sets one
+comma-list flag (LIST_FLAGS) at a time to each of LIST_VALUES; the third
+sets one field of each of three trained checkpoints (CHECKPOINTS) at a time
+to each of FIELD_VALUES and scores it with `eval` and `diagnose`.
 """
 
 import argparse
@@ -17,6 +18,14 @@ import saea.cli
 from saea.cli import run
 
 VALUES = ("-1", "0", str(10**30), "abc", "nan", "inf", "")
+LIST_VALUES = ("", ",", "1,,2", "1,1", "nan", "inf", "-1", "abc", "all,none")
+# command: its flags that take a comma list
+LIST_FLAGS = {
+    "synth": ("--dgp-self", "--dgp-hop"),
+    "train": ("--horizon-min",),
+    "compare": ("--horizon-min", "--kinds"),
+    "diagnose": ("--ts-lags",),
+}
 FIELD_VALUES = (None, True, 1e308, float("nan"), 10**30, "x", [], {})
 # run directory: (model, kind), each trained at VAR order 2 with zscore
 CHECKPOINTS = {
@@ -70,11 +79,15 @@ def base_argv(command, root):
     }[command]
 
 
-def numeric_and_choice_flags(command):
+def command_actions(command):
     (subparsers,) = [
         a for a in saea.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ]
-    actions = subparsers.choices[command]._actions
+    return subparsers.choices[command]._actions
+
+
+def numeric_and_choice_flags(command):
+    actions = command_actions(command)
     return [a.option_strings[0] for a in actions if a.type in (int, float) or a.choices]
 
 
@@ -86,6 +99,21 @@ def test_bad_flag_values_end_in_exit_0_or_one_json_line(bundle, tmp_path, capsys
     ):
         if flag == "--epochs" and value == str(10**30):
             continue  # a valid count: it trains for as long as it says
+        out = tmp_path / str(i)
+        code = run([*base_argv(command, bundle), f"{flag}={value}", "--out", str(out)])
+        assert_clean_end(code, out, capsys)
+
+
+@pytest.mark.parametrize("command", sorted(LIST_FLAGS))
+def test_bad_list_values_end_in_exit_0_or_one_json_line(bundle, tmp_path, capsys, command):
+    # every flag with a type of its own (not a builtin caster) is a comma list
+    typed = [a.option_strings[0] for a in command_actions(command)
+             if a.type not in (None, int, float, str)]
+    assert sorted(typed) == sorted(LIST_FLAGS[command])
+    capsys.readouterr()
+    for i, (flag, value) in enumerate(
+        (flag, value) for flag in LIST_FLAGS[command] for value in LIST_VALUES
+    ):
         out = tmp_path / str(i)
         code = run([*base_argv(command, bundle), f"{flag}={value}", "--out", str(out)])
         assert_clean_end(code, out, capsys)

@@ -182,7 +182,8 @@ def write_manifest(out_dir, command, config, seed, inputs, outputs) -> None:
 
 
 def _fit_each(
-    frame: SeriesFrame, graph: SensorGraph | None, config: dict, train_cfg: TrainConfig, runs, horizons
+    frame: SeriesFrame, graph: SensorGraph | None, config: dict, train_cfg: TrainConfig, runs,
+    horizons, radius: bool,
 ):
     """The per-horizon training loop of train and compare.
 
@@ -190,6 +191,7 @@ def _fit_each(
     train/val/test windows are built once and replaced by the next
     horizon's, and one model is fitted on them with train_cfg per (kind
     config, error model) of runs, starting from a copy of the error model.
+    radius goes to fit: train logs the per-epoch radius, compare skips it.
     Yields (kind config, horizon minutes, horizon step, report, test
     windows, normalizer), horizons outermost.
     """
@@ -208,7 +210,7 @@ def _fit_each(
                 hidden=config["hidden"],
             )
             em = untrained.clone() if untrained is not None else None
-            report = fit(model, em, train_cfg, train_ws, val_ws)
+            report = fit(model, em, train_cfg, train_ws, val_ws, radius=radius)
             yield kind_config, minutes, horizon_step, report, test_ws, normalizer
 
 
@@ -362,7 +364,7 @@ def cmd_train(args) -> int:
     ((config, _),) = runs
     all_metrics, files = [], {}  # files: name -> (payload, indent)
     for _, minutes, horizon_step, report, test_ws, normalizer in _fit_each(
-        frame, graph, config, train_cfg, runs, horizons
+        frame, graph, config, train_cfg, runs, horizons, radius=True
     ):
         extra = {
             "horizon_step": horizon_step,
@@ -438,6 +440,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    # the signs need no file, so they are checked before one is read
+    for name, lag in (("max_lag", args.max_lag), *(("lag", ts) for ts in args.ts_lags)):
+        if lag < 0:
+            raise ValidationError(f"{name} {lag} must be >= 0")
     truth, preds, _, fracs = _eval_checkpoint(args)
     payload = residual_report(truth, preds, max_lag=args.max_lag, ts_lags=args.ts_lags)
     payload["split"] = args.split
@@ -455,7 +461,7 @@ def cmd_compare(args) -> int:
     config, train_cfg, runs, frame, graph, horizons, inputs = _prepare_run(args, args.kinds)
     rows = {kind: [] for kind in args.kinds}  # filled horizon-major, written kind-major
     for kind_config, minutes, _, report, test_ws, normalizer in _fit_each(
-        frame, graph, config, train_cfg, runs, horizons
+        frame, graph, config, train_cfg, runs, horizons, radius=False
     ):
         selected = report.best_checkpoint if config["select"] == "best" else report.final_checkpoint
         chosen = accuracy(*_predict(*load_checkpoint_blob(selected), test_ws, normalizer, "test"))

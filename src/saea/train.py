@@ -66,7 +66,8 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Per-epoch training curves plus the retained checkpoints."""
+    """Per-epoch training curves plus the retained checkpoints; radius holds
+    one value per finished epoch, or none when fit ran with radius=False."""
 
     train_loss: list = field(default_factory=list)
     val_mse: list = field(default_factory=list)
@@ -151,11 +152,13 @@ def fit(
     cfg: TrainConfig,
     train_windows: WindowSet,
     val_windows: WindowSet,
+    radius: bool = True,
 ) -> TrainReport:
     """Run the full training loop; mutates model and em in place.
 
     Every epoch records the mean batch loss, validation MSE of the adjusted
-    predictions, and the spectral radius of the error coefficients. The best
+    predictions, and, unless radius is False, the spectral radius of the
+    error coefficients, a pure read that changes no other result. The best
     validation state and the final state are both kept as checkpoint blobs,
     built once at the end. A non-finite loss or validation MSE aborts with
     the last finished epoch's state retained.
@@ -214,7 +217,8 @@ def fit(
             break
         report.train_loss.append(float(epoch_losses.mean()))
         report.val_mse.append(val_mse)
-        report.radius.append(spectral_radius(em) if em is not None else 0.0)
+        if radius:
+            report.radius.append(spectral_radius(em) if em is not None else 0.0)
         report.epoch_seconds.append(time.perf_counter() - started)
         report.epochs_run = epoch + 1
         last_good = (vector, {"epoch": epoch, "val_mse": val_mse})

@@ -69,6 +69,19 @@ def test_fit_observer_and_tracer_see_compare_and_eval(tmp_path, monkeypatch):
     # compare builds train/val/test windows once per horizon, eval once
     assert calls["data.make_windows"] == 2 * 3 + 1
     assert calls["adjust.predict_windows"] > 0 and calls["adjust.saea_loss"] > 0
+    assert "adjust.spectral_radius" not in calls  # compare computes no radius
+
+    # train still logs one radius per finished epoch, through the traced name
+    tracer = tracing.Tracer(workloads.api)
+    tracer.install(0)
+    try:
+        argv = train_args(bundle, tmp_path / "run2", ("--kind", "diagonal", "--epochs", "2"))
+        assert workloads.api.run(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert [name for name, *_ in tracer.spans].count("adjust.spectral_radius") == 2
+    report = json.loads((tmp_path / "run2" / "train_report_h5min.json").read_text())
+    assert len(report["radius"]) == 2
 
 
 def test_serve_path_matches_batched_predictions_under_tracer(tmp_path, monkeypatch):

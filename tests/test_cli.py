@@ -289,6 +289,21 @@ def test_diagnose_negative_max_lag_exits_1_on_one_json_line(tmp_path, capsys):
     assert err["error"] == "ValidationError" and "max_lag" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "flags, named", [(("--max-lag", "-1"), "max_lag -1"), (("--ts-lags", "1,-2"), "lag -2")],
+    ids=["max-lag", "ts-lags"],
+)
+def test_diagnose_refuses_a_negative_lag_before_reading_a_file(tmp_path, capsys, flags, named):
+    code = run(
+        ["diagnose", "--checkpoint", str(tmp_path / "missing.json"),
+         "--series", str(tmp_path / "missing.csv"), *flags, "--out", str(tmp_path / "d")]
+    )
+    assert code == 1
+    err = one_json_error(capsys)
+    assert err["error"] == "ValidationError" and named in err["message"]
+    assert not (tmp_path / "d").exists()
+
+
 def test_compare_all_kinds_row_count(tmp_path):
     bundle = make_bundle_dir(tmp_path, steps=400)
     out = tmp_path / "cmp"

@@ -286,6 +286,30 @@ def test_fit_radius_logged_every_epoch():
     assert len(report.radius) == 4 == len(report.train_loss) == len(report.val_mse)
 
 
+@pytest.mark.parametrize("var_order", [1, 2])
+@pytest.mark.parametrize(
+    "kind", ["none", "scalar", "diagonal", "sparse_full", "low_rank", "low_rank_sparse", "structural"]
+)
+def test_fit_without_the_radius_changes_nothing_else(kind, var_order):
+    """The radius is a pure read: skipping it leaves every other result bit-identical."""
+    train_f, val_f, _ = chronological_split(sinusoid_frame(t=120), 0.6, 0.2)
+    tws, vws = make_windows(train_f, 3, 0), make_windows(val_f, 3, 0)
+    mask = structural_mask(ring_graph(4), 1) if kind == "structural" else None
+
+    def fitted(radius):
+        model = NodeAR(3, 4, seed=2)
+        em = None if kind == "none" else ErrorModel.for_training(
+            kind, 4, var_order=var_order, mask=mask, seed=2
+        )
+        return fit(model, em, TrainConfig(epochs=3, lr=0.05, seed=5), tws, vws, radius=radius)
+
+    logged, skipped = fitted(True), fitted(False)
+    assert len(logged.radius) == 3 and skipped.radius == []
+    for name in ("train_loss", "val_mse", "best_epoch", "best_val_mse", "epochs_run", "diverged",
+                 "best_checkpoint", "final_checkpoint"):
+        assert getattr(skipped, name) == getattr(logged, name), name
+
+
 def test_fit_penalizes_with_the_kinds_default_alpha():
     """An error model's alpha of None is the kind's default (structural: 1000)."""
     train_f, val_f, _ = chronological_split(sinusoid_frame(t=120), 0.6, 0.2)

@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import WindowSet, blob_field, row_windows, shift_with_mean
-from .errors import ConfigurationError, ContractError, DivergenceError, ValidationError
+from .data import WindowSet, blob_field, check_counts, row_windows, shift_with_mean
+from .errors import DivergenceError, ValidationError
 from .forecaster import Forecaster
 from .graph import SensorGraph, StructuralMask, structural_mask
 
@@ -84,6 +84,7 @@ class ErrorModel:
         kind, n, var_order, mask = self.kind, self.n, self.var_order, self.mask
         if kind not in KINDS:
             raise ValidationError(f"unknown error-model kind {kind!r}; expected {KINDS}")
+        check_counts(n=n, var_order=var_order)
         if var_order < 1:
             raise ValidationError(f"var_order must be >= 1, got {var_order}")
         if n < 1:
@@ -98,24 +99,26 @@ class ErrorModel:
             value = getattr(self, name)
             if value is not None and not 0 <= value < math.inf:
                 raise ValidationError(f"{name} must be finite and >= 0, got {value}")
-        if self.rank is not None and not 1 <= self.rank <= n:
-            raise ConfigurationError(f"rank must be in [1, {n}], got {self.rank}")
+        if self.rank is not None:
+            check_counts(rank=self.rank)
+            if not 1 <= self.rank <= n:
+                raise ValidationError(f"rank must be in [1, {n}], got {self.rank}")
         if (mask is None) == (kind == "structural"):
             need = "requires a" if mask is None else "takes no"
-            raise ConfigurationError(f"{kind} error model {need} StructuralMask")
+            raise ValidationError(f"{kind} error model {need} StructuralMask")
         if mask is not None and mask.graph.n != n:
-            raise ConfigurationError(f"mask graph has {mask.graph.n} nodes, not n={n}")
+            raise ValidationError(f"mask graph has {mask.graph.n} nodes, not n={n}")
         dims = {"p": var_order, "n": n, "k": self.rank}
         expected = {name: tuple(dims[a] for a in spec[0]) for name, spec in PAYLOAD[kind].items()}
         payload = self.payload
         if payload is None:
             payload = {name: np.zeros(shape) for name, shape in expected.items()}
         if set(payload) != set(expected):
-            raise ConfigurationError(f"payload keys {sorted(payload)} != expected {sorted(expected)}")
+            raise ValidationError(f"payload keys {sorted(payload)} != expected {sorted(expected)}")
         self.payload = {name: np.array(payload[name], dtype=np.float64) for name in expected}
         for name, shape in expected.items():
             if self.payload[name].shape != shape:
-                raise ConfigurationError(
+                raise ValidationError(
                     f"payload {name!r} has shape {self.payload[name].shape}, expected {shape}"
                 )
 
@@ -137,12 +140,12 @@ class ErrorModel:
     def to_blob(self) -> dict:
         blob = {
             "kind": self.kind,
-            "n": self.n,
-            "var_order": self.var_order,
+            "n": int(self.n),  # a numpy integer count is no JSON number
+            "var_order": int(self.var_order),
             "payload": {k: v.tolist() for k, v in self.payload.items()},
         }
         if self.rank is not None:
-            blob["rank"] = self.rank
+            blob["rank"] = int(self.rank)
         if self.mask is not None:
             blob["mask_order"] = self.mask.order
             blob["adjacency"] = self.mask.graph.adjacency.tolist()
@@ -263,13 +266,13 @@ def _lag_products(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray, 
     must be the model's (H, N), or a size-1 axis would broadcast silently.
     """
     if inputs.shape[1:] != (model.history, model.n):
-        raise ContractError(f"window shape {inputs.shape[1:]} != ({model.history}, {model.n})")
+        raise ValidationError(f"window shape {inputs.shape[1:]} != ({model.history}, {model.n})")
     if em is None:
         return [], None, None
     if em.var_order > inputs.shape[1]:
-        raise ContractError(f"var_order {em.var_order} exceeds the window's {inputs.shape[1]} rows")
+        raise ValidationError(f"var_order {em.var_order} exceeds the window's {inputs.shape[1]} rows")
     if em.n != model.n:
-        raise ContractError(f"error model has {em.n} sensors, the forecaster {model.n}")
+        raise ValidationError(f"error model has {em.n} sensors, the forecaster {model.n}")
     apply, contract = _lag_maps(em)
     if rows is None:
         rows, window = inputs.reshape(-1, em.n), lambda product: product.reshape(inputs.shape)
@@ -309,12 +312,12 @@ def saea_predict(model: Forecaster, em: ErrorModel | None, window, *shifted) -> 
     forward for a zero (or absent) error model. Shifted windows passed after
     the window are accepted for older callers but never used: at most
     max(p, 1) of them, each of the model's (H, N) window shape, else a
-    ContractError.
+    ValidationError.
     """
     shape = (model.history, model.n)
     limit = max(em.var_order if em is not None else 0, 1)
     if len(shifted) > limit or any(np.shape(s) != shape for s in shifted):
-        raise ContractError(f"at most {limit} shifted windows of shape {shape} are accepted")
+        raise ValidationError(f"at most {limit} shifted windows of shape {shape} are accepted")
     return _adjusted_forward(model, em, np.asarray(window, dtype=np.float64)[None])[0][0]
 
 

@@ -43,7 +43,7 @@ from .data import (
     write_float_rows,
     write_json,
 )
-from .errors import ConfigurationError, DivergenceError, SaeaError, ValidationError
+from .errors import DivergenceError, SaeaError, ValidationError
 from .forecaster import MODEL_KINDS, build_forecaster
 from .graph import (
     SensorGraph,
@@ -351,7 +351,9 @@ def _prepare_run(args, kinds=None):
     horizons = parse_horizons(config["horizon_min"], config["step_min"])
     kinds = kinds or (config["kind"],)
     if not args.adjacency and "structural" in kinds:
-        raise ConfigurationError("structural kind requires --adjacency")
+        raise ValidationError("structural kind requires --adjacency")
+    if not args.adjacency and config["model"] == "graphfilter":
+        raise ValidationError("graphfilter model requires --adjacency")
     graph = load_adjacency_csv(args.adjacency) if args.adjacency else None
     frame = ingest_csv(args.series, config["step_min"], num_sensors=graph.n if graph else None)
     runs = [_kind_run(config, kind, frame.num_sensors, graph) for kind in kinds]

@@ -13,7 +13,7 @@ from itertools import islice
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DivergenceError, ParseError, SplitError, ValidationError, WindowError
+from .errors import DivergenceError, ParseError, ValidationError
 
 
 def readonly(values) -> np.ndarray:
@@ -22,6 +22,13 @@ def readonly(values) -> np.ndarray:
     view = np.asarray(values, dtype=np.float64).view()
     view.flags.writeable = False
     return view
+
+
+def check_counts(**counts) -> None:
+    """Refuse, naming it, a count that is a bool or no integer (a numpy integer is one)."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -309,7 +316,7 @@ def chronological_split(
     n_val = int(t * val_frac)
     n_test = t - n_train - n_val
     if n_train == 0 or n_val == 0 or n_test == 0:
-        raise SplitError(
+        raise ValidationError(
             f"split of T={t} with fractions ({train_frac}, {val_frac}) produces "
             f"sizes ({n_train}, {n_val}, {n_test}); every segment must be nonempty"
         )
@@ -355,7 +362,7 @@ def make_windows(frame: SeriesFrame, history: int, horizon_step: int = 0) -> Win
     t = frame.num_steps
     b = t - history - horizon_step
     if b < 1:
-        raise WindowError(
+        raise ValidationError(
             f"series of T={t} too short for history={history}, "
             f"horizon_step={horizon_step} (need T >= {history + horizon_step + 1})"
         )

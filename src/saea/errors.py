@@ -6,11 +6,7 @@ class SaeaError(Exception):
 
 
 class ValidationError(SaeaError):
-    """Numeric input violates a documented precondition."""
-
-
-class UnsupportedOrderError(SaeaError):
-    """Structural mask order outside the supported set {1, 2}."""
+    """A value, shape, size or combination of settings breaks a documented rule."""
 
 
 class ParseError(SaeaError):
@@ -20,22 +16,6 @@ class ParseError(SaeaError):
         super().__init__(message)
         self.row = row
         self.column = column
-
-
-class SplitError(SaeaError):
-    """Chronological split would produce an empty segment."""
-
-
-class WindowError(SaeaError):
-    """Series too short for the requested history/horizon."""
-
-
-class ContractError(SaeaError):
-    """Input shape disagrees with a model's declared contract."""
-
-
-class ConfigurationError(SaeaError):
-    """Inconsistent error-model or regularizer configuration."""
 
 
 class UndefinedMetricError(SaeaError):

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import blob_field, readonly
-from .errors import ContractError, ValidationError
+from .data import blob_field, check_counts, readonly
+from .errors import ValidationError
 from .graph import SensorGraph, normalized_adjacency
 
 
@@ -33,6 +33,7 @@ class Forecaster:
     params: tuple[str, ...] = ()
 
     def __init__(self, history: int, n: int):
+        check_counts(history=history, n=n)
         if history < 1 or n < 1:
             raise ValidationError("history and sensor count must be >= 1")
         self.history = int(history)
@@ -49,7 +50,7 @@ class Forecaster:
         arrays = [getattr(self, name) for name in self.params]
         total = sum(arr.size for arr in arrays)
         if theta.shape != (total,):
-            raise ContractError(f"theta shape {theta.shape} != ({total},)")
+            raise ValidationError(f"theta shape {theta.shape} != ({total},)")
         start = 0
         for name, arr in zip(self.params, arrays):
             setattr(self, name, theta[start : start + arr.size].reshape(arr.shape).copy())
@@ -154,6 +155,7 @@ class MLP1(Forecaster):
 
     def __init__(self, history: int, n: int, hidden: int = 64, seed: int = 0):
         super().__init__(history, n)
+        check_counts(hidden=hidden)
         if hidden < 1:
             raise ValidationError("hidden width must be >= 1")
         if hidden * history * n * 8 > np.iinfo(np.intp).max:  # numpy's array size limit

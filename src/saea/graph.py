@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import load_matrix_csv, readonly, write_float_rows
-from .errors import UnsupportedOrderError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class StructuralMask:
 
     def __post_init__(self):
         if self.order not in (1, 2):
-            raise UnsupportedOrderError(f"mask order must be 1 or 2, got {self.order}")
+            raise ValidationError(f"mask order must be 1 or 2, got {self.order}")
         edges = self.graph.adjacency > 0
         walks = np.linalg.matrix_power(np.eye(self.graph.n) + edges, self.order)
         object.__setattr__(self, "mask", readonly(np.where(walks > 0, 0.0, 1.0)))

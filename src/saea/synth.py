@@ -200,11 +200,11 @@ def generate(cfg: SynthConfig) -> SynthBundle:
     if not np.all(np.isfinite(values)):
         raise ValidationError("simulation diverged; reduce tap magnitudes or quad_coeff")
 
-    frame = SeriesFrame(values=values[lags + BURN_IN :].copy(), step_minutes=5.0)
+    frame = SeriesFrame(values=values[lags + BURN_IN :], step_minutes=5.0)
     return SynthBundle(
         frame=frame,
-        residuals=residuals[BURN_IN:].copy(),
-        innovations=innovations[BURN_IN:].copy(),
+        residuals=residuals[BURN_IN:],
+        innovations=innovations[BURN_IN:],
         graph=graph,
         phi_star=phi.copy(),
         floor=oracle_floor(cfg),

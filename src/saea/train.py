@@ -24,7 +24,7 @@ from .adjust import (
     saea_predict,
     spectral_radius,
 )
-from .data import WindowSet, blob_field, read_json, write_json
+from .data import WindowSet, blob_field, check_counts, read_json, write_json
 from .errors import DivergenceError, ValidationError
 from .forecaster import Forecaster, forecaster_from_blob
 
@@ -50,6 +50,7 @@ class TrainConfig:
     grad_clip: float | None = None
 
     def __post_init__(self):
+        check_counts(epochs=self.epochs, batch=self.batch, seed=self.seed)
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
         if self.batch < 1:
@@ -251,10 +252,8 @@ def predict_recursive(
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValidationError(f"steps must be an integer >= 1, got {steps!r}")
     buffer = np.array(window, dtype=np.float64)
-    if buffer.ndim != 2:
-        raise ValidationError("window must be (H, N)")
-    out = np.empty((steps, buffer.shape[1]))
-    out[0] = saea_predict(model, em, buffer)
+    out = np.empty((steps, model.n))
+    out[0] = saea_predict(model, em, buffer)  # refuses a window that is not (H, N)
     products, apply, _ = _lag_products(model, em, buffer[None])
     for s in range(1, steps):
         buffer[1:] = buffer[:-1]

@@ -1,10 +1,23 @@
 """Shared test utilities: finite differences, relative-error reduction, the
 dense coefficients and coefficient chain rule the adjusted loss is checked
-against and the reachability oracle structural masks are checked against."""
+against, the reachability oracle structural masks are checked against and
+the error names a command may report."""
+
+import builtins
 
 import numpy as np
 
 from saea.graph import SensorGraph
+
+# the classes saea.errors defines
+ERROR_CLASSES = ("SaeaError", "ValidationError", "ParseError", "DivergenceError", "UndefinedMetricError")
+
+
+def reported_error(name: str) -> bool:
+    """Whether name may stand in a command's JSON error line: a saea.errors
+    class, MemoryError or an OSError subclass."""
+    known = name in ERROR_CLASSES or name == "MemoryError"
+    return known or issubclass(getattr(builtins, name, object), OSError)
 
 
 def central_diff(f, x, h=1e-5):

@@ -28,7 +28,7 @@ from saea.adjust import (
     spectral_radius,
 )
 from saea.data import SeriesFrame, WindowSet, make_windows, shift_with_mean
-from saea.errors import ConfigurationError, ContractError, ValidationError
+from saea.errors import ValidationError
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import structural_mask
 from saea.synth import path_graph, ring_graph
@@ -226,14 +226,15 @@ def test_regularize_per_lag_frobenius_with_a_zero_lag(kind):
 
 def test_structural_without_mask_is_configuration_error():
     mask = structural_mask(ring_graph(3), 1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="structural error model requires a StructuralMask"):
         ErrorModel("structural", 3)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="sparse_full error model takes no StructuralMask"):
         ErrorModel("sparse_full", 3, mask=mask)
     blob = ErrorModel("structural", 3, mask=mask).to_blob()
     unmasked = {k: v for k, v in blob.items() if k not in ("adjacency", "mask_order")}
-    for bad in (unmasked, {**blob, "kind": "sparse_full"}):
-        with pytest.raises(ConfigurationError):
+    for bad, named in ((unmasked, "structural error model requires a"),
+                       ({**blob, "kind": "sparse_full"}, "sparse_full error model takes no")):
+        with pytest.raises(ValidationError, match=f"{named} StructuralMask"):
             ErrorModel.from_blob(bad)
 
 
@@ -336,9 +337,10 @@ def test_predict_takes_one_shifted_window_per_lag():
         for count in range(1, limit + 1):
             junk = rng.normal(size=(count, 3, 3))
             assert_array_equal(saea_predict(model, em, w, *junk), expected)
-        with pytest.raises(ContractError):
+        refused = re.escape(f"at most {limit} shifted windows of shape (3, 3) are accepted")
+        with pytest.raises(ValidationError, match=refused):
             saea_predict(model, em, w, *([w] * (limit + 1)))
-        with pytest.raises(ContractError):
+        with pytest.raises(ValidationError, match=refused):
             saea_predict(model, em, w, *([w] * (limit - 1)), np.zeros((2, 3)))
 
 
@@ -347,12 +349,10 @@ def test_var_order_above_history_is_contract_error():
     model = NodeAR(2, 3, seed=0)
     em = ErrorModel("sparse_full", 3, var_order=3)
     w = batch.inputs[0]
-    with pytest.raises(ContractError):
-        predict_windows(model, em, batch)
-    with pytest.raises(ContractError):
-        saea_loss(model, em, batch)
-    with pytest.raises(ContractError):
-        saea_predict(model, em, w)
+    for call in (lambda: predict_windows(model, em, batch), lambda: saea_loss(model, em, batch),
+                 lambda: saea_predict(model, em, w)):
+        with pytest.raises(ValidationError, match="var_order 3 exceeds the window's 2 rows"):
+            call()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -366,7 +366,7 @@ def test_sensor_count_mismatch_is_contract_error_naming_both(kind):
         lambda: predict_windows(model, em, batch),
     )
     for call in calls:
-        with pytest.raises(ContractError, match="error model has 3 sensors, the forecaster 6"):
+        with pytest.raises(ValidationError, match="error model has 3 sensors, the forecaster 6"):
             call()
 
 
@@ -386,9 +386,10 @@ def test_misshaped_windows_are_contract_error_naming_both_shapes(model, kind, h,
         lambda: saea_loss(model, em, batch),
         lambda: predict_windows(model, em, batch),
         lambda: saea_predict(model, em, batch.inputs[0]),
+        lambda: predict_recursive(model, em, batch.inputs[0], 2),
     )
     for call in calls:
-        with pytest.raises(ContractError, match=re.escape(f"window shape ({h}, {n}) != (3, 4)")):
+        with pytest.raises(ValidationError, match=re.escape(f"window shape ({h}, {n}) != (3, 4)")):
             call()
 
 
@@ -870,11 +871,11 @@ def test_error_model_validation():
     with pytest.raises(ValidationError):
         ErrorModel("scalar", 3, var_order=0)
     assert ErrorModel("low_rank", 3).rank == 3  # rank missing: min(10, n)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match=re.escape("rank must be in [1, 3], got 4")):
         ErrorModel("low_rank", 3, rank=4)  # rank > n
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match=re.escape("rank must be in [1, 3], got 0")):
         ErrorModel("low_rank", 3, rank=0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match=re.escape("payload 'coef' has shape (2,), expected (1,)")):
         ErrorModel("scalar", 3, payload={"coef": np.zeros(2)})  # wrong lag count
 
 
@@ -928,7 +929,9 @@ def test_error_model_blob_roundtrip():
             assert_array_equal(again.payload[name], arr)
         for name in shapes[kind]:
             short = {**blob, "payload": {**blob["payload"], name: blob["payload"][name][:1]}}
-            with pytest.raises(ConfigurationError):
+            shape = np.shape(short["payload"][name])
+            named = f"payload {name!r} has shape {shape}, expected {shapes[kind][name]}"
+            with pytest.raises(ValidationError, match=re.escape(named)):
                 ErrorModel.from_blob(short)
 
 

@@ -434,20 +434,22 @@ def test_compare_structural_without_adjacency_fails_before_training(tmp_path, ca
                 "--kinds", "none,diagonal,structural", "--history", "4", "--epochs", "2",
                 "--out", str(tmp_path / "cmp")])
     assert code == 1
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigurationError"
+    parsed = json.loads(capsys.readouterr().err.strip())
+    assert parsed == {"error": "ValidationError", "message": "structural kind requires --adjacency"}
     assert fits == []
 
 
 @pytest.mark.parametrize(
-    "bad, error",
+    "bad, message",
     [
-        (("--kinds", "none,low_rank", "--rank", "50"), "ConfigurationError"),
-        (("--kinds", "none,low_rank_sparse", "--rank", "0"), "ConfigurationError"),
-        (("--kinds", "none,diagonal", "--alpha", "-1"), "ValidationError"),
-        (("--kinds", "none,low_rank_sparse", "--beta", "-0.5"), "ValidationError"),
+        (("--kinds", "none,low_rank", "--rank", "50"), "rank must be in [1, 6], got 50"),
+        (("--kinds", "none,low_rank_sparse", "--rank", "0"), "rank must be in [1, 6], got 0"),
+        (("--kinds", "none,diagonal", "--alpha", "-1"), "alpha must be finite and >= 0, got -1.0"),
+        (("--kinds", "none,low_rank_sparse", "--beta", "-0.5"), "beta must be finite and >= 0, got -0.5"),
     ],
+    ids=["rank-above-n", "rank-zero", "alpha-negative", "beta-negative"],
 )
-def test_compare_bad_kind_settings_fail_before_training(tmp_path, capsys, monkeypatch, bad, error):
+def test_compare_bad_kind_settings_fail_before_training(tmp_path, capsys, monkeypatch, bad, message):
     bundle = make_bundle_dir(tmp_path, n=6)
     fits = []
     fit = saea.cli.fit
@@ -456,7 +458,7 @@ def test_compare_bad_kind_settings_fail_before_training(tmp_path, capsys, monkey
     code = run(["compare", "--series", str(bundle / "series.csv"), "--history", "4",
                 "--epochs", "2", "--out", str(tmp_path / "cmp"), *bad])
     assert code == 1
-    assert json.loads(capsys.readouterr().err.strip())["error"] == error
+    assert json.loads(capsys.readouterr().err.strip()) == {"error": "ValidationError", "message": message}
     assert fits == []
 
 
@@ -483,7 +485,10 @@ def test_horizon_too_long_for_series_fails(tmp_path, capsys):
     # the 10% test split of 700 steps holds 70; history 4 + 100 steps ahead does not fit
     code = run(train_args(bundle, out, ("--kind", "none", "--horizon-min", "500")))
     assert code == 1
-    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "WindowError"
+    assert one_json_error(capsys) == {
+        "error": "ValidationError",
+        "message": "series of T=70 too short for history=4, horizon_step=99 (need T >= 104)",
+    }
 
 
 def test_config_file_precedence(tmp_path):
@@ -582,17 +587,18 @@ def test_malformed_horizons_fail_validation(tmp_path, capsys, minutes):
 
 
 @pytest.mark.parametrize(
-    "flags, error",
-    [(("--horizon-min", "7"), "ValidationError"),
-     (("--step-min", "0"), "ValidationError"),
-     (("--kind", "structural"), "ConfigurationError")],
-    ids=["horizon-off-step", "step-zero", "structural-without-adjacency"],
+    "flags, message",
+    [(("--horizon-min", "7"), "horizon 7.0 min is not a positive multiple of the 5.0 min sampling step"),
+     (("--step-min", "0"), "--step-min 0.0 is not a finite number > 0"),
+     (("--kind", "structural"), "structural kind requires --adjacency"),
+     (("--model", "graphfilter"), "graphfilter model requires --adjacency")],
+    ids=["horizon-off-step", "step-zero", "structural-without-adjacency", "graphfilter-without-adjacency"],
 )
-def test_settings_that_need_no_file_fail_before_one_is_read(tmp_path, capsys, flags, error):
+def test_settings_that_need_no_file_fail_before_one_is_read(tmp_path, capsys, flags, message):
     code = run(["train", "--series", str(tmp_path / "missing.csv"), *flags,
                 "--out", str(tmp_path / "out")])
-    assert code == 1
-    assert one_json_error(capsys)["error"] == error
+    assert code == 1 and not (tmp_path / "out").exists()
+    assert one_json_error(capsys) == {"error": "ValidationError", "message": message}
 
 
 @pytest.mark.parametrize(

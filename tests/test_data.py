@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from saea.data import (
     write_float_rows,
     write_json,
 )
-from saea.errors import DivergenceError, ParseError, SplitError, ValidationError, WindowError
+from saea.errors import DivergenceError, ParseError, ValidationError
 from saea.forecaster import GraphFilterAR
 from saea.synth import ring_graph
 from saea.train import checkpoint_blob
@@ -233,7 +234,8 @@ def test_split_sizes_default_fractions():
 
 def test_split_empty_segment_errors():
     frame = SeriesFrame(np.zeros((3, 1)))
-    with pytest.raises(SplitError):
+    empty = "split of T=3 with fractions (0.7, 0.1) produces sizes (2, 0, 1); every segment must be nonempty"
+    with pytest.raises(ValidationError, match=re.escape(empty)):
         chronological_split(frame, 0.7, 0.1)
 
 
@@ -387,10 +389,10 @@ def test_window_errors():
     frame = SeriesFrame(np.zeros((4, 1)))
     with pytest.raises(ValidationError):
         make_windows(frame, history=1)
-    with pytest.raises(WindowError):
-        make_windows(frame, history=4)
-    with pytest.raises(WindowError):
-        make_windows(frame, history=2, horizon_step=5)
+    for history, step, need in ((4, 0, 5), (2, 5, 8)):
+        short = f"series of T=4 too short for history={history}, horizon_step={step} (need T >= {need})"
+        with pytest.raises(ValidationError, match=re.escape(short)):
+            make_windows(frame, history=history, horizon_step=step)
 
 
 def test_shift_with_mean_second_shift():

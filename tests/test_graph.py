@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from _helpers import bfs_mask_oracle
-from saea.errors import ParseError, UnsupportedOrderError, ValidationError
+from saea.errors import ParseError, ValidationError
 from saea.data import SeriesFrame
 from saea.graph import (
     SensorGraph,
@@ -200,9 +200,9 @@ def test_structural_mask_keeps_its_graph_and_order():
 
 def test_unsupported_mask_order():
     g = SensorGraph(P3)
-    with pytest.raises(UnsupportedOrderError):
+    with pytest.raises(ValidationError, match="mask order must be 1 or 2, got 3"):
         structural_mask(g, 3)
-    with pytest.raises(UnsupportedOrderError):
+    with pytest.raises(ValidationError, match="mask order must be 1 or 2, got 0"):
         structural_mask(g, 0)
 
 

@@ -14,6 +14,9 @@ from pathlib import Path
 
 import pytest
 
+import saea.errors
+from _helpers import ERROR_CLASSES
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "saea"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
@@ -96,3 +99,12 @@ def test_package_exports_what_the_readme_library_block_imports():
     init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
     exported = from_import_names(init, lambda node: node.level == 1)
     assert exported == from_import_names(block, lambda node: node.module == "saea")
+
+
+def test_errors_defines_the_five_classes_the_readme_names():
+    defined = {name: obj for name, obj in vars(saea.errors).items() if isinstance(obj, type)}
+    assert sorted(defined) == sorted(ERROR_CLASSES)
+    assert all(issubclass(cls, saea.errors.SaeaError) for cls in defined.values())
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (paragraph,) = re.findall(r"\*\*Errors\.\*\*(.*?)\n## ", readme, flags=re.S)
+    assert all(f"`{name}`" in paragraph for name in ERROR_CLASSES)

@@ -2,7 +2,8 @@
 
 Every run below ends in one of two ways: exit 0, with every JSON file it
 wrote strict (no NaN or Infinity), or exit 1 with exactly one JSON line on
-stderr and no `--out` directory. The first grid sets one numeric or choice
+stderr, whose `error` is a `saea.errors` class, `MemoryError` or an
+`OSError` subclass, and no `--out` directory. The first grid sets one numeric or choice
 flag of each command at a time to each of VALUES; the second sets one
 comma-list flag (LIST_FLAGS) at a time to each of LIST_VALUES; the third
 sets one field of each of three trained checkpoints (CHECKPOINTS) at a time
@@ -15,6 +16,7 @@ import json
 import pytest
 
 import saea.cli
+from _helpers import reported_error
 from saea.cli import run
 
 VALUES = ("-1", "0", str(10**30), "abc", "nan", "inf", "")
@@ -48,7 +50,8 @@ def assert_clean_end(code, out, capsys):
     else:
         assert code == 1 and not out.exists()
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert set(json.loads(err)) == {"error", "message"}
+        line = json.loads(err)
+        assert set(line) == {"error", "message"} and reported_error(line["error"])
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,32 @@ def test_train_config_rejects_nonpositive_grad_clip(grad_clip):
 def test_train_config_rejects_a_bad_setting_naming_it(setting, value):
     with pytest.raises(ValidationError, match=setting):
         TrainConfig(**{setting: value})
+
+
+# (constructor taking the count as a keyword, count field); the other arguments are valid
+COUNTS = [
+    *((TrainConfig, field) for field in ("epochs", "batch", "seed")),
+    *((lambda **kw: ErrorModel(**{"kind": "low_rank", "n": 3, **kw}), field)
+      for field in ("n", "var_order", "rank")),
+    *((lambda **kw: NodeAR(**{"history": 3, "n": 2, **kw}), field) for field in ("history", "n")),
+    (lambda **kw: MLP1(3, 2, **kw), "hidden"),
+]
+COUNT_IDS = ["epochs", "batch", "seed", "em-n", "var_order", "rank", "history", "model-n", "hidden"]
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.float64(2.0), "2"], ids=repr)
+@pytest.mark.parametrize("build, field", COUNTS, ids=COUNT_IDS)
+def test_counts_refuse_a_bool_or_non_integer_naming_the_field(build, field, value):
+    with pytest.raises(ValidationError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        build(**{field: value})
+
+
+@pytest.mark.parametrize("build, field", COUNTS, ids=COUNT_IDS)
+def test_counts_take_a_numpy_integer(build, field):
+    built = build(**{field: np.int64(2)})
+    assert getattr(built, field) == 2
+    if hasattr(built, "to_blob"):  # a checkpoint holds it as a JSON integer
+        assert json.loads(json.dumps(built.to_blob()))[field] == 2
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -414,7 +441,7 @@ def test_predict_recursive_takes_a_numpy_integer_step_count():
     assert out.shape == (2, 1)
 
 def test_predict_recursive_rejects_a_1d_window():
-    with pytest.raises(ValidationError, match="window"):
+    with pytest.raises(ValidationError, match=re.escape("window shape (2,) != (2, 1)")):
         predict_recursive(NodeAR(2, 1, seed=0), None, np.zeros(2), 3)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import WindowSet, blob_field, check_counts, row_windows, shift_with_mean
+from .data import WindowSet, blob_field, check_count, row_windows, seeded_rng, shift_with_mean
 from .errors import DivergenceError, ValidationError
 from .forecaster import Forecaster
 from .graph import SensorGraph, StructuralMask, structural_mask
@@ -81,14 +81,11 @@ class ErrorModel:
     beta: float | None = None
 
     def __post_init__(self):
-        kind, n, var_order, mask = self.kind, self.n, self.var_order, self.mask
+        kind, mask = self.kind, self.mask
         if kind not in KINDS:
             raise ValidationError(f"unknown error-model kind {kind!r}; expected {KINDS}")
-        check_counts(n=n, var_order=var_order)
-        if var_order < 1:
-            raise ValidationError(f"var_order must be >= 1, got {var_order}")
-        if n < 1:
-            raise ValidationError("sensor count must be >= 1")
+        self.n = n = check_count("n", self.n, 1)
+        self.var_order = var_order = check_count("var_order", self.var_order, 1)
         defaults = DEFAULT_REGULARIZATION[kind]
         for name in ("alpha", "beta", "rank"):
             if name not in defaults:
@@ -100,9 +97,7 @@ class ErrorModel:
             if value is not None and not 0 <= value < math.inf:
                 raise ValidationError(f"{name} must be finite and >= 0, got {value}")
         if self.rank is not None:
-            check_counts(rank=self.rank)
-            if not 1 <= self.rank <= n:
-                raise ValidationError(f"rank must be in [1, {n}], got {self.rank}")
+            self.rank = check_count("rank", self.rank, 1, n)
         if (mask is None) == (kind == "structural"):
             need = "requires a" if mask is None else "takes no"
             raise ValidationError(f"{kind} error model {need} StructuralMask")
@@ -129,8 +124,8 @@ class ErrorModel:
         and training starts exactly at the unadjusted baseline). The other
         fields go to the constructor as given."""
         em = cls(kind, n, **fields)
+        rng = seeded_rng(seed)
         if "left" in em.payload:
-            rng = np.random.default_rng(seed)
             em.payload["left"] = rng.normal(0.0, 1e-3, size=em.payload["left"].shape)
         return em
 
@@ -140,12 +135,12 @@ class ErrorModel:
     def to_blob(self) -> dict:
         blob = {
             "kind": self.kind,
-            "n": int(self.n),  # a numpy integer count is no JSON number
-            "var_order": int(self.var_order),
+            "n": self.n,
+            "var_order": self.var_order,
             "payload": {k: v.tolist() for k, v in self.payload.items()},
         }
         if self.rank is not None:
-            blob["rank"] = int(self.rank)
+            blob["rank"] = self.rank
         if self.mask is not None:
             blob["mask_order"] = self.mask.order
             blob["adjacency"] = self.mask.graph.adjacency.tolist()

@@ -33,6 +33,7 @@ from .data import (
     Normalizer,
     SeriesFrame,
     blob_field,
+    check_count,
     chronological_split,
     ingest_csv,
     load_matrix_csv,
@@ -336,17 +337,17 @@ def _prepare_run(args, kinds=None):
     """The prologue of train and compare: (resolved config, training
     settings, one (resolved config, untrained error model) pair per kind,
     series, graph, horizons, manifest input files). kinds default to the
-    config's kind; all settings but the model's are checked here, before any
-    training, and those that need no input file before one is read. The run
-    directory appears with the first file written, so a rejected setting
-    leaves none behind."""
+    config's kind; all settings but the size limit of mlp1's hidden layer
+    are checked here, before any training, and those that need no input
+    file before one is read. The run directory appears with the first file
+    written, so a rejected setting leaves none behind."""
     config = {name: getattr(args, name, None) for name in TRAIN_FIELDS}  # compare has no kind
-    if config["model"] != "mlp1":  # the one model with a hidden width
+    if config["model"] == "mlp1":  # the one model with a hidden width
+        check_count("hidden", config["hidden"], 1)
+    else:
         config["hidden"] = None
-    if not 1 <= config["var_order"] <= config["history"]:
-        raise ValidationError(
-            f"var_order {config['var_order']} is outside [1, history = {config['history']}]"
-        )
+    history = check_count("history", config["history"], 2)  # as make_windows needs
+    check_count("var_order", config["var_order"], 1, history)
     train_cfg = TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)})
     horizons = parse_horizons(config["horizon_min"], config["step_min"])
     kinds = kinds or (config["kind"],)
@@ -444,8 +445,7 @@ def cmd_eval(args) -> int:
 def cmd_diagnose(args) -> int:
     # the signs need no file, so they are checked before one is read
     for name, lag in (("max_lag", args.max_lag), *(("lag", ts) for ts in args.ts_lags)):
-        if lag < 0:
-            raise ValidationError(f"{name} {lag} must be >= 0")
+        check_count(name, lag, 0)
     truth, preds, _, fracs = _eval_checkpoint(args)
     payload = residual_report(truth, preds, max_lag=args.max_lag, ts_lags=args.ts_lags)
     payload["split"] = args.split

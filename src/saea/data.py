@@ -24,11 +24,22 @@ def readonly(values) -> np.ndarray:
     return view
 
 
-def check_counts(**counts) -> None:
-    """Refuse, naming it, a count that is a bool or no integer (a numpy integer is one)."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
+def check_count(name: str, value, low: int, high: int | None = None) -> int:
+    """value as a Python int, if it is an integer (a numpy integer is one, a
+    bool is not) in the closed range [low, high], or >= low when high is
+    None; else a ValidationError naming the setting."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if high is None and value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValidationError(f"{name} must be in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """numpy's generator for a seed that check_count takes as an integer >= 0."""
+    return np.random.default_rng(check_count("seed", seed, 0))
 
 
 @dataclass(frozen=True)
@@ -338,8 +349,7 @@ def shift_with_mean(windows: np.ndarray, shift: int = 1) -> np.ndarray:
     if w.ndim < 2:
         raise ValidationError("windows must have at least two dimensions (H, N)")
     h = w.shape[-2]
-    if shift < 1:
-        raise ValidationError("shift must be >= 1")
+    shift = check_count("shift", shift, 1)
     keep = max(h - shift, 0)
     out = np.empty(w.shape)
     out[..., :keep, :] = w[..., shift:, :]
@@ -355,10 +365,8 @@ def make_windows(frame: SeriesFrame, history: int, horizon_step: int = 0) -> Win
     preceding row H + b. Inputs, targets and rows are read-only views of the
     frame's values (inputs are row_windows of rows), not copies.
     """
-    if history < 2:
-        raise ValidationError("history must be >= 2 (the shifted window needs one more lag)")
-    if horizon_step < 0:
-        raise ValidationError("horizon_step must be >= 0")
+    history = check_count("history", history, 2)  # the shifted window needs one more lag
+    horizon_step = check_count("horizon_step", horizon_step, 0)
     t = frame.num_steps
     b = t - history - horizon_step
     if b < 1:

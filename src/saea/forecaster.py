@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import blob_field, check_counts, readonly
+from .data import blob_field, check_count, readonly, seeded_rng
 from .errors import ValidationError
 from .graph import SensorGraph, normalized_adjacency
 
@@ -33,11 +33,8 @@ class Forecaster:
     params: tuple[str, ...] = ()
 
     def __init__(self, history: int, n: int):
-        check_counts(history=history, n=n)
-        if history < 1 or n < 1:
-            raise ValidationError("history and sensor count must be >= 1")
-        self.history = int(history)
-        self.n = int(n)
+        self.history = check_count("history", history, 1)
+        self.n = check_count("n", n, 1)
 
     # -- parameter vector -------------------------------------------------
     def get_params(self) -> np.ndarray:
@@ -86,7 +83,7 @@ class NodeAR(Forecaster):
 
     def __init__(self, history: int, n: int, seed: int = 0):
         super().__init__(history, n)
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         scale = 1.0 / np.sqrt(history)
         self.weights = rng.uniform(-scale, scale, size=(history, n))
         self.bias = np.zeros(n)
@@ -114,7 +111,7 @@ class GraphFilterAR(Forecaster):
             raise ValidationError("propagation matrix must be square")
         super().__init__(history, prop.shape[0])
         self.propagation = prop
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         scale = 1.0 / np.sqrt(2 * history)
         self.tap_self = rng.uniform(-scale, scale, size=history)
         self.tap_hop = rng.uniform(-scale, scale, size=history)
@@ -155,14 +152,11 @@ class MLP1(Forecaster):
 
     def __init__(self, history: int, n: int, hidden: int = 64, seed: int = 0):
         super().__init__(history, n)
-        check_counts(hidden=hidden)
-        if hidden < 1:
-            raise ValidationError("hidden width must be >= 1")
-        if hidden * history * n * 8 > np.iinfo(np.intp).max:  # numpy's array size limit
+        self.hidden = hidden = check_count("hidden", hidden, 1)
+        d_in = self.history * self.n
+        if hidden * d_in * 8 > np.iinfo(np.intp).max:  # numpy's array size limit
             raise ValidationError(f"hidden={hidden} is too large for a hidden x (H*N) layer")
-        self.hidden = int(hidden)
-        rng = np.random.default_rng(seed)
-        d_in = history * n
+        rng = seeded_rng(seed)
         s1 = 1.0 / np.sqrt(d_in)
         s2 = 1.0 / np.sqrt(hidden)
         self.w1 = rng.uniform(-s1, s1, size=(hidden, d_in))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import load_matrix_csv, readonly, write_float_rows
+from .data import check_count, load_matrix_csv, readonly, write_float_rows
 from .errors import ValidationError
 
 
@@ -66,8 +66,7 @@ class StructuralMask:
     mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.order not in (1, 2):
-            raise ValidationError(f"mask order must be 1 or 2, got {self.order}")
+        object.__setattr__(self, "order", check_count("mask order", self.order, 1, 2))
         edges = self.graph.adjacency > 0
         walks = np.linalg.matrix_power(np.eye(self.graph.n) + edges, self.order)
         object.__setattr__(self, "mask", readonly(np.where(walks > 0, 0.0, 1.0)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import check_count
 from .errors import UndefinedMetricError, ValidationError
 
 MASK_THRESHOLD = 1e-6
@@ -72,8 +73,7 @@ def acf(series, max_lag: int) -> tuple[np.ndarray, float]:
     """
     x = np.asarray(series, dtype=np.float64).ravel()
     t = x.size
-    if not 0 <= max_lag < t:
-        raise ValidationError(f"max_lag {max_lag} must be in [0, series length {t})")
+    max_lag = check_count("max_lag", max_lag, 0, t - 1)
     centered = x - x.mean()
     denom = float(np.dot(centered, centered))
     if denom <= 0.0:
@@ -95,8 +95,7 @@ def crosslag_cov(residuals, ts: int) -> np.ndarray:
     if e.ndim != 2:
         raise ValidationError("residual matrix must be 2-D (T x N)")
     t = e.shape[0]
-    if not 0 <= ts < t:
-        raise ValidationError(f"lag {ts} must be in [0, {t})")
+    ts = check_count("lag", ts, 0, t - 1)
     centered = e - e.mean(axis=0)
     return centered[: t - ts].T @ centered[ts:] / (t - ts)
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import SeriesFrame
+from .data import SeriesFrame, check_count, seeded_rng
 from .errors import ValidationError
 from .graph import SensorGraph, normalized_adjacency, structural_mask
 
@@ -34,8 +34,7 @@ def path_graph(n: int) -> SensorGraph:
 
 def ring_graph(n: int) -> SensorGraph:
     """Unit-weight cycle over n nodes."""
-    if n < 3:
-        raise ValidationError("ring graph needs at least 3 nodes")
+    n = check_count("ring graph n", n, 3)
     w = np.zeros((n, n))
     idx = np.arange(n)
     w[idx, (idx + 1) % n] = 1.0
@@ -47,7 +46,7 @@ def erdos_renyi_graph(n: int, p_edge: float, seed: int = 0) -> SensorGraph:
     """Symmetric unit-weight random graph without self-loops."""
     if not 0 <= p_edge <= 1:
         raise ValidationError("edge probability must be in [0, 1]")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     upper = rng.random((n, n)) < p_edge
     w = np.triu(upper, k=1).astype(np.float64)
     w = w + w.T
@@ -69,20 +68,18 @@ class GraphSpec:
             object.__setattr__(self, "p_edge", None)
 
     def build(self) -> SensorGraph:
-        if self.n < 1:
-            raise ValidationError(f"a graph needs at least 1 node, got n={self.n}")
-        if self.n * self.n * 8 > np.iinfo(np.intp).max:  # numpy's array size limit
-            raise ValidationError(f"n={self.n} is too large for an N x N adjacency")
-        if self.seed < 0:
-            raise ValidationError(f"graph seed must be >= 0, got {self.seed}")
+        n = check_count("n", self.n, 1)
+        if n * n * 8 > np.iinfo(np.intp).max:  # numpy's array size limit
+            raise ValidationError(f"n={n} is too large for an N x N adjacency")
+        seed = check_count("graph seed", self.seed, 0)
         if self.kind == "path":
-            return path_graph(self.n)
+            return path_graph(n)
         if self.kind == "ring":
-            return ring_graph(self.n)
+            return ring_graph(n)
         if self.kind == "erdos_renyi":
             if self.p_edge is None:
                 raise ValidationError("erdos_renyi graph needs p_edge")
-            return erdos_renyi_graph(self.n, self.p_edge, seed=self.seed)
+            return erdos_renyi_graph(n, self.p_edge, seed=seed)
         raise ValidationError(f"unknown graph kind {self.kind!r}")
 
 
@@ -166,12 +163,10 @@ def generate(cfg: SynthConfig) -> SynthBundle:
         raise ValidationError("phi_star support must stay within one hop of the graph")
     if len(cfg.dgp_self) != len(cfg.dgp_hop) or len(cfg.dgp_self) == 0:
         raise ValidationError("dgp_self and dgp_hop must be equal-length and nonempty")
-    if cfg.steps < 1:
-        raise ValidationError("steps must be >= 1")
-    if (BURN_IN + cfg.steps) * n * 8 > np.iinfo(np.intp).max:  # numpy's array size limit
-        raise ValidationError(f"steps={cfg.steps} is too large for a steps x N series")
-    if cfg.seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {cfg.seed}")
+    steps = check_count("steps", cfg.steps, 1)
+    if (BURN_IN + steps) * n * 8 > np.iinfo(np.intp).max:  # numpy's array size limit
+        raise ValidationError(f"steps={steps} is too large for a steps x N series")
+    rng = seeded_rng(cfg.seed)
     if not isinstance(cfg.sigma, numbers.Real) or not cfg.sigma >= 0:
         raise ValidationError(f"sigma must be a nonnegative number, got {cfg.sigma!r}")
 
@@ -180,9 +175,8 @@ def generate(cfg: SynthConfig) -> SynthBundle:
     taps = [
         cfg.dgp_self[h] * np.eye(n) + cfg.dgp_hop[h] * hop for h in range(lags)
     ]
-    rng = np.random.default_rng(cfg.seed)
 
-    total = BURN_IN + cfg.steps
+    total = BURN_IN + steps
     innovations = rng.standard_normal((total, n))
     innovations *= cfg.sigma
     # `lags` leading zero rows are the initial history: step t writes row
@@ -232,7 +226,7 @@ def structured_var_coefficients(
     if not 0 <= diag_low <= radius:
         raise ValidationError("diag_low must be in [0, radius]")
     n = graph.n
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     phi = np.zeros((n, n))
     diag = rng.uniform(diag_low, radius, n)
     diag[rng.integers(n)] = radius

@@ -24,7 +24,7 @@ from .adjust import (
     saea_predict,
     spectral_radius,
 )
-from .data import WindowSet, blob_field, check_counts, read_json, write_json
+from .data import WindowSet, blob_field, check_count, read_json, seeded_rng, write_json
 from .errors import DivergenceError, ValidationError
 from .forecaster import Forecaster, forecaster_from_blob
 
@@ -50,13 +50,8 @@ class TrainConfig:
     grad_clip: float | None = None
 
     def __post_init__(self):
-        check_counts(epochs=self.epochs, batch=self.batch, seed=self.seed)
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
-        if self.batch < 1:
-            raise ValidationError("batch must be >= 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("epochs", 1), ("batch", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), low))
         if not 0 < self.lr < math.inf:
             raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
         if self.optimizer not in OPTIMIZERS:
@@ -178,7 +173,7 @@ def fit(
         for name, arr in zip(names, payload):
             em.payload[name] = arr.reshape(em.payload[name].shape)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = seeded_rng(cfg.seed)
     state = np.zeros_like(vector)
     report = TrainReport()
     # (vector, blob fields) pairs, kept by reference: rmsprop_step and
@@ -249,8 +244,7 @@ def predict_recursive(
     rounding. The rolling works on a copy, so the caller's window is left as
     it was. Requires a model trained at horizon step 0.
     """
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValidationError(f"steps must be an integer >= 1, got {steps!r}")
+    steps = check_count("steps", steps, 1)
     buffer = np.array(window, dtype=np.float64)
     out = np.empty((steps, model.n))
     out[0] = saea_predict(model, em, buffer)  # refuses a window that is not (H, N)

@@ -290,7 +290,8 @@ def test_diagnose_negative_max_lag_exits_1_on_one_json_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, named", [(("--max-lag", "-1"), "max_lag -1"), (("--ts-lags", "1,-2"), "lag -2")],
+    "flags, named",
+    [(("--max-lag", "-1"), "max_lag must be >= 0, got -1"), (("--ts-lags", "1,-2"), "lag must be >= 0, got -2")],
     ids=["max-lag", "ts-lags"],
 )
 def test_diagnose_refuses_a_negative_lag_before_reading_a_file(tmp_path, capsys, flags, named):
@@ -591,8 +592,13 @@ def test_malformed_horizons_fail_validation(tmp_path, capsys, minutes):
     [(("--horizon-min", "7"), "horizon 7.0 min is not a positive multiple of the 5.0 min sampling step"),
      (("--step-min", "0"), "--step-min 0.0 is not a finite number > 0"),
      (("--kind", "structural"), "structural kind requires --adjacency"),
-     (("--model", "graphfilter"), "graphfilter model requires --adjacency")],
-    ids=["horizon-off-step", "step-zero", "structural-without-adjacency", "graphfilter-without-adjacency"],
+     (("--model", "graphfilter"), "graphfilter model requires --adjacency"),
+     (("--history", "1"), "history must be >= 2, got 1"),
+     (("--history", "0"), "history must be >= 2, got 0"),
+     (("--history", "4", "--var-order", "5"), "var_order must be in [1, 4], got 5"),
+     (("--model", "mlp1", "--hidden", "0"), "hidden must be >= 1, got 0")],
+    ids=["horizon-off-step", "step-zero", "structural-without-adjacency", "graphfilter-without-adjacency",
+         "history-one", "history-zero-before-var-order", "var-order-above-history", "mlp1-hidden-zero"],
 )
 def test_settings_that_need_no_file_fail_before_one_is_read(tmp_path, capsys, flags, message):
     code = run(["train", "--series", str(tmp_path / "missing.csv"), *flags,

@@ -6,11 +6,19 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from saea.adjust import ErrorModel, predict_windows, saea_loss, saea_predict
-from saea.data import SeriesFrame, chronological_split, make_windows
+from saea.data import SeriesFrame, chronological_split, make_windows, shift_with_mean
 from saea.errors import DivergenceError, ValidationError
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import structural_mask
-from saea.synth import GraphSpec, SynthConfig, generate, ring_graph, structured_var_coefficients
+from saea.metrics import acf, crosslag_cov
+from saea.synth import (
+    GraphSpec,
+    SynthConfig,
+    erdos_renyi_graph,
+    generate,
+    ring_graph,
+    structured_var_coefficients,
+)
 from saea.train import (
     TrainConfig,
     checkpoint_blob,
@@ -142,30 +150,84 @@ def test_train_config_rejects_a_bad_setting_naming_it(setting, value):
         TrainConfig(**{setting: value})
 
 
-# (constructor taking the count as a keyword, count field); the other arguments are valid
+def _synth(**kw):
+    return generate(SynthConfig(**{"graph": GraphSpec("ring", 4), "steps": 20, "dgp_self": (0.5,),
+                                   "dgp_hop": (0.2,), "phi_star": np.zeros((4, 4)), **kw}))
+
+
+# (call taking the count as a keyword, the keyword, the name its errors give,
+# lowest value taken, highest or None); the other arguments are valid
 COUNTS = [
-    *((TrainConfig, field) for field in ("epochs", "batch", "seed")),
-    *((lambda **kw: ErrorModel(**{"kind": "low_rank", "n": 3, **kw}), field)
-      for field in ("n", "var_order", "rank")),
-    *((lambda **kw: NodeAR(**{"history": 3, "n": 2, **kw}), field) for field in ("history", "n")),
-    (lambda **kw: MLP1(3, 2, **kw), "hidden"),
+    *((TrainConfig, field, field, int(field != "seed"), None) for field in ("epochs", "batch", "seed")),
+    (lambda **kw: ErrorModel(**{"kind": "low_rank", "n": 3, **kw}), "n", "n", 1, None),
+    (lambda **kw: ErrorModel(**{"kind": "low_rank", "n": 3, **kw}), "var_order", "var_order", 1, None),
+    (lambda **kw: ErrorModel(**{"kind": "low_rank", "n": 3, **kw}), "rank", "rank", 1, 3),
+    *((lambda **kw: NodeAR(**{"history": 3, "n": 2, **kw}), field, field, 1, None)
+      for field in ("history", "n")),
+    (lambda **kw: MLP1(3, 2, **kw), "hidden", "hidden", 1, None),
+    (lambda **kw: NodeAR(3, 2, **kw), "seed", "seed", 0, None),
+    (lambda **kw: GraphFilterAR(3, np.zeros((2, 2)), **kw), "seed", "seed", 0, None),
+    (lambda **kw: MLP1(3, 2, **kw), "seed", "seed", 0, None),
+    (lambda **kw: ErrorModel.for_training("low_rank", 3, **kw), "seed", "seed", 0, None),
+    (lambda **kw: predict_recursive(NodeAR(3, 2), None, np.zeros((3, 2)), **kw), "steps", "steps", 1, None),
+    (lambda **kw: structural_mask(ring_graph(4), **kw), "order", "mask order", 1, 2),
+    (lambda **kw: GraphSpec(**{"kind": "path", "n": 3, **kw}).build(), "n", "n", 1, None),
+    (lambda **kw: GraphSpec("path", 3, **kw).build(), "seed", "graph seed", 0, None),
+    (lambda **kw: ring_graph(**kw), "n", "ring graph n", 3, None),
+    (lambda **kw: erdos_renyi_graph(4, 0.5, **kw), "seed", "seed", 0, None),
+    (lambda **kw: structured_var_coefficients(ring_graph(4), **kw), "seed", "seed", 0, None),
+    (_synth, "steps", "steps", 1, None),
+    (_synth, "seed", "seed", 0, None),
+    (lambda **kw: make_windows(SeriesFrame(np.zeros((10, 2))), **{"history": 3, **kw}),
+     "history", "history", 2, None),
+    (lambda **kw: make_windows(SeriesFrame(np.zeros((10, 2))), 3, **kw), "horizon_step", "horizon_step", 0, None),
+    (lambda **kw: shift_with_mean(np.zeros((3, 2)), **kw), "shift", "shift", 1, None),
+    (lambda **kw: acf(np.arange(5.0), **kw), "max_lag", "max_lag", 0, 4),
+    (lambda **kw: crosslag_cov(np.arange(10.0).reshape(5, 2), **kw), "ts", "lag", 0, 4),
 ]
-COUNT_IDS = ["epochs", "batch", "seed", "em-n", "var_order", "rank", "history", "model-n", "hidden"]
+COUNT_IDS = [
+    "epochs", "batch", "seed", "em-n", "var_order", "rank", "history", "model-n", "hidden",
+    "nodear-seed", "graphfilter-seed", "mlp1-seed", "em-seed", "steps", "mask-order", "graph-n",
+    "graph-seed", "ring-n", "erdos-renyi-seed", "var-coefficients-seed", "synth-steps", "synth-seed",
+    "window-history", "horizon_step", "shift", "max_lag", "crosslag-ts",
+]
 
 
 @pytest.mark.parametrize("value", [2.5, True, np.float64(2.0), "2"], ids=repr)
-@pytest.mark.parametrize("build, field", COUNTS, ids=COUNT_IDS)
-def test_counts_refuse_a_bool_or_non_integer_naming_the_field(build, field, value):
-    with pytest.raises(ValidationError, match=re.escape(f"{field} must be an integer, got {value!r}")):
-        build(**{field: value})
+@pytest.mark.parametrize("build, keyword, name, low, high", COUNTS, ids=COUNT_IDS)
+def test_counts_refuse_a_bool_or_non_integer_naming_the_field(build, keyword, name, low, high, value):
+    with pytest.raises(ValidationError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        build(**{keyword: value})
 
 
-@pytest.mark.parametrize("build, field", COUNTS, ids=COUNT_IDS)
-def test_counts_take_a_numpy_integer(build, field):
-    built = build(**{field: np.int64(2)})
-    assert getattr(built, field) == 2
-    if hasattr(built, "to_blob"):  # a checkpoint holds it as a JSON integer
-        assert json.loads(json.dumps(built.to_blob()))[field] == 2
+@pytest.mark.parametrize("build, keyword, name, low, high", COUNTS, ids=COUNT_IDS)
+def test_counts_refuse_a_value_out_of_range_naming_the_field(build, keyword, name, low, high):
+    if high is None:
+        refused = {low - 1: f"{name} must be >= {low}, got {low - 1}"}
+    else:
+        refused = {value: f"{name} must be in [{low}, {high}], got {value}" for value in (low - 1, high + 1)}
+    for value, message in refused.items():
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build(**{keyword: value})
+
+
+@pytest.mark.parametrize("build, keyword, name, low, high", COUNTS, ids=COUNT_IDS)
+def test_counts_take_a_numpy_integer(build, keyword, name, low, high):
+    value = max(2, low)
+    built = build(**{keyword: np.int64(value)})
+    if hasattr(built, keyword):  # stored as a Python int
+        assert getattr(built, keyword) == value and type(getattr(built, keyword)) is int
+        if hasattr(built, "to_blob"):  # a checkpoint holds it as a JSON integer
+            assert json.loads(json.dumps(built.to_blob()))[keyword] == value
+
+
+def test_structural_checkpoint_with_a_numpy_mask_order_loads_back(tmp_path):
+    mask = structural_mask(ring_graph(6), np.int64(2))
+    em = ErrorModel("structural", 6, mask=mask)
+    save_checkpoint(tmp_path / "ckpt.json", NodeAR(3, 6), em)
+    loaded = load_checkpoint(tmp_path / "ckpt.json")[1]
+    assert loaded.mask.order == 2
+    assert_array_equal(loaded.mask.mask, mask.mask)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

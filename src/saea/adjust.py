@@ -22,12 +22,11 @@ points (l1 at zero, hinge kinks, matrix norms at the origin).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import WindowSet, blob_field, check_count, row_windows, seeded_rng, shift_with_mean
+from .data import WindowSet, blob_field, check_count, check_real, row_windows, seeded_rng, shift_with_mean
 from .errors import DivergenceError, ValidationError
 from .forecaster import Forecaster
 from .graph import SensorGraph, StructuralMask, structural_mask
@@ -88,16 +87,14 @@ class ErrorModel:
         self.var_order = var_order = check_count("var_order", self.var_order, 1)
         defaults = DEFAULT_REGULARIZATION[kind]
         for name in ("alpha", "beta", "rank"):
-            if name not in defaults:
-                setattr(self, name, None)
-            elif getattr(self, name) is None:
-                setattr(self, name, min(defaults[name], n) if name == "rank" else defaults[name])
-        for name in ("alpha", "beta"):
             value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
-                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
-        if self.rank is not None:
-            self.rank = check_count("rank", self.rank, 1, n)
+            if name not in defaults:
+                value = None
+            elif name == "rank":
+                value = check_count(name, min(defaults[name], n) if value is None else value, 1, n)
+            else:
+                value = check_real(name, defaults[name] if value is None else value, 0)
+            setattr(self, name, value)
         if (mask is None) == (kind == "structural"):
             need = "requires a" if mask is None else "takes no"
             raise ValidationError(f"{kind} error model {need} StructuralMask")

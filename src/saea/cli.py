@@ -34,6 +34,8 @@ from .data import (
     SeriesFrame,
     blob_field,
     check_count,
+    check_real,
+    check_split,
     chronological_split,
     ingest_csv,
     load_matrix_csv,
@@ -132,8 +134,7 @@ def config_flags(path) -> dict[int, str]:
 
 def parse_horizons(horizon_min, step_min: float) -> list[tuple[float, int]]:
     """Horizon minutes -> [(minutes, zero-based step index)] at step_min."""
-    if not 0 < step_min < math.inf:
-        raise ValidationError(f"--step-min {step_min} is not a finite number > 0")
+    step_min = check_real("step_min", step_min, 0, low_open=True)
     out = []
     for minutes in horizon_min:
         steps = minutes / step_min
@@ -239,7 +240,7 @@ def _checkpoint_split(blob: dict, args) -> tuple[float, float]:
                 "the checkpoint was trained with"
             )
         fracs.append(given)
-    return fracs[0], fracs[1]
+    return check_split(*fracs)
 
 
 def _eval_checkpoint(args):
@@ -278,15 +279,13 @@ def cmd_synth(args) -> int:
     else:
         phi = args.phi_diag * np.eye(graph.n) + args.phi_hop * normalized_adjacency(graph)
     if args.phi_radius is not None:
-        if not (0 <= args.phi_radius < math.inf and np.all(np.isfinite(phi))):
-            raise ValidationError(
-                f"--phi-radius {args.phi_radius} needs a finite radius >= 0 "
-                "and finite coefficients"
-            )
+        radius = check_real("phi_radius", args.phi_radius, 0)
+        if not np.all(np.isfinite(phi)):
+            raise ValidationError("phi_radius cannot rescale coefficients that are not finite")
         current = float(np.max(np.abs(np.linalg.eigvals(phi))))
         if current == 0:
             raise ValidationError("cannot rescale a zero coefficient matrix")
-        phi *= args.phi_radius / current
+        phi *= radius / current
     cfg = SynthConfig(
         graph=spec,
         steps=args.steps,
@@ -338,8 +337,9 @@ def _prepare_run(args, kinds=None):
     settings, one (resolved config, untrained error model) pair per kind,
     series, graph, horizons, manifest input files). kinds default to the
     config's kind; all settings but the size limit of mlp1's hidden layer
-    are checked here, before any training, and those that need no input
-    file before one is read. The run directory appears with the first file
+    are checked here, before any training, and all but alpha, beta and
+    rank, which the error model settles with the sensor count, before any
+    input file is read. The run directory appears with the first file
     written, so a rejected setting leaves none behind."""
     config = {name: getattr(args, name, None) for name in TRAIN_FIELDS}  # compare has no kind
     if config["model"] == "mlp1":  # the one model with a hidden width
@@ -348,6 +348,7 @@ def _prepare_run(args, kinds=None):
         config["hidden"] = None
     history = check_count("history", config["history"], 2)  # as make_windows needs
     check_count("var_order", config["var_order"], 1, history)
+    check_split(config["train_frac"], config["val_frac"])
     train_cfg = TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)})
     horizons = parse_horizons(config["horizon_min"], config["step_min"])
     kinds = kinds or (config["kind"],)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -30,11 +31,41 @@ def check_count(name: str, value, low: int, high: int | None = None) -> int:
     None; else a ValidationError naming the setting."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if high is None and value < low:
-        raise ValidationError(f"{name} must be >= {low}, got {value!r}")
-    if high is not None and not low <= value <= high:
-        raise ValidationError(f"{name} must be in [{low}, {high}], got {value!r}")
-    return int(value)
+    return int(_in_range(name, value, low, high))
+
+
+def check_real(name: str, value, low=None, high=None, *, low_open=False, high_open=False) -> float:
+    """value as a Python float, if it is a finite real number (a numpy float
+    is one, a bool is not) between low and high, where a bound of None is
+    absent and an open one is excluded; else a ValidationError naming the
+    setting."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return float(_in_range(name, value, low, high, low_open, high_open))
+
+
+def _in_range(name: str, value, low, high, low_open=False, high_open=False):
+    """value, if the bounds of check_count or check_real hold it; else their ValidationError."""
+    if (low is None or low < value or low == value and not low_open) and (
+        high is None or value < high or value == high and not high_open
+    ):
+        return value
+    if high is None:
+        bound = f"{'>' if low_open else '>='} {low}"
+    elif low is None:
+        bound = f"{'<' if high_open else '<='} {high}"
+    else:
+        bound = f"in {'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
+    raise ValidationError(f"{name} must be {bound}, got {value!r}")
+
+
+def check_split(train_frac, val_frac) -> tuple[float, float]:
+    """The split fractions as Python floats, each in (0, 1) and together below 1."""
+    fracs = tuple(check_real(name, frac, 0, 1, low_open=True, high_open=True)
+                  for name, frac in (("train_frac", train_frac), ("val_frac", val_frac)))
+    if not sum(fracs) < 1:
+        raise ValidationError("train_frac + val_frac must be < 1")
+    return fracs
 
 
 def seeded_rng(seed) -> np.random.Generator:
@@ -56,9 +87,8 @@ class SeriesFrame:
             raise ValidationError(f"series values must be 2-D (T x N), got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValidationError("series values contain non-finite entries")
-        # written so that a NaN step fails it
-        if not 0 < self.step_minutes < math.inf:
-            raise ValidationError(f"step_minutes must be a finite number > 0, got {self.step_minutes}")
+        step = check_real("step_minutes", self.step_minutes, 0, low_open=True)
+        object.__setattr__(self, "step_minutes", step)
         object.__setattr__(self, "values", v)
 
     @property
@@ -316,12 +346,8 @@ def chronological_split(
     frame: SeriesFrame, train_frac: float, val_frac: float
 ) -> tuple[SeriesFrame, SeriesFrame, SeriesFrame]:
     """Contiguous, order-preserving train/val/test segments covering all rows,
-    as read-only views of the frame's values."""
-    # written so that a NaN fraction fails them
-    if not (train_frac > 0 and val_frac > 0):
-        raise ValidationError(f"split fractions must be positive, got ({train_frac}, {val_frac})")
-    if not train_frac + val_frac < 1:
-        raise ValidationError("train_frac + val_frac must be < 1")
+    as read-only views of the frame's values; the fractions follow check_split."""
+    train_frac, val_frac = check_split(train_frac, val_frac)
     t = frame.num_steps
     n_train = int(t * train_frac)
     n_val = int(t * val_frac)

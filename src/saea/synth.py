@@ -13,12 +13,11 @@ pins the bundle bit-for-bit on a given numpy version.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import SeriesFrame, check_count, seeded_rng
+from .data import SeriesFrame, check_count, check_real, seeded_rng
 from .errors import ValidationError
 from .graph import SensorGraph, normalized_adjacency, structural_mask
 
@@ -44,8 +43,7 @@ def ring_graph(n: int) -> SensorGraph:
 
 def erdos_renyi_graph(n: int, p_edge: float, seed: int = 0) -> SensorGraph:
     """Symmetric unit-weight random graph without self-loops."""
-    if not 0 <= p_edge <= 1:
-        raise ValidationError("edge probability must be in [0, 1]")
+    p_edge = check_real("p_edge", p_edge, 0, 1)
     rng = seeded_rng(seed)
     upper = rng.random((n, n)) < p_edge
     w = np.triu(upper, k=1).astype(np.float64)
@@ -77,8 +75,6 @@ class GraphSpec:
         if self.kind == "ring":
             return ring_graph(n)
         if self.kind == "erdos_renyi":
-            if self.p_edge is None:
-                raise ValidationError("erdos_renyi graph needs p_edge")
             return erdos_renyi_graph(n, self.p_edge, seed=seed)
         raise ValidationError(f"unknown graph kind {self.kind!r}")
 
@@ -99,6 +95,8 @@ class SynthConfig:
     radius below 1. sigma is the nonnegative innovation scale: the
     innovations are white noise N(0, sigma^2 I). quad_coeff adds a small
     quadratic term to the dynamics to emulate model misspecification.
+    steps (>= 1), seed (>= 0), sigma (>= 0) and a finite quad_coeff are
+    checked at construction and stored as Python numbers.
     """
 
     graph: GraphSpec
@@ -110,18 +108,15 @@ class SynthConfig:
     quad_coeff: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        for name, check, *bounds in (("steps", check_count, 1), ("seed", check_count, 0),
+                                     ("sigma", check_real, 0), ("quad_coeff", check_real)):
+            object.__setattr__(self, name, check(name, getattr(self, name), *bounds))
+
     def to_dict(self) -> dict:
-        return {
-            "graph": asdict(self.graph),
-            "steps": self.steps,
-            "dgp_self": [float(c) for c in self.dgp_self],
-            "dgp_hop": [float(c) for c in self.dgp_hop],
-            "phi_star": np.asarray(self.phi_star).tolist(),
-            "sigma": float(self.sigma),
-            "quad_coeff": float(self.quad_coeff),
-            "seed": self.seed,
-            "burn_in": BURN_IN,
-        }
+        taps = {name: [float(c) for c in getattr(self, name)] for name in ("dgp_self", "dgp_hop")}
+        phi = np.asarray(self.phi_star).tolist()
+        return {**asdict(self), **taps, "phi_star": phi, "burn_in": BURN_IN}
 
 
 @dataclass(frozen=True)
@@ -137,16 +132,15 @@ class SynthBundle:
 def oracle_floor(cfg: SynthConfig) -> float:
     """Best achievable one-step RMSE: the optimal predictor's residual is the
     white-noise innovation, so the floor is sqrt(trace(sigma^2 I) / N) = sigma."""
-    return float(cfg.sigma)
+    return cfg.sigma
 
 
 def generate(cfg: SynthConfig) -> SynthBundle:
     """Simulate a bundle: VAR(1) errors riding on graph-filter dynamics.
 
     Rejects configurations whose error coefficients are not finite, are
-    nonstationary or leave the one-hop structural pattern, a sigma that is
-    not a nonnegative number, a negative seed and more steps than numpy can
-    shape.
+    nonstationary or leave the one-hop structural pattern, and more steps
+    than numpy can shape.
     """
     graph = cfg.graph.build()
     n = graph.n
@@ -163,12 +157,9 @@ def generate(cfg: SynthConfig) -> SynthBundle:
         raise ValidationError("phi_star support must stay within one hop of the graph")
     if len(cfg.dgp_self) != len(cfg.dgp_hop) or len(cfg.dgp_self) == 0:
         raise ValidationError("dgp_self and dgp_hop must be equal-length and nonempty")
-    steps = check_count("steps", cfg.steps, 1)
-    if (BURN_IN + steps) * n * 8 > np.iinfo(np.intp).max:  # numpy's array size limit
-        raise ValidationError(f"steps={steps} is too large for a steps x N series")
+    if (BURN_IN + cfg.steps) * n * 8 > np.iinfo(np.intp).max:  # numpy's array size limit
+        raise ValidationError(f"steps={cfg.steps} is too large for a steps x N series")
     rng = seeded_rng(cfg.seed)
-    if not isinstance(cfg.sigma, numbers.Real) or not cfg.sigma >= 0:
-        raise ValidationError(f"sigma must be a nonnegative number, got {cfg.sigma!r}")
 
     hop = normalized_adjacency(graph)
     lags = len(cfg.dgp_self)
@@ -176,7 +167,7 @@ def generate(cfg: SynthConfig) -> SynthBundle:
         cfg.dgp_self[h] * np.eye(n) + cfg.dgp_hop[h] * hop for h in range(lags)
     ]
 
-    total = BURN_IN + steps
+    total = BURN_IN + cfg.steps
     innovations = rng.standard_normal((total, n))
     innovations *= cfg.sigma
     # `lags` leading zero rows are the initial history: step t writes row
@@ -221,10 +212,8 @@ def structured_var_coefficients(
     exactly the diagonal. The coupling itself can be large and signed, which
     makes the error structure expressive without touching stationarity.
     """
-    if not 0 <= radius < 1:
-        raise ValidationError("radius must be in [0, 1)")
-    if not 0 <= diag_low <= radius:
-        raise ValidationError("diag_low must be in [0, radius]")
+    radius = check_real("radius", radius, 0, 1, high_open=True)
+    diag_low = check_real("diag_low", diag_low, 0, radius)
     n = graph.n
     rng = seeded_rng(seed)
     phi = np.zeros((n, n))

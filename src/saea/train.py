@@ -9,7 +9,6 @@ one, so a (seed, config) pair pins the run bit-for-bit.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ from .adjust import (
     saea_predict,
     spectral_radius,
 )
-from .data import WindowSet, blob_field, check_count, read_json, seeded_rng, write_json
+from .data import WindowSet, blob_field, check_count, check_real, read_json, seeded_rng, write_json
 from .errors import DivergenceError, ValidationError
 from .forecaster import Forecaster, forecaster_from_blob
 
@@ -52,12 +51,12 @@ class TrainConfig:
     def __post_init__(self):
         for name, low in (("epochs", 1), ("batch", 1), ("seed", 0)):
             object.__setattr__(self, name, check_count(name, getattr(self, name), low))
-        if not 0 < self.lr < math.inf:
-            raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
+        object.__setattr__(self, "lr", check_real("lr", self.lr, 0, low_open=True))
+        if self.grad_clip is not None:
+            clip = check_real("grad_clip", self.grad_clip, 0, low_open=True)
+            object.__setattr__(self, "grad_clip", clip)
         if self.optimizer not in OPTIMIZERS:
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
-        if self.grad_clip is not None and not 0 < self.grad_clip < math.inf:
-            raise ValidationError(f"grad_clip must be finite and > 0, got {self.grad_clip}")
 
 
 @dataclass

@@ -256,7 +256,22 @@ def test_nan_split_fraction_exits_1_on_one_json_line(tmp_path, capsys):
     for argv in argvs:
         assert run(argv) == 1
         parsed = one_json_error(capsys)
-        assert parsed["error"] == "ValidationError" and "split fractions" in parsed["message"]
+        assert parsed["error"] == "ValidationError"
+        assert re.fullmatch(r"(train|val)_frac must be a finite number, got nan", parsed["message"])
+
+
+@pytest.mark.parametrize("command", ["compare", "eval", "diagnose"])
+def test_bad_split_fractions_fail_before_the_series_is_read(tmp_path, capsys, command):
+    """As for train (test_settings_that_need_no_file_fail_before_one_is_read):
+    a checkpoint that records no fractions leaves them to the flags, which
+    are checked before the missing series would be opened."""
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(ckpt, NodeAR(3, 2), None)
+    source = ["--checkpoint", str(ckpt)] if command in ("eval", "diagnose") else []
+    argv = [command, *source, "--series", str(tmp_path / "missing.csv"),
+            "--train-frac", "0.9", "--val-frac", "0.2", "--out", str(tmp_path / "out")]
+    assert run(argv) == 1 and not (tmp_path / "out").exists()
+    assert one_json_error(capsys) == {"error": "ValidationError", "message": "train_frac + val_frac must be < 1"}
 
 
 def test_a_run_whose_validation_mse_overflows_writes_strict_json(tmp_path):
@@ -445,8 +460,8 @@ def test_compare_structural_without_adjacency_fails_before_training(tmp_path, ca
     [
         (("--kinds", "none,low_rank", "--rank", "50"), "rank must be in [1, 6], got 50"),
         (("--kinds", "none,low_rank_sparse", "--rank", "0"), "rank must be in [1, 6], got 0"),
-        (("--kinds", "none,diagonal", "--alpha", "-1"), "alpha must be finite and >= 0, got -1.0"),
-        (("--kinds", "none,low_rank_sparse", "--beta", "-0.5"), "beta must be finite and >= 0, got -0.5"),
+        (("--kinds", "none,diagonal", "--alpha", "-1"), "alpha must be >= 0, got -1.0"),
+        (("--kinds", "none,low_rank_sparse", "--beta", "-0.5"), "beta must be >= 0, got -0.5"),
     ],
     ids=["rank-above-n", "rank-zero", "alpha-negative", "beta-negative"],
 )
@@ -590,15 +605,19 @@ def test_malformed_horizons_fail_validation(tmp_path, capsys, minutes):
 @pytest.mark.parametrize(
     "flags, message",
     [(("--horizon-min", "7"), "horizon 7.0 min is not a positive multiple of the 5.0 min sampling step"),
-     (("--step-min", "0"), "--step-min 0.0 is not a finite number > 0"),
+     (("--step-min", "0"), "step_min must be > 0, got 0.0"),
      (("--kind", "structural"), "structural kind requires --adjacency"),
      (("--model", "graphfilter"), "graphfilter model requires --adjacency"),
      (("--history", "1"), "history must be >= 2, got 1"),
      (("--history", "0"), "history must be >= 2, got 0"),
      (("--history", "4", "--var-order", "5"), "var_order must be in [1, 4], got 5"),
-     (("--model", "mlp1", "--hidden", "0"), "hidden must be >= 1, got 0")],
+     (("--model", "mlp1", "--hidden", "0"), "hidden must be >= 1, got 0"),
+     (("--train-frac", "0"), "train_frac must be in (0, 1), got 0.0"),
+     (("--train-frac", "nan"), "train_frac must be a finite number, got nan"),
+     (("--train-frac", "0.8", "--val-frac", "0.3"), "train_frac + val_frac must be < 1")],
     ids=["horizon-off-step", "step-zero", "structural-without-adjacency", "graphfilter-without-adjacency",
-         "history-one", "history-zero-before-var-order", "var-order-above-history", "mlp1-hidden-zero"],
+         "history-one", "history-zero-before-var-order", "var-order-above-history", "mlp1-hidden-zero",
+         "train-frac-zero", "train-frac-nan", "fractions-sum-above-one"],
 )
 def test_settings_that_need_no_file_fail_before_one_is_read(tmp_path, capsys, flags, message):
     code = run(["train", "--series", str(tmp_path / "missing.csv"), *flags,

@@ -1,3 +1,6 @@
+import json
+import re
+import warnings
 from collections import deque
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from _helpers import bfs_mask_oracle
+from saea.cli import run
 from saea.errors import ValidationError
 from saea.graph import normalized_adjacency, structural_mask
 from saea.synth import (
@@ -99,10 +103,8 @@ def test_lag1_identity_matches_phi_times_cov():
 
 def test_oracle_floor_values():
     assert oracle_floor(simple_config(sigma=0.7)) == pytest.approx(0.7)
-    cfg = simple_config(graph=GraphSpec("path", 2), phi_star=np.zeros((2, 2)),
-                        sigma=np.diag([1.0, 4.0]))
-    with pytest.raises(ValidationError, match="sigma"):
-        generate(cfg)
+    with pytest.raises(ValidationError, match="sigma"):  # refused as the config is built
+        simple_config(graph=GraphSpec("path", 2), phi_star=np.zeros((2, 2)), sigma=np.diag([1.0, 4.0]))
 
 
 @pytest.mark.parametrize("sigma", [-0.5, float("nan"), np.array(1.0), [1.0], "1.0"])
@@ -198,6 +200,18 @@ def test_nonfinite_phi_rejected(value):
 def test_diverging_simulation_rejected():
     with pytest.raises(ValidationError, match="simulation diverged"):
         generate(simple_config(quad_coeff=1.0, steps=50))
+
+
+@pytest.mark.parametrize("quad", [float("nan"), float("inf"), -float("inf")], ids=repr)
+def test_nonfinite_quad_coeff_is_refused_before_anything_is_simulated(tmp_path, capsys, quad):
+    message = f"quad_coeff must be a finite number, got {quad!r}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning from a simulation fails the test
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            generate(simple_config(quad_coeff=quad))
+        assert run(["synth", "--n", "4", "--steps", "50", f"--quad={quad}", "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValidationError", "message": message}
+    assert not list(tmp_path.iterdir())
 
 
 def test_phi_support_outside_one_hop_rejected():

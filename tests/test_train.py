@@ -1,11 +1,15 @@
+import argparse
 import json
+import math
 import re
+import tempfile
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from saea.adjust import ErrorModel, predict_windows, saea_loss, saea_predict
+from saea.cli import build_parser, cmd_synth, parse_horizons
 from saea.data import SeriesFrame, chronological_split, make_windows, shift_with_mean
 from saea.errors import DivergenceError, ValidationError
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
@@ -150,9 +154,20 @@ def test_train_config_rejects_a_bad_setting_naming_it(setting, value):
         TrainConfig(**{setting: value})
 
 
+def _synth_config(**kw):
+    return SynthConfig(**{"graph": GraphSpec("ring", 4), "steps": 20, "dgp_self": (0.5,),
+                          "dgp_hop": (0.2,), "phi_star": np.zeros((4, 4)), **kw})
+
+
 def _synth(**kw):
-    return generate(SynthConfig(**{"graph": GraphSpec("ring", 4), "steps": 20, "dgp_self": (0.5,),
-                                   "dgp_hop": (0.2,), "phi_star": np.zeros((4, 4)), **kw}))
+    return generate(_synth_config(**kw))
+
+
+def _synth_command(**kw):
+    """cmd_synth on a 4-sensor ring, with library values in place of parsed flags."""
+    with tempfile.TemporaryDirectory() as out:
+        args = build_parser().parse_args(["synth", "--n", "4", "--steps", "20", "--out", out])
+        return cmd_synth(argparse.Namespace(**{**vars(args), **kw}))
 
 
 # (call taking the count as a keyword, the keyword, the name its errors give,
@@ -219,6 +234,81 @@ def test_counts_take_a_numpy_integer(build, keyword, name, low, high):
         assert getattr(built, keyword) == value and type(getattr(built, keyword)) is int
         if hasattr(built, "to_blob"):  # a checkpoint holds it as a JSON integer
             assert json.loads(json.dumps(built.to_blob()))[keyword] == value
+
+
+def _split(**kw):
+    return chronological_split(SeriesFrame(np.zeros((10, 1))), **{"train_frac": 0.3, "val_frac": 0.2, **kw})
+
+
+def _var_coefficients(**kw):
+    return structured_var_coefficients(ring_graph(4), **kw)
+
+
+# (call taking the real as a keyword, the keyword, the name its errors give,
+# lowest and highest value or None, whether each of those is open); the
+# other arguments are valid
+REALS = [
+    *((TrainConfig, field, field, 0, None, True, False) for field in ("lr", "grad_clip")),
+    *((lambda **kw: ErrorModel(**{"kind": "low_rank_sparse", "n": 3, **kw}), field, field, 0, None, False, False)
+      for field in ("alpha", "beta")),
+    (lambda **kw: SeriesFrame(np.zeros((3, 2)), **kw), "step_minutes", "step_minutes", 0, None, True, False),
+    (lambda **kw: parse_horizons((5.0,), **kw), "step_min", "step_min", 0, None, True, False),
+    *((_split, field, field, 0, 1, True, True) for field in ("train_frac", "val_frac")),
+    (lambda **kw: erdos_renyi_graph(4, **kw), "p_edge", "p_edge", 0, 1, False, False),
+    (_var_coefficients, "radius", "radius", 0, 1, False, True),
+    (_var_coefficients, "diag_low", "diag_low", 0, 0.6, False, False),
+    (_synth_command, "phi_radius", "phi_radius", 0, None, False, False),
+    (_synth_config, "sigma", "sigma", 0, None, False, False),
+    (_synth_config, "quad_coeff", "quad_coeff", None, None, False, False),
+]
+REAL_IDS = [
+    "lr", "grad_clip", "alpha", "beta", "step_minutes", "step_min", "train_frac", "val_frac", "p_edge",
+    "radius", "diag_low", "phi_radius", "sigma", "quad_coeff",
+]
+
+
+@pytest.mark.parametrize("value", [True, "0.1", math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("build, keyword, name, low, high, low_open, high_open", REALS, ids=REAL_IDS)
+def test_reals_refuse_a_bool_string_or_nonfinite_value_naming_the_field(
+    build, keyword, name, low, high, low_open, high_open, value
+):
+    with pytest.raises(ValidationError, match=re.escape(f"{name} must be a finite number, got {value!r}")):
+        build(**{keyword: value})
+
+
+@pytest.mark.parametrize("build, keyword, name, low, high, low_open, high_open", REALS, ids=REAL_IDS)
+def test_reals_refuse_a_value_just_outside_each_end_naming_the_field(
+    build, keyword, name, low, high, low_open, high_open
+):
+    # an open end is itself outside; past a closed one, the next float is
+    outside = []
+    if low is not None:
+        outside.append(low if low_open else math.nextafter(low, -math.inf))
+    if high is not None:
+        outside.append(high if high_open else math.nextafter(high, math.inf))
+    if high is None:
+        bound = f"{'>' if low_open else '>='} {low}"
+    else:
+        bound = f"in {'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
+    for value in outside:
+        with pytest.raises(ValidationError, match=re.escape(f"{name} must be {bound}, got {value!r}")):
+            build(**{keyword: value})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("build, keyword, name, low, high, low_open, high_open", REALS, ids=REAL_IDS)
+def test_reals_take_a_numpy_float(build, keyword, name, low, high, low_open, high_open, dtype):
+    value = 0.0 if low is None else low + 0.5 if high is None else (low + high) / 2
+    built = build(**{keyword: dtype(value)})
+    if hasattr(built, keyword):  # stored as a Python float
+        assert getattr(built, keyword) == float(dtype(value)) and type(getattr(built, keyword)) is float
+
+
+def test_synth_config_stores_numpy_counts_as_json_integers():
+    cfg = _synth_config(steps=np.int64(50), seed=np.int64(1))
+    recorded = json.loads(json.dumps(cfg.to_dict()))
+    assert (recorded["steps"], recorded["seed"]) == (50, 1)
+    assert type(recorded["steps"]) is int and type(recorded["seed"]) is int
 
 
 def test_structural_checkpoint_with_a_numpy_mask_order_loads_back(tmp_path):

@@ -39,7 +39,11 @@ def check_real(name: str, value, low=None, high=None, *, low_open=False, high_op
     is one, a bool is not) between low and high, where a bound of None is
     absent and an open one is excluded; else a ValidationError naming the
     setting."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return float(_in_range(name, value, low, high, low_open, high_open))
 

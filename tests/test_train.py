@@ -267,7 +267,8 @@ REAL_IDS = [
 ]
 
 
-@pytest.mark.parametrize("value", [True, "0.1", math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("value", [True, "0.1", math.nan, math.inf, -math.inf, 10**400],
+                         ids=["True", "'0.1'", "nan", "inf", "-inf", "int-beyond-float"])
 @pytest.mark.parametrize("build, keyword, name, low, high, low_open, high_open", REALS, ids=REAL_IDS)
 def test_reals_refuse_a_bool_string_or_nonfinite_value_naming_the_field(
     build, keyword, name, low, high, low_open, high_open, value

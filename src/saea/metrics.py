@@ -8,6 +8,21 @@ from .data import check_count
 from .errors import UndefinedMetricError, ValidationError
 
 MASK_THRESHOLD = 1e-6
+_BLOCK_VALUES = 1 << 16
+
+
+def _pair(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
+    yt = np.asarray(y_true, dtype=np.float64)
+    yp = np.asarray(y_pred, dtype=np.float64)
+    if yt.shape != yp.shape:
+        raise ValidationError(f"shape mismatch {yt.shape} vs {yp.shape}")
+    return yt, yp
+
+
+def _row_blocks(a: np.ndarray):
+    """Slices of a's leading axis of about _BLOCK_VALUES values each."""
+    step = max(1, _BLOCK_VALUES // max(1, a[:1].size))
+    return (slice(lo, lo + step) for lo in range(0, a.shape[0], step))
 
 
 def mape(y_true, y_pred) -> tuple[float, int]:
@@ -15,28 +30,29 @@ def mape(y_true, y_pred) -> tuple[float, int]:
 
     Returns (percent, masked_count). Raises if every entry is masked.
     """
-    yt = np.asarray(y_true, dtype=np.float64)
-    yp = np.asarray(y_pred, dtype=np.float64)
-    if yt.shape != yp.shape:
-        raise ValidationError(f"shape mismatch {yt.shape} vs {yp.shape}")
-    keep = np.abs(yt) > MASK_THRESHOLD
-    masked = int(yt.size - keep.sum())
-    if not np.any(keep):
+    yt, yp = np.atleast_1d(*_pair(y_true, y_pred))
+    keep = (yt > MASK_THRESHOLD) | (yt < -MASK_THRESHOLD)  # |yt| > threshold, with no |yt| array
+    kept = int(np.count_nonzero(keep))
+    if not kept:
         raise UndefinedMetricError("MAPE undefined: every entry is below the mask threshold")
-    pct = float(np.mean(np.abs(yt[keep] - yp[keep]) / np.abs(yt[keep]))) * 100.0
-    return pct, masked
+    ratios, end = np.empty(kept), 0  # filled block by block in yt[keep]'s order, for one mean
+    for rows in _row_blocks(yt):
+        truth = yt[rows][keep[rows]]
+        out = ratios[end : end + truth.size]
+        np.abs(np.subtract(truth, yp[rows][keep[rows]], out=out), out=out)
+        out /= np.abs(truth, out=truth)
+        end += truth.size
+    return float(np.mean(ratios)) * 100.0, yt.size - kept
 
 
 def rmse(y_true, y_pred) -> float:
     """Root mean squared entrywise error, in the units of the inputs."""
-    yt = np.asarray(y_true, dtype=np.float64)
-    yp = np.asarray(y_pred, dtype=np.float64)
-    if yt.shape != yp.shape:
-        raise ValidationError(f"shape mismatch {yt.shape} vs {yp.shape}")
+    yt, yp = _pair(y_true, y_pred)
     if yt.size == 0:
         raise UndefinedMetricError("RMSE undefined on empty input")
     diff = yt - yp
-    return float(np.sqrt(np.mean(diff * diff)))
+    diff *= diff
+    return float(np.sqrt(np.mean(diff)))
 
 
 def accuracy(y_true, y_pred) -> dict:
@@ -46,20 +62,24 @@ def accuracy(y_true, y_pred) -> dict:
     return {"mape_percent": pct, "mape_masked_count": masked, "rmse": rmse(y_true, y_pred)}
 
 
+def _residual_matrix(residuals, two_rows: bool) -> np.ndarray:
+    e = np.asarray(residuals, dtype=np.float64)
+    if e.ndim != 2:
+        raise ValidationError("residual matrix must be 2-D (T x N)")
+    if two_rows and e.shape[0] < 2:
+        raise ValidationError("need at least two residual rows")
+    return e
+
+
 def ecm(residuals, orientation: str = "spatial") -> np.ndarray:
     """Residual correlation matrix.
 
     For residuals E of shape (T, N): spatial gives E^T E / T (sensor by
     sensor); temporal gives E E^T / N (step by step). No mean removal.
     """
-    e = np.asarray(residuals, dtype=np.float64)
-    if e.ndim != 2:
-        raise ValidationError("residual matrix must be 2-D (T x N)")
-    t = e.shape[0]
-    if t < 2:
-        raise ValidationError("need at least two residual rows")
+    e = _residual_matrix(residuals, True)
     if orientation == "spatial":
-        return e.T @ e / t
+        return e.T @ e / e.shape[0]
     if orientation == "temporal":
         return e @ e.T / e.shape[1]
     raise ValidationError(f"unknown orientation {orientation!r}")
@@ -91,12 +111,13 @@ def crosslag_cov(residuals, ts: int) -> np.ndarray:
     t + ts. At ts = 0 this equals the spatial ECM of the mean-removed
     residuals exactly.
     """
-    e = np.asarray(residuals, dtype=np.float64)
-    if e.ndim != 2:
-        raise ValidationError("residual matrix must be 2-D (T x N)")
-    t = e.shape[0]
+    e = _residual_matrix(residuals, False)
+    return _lag_product(e - e.mean(axis=0), ts)
+
+
+def _lag_product(centered: np.ndarray, ts) -> np.ndarray:
+    t = centered.shape[0]
     ts = check_count("lag", ts, 0, t - 1)
-    centered = e - e.mean(axis=0)
     return centered[: t - ts].T @ centered[ts:] / (t - ts)
 
 
@@ -115,13 +136,14 @@ def offdiag_energy(matrix) -> float:
     return float(np.linalg.norm(hollow)) / full
 
 
-def _temporal_summary(residuals: np.ndarray) -> dict:
+def _temporal_summary(residuals: np.ndarray, gram: np.ndarray) -> dict:
     """Summary of the step-by-step correlation matrix E E^T / N without
-    materializing it: its Frobenius norm equals that of E^T E, and its
-    diagonal is the per-step squared norm over N."""
+    materializing it: its Frobenius norm equals that of the Gram matrix
+    E^T E, and its diagonal is the per-step squared norm over N."""
     t, n = residuals.shape
-    full_sq = float(np.sum((residuals.T @ residuals) ** 2)) / n**2
-    diag = np.sum(residuals * residuals, axis=1) / n
+    full_sq = float(np.sum(gram**2)) / n**2
+    blocks = (residuals[rows] for rows in _row_blocks(residuals))
+    diag = np.concatenate([np.sum(b * b, axis=1) for b in blocks]) / n
     off_sq = max(full_sq - float(np.sum(diag * diag)), 0.0)
     return {
         "shape": [t, t],
@@ -141,27 +163,31 @@ def residual_report(
     Residual rows are prediction errors per time step; per-sensor ACF entries
     are null for constant residual columns.
     """
-    yt = np.asarray(y_true, dtype=np.float64)
-    yp = np.asarray(y_pred, dtype=np.float64)
+    yt, yp = _pair(y_true, y_pred)
+    t, n = _residual_matrix(yt, True).shape
+    check_count("max_lag", max_lag, 0, t - 1)  # refused before any scoring, as acf would
+    scores = accuracy(yt, yp)
     residuals = yt - yp
-    spatial = ecm(residuals, "spatial")
+    gram = residuals.T @ residuals
+    spatial = gram / t
+    summary = _temporal_summary(residuals, gram)
     acf_values = []
-    band = 2.0 / np.sqrt(residuals.shape[0])
-    for j in range(residuals.shape[1]):
+    for j in range(n):
         try:
-            values, band = acf(residuals[:, j], max_lag)
+            values, _ = acf(residuals[:, j], max_lag)
             acf_values.append([float(v) for v in values])
         except UndefinedMetricError:
             acf_values.append(None)
+    residuals -= residuals.mean(axis=0)  # crosslag_cov's centring, in place once the ACFs are taken
     return {
-        **accuracy(yt, yp),
-        "num_steps": int(residuals.shape[0]),
-        "num_sensors": int(residuals.shape[1]),
+        **scores,
+        "num_steps": t,
+        "num_sensors": n,
         "ecm_spatial": spatial.tolist(),
-        "ecm_temporal_summary": _temporal_summary(residuals),
+        "ecm_temporal_summary": summary,
         "ecm_spatial_offdiag_energy": offdiag_energy(spatial),
-        "acf_band": float(band),
+        "acf_band": float(2.0 / np.sqrt(t)),
         "acf_max_lag": int(max_lag),
         "acf": acf_values,
-        "crosslag": {str(ts): crosslag_cov(residuals, ts).tolist() for ts in ts_lags},
+        "crosslag": {str(ts): _lag_product(residuals, ts).tolist() for ts in ts_lags},
     }

@@ -54,7 +54,8 @@ def erdos_renyi_graph(n: int, p_edge: float, seed: int = 0) -> SensorGraph:
 @dataclass(frozen=True)
 class GraphSpec:
     """A graph to build; p_edge is None, whatever was given, unless the kind
-    is erdos_renyi, the one kind that uses it."""
+    is erdos_renyi, the one kind that uses it. n (>= 1) and seed (>= 0) are
+    checked at construction and stored as Python ints."""
 
     kind: str  # path | ring | erdos_renyi
     n: int
@@ -62,20 +63,20 @@ class GraphSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", check_count("n", self.n, 1))
+        object.__setattr__(self, "seed", check_count("graph seed", self.seed, 0))
         if self.kind != "erdos_renyi":
             object.__setattr__(self, "p_edge", None)
 
     def build(self) -> SensorGraph:
-        n = check_count("n", self.n, 1)
-        if n * n * 8 > np.iinfo(np.intp).max:  # numpy's array size limit
-            raise ValidationError(f"n={n} is too large for an N x N adjacency")
-        seed = check_count("graph seed", self.seed, 0)
+        if self.n**2 * 8 > np.iinfo(np.intp).max:  # numpy's array size limit
+            raise ValidationError(f"n={self.n} is too large for an N x N adjacency")
         if self.kind == "path":
-            return path_graph(n)
+            return path_graph(self.n)
         if self.kind == "ring":
-            return ring_graph(n)
+            return ring_graph(self.n)
         if self.kind == "erdos_renyi":
-            return erdos_renyi_graph(n, self.p_edge, seed=seed)
+            return erdos_renyi_graph(self.n, self.p_edge, seed=self.seed)
         raise ValidationError(f"unknown graph kind {self.kind!r}")
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.linalg import solve_discrete_lyapunov
 from saea.data import Normalizer
 from saea.errors import UndefinedMetricError, ValidationError
 from saea.metrics import (
+    MASK_THRESHOLD,
     _temporal_summary,
     accuracy,
     acf,
@@ -239,8 +241,126 @@ def test_residual_report_writes_null_acf_for_a_constant_residual_column():
 def test_temporal_summary_matches_the_temporal_ecm(shape):
     e = np.random.default_rng(13).normal(size=shape)
     full = ecm(e, "temporal")
-    summary = _temporal_summary(e)
+    summary = _temporal_summary(e, e.T @ e)
     assert summary["shape"] == list(full.shape)
     assert summary["trace_mean"] == pytest.approx(float(np.mean(np.diag(full))), rel=1e-12)
     assert summary["offdiag_energy"] == pytest.approx(offdiag_energy(full), rel=1e-9)
-    assert _temporal_summary(np.zeros(shape))["offdiag_energy"] == 0.0
+    zeros = np.zeros(shape)
+    assert _temporal_summary(zeros, zeros.T @ zeros)["offdiag_energy"] == 0.0
+
+
+# -- the scoring functions against their one-expression formulas -------------
+
+
+def formula_accuracy(yt, yp):
+    keep = np.abs(yt) > MASK_THRESHOLD
+    pct = float(np.mean(np.abs(yt[keep] - yp[keep]) / np.abs(yt[keep]))) * 100.0
+    diff = yt - yp
+    rmse_value = float(np.sqrt(np.mean(diff * diff)))
+    return {"mape_percent": pct, "mape_masked_count": int(yt.size - keep.sum()), "rmse": rmse_value}
+
+
+def formula_report(yt, yp, max_lag, ts_lags):
+    e = yt - yp
+    t, n = e.shape
+    spatial = e.T @ e / t
+    acfs = []
+    for j in range(n):
+        column = e[:, j].copy()
+        centered = column - column.mean()
+        denom = float(np.dot(centered, centered))
+        acfs.append(
+            [float(np.dot(centered[: t - k], centered[k:]) / denom) for k in range(max_lag + 1)]
+            if denom > 0.0 else None
+        )
+    full_sq = float(np.sum((e.T @ e) ** 2)) / n**2
+    diag = np.sum(e * e, axis=1) / n
+    off_sq = max(full_sq - float(np.sum(diag * diag)), 0.0)
+    full = float(np.linalg.norm(spatial))
+    hollow = float(np.linalg.norm(spatial - np.diag(np.diag(spatial))))
+    centered = e - e.mean(axis=0)
+    return {
+        **formula_accuracy(yt, yp),
+        "num_steps": t,
+        "num_sensors": n,
+        "ecm_spatial": spatial.tolist(),
+        "ecm_temporal_summary": {
+            "shape": [t, t],
+            "trace_mean": float(diag.mean()),
+            "offdiag_energy": float(np.sqrt(off_sq / full_sq)) if full_sq > 0 else 0.0,
+        },
+        "ecm_spatial_offdiag_energy": hollow / full if full else 0.0,
+        "acf_band": float(2.0 / np.sqrt(t)),
+        "acf_max_lag": max_lag,
+        "acf": acfs,
+        "crosslag": {str(ts): (centered[: t - ts].T @ centered[ts:] / (t - ts)).tolist() for ts in ts_lags},
+    }
+
+
+def scored_pair(shape, seed=14):
+    """Truth with exact zeros, entries in (0, 1e-6] of either sign and a
+    constant residual in its last column (when there are two or more)."""
+    rng = np.random.default_rng(seed)
+    truth = rng.normal(5.0, 3.0, size=shape)
+    preds = truth + rng.normal(size=shape)
+    truth.flat[::7] = 0.0
+    tiny = truth.flat[3::11]
+    truth.flat[3::11] = rng.uniform(1e-9, MASK_THRESHOLD, size=tiny.shape) * rng.choice([-1.0, 1.0], tiny.shape)
+    if shape[1] > 1:
+        truth[:, -1], preds[:, -1] = 3.0, 2.5
+    return truth, preds
+
+
+SCORED_SHAPES = [(7988, 200), (1000, 17), (3, 2), (700, 1)]
+
+
+@pytest.mark.parametrize("shape", SCORED_SHAPES, ids=str)
+def test_accuracy_equals_its_formulas_bit_for_bit(shape):
+    truth, preds = scored_pair(shape)
+    expected = formula_accuracy(truth, preds)
+    assert expected["mape_masked_count"] > 0
+    assert accuracy(truth, preds) == expected
+    assert mape(truth, preds) == (expected["mape_percent"], expected["mape_masked_count"])
+    assert rmse(truth, preds) == expected["rmse"]
+
+
+@pytest.mark.parametrize("shape", SCORED_SHAPES, ids=str)
+def test_residual_report_equals_its_formulas_bit_for_bit(shape):
+    truth, preds = scored_pair(shape)
+    max_lag = min(20, shape[0] - 1)
+    ts_lags = tuple(ts for ts in (0, 1, 3) if ts < shape[0])
+    report = residual_report(truth, preds, max_lag=max_lag, ts_lags=ts_lags)
+    assert report == formula_report(truth, preds, max_lag, ts_lags)
+    assert (report["acf"][-1] is None) == (shape[1] > 1)
+
+
+def test_scoring_errors_keep_their_classes():
+    zeros, ones = np.zeros((30, 3)), np.ones((30, 3))
+    for score in (mape, accuracy, residual_report):
+        with pytest.raises(UndefinedMetricError):
+            score(zeros, ones)
+    for score in (mape, rmse, accuracy, residual_report):
+        for other in (np.ones((30, 1)), np.ones((29, 3))):
+            with pytest.raises(ValidationError, match="shape mismatch"):
+                score(ones, other)
+    with pytest.raises(ValidationError, match="at least two residual rows"):
+        residual_report(np.ones((1, 3)), np.zeros((1, 3)))
+    with pytest.raises(ValidationError, match="2-D"):
+        residual_report(np.ones(5), np.zeros(5))
+    with pytest.raises(ValidationError, match="max_lag"):  # before the all-masked MAPE
+        residual_report(zeros[:5], ones[:5])
+
+
+@pytest.mark.parametrize("score, bound", [(accuracy, 1.35), (residual_report, 1.5)], ids=["accuracy", "report"])
+def test_scoring_holds_about_one_residual_array(score, bound):
+    # road200_score's test split: 7988 windows of 200 sensors, 12.8 MB a (B, N) array
+    rng = np.random.default_rng(15)
+    truth = rng.normal(5.0, 3.0, size=(7988, 200))
+    preds = truth + rng.normal(size=truth.shape)
+    tracemalloc.start()
+    try:
+        score(truth, preds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / truth.nbytes <= bound

@@ -288,3 +288,18 @@ def test_structured_var_coefficients_generate_compatible():
 def test_graph_spec_records_no_p_edge_for_a_graph_that_ignores_it(kind):
     assert GraphSpec(kind, 5, p_edge=float("nan")).p_edge is None
     assert GraphSpec("erdos_renyi", 5, p_edge=0.25).p_edge == 0.25
+
+
+def test_graph_spec_stores_numpy_counts_as_json_integers():
+    spec = GraphSpec("ring", np.int64(4), seed=np.int64(1))
+    assert type(spec.n) is int and type(spec.seed) is int
+    cfg = SynthConfig(graph=spec, steps=50, dgp_self=(0.5,), dgp_hop=(0.0,), phi_star=0.3 * np.eye(4))
+    recorded = json.loads(json.dumps(cfg.to_dict()))
+    assert (recorded["graph"]["n"], recorded["graph"]["seed"]) == (4, 1)
+
+
+def test_graph_spec_refuses_a_bad_count_at_construction():
+    with pytest.raises(ValidationError, match="n must be >= 1"):
+        GraphSpec("ring", 0)
+    with pytest.raises(ValidationError, match="graph seed must be >= 0"):
+        GraphSpec("ring", 4, seed=-1)

@@ -219,10 +219,7 @@ def _fit_each(
 def _predict(model, em, ws, normalizer: Normalizer, split: str):
     """(truth, predictions) of a window set in original units; a prediction
     that is not finite is a DivergenceError naming the split."""
-    preds = predict_windows(model, em, ws)
-    if normalizer.mean is not None:  # Normalizer.inverse, in place on fresh predictions
-        preds *= normalizer.std
-        preds += normalizer.mean
+    preds = normalizer.inverse(predict_windows(model, em, ws))
     if not np.all(np.isfinite(preds)):
         raise DivergenceError(f"the checkpoint's {split} predictions are not finite")
     return normalizer.inverse(ws.targets), preds

@@ -62,12 +62,10 @@ def accuracy(y_true, y_pred) -> dict:
     return {"mape_percent": pct, "mape_masked_count": masked, "rmse": rmse(y_true, y_pred)}
 
 
-def _residual_matrix(residuals, two_rows: bool) -> np.ndarray:
+def _residual_matrix(residuals) -> np.ndarray:
     e = np.asarray(residuals, dtype=np.float64)
     if e.ndim != 2:
         raise ValidationError("residual matrix must be 2-D (T x N)")
-    if two_rows and e.shape[0] < 2:
-        raise ValidationError("need at least two residual rows")
     return e
 
 
@@ -77,7 +75,9 @@ def ecm(residuals, orientation: str = "spatial") -> np.ndarray:
     For residuals E of shape (T, N): spatial gives E^T E / T (sensor by
     sensor); temporal gives E E^T / N (step by step). No mean removal.
     """
-    e = _residual_matrix(residuals, True)
+    e = _residual_matrix(residuals)
+    if e.shape[0] < 2:
+        raise ValidationError("need at least two residual rows")
     if orientation == "spatial":
         return e.T @ e / e.shape[0]
     if orientation == "temporal":
@@ -111,7 +111,7 @@ def crosslag_cov(residuals, ts: int) -> np.ndarray:
     t + ts. At ts = 0 this equals the spatial ECM of the mean-removed
     residuals exactly.
     """
-    e = _residual_matrix(residuals, False)
+    e = _residual_matrix(residuals)
     return _lag_product(e - e.mean(axis=0), ts)
 
 
@@ -164,9 +164,9 @@ def residual_report(
     are null for constant residual columns.
     """
     yt, yp = _pair(y_true, y_pred)
-    t, n = _residual_matrix(yt, True).shape
-    check_count("max_lag", max_lag, 0, t - 1)  # refused before any scoring, as acf would
-    scores = accuracy(yt, yp)
+    t, n = _residual_matrix(yt).shape
+    if t < 2:
+        raise ValidationError("need at least two residual rows")
     residuals = yt - yp
     gram = residuals.T @ residuals
     spatial = gram / t
@@ -179,8 +179,10 @@ def residual_report(
         except UndefinedMetricError:
             acf_values.append(None)
     residuals -= residuals.mean(axis=0)  # crosslag_cov's centring, in place once the ACFs are taken
+    crosslag = {str(ts): _lag_product(residuals, ts) for ts in ts_lags}
+    del residuals  # accuracy's scratch takes its place; the lists are built after it
     return {
-        **scores,
+        **accuracy(yt, yp),
         "num_steps": t,
         "num_sensors": n,
         "ecm_spatial": spatial.tolist(),
@@ -189,5 +191,5 @@ def residual_report(
         "acf_band": float(2.0 / np.sqrt(t)),
         "acf_max_lag": int(max_lag),
         "acf": acf_values,
-        "crosslag": {str(ts): _lag_product(residuals, ts).tolist() for ts in ts_lags},
+        "crosslag": {ts: c.tolist() for ts, c in crosslag.items()},
     }

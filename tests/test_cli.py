@@ -13,9 +13,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import saea.cli
-from saea.adjust import ErrorModel, predict_windows
+from saea.adjust import ErrorModel
 from saea.cli import run
-from saea.data import Normalizer, SeriesFrame, ingest_csv, make_windows
+from saea.data import ingest_csv
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import load_adjacency_csv, structural_mask
 from saea.synth import GraphSpec, SynthConfig, generate, oracle_floor, ring_graph
@@ -79,17 +79,6 @@ def test_synth_outputs_and_floor(tmp_path):
     # CSV round trip reproduces the synthesized values bit for bit
     bundle = generate(cfg)
     assert frame.values.tobytes() == bundle.frame.values.tobytes()
-
-
-def test_predict_inverts_a_zscore_normalizer_as_inverse_does():
-    rng = np.random.default_rng(4)
-    values = rng.normal(40.0, 6.0, size=(60, 5))
-    normalizer = Normalizer.fit("zscore", values)
-    ws = make_windows(SeriesFrame(normalizer.transform(values)), 4, 1)
-    model = NodeAR(4, 5, seed=2)
-    truth, preds = saea.cli._predict(model, None, ws, normalizer, "test")
-    assert preds.tobytes() == normalizer.inverse(predict_windows(model, None, ws)).tobytes()
-    assert truth.tobytes() == normalizer.inverse(ws.targets).tobytes()
 
 
 def test_train_writes_run_dir(tmp_path):

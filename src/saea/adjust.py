@@ -26,7 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import WindowSet, blob_field, check_count, check_real, row_windows, seeded_rng, shift_with_mean
+from .data import (
+    WindowSet, blob_field, check_count, check_real, check_shape, row_windows, seeded_rng, shift_with_mean,
+)
 from .errors import DivergenceError, ValidationError
 from .forecaster import Forecaster
 from .graph import SensorGraph, StructuralMask, structural_mask
@@ -99,7 +101,7 @@ class ErrorModel:
             need = "requires a" if mask is None else "takes no"
             raise ValidationError(f"{kind} error model {need} StructuralMask")
         if mask is not None and mask.graph.n != n:
-            raise ValidationError(f"mask graph has {mask.graph.n} nodes, not n={n}")
+            raise ValidationError(f"mask adjacency has {mask.graph.n} nodes, not n={n}")
         dims = {"p": var_order, "n": n, "k": self.rank}
         expected = {name: tuple(dims[a] for a in spec[0]) for name, spec in PAYLOAD[kind].items()}
         payload = self.payload
@@ -107,12 +109,10 @@ class ErrorModel:
             payload = {name: np.zeros(shape) for name, shape in expected.items()}
         if set(payload) != set(expected):
             raise ValidationError(f"payload keys {sorted(payload)} != expected {sorted(expected)}")
-        self.payload = {name: np.array(payload[name], dtype=np.float64) for name in expected}
-        for name, shape in expected.items():
-            if self.payload[name].shape != shape:
-                raise ValidationError(
-                    f"payload {name!r} has shape {self.payload[name].shape}, expected {shape}"
-                )
+        self.payload = {
+            name: check_shape(f"payload {name!r}", np.array(payload[name], dtype=np.float64), shape)
+            for name, shape in expected.items()
+        }
 
     @classmethod
     def for_training(cls, kind: str, n: int, seed: int = 0, **fields) -> "ErrorModel":
@@ -151,10 +151,6 @@ class ErrorModel:
         mask = None
         if blob.keys() & {"adjacency", "mask_order"}:
             graph = SensorGraph(blob_field(blob, "adjacency", list, "error model"))
-            if graph.n != n:
-                raise ValidationError(
-                    f"error model field 'adjacency' has {graph.n} nodes, but its 'n' is {n}"
-                )
             mask = structural_mask(graph, blob_field(blob, "mask_order", int, "error model"))
         payload = blob_field(blob, "payload", dict, "error model")
         return cls(

@@ -35,6 +35,7 @@ from .data import (
     blob_field,
     check_count,
     check_real,
+    check_shape,
     check_split,
     chronological_split,
     ingest_csv,
@@ -96,9 +97,9 @@ TRAIN_FIELDS = {
     "alpha": (float, None, None),
     "beta": (float, None, None),
     "rank": (int, None, None),
-    "var_order": (int, 1, None),
+    "var_order": (int, ErrorModel.var_order, None),
     "horizon_min": (comma_list(float, distinct=True), "5", None),
-    "step_min": (float, 5.0, None),
+    "step_min": (float, SeriesFrame.step_minutes, None),
     "history": (int, 12, None),
     "epochs": (int, TrainConfig.epochs, None),
     "lr": (float, TrainConfig.lr, None),
@@ -249,16 +250,15 @@ def _eval_checkpoint(args):
     blob = read_json(args.checkpoint)
     model, em = load_checkpoint_blob(blob)
     # the run fields a checkpoint omits take these defaults
-    blob = {"normalizer": {"mode": "none"}, "horizon_step": 0, "step_minutes": 5.0, **blob}
+    blob = {"normalizer": {"mode": "none"}, "horizon_step": 0, "step_minutes": SeriesFrame.step_minutes,
+            **blob}
     normalizer = Normalizer.from_blob(blob_field(blob, "normalizer", dict))
     horizon_step = blob_field(blob, "horizon_step", int)
     fracs = _checkpoint_split(blob, args)
-    n = model.n
     for name in ("mean", "std"):
-        values = getattr(normalizer, name)
-        if values is not None and values.shape != (n,):
-            raise ValidationError(f"normalizer field {name!r} has {values.size} values, not {n}")
-    frame = ingest_csv(args.series, blob_field(blob, "step_minutes", float), num_sensors=n)
+        if getattr(normalizer, name) is not None:
+            check_shape(f"normalizer field {name!r}", getattr(normalizer, name), (model.n,))
+    frame = ingest_csv(args.series, blob_field(blob, "step_minutes", float), num_sensors=model.n)
     part = dict(zip(("train", "val", "test"), chronological_split(frame, *fracs)))[args.split]
     part_n = SeriesFrame(normalizer.transform(part.values), part.step_minutes)
     ws = make_windows(part_n, model.history, horizon_step)
@@ -273,9 +273,7 @@ def cmd_synth(args) -> int:
     spec = GraphSpec(args.graph, args.n, p_edge=args.p_edge, seed=args.graph_seed)
     graph = spec.build()
     if args.phi_star:
-        phi = load_matrix_csv(args.phi_star)
-        if phi.shape != (graph.n, graph.n):
-            raise ValidationError(f"{args.phi_star}: shape {phi.shape}, not ({args.n}, {args.n}) for --n")
+        phi = check_shape(f"{args.phi_star}: phi_star", load_matrix_csv(args.phi_star), (graph.n, graph.n))
     else:
         phi = args.phi_diag * np.eye(graph.n) + args.phi_hop * normalized_adjacency(graph)
     if args.phi_radius is not None:

@@ -48,6 +48,14 @@ def check_real(name: str, value, low=None, high=None, *, low_open=False, high_op
     return float(_in_range(name, value, low, high, low_open, high_open))
 
 
+def check_shape(name: str, value, shape: tuple) -> np.ndarray:
+    """value as a float64 array (copied only to convert it) if it has shape; else a ValidationError."""
+    array = np.asarray(value, dtype=np.float64)
+    if array.shape != shape:
+        raise ValidationError(f"{name} has shape {array.shape}, expected {shape}")
+    return array
+
+
 def _in_range(name: str, value, low, high, low_open=False, high_open=False):
     """value, if the bounds of check_count or check_real hold it; else their ValidationError."""
     if (low is None or low < value or low == value and not low_open) and (
@@ -162,7 +170,8 @@ class WindowSet:
         return WindowSet(inputs=self.inputs[indices], targets=self.targets[indices])
 
 
-def ingest_csv(path, step_minutes: float = 5.0, num_sensors: int | None = None) -> SeriesFrame:
+def ingest_csv(path, step_minutes: float = SeriesFrame.step_minutes,
+               num_sensors: int | None = None) -> SeriesFrame:
     """Read a sensor series CSV: one header row naming columns, then a body
     of one row per step, read by _read_records. Given num_sensors, a header
     naming another number of columns is a ValidationError, raised before the

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import blob_field, check_count, readonly, seeded_rng
+from .data import blob_field, check_count, check_shape, readonly, seeded_rng
 from .errors import ValidationError
 from .graph import SensorGraph, normalized_adjacency
 
@@ -43,11 +43,8 @@ class Forecaster:
     def set_params(self, theta) -> None:
         """Replace every parameter array by a copy of its slice of theta; each
         keeps the shape of the array the model holds now."""
-        theta = np.asarray(theta, dtype=np.float64)
         arrays = [getattr(self, name) for name in self.params]
-        total = sum(arr.size for arr in arrays)
-        if theta.shape != (total,):
-            raise ValidationError(f"theta shape {theta.shape} != ({total},)")
+        theta = check_shape("theta", theta, (sum(arr.size for arr in arrays),))
         start = 0
         for name, arr in zip(self.params, arrays):
             setattr(self, name, theta[start : start + arr.size].reshape(arr.shape).copy())

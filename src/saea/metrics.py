@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import check_count
+from .data import check_count, check_shape
 from .errors import UndefinedMetricError, ValidationError
 
 MASK_THRESHOLD = 1e-6
@@ -13,10 +13,7 @@ _BLOCK_VALUES = 1 << 16
 
 def _pair(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     yt = np.asarray(y_true, dtype=np.float64)
-    yp = np.asarray(y_pred, dtype=np.float64)
-    if yt.shape != yp.shape:
-        raise ValidationError(f"shape mismatch {yt.shape} vs {yp.shape}")
-    return yt, yp
+    return yt, check_shape("predictions", y_pred, yt.shape)
 
 
 def _row_blocks(a: np.ndarray):

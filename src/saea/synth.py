@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import SeriesFrame, check_count, check_real, seeded_rng
+from .data import SeriesFrame, check_count, check_real, check_shape, seeded_rng
 from .errors import ValidationError
 from .graph import SensorGraph, normalized_adjacency, structural_mask
 
@@ -116,8 +116,8 @@ class SynthConfig:
 
     def to_dict(self) -> dict:
         taps = {name: [float(c) for c in getattr(self, name)] for name in ("dgp_self", "dgp_hop")}
-        phi = np.asarray(self.phi_star).tolist()
-        return {**asdict(self), **taps, "phi_star": phi, "burn_in": BURN_IN}
+        settings = {name: value for name, value in asdict(self).items() if name != "phi_star"}
+        return {**settings, **taps, "burn_in": BURN_IN}
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,7 @@ def generate(cfg: SynthConfig) -> SynthBundle:
     """
     graph = cfg.graph.build()
     n = graph.n
-    phi = np.asarray(cfg.phi_star, dtype=np.float64)
-    if phi.shape != (n, n):
-        raise ValidationError(f"phi_star shape {phi.shape} != ({n}, {n})")
+    phi = check_shape("phi_star", cfg.phi_star, (n, n))
     if not np.all(np.isfinite(phi)):
         raise ValidationError("phi_star must be finite")
     radius = float(np.max(np.abs(np.linalg.eigvals(phi))))
@@ -186,7 +184,7 @@ def generate(cfg: SynthConfig) -> SynthBundle:
     if not np.all(np.isfinite(values)):
         raise ValidationError("simulation diverged; reduce tap magnitudes or quad_coeff")
 
-    frame = SeriesFrame(values=values[lags + BURN_IN :], step_minutes=5.0)
+    frame = SeriesFrame(values=values[lags + BURN_IN :])
     return SynthBundle(
         frame=frame,
         residuals=residuals[BURN_IN:],

@@ -23,7 +23,9 @@ from .adjust import (
     saea_predict,
     spectral_radius,
 )
-from .data import WindowSet, blob_field, check_count, check_real, read_json, seeded_rng, write_json
+from .data import (
+    WindowSet, blob_field, check_count, check_real, check_shape, read_json, seeded_rng, write_json,
+)
 from .errors import DivergenceError, ValidationError
 from .forecaster import Forecaster, forecaster_from_blob
 
@@ -84,10 +86,8 @@ def rmsprop_step(params, grads, state, lr):
     params <- params - lr * grads / sqrt(state + eps)
     """
     params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
-    state = np.asarray(state, dtype=np.float64)
-    if params.shape != grads.shape or params.shape != state.shape:
-        raise ValidationError("params, grads, and state must share a shape")
+    grads = check_shape("grads", grads, params.shape)
+    state = check_shape("state", state, params.shape)
     new_state = RMSPROP_RHO * state + (1.0 - RMSPROP_RHO) * grads * grads
     new_params = params - lr * grads / np.sqrt(new_state + RMSPROP_EPS)
     return new_params, new_state
@@ -95,10 +95,7 @@ def rmsprop_step(params, grads, state, lr):
 
 def sgd_step(params, grads, lr):
     params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
-    if params.shape != grads.shape:
-        raise ValidationError("params and grads must share a shape")
-    return params - lr * grads
+    return params - lr * check_shape("grads", grads, params.shape)
 
 
 def checkpoint_blob(model: Forecaster, em: ErrorModel | None, extra: dict | None = None) -> dict:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -1149,7 +1150,9 @@ def test_synth_phi_radius_rescales_the_coefficients(tmp_path, capsys):
     rescaled = np.loadtxt(tmp_path / "star" / "phi_star.csv", delimiter=",")
     assert_allclose(rescaled, phi, rtol=1e-12, atol=1e-15)
     manifest = json.loads((tmp_path / "star" / "manifest.json").read_text())
-    assert_allclose(manifest["config"]["phi_star"], phi, rtol=1e-12, atol=1e-15)
+    assert "phi_star" not in manifest["config"]  # recorded by its output file's hash
+    digest = hashlib.sha256((tmp_path / "star" / "phi_star.csv").read_bytes()).hexdigest()
+    assert manifest["outputs"]["phi_star.csv"] == digest
     capsys.readouterr()
     zero = ["--phi-diag", "0", "--phi-hop", "0"]
     assert run([*base, *zero, "--out", str(tmp_path / "zero")]) == 1

@@ -9,12 +9,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from saea.adjust import ErrorModel, predict_windows, saea_loss, saea_predict
-from saea.cli import build_parser, cmd_synth, parse_horizons
-from saea.data import SeriesFrame, chronological_split, make_windows, shift_with_mean
+from saea.cli import build_parser, cmd_eval, cmd_synth, parse_horizons
+from saea.data import SeriesFrame, check_shape, chronological_split, make_windows, shift_with_mean, write_json
 from saea.errors import DivergenceError, ValidationError
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import structural_mask
-from saea.metrics import acf, crosslag_cov
+from saea.metrics import acf, crosslag_cov, rmse
 from saea.synth import (
     GraphSpec,
     SynthConfig,
@@ -303,6 +303,58 @@ def test_reals_take_a_numpy_float(build, keyword, name, low, high, low_open, hig
     built = build(**{keyword: dtype(value)})
     if hasattr(built, keyword):  # stored as a Python float
         assert getattr(built, keyword) == float(dtype(value)) and type(getattr(built, keyword)) is float
+
+
+def _phi_star_file(values):
+    """cmd_synth on a 4-sensor ring, reading --phi-star from a file of values."""
+    np.savetxt("phi_star.csv", values, delimiter=",")
+    return _synth_command(phi_star="phi_star.csv")
+
+
+def _eval_normalizer(**fields):
+    """cmd_eval of a 4-sensor checkpoint whose z-score normalizer takes its
+    mean and std from fields, else unit values; the series is never read."""
+    arrays = {"mean": np.ones(4), "std": np.ones(4), **fields}
+    normalizer = {"mode": "zscore", **{name: values.tolist() for name, values in arrays.items()}}
+    write_json("checkpoint.json", checkpoint_blob(NodeAR(3, 4), None, {"normalizer": normalizer}))
+    argv = ["eval", "--checkpoint", "checkpoint.json", "--series", "unread.csv", "--out", "out"]
+    return cmd_eval(build_parser().parse_args(argv))
+
+
+# (call taking the array as its one argument, the name its errors give, a
+# wrong shape, the shape expected); the other arguments are valid, and the
+# calls run in an empty working directory
+SHAPES = [
+    (lambda a: NodeAR(3, 2).set_params(a), "theta", (8, 1), (8,)),
+    (lambda a: rmsprop_step(np.zeros(2), a, np.zeros(2), 0.1), "grads", (3,), (2,)),
+    (lambda a: rmsprop_step(np.zeros(2), np.zeros(2), a, 0.1), "state", (2, 1), (2,)),
+    (lambda a: sgd_step(np.zeros((2, 2)), a, 0.1), "grads", (4,), (2, 2)),
+    (lambda a: ErrorModel("sparse_full", 3, payload={"matrix": a}), "payload 'matrix'", (3, 3), (1, 3, 3)),
+    (lambda a: _synth(phi_star=a), "phi_star", (3, 3), (4, 4)),
+    (_phi_star_file, "phi_star.csv: phi_star", (3, 3), (4, 4)),
+    (lambda a: _eval_normalizer(mean=a), "normalizer field 'mean'", (5,), (4,)),
+    (lambda a: _eval_normalizer(std=a), "normalizer field 'std'", (3,), (4,)),
+    (lambda a: rmse(np.zeros((3, 2)), a), "predictions", (2, 3), (3, 2)),
+]
+SHAPE_IDS = [
+    "theta", "rmsprop-grads", "rmsprop-state", "sgd-grads", "payload", "phi_star", "phi-star-file",
+    "normalizer-mean", "normalizer-std", "predictions",
+]
+
+
+@pytest.mark.parametrize("build, name, shape, expected", SHAPES, ids=SHAPE_IDS)
+def test_shapes_refuse_a_wrong_shape_naming_the_array(tmp_path, monkeypatch, build, name, shape, expected):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValidationError) as refused:
+        build(np.ones(shape))
+    assert str(refused.value) == f"{name} has shape {shape}, expected {expected}"
+
+
+def test_check_shape_converts_without_copying_a_float64_array():
+    values = np.zeros((2, 3))
+    assert check_shape("values", values, (2, 3)) is values
+    converted = check_shape("values", [[1, 2, 3]], (1, 3))
+    assert converted.dtype == np.float64 and converted.tolist() == [[1.0, 2.0, 3.0]]
 
 
 def test_synth_config_stores_numpy_counts_as_json_integers():

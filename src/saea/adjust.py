@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import (
-    WindowSet, blob_field, check_count, check_real, check_shape, row_windows, seeded_rng, shift_with_mean,
+    WindowSet, blob_field, check_count, check_finite, check_real, check_shape, row_windows, seeded_rng,
+    shift_with_mean,
 )
 from .errors import DivergenceError, ValidationError
 from .forecaster import Forecaster
@@ -64,8 +65,8 @@ class ErrorModel:
     """VAR(p) error coefficients in one of six parameterizations, with the
     penalty that training puts on them.
 
-    payload maps each array name of PAYLOAD[kind] to a float64 array of its
-    axes (zeros when no payload is given); the model holds copies of
+    payload maps each array name of PAYLOAD[kind] to a finite float64 array
+    of its axes (zeros when no payload is given); the model holds copies of
     the arrays given, never the caller's dict or arrays. structural also
     holds a StructuralMask. alpha, beta and rank are settled here, for the
     kind, from DEFAULT_REGULARIZATION: None takes the default (rank at most
@@ -109,10 +110,9 @@ class ErrorModel:
             payload = {name: np.zeros(shape) for name, shape in expected.items()}
         if set(payload) != set(expected):
             raise ValidationError(f"payload keys {sorted(payload)} != expected {sorted(expected)}")
-        self.payload = {
-            name: check_shape(f"payload {name!r}", np.array(payload[name], dtype=np.float64), shape)
-            for name, shape in expected.items()
-        }
+        self.payload = {name: np.array(payload[name], dtype=np.float64) for name in expected}
+        for name, shape in expected.items():
+            check_finite(f"payload {name!r}", check_shape(f"payload {name!r}", self.payload[name], shape))
 
     @classmethod
     def for_training(cls, kind: str, n: int, seed: int = 0, **fields) -> "ErrorModel":

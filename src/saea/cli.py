@@ -34,6 +34,7 @@ from .data import (
     SeriesFrame,
     blob_field,
     check_count,
+    check_finite,
     check_real,
     check_shape,
     check_split,
@@ -48,7 +49,7 @@ from .data import (
     write_json,
 )
 from .errors import DivergenceError, SaeaError, ValidationError
-from .forecaster import MODEL_KINDS, build_forecaster
+from .forecaster import MLP1, MODEL_KINDS, build_forecaster
 from .graph import (
     SensorGraph,
     load_adjacency_csv,
@@ -91,7 +92,7 @@ def comma_list(caster, choices=None, distinct=False):
 TRAIN_FIELDS = {
     # name: (type, default, choices or None); every field is also a flag
     "model": (str, "nodear", MODEL_KINDS),
-    "hidden": (int, 64, None),
+    "hidden": (int, MLP1.hidden, None),
     "kind": (str, "sparse_full", ALL_KINDS),
     "mask_order": (int, 1, (1, 2)),
     "alpha": (float, None, None),
@@ -255,9 +256,8 @@ def _eval_checkpoint(args):
     normalizer = Normalizer.from_blob(blob_field(blob, "normalizer", dict))
     horizon_step = blob_field(blob, "horizon_step", int)
     fracs = _checkpoint_split(blob, args)
-    for name in ("mean", "std"):
-        if getattr(normalizer, name) is not None:
-            check_shape(f"normalizer field {name!r}", getattr(normalizer, name), (model.n,))
+    if normalizer.mean is not None:  # the constructor gave std the same shape
+        check_shape("normalizer field 'mean'", normalizer.mean, (model.n,))
     frame = ingest_csv(args.series, blob_field(blob, "step_minutes", float), num_sensors=model.n)
     part = dict(zip(("train", "val", "test"), chronological_split(frame, *fracs)))[args.split]
     part_n = SeriesFrame(normalizer.transform(part.values), part.step_minutes)
@@ -278,9 +278,7 @@ def cmd_synth(args) -> int:
         phi = args.phi_diag * np.eye(graph.n) + args.phi_hop * normalized_adjacency(graph)
     if args.phi_radius is not None:
         radius = check_real("phi_radius", args.phi_radius, 0)
-        if not np.all(np.isfinite(phi)):
-            raise ValidationError("phi_radius cannot rescale coefficients that are not finite")
-        current = float(np.max(np.abs(np.linalg.eigvals(phi))))
+        current = float(np.max(np.abs(np.linalg.eigvals(check_finite("phi_star", phi)))))
         if current == 0:
             raise ValidationError("cannot rescale a zero coefficient matrix")
         phi *= radius / current
@@ -564,17 +562,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--graph", choices=("path", "ring", "erdos_renyi"), default="ring")
     p_synth.add_argument("--n", type=int, default=20)
     p_synth.add_argument("--p-edge", dest="p_edge", type=float)
-    p_synth.add_argument("--graph-seed", dest="graph_seed", type=int, default=0)
+    p_synth.add_argument("--graph-seed", dest="graph_seed", type=int, default=GraphSpec.seed)
     p_synth.add_argument("--steps", type=int, default=5000)
-    p_synth.add_argument("--sigma", type=float, default=1.0)
+    p_synth.add_argument("--sigma", type=float, default=SynthConfig.sigma)
     p_synth.add_argument("--dgp-self", dest="dgp_self", type=comma_list(float), default="0.5,0.2")
     p_synth.add_argument("--dgp-hop", dest="dgp_hop", type=comma_list(float), default="0.3,0.0")
-    p_synth.add_argument("--quad", type=float, default=0.0)
+    p_synth.add_argument("--quad", type=float, default=SynthConfig.quad_coeff)
     p_synth.add_argument("--phi-star", dest="phi_star", help="coefficient CSV")
     p_synth.add_argument("--phi-diag", dest="phi_diag", type=float, default=0.3)
     p_synth.add_argument("--phi-hop", dest="phi_hop", type=float, default=0.2)
     p_synth.add_argument("--phi-radius", dest="phi_radius", type=float)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=int, default=SynthConfig.seed)
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_synth)
 

@@ -56,6 +56,14 @@ def check_shape(name: str, value, shape: tuple) -> np.ndarray:
     return array
 
 
+def check_finite(name: str, value) -> np.ndarray:
+    """value as a float64 array (copied only to convert it) if it is all finite; else a ValidationError."""
+    array = np.asarray(value, dtype=np.float64)
+    if not np.all(np.isfinite(array)):
+        raise ValidationError(f"{name} has non-finite entries")
+    return array
+
+
 def _in_range(name: str, value, low, high, low_open=False, high_open=False):
     """value, if the bounds of check_count or check_real hold it; else their ValidationError."""
     if (low is None or low < value or low == value and not low_open) and (
@@ -64,8 +72,6 @@ def _in_range(name: str, value, low, high, low_open=False, high_open=False):
         return value
     if high is None:
         bound = f"{'>' if low_open else '>='} {low}"
-    elif low is None:
-        bound = f"{'<' if high_open else '<='} {high}"
     else:
         bound = f"in {'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
     raise ValidationError(f"{name} must be {bound}, got {value!r}")
@@ -94,11 +100,9 @@ class SeriesFrame:
     step_minutes: float = 5.0
 
     def __post_init__(self):
-        v = readonly(self.values)
+        v = readonly(check_finite("series values", self.values))
         if v.ndim != 2:
             raise ValidationError(f"series values must be 2-D (T x N), got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("series values contain non-finite entries")
         step = check_real("step_minutes", self.step_minutes, 0, low_open=True)
         object.__setattr__(self, "step_minutes", step)
         object.__setattr__(self, "values", v)
@@ -425,10 +429,23 @@ def row_windows(rows: np.ndarray, history: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Normalizer:
     """Per-sensor z-score transform (x - mean) / std, or the identity when
-    mean and std are None; the identity returns its input, not a copy."""
+    mean and std are None; the identity returns its input, not a copy. Else
+    both are finite 1-D arrays of one length, std > 0, held read-only, and
+    transform and inverse take values whose last axis has that length."""
 
     mean: np.ndarray | None = None
     std: np.ndarray | None = None
+
+    def __post_init__(self):
+        if (self.mean is None) != (self.std is None):
+            raise ValidationError("normalizer fields 'mean' and 'std' are given both or neither")
+        if self.mean is not None:
+            for name in ("mean", "std"):  # each 1-D and as long as mean
+                label = f"normalizer field {name!r}"
+                value = check_finite(label, check_shape(label, getattr(self, name), (np.size(self.mean),)))
+                object.__setattr__(self, name, readonly(value))
+            if not np.all(self.std > 0):
+                raise ValidationError("normalizer field 'std' must be > 0 for every sensor")
 
     @classmethod
     def fit(cls, mode: str, values) -> "Normalizer":
@@ -447,12 +464,12 @@ class Normalizer:
     def transform(self, values: np.ndarray) -> np.ndarray:
         if self.mean is None:
             return values
-        return (np.asarray(values, dtype=np.float64) - self.mean) / self.std
+        return (check_shape("values", values, np.shape(values)[:-1] + self.mean.shape) - self.mean) / self.std
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         if self.mean is None:
             return values
-        return np.asarray(values, dtype=np.float64) * self.std + self.mean
+        return check_shape("values", values, np.shape(values)[:-1] + self.std.shape) * self.std + self.mean
 
     def to_blob(self) -> dict:
         if self.mean is None:
@@ -462,11 +479,8 @@ class Normalizer:
     @classmethod
     def from_blob(cls, blob: dict) -> "Normalizer":
         """Rebuild from to_blob's output; a missing or mistyped field, or a
-        std that is not > 0 throughout, is a ValidationError naming it."""
+        pair the constructor refuses, is a ValidationError naming it."""
         mode = blob_field(blob, "mode", str, "normalizer")
         if mode != "zscore":
             return cls.fit(mode, None)  # the identity, or the unknown mode's error
-        mean, std = (blob_field(blob, name, list, "normalizer") for name in ("mean", "std"))
-        if not np.all(std > 0):
-            raise ValidationError("normalizer field 'std' must be > 0 for every sensor")
-        return cls(mean, std)
+        return cls(*(blob_field(blob, name, list, "normalizer") for name in ("mean", "std")))

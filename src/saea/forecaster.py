@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import blob_field, check_count, check_shape, readonly, seeded_rng
+from .data import blob_field, check_count, check_finite, check_shape, readonly, seeded_rng
 from .errors import ValidationError
 from .graph import SensorGraph, normalized_adjacency
 
@@ -103,7 +103,7 @@ class GraphFilterAR(Forecaster):
     params = ("tap_self", "tap_hop", "bias")
 
     def __init__(self, history: int, propagation: np.ndarray, seed: int = 0):
-        prop = readonly(np.array(propagation, dtype=np.float64))
+        prop = readonly(check_finite("propagation", np.array(propagation, dtype=np.float64)))
         if prop.ndim != 2 or prop.shape[0] != prop.shape[1]:
             raise ValidationError("propagation matrix must be square")
         super().__init__(history, prop.shape[0])
@@ -146,8 +146,9 @@ class MLP1(Forecaster):
 
     kind = "mlp1"
     params = ("w1", "b1", "w2", "b2")
+    hidden = 64  # the default width; each model stores its own
 
-    def __init__(self, history: int, n: int, hidden: int = 64, seed: int = 0):
+    def __init__(self, history: int, n: int, hidden: int = hidden, seed: int = 0):
         super().__init__(history, n)
         self.hidden = hidden = check_count("hidden", hidden, 1)
         d_in = self.history * self.n
@@ -194,7 +195,7 @@ def build_forecaster(
     n: int,
     seed: int = 0,
     graph: SensorGraph | None = None,
-    hidden: int = 64,
+    hidden: int = MLP1.hidden,
 ) -> Forecaster:
     """Construct a base model by kind tag. graphfilter requires a graph."""
     if kind == "nodear":

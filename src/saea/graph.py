@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_count, load_matrix_csv, readonly, write_float_rows
+from .data import check_count, check_finite, load_matrix_csv, readonly, write_float_rows
 from .errors import ValidationError
 
 
@@ -31,13 +31,11 @@ class SensorGraph:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        w = readonly(np.array(self.adjacency, dtype=np.float64))
+        w = readonly(check_finite("adjacency", np.array(self.adjacency, dtype=np.float64)))
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValidationError(f"adjacency must be square, got shape {w.shape}")
         if w.shape[0] == 0:
             raise ValidationError("adjacency must have at least one node")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("adjacency contains non-finite entries")
         if np.any(w < 0):
             raise ValidationError("adjacency weights must be nonnegative")
         if np.any(np.diag(w) != 0):

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import SeriesFrame, check_count, check_real, check_shape, seeded_rng
+from .data import SeriesFrame, check_count, check_finite, check_real, check_shape, seeded_rng
 from .errors import ValidationError
 from .graph import SensorGraph, normalized_adjacency, structural_mask
 
@@ -145,9 +145,7 @@ def generate(cfg: SynthConfig) -> SynthBundle:
     """
     graph = cfg.graph.build()
     n = graph.n
-    phi = check_shape("phi_star", cfg.phi_star, (n, n))
-    if not np.all(np.isfinite(phi)):
-        raise ValidationError("phi_star must be finite")
+    phi = check_finite("phi_star", check_shape("phi_star", cfg.phi_star, (n, n)))
     radius = float(np.max(np.abs(np.linalg.eigvals(phi))))
     if radius >= 1.0:
         raise ValidationError(f"phi_star spectral radius {radius:.4f} >= 1; nonstationary")

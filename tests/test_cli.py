@@ -615,10 +615,11 @@ def test_malformed_horizons_fail_validation(tmp_path, capsys, minutes):
      (("--model", "mlp1", "--hidden", "0"), "hidden must be >= 1, got 0"),
      (("--train-frac", "0"), "train_frac must be in (0, 1), got 0.0"),
      (("--train-frac", "nan"), "train_frac must be a finite number, got nan"),
-     (("--train-frac", "0.8", "--val-frac", "0.3"), "train_frac + val_frac must be < 1")],
+     (("--train-frac", "0.8", "--val-frac", "0.3"), "train_frac + val_frac must be < 1"),
+     (("--horizon-min", "5,5.0000000001"), "horizon 5.0000000001 min is listed twice")],
     ids=["horizon-off-step", "step-zero", "structural-without-adjacency", "graphfilter-without-adjacency",
          "history-one", "history-zero-before-var-order", "var-order-above-history", "mlp1-hidden-zero",
-         "train-frac-zero", "train-frac-nan", "fractions-sum-above-one"],
+         "train-frac-zero", "train-frac-nan", "fractions-sum-above-one", "horizons-at-one-step"],
 )
 def test_settings_that_need_no_file_fail_before_one_is_read(tmp_path, capsys, flags, message):
     code = run(["train", "--series", str(tmp_path / "missing.csv"), *flags,
@@ -764,7 +765,8 @@ def test_unreadable_input_files_fail_with_one_json_line(tmp_path, capsys, argv, 
         ("horizon_step", "x", "'horizon_step'"),
         ("step_minutes", "x", "'step_minutes'"),
         ("train_frac", "x", "'train_frac'"),
-        ("normalizer", {"mode": "zscore", "mean": [0.0] * 3, "std": [1.0] * 2}, "'mean'"),
+        ("normalizer", {"mode": "zscore", "mean": [0.0] * 3, "std": [1.0] * 2},
+         "normalizer field 'std' has shape (2,), expected (3,)"),
         ("horizon_step", True, "'horizon_step'"),
         ("step_minutes", True, "'step_minutes'"),
         ("step_minutes", float("nan"), "'step_minutes'"),
@@ -808,7 +810,9 @@ def test_malformed_checkpoint_run_fields_fail_with_one_json_line(
         (3, {}, "series has 3 sensors"),
         (3, {"normalizer": {"mode": "zscore", "mean": [0.0] * 2, "std": [1.0] * 2}}, "series has 3"),
         (2, {"error_model": ErrorModel("scalar", 3).to_blob()}, "error model field 'n'"),
-        (2, {"model": {**GraphFilterAR(3, np.eye(2)).to_blob(), "n": 3}}, "model field 'n'"),
+        # theta has the 2 * history + n entries of n = 3, so only the propagation disagrees
+        (2, {"model": {**GraphFilterAR(3, np.eye(2)).to_blob(), "n": 3, "theta": [0.0] * 9}},
+         "model field 'n' is 3, but its propagation has size 2"),
         # a negative std would score in wrong units, a zero one divide by zero
         (2, {"normalizer": {"mode": "zscore", "mean": [0.0] * 2, "std": [-1.0] * 2}}, "'std'"),
         (2, {"normalizer": {"mode": "zscore", "mean": [0.0] * 2, "std": [0.0] * 2}}, "'std'"),

@@ -78,6 +78,10 @@ def test_ingest_rejects_numeric_header_and_empty(tmp_path):
     empty.write_text("")
     with pytest.raises(ParseError):
         ingest_csv(empty)
+    for header in ("\n", "  ,  \n"):  # a blank line, or names that are all spaces
+        path.write_text(header + "3,4\n")
+        with pytest.raises(ParseError, match="header names zero sensor columns"):
+            ingest_csv(path)
 
 
 def test_series_csv_roundtrip_bit_identical(tmp_path):
@@ -405,6 +409,11 @@ def test_shift_with_mean_second_shift():
     assert_allclose(shifted2[3], mean, atol=1e-15)
 
 
+def test_shift_with_mean_rejects_a_1d_window():
+    with pytest.raises(ValidationError, match=re.escape("windows must have at least two dimensions (H, N)")):
+        shift_with_mean(np.zeros(3))
+
+
 def test_shift_with_mean_pad_is_bit_equal_to_np_mean():
     rng = np.random.default_rng(3)
     inputs = [rng.normal(size=shape) for shape in ((50, 6, 20), (50, 12, 200), (3, 7, 5), (12, 20))]
@@ -467,6 +476,32 @@ def test_normalizer_blob_roundtrip():
     assert blob == {"mode": "zscore", "mean": norm.mean.tolist(), "std": norm.std.tolist()}
     again = Normalizer.from_blob(blob)
     assert_array_equal(again.transform(values), norm.transform(values))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Normalizer(np.zeros(3)), "normalizer fields 'mean' and 'std' are given both or neither"),
+        (lambda: Normalizer(std=np.ones(3)), "normalizer fields 'mean' and 'std' are given both or neither"),
+        (lambda: Normalizer(np.zeros(3), np.zeros(3)), "normalizer field 'std' must be > 0 for every sensor"),
+        (lambda: Normalizer(np.zeros(2), -np.ones(2)), "normalizer field 'std' must be > 0 for every sensor"),
+        (lambda: Normalizer.from_blob({"mode": "zscore", "mean": [0.0] * 3, "std": [1.0] * 5}),
+         "normalizer field 'std' has shape (5,), expected (3,)"),
+        (lambda: Normalizer(np.zeros(8), np.ones(8)).inverse(np.float64(1.0)), "values has shape (), expected (8,)"),
+    ],
+    ids=["mean-only", "std-only", "zero-std", "negative-std", "unequal-lengths", "scalar-values"],
+)
+def test_normalizer_refuses_a_pair_or_values_it_cannot_apply(build, message):
+    with pytest.raises(ValidationError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_normalizer_holds_read_only_float64_of_the_pair_given():
+    mean = np.zeros(2)
+    norm = Normalizer(mean, [1, 2])
+    assert norm.mean.dtype == norm.std.dtype == np.float64 and norm.std.tolist() == [1.0, 2.0]
+    assert not norm.mean.flags.writeable and mean.flags.writeable
 
 
 def test_frame_rejects_nonfinite_and_bad_shapes():

@@ -303,3 +303,8 @@ def test_graph_spec_refuses_a_bad_count_at_construction():
         GraphSpec("ring", 0)
     with pytest.raises(ValidationError, match="graph seed must be >= 0"):
         GraphSpec("ring", 4, seed=-1)
+
+
+def test_graph_spec_refuses_an_unknown_kind_when_built():
+    with pytest.raises(ValidationError, match="unknown graph kind 'star'"):
+        GraphSpec("star", 4).build()

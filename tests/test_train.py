@@ -10,10 +10,19 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from saea.adjust import ErrorModel, predict_windows, saea_loss, saea_predict
 from saea.cli import build_parser, cmd_eval, cmd_synth, parse_horizons
-from saea.data import SeriesFrame, check_shape, chronological_split, make_windows, shift_with_mean, write_json
+from saea.data import (
+    Normalizer,
+    SeriesFrame,
+    check_finite,
+    check_shape,
+    chronological_split,
+    make_windows,
+    shift_with_mean,
+    write_json,
+)
 from saea.errors import DivergenceError, ValidationError
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
-from saea.graph import structural_mask
+from saea.graph import SensorGraph, structural_mask
 from saea.metrics import acf, crosslag_cov, rmse
 from saea.synth import (
     GraphSpec,
@@ -128,6 +137,12 @@ def test_fit_rejects_zero_epochs():
     tws = make_windows(frame, 3, 0)
     with pytest.raises(ValidationError):
         fit(NodeAR(3, 4, seed=0), None, TrainConfig(epochs=0), tws, tws)
+
+
+def test_fit_rejects_an_empty_window_set():
+    tws = make_windows(sinusoid_frame(t=60), 3, 0)
+    with pytest.raises(ValidationError, match="train and validation window sets must be nonempty"):
+        fit(NodeAR(3, 4, seed=0), None, TrainConfig(epochs=1), tws, tws.take([]))
 
 
 @pytest.mark.parametrize("grad_clip", [0.0, -1.0])
@@ -332,13 +347,17 @@ SHAPES = [
     (lambda a: ErrorModel("sparse_full", 3, payload={"matrix": a}), "payload 'matrix'", (3, 3), (1, 3, 3)),
     (lambda a: _synth(phi_star=a), "phi_star", (3, 3), (4, 4)),
     (_phi_star_file, "phi_star.csv: phi_star", (3, 3), (4, 4)),
-    (lambda a: _eval_normalizer(mean=a), "normalizer field 'mean'", (5,), (4,)),
+    (lambda a: _eval_normalizer(mean=a, std=a), "normalizer field 'mean'", (5,), (4,)),
+    (lambda a: Normalizer(a, a), "normalizer field 'mean'", (2, 3), (6,)),
     (lambda a: _eval_normalizer(std=a), "normalizer field 'std'", (3,), (4,)),
+    (lambda a: Normalizer(np.zeros(1), np.ones(1)).transform(a), "values", (3, 8), (3, 1)),
+    (lambda a: Normalizer(np.zeros(1), np.ones(1)).inverse(a), "values", (3, 8), (3, 1)),
     (lambda a: rmse(np.zeros((3, 2)), a), "predictions", (2, 3), (3, 2)),
 ]
 SHAPE_IDS = [
     "theta", "rmsprop-grads", "rmsprop-state", "sgd-grads", "payload", "phi_star", "phi-star-file",
-    "normalizer-mean", "normalizer-std", "predictions",
+    "normalizer-mean", "normalizer-1d", "normalizer-std", "normalizer-transform", "normalizer-inverse",
+    "predictions",
 ]
 
 
@@ -354,6 +373,53 @@ def test_check_shape_converts_without_copying_a_float64_array():
     values = np.zeros((2, 3))
     assert check_shape("values", values, (2, 3)) is values
     converted = check_shape("values", [[1, 2, 3]], (1, 3))
+    assert converted.dtype == np.float64 and converted.tolist() == [[1.0, 2.0, 3.0]]
+
+
+def _with_entry(shape, value):
+    """An array of shape, zeros but for value at its second entry (off any diagonal)."""
+    array = np.zeros(shape)
+    array.flat[1] = value
+    return array
+
+
+def _rescaled_phi_diag(value):
+    """cmd_synth rescaling phi_diag * I + phi_hop * A to a radius, under the
+    errstate that main gives every command (inf * 0 is NaN, silently)."""
+    with np.errstate(all="ignore"):
+        return _synth_command(phi_diag=value, phi_radius=0.5)
+
+
+# (call taking a number to put in an otherwise valid array, the name its
+# errors give)
+FINITE = [
+    (lambda x: SeriesFrame(_with_entry((3, 2), x)), "series values"),
+    (lambda x: SensorGraph(_with_entry((2, 2), x)), "adjacency"),
+    (lambda x: _synth(phi_star=_with_entry((4, 4), x)), "phi_star"),
+    (_rescaled_phi_diag, "phi_star"),
+    (lambda x: GraphFilterAR(3, _with_entry((2, 2), x)), "propagation"),
+    (lambda x: ErrorModel("sparse_full", 2, payload={"matrix": _with_entry((1, 2, 2), x)}), "payload 'matrix'"),
+    (lambda x: Normalizer(_with_entry(3, x), np.ones(3)), "normalizer field 'mean'"),
+    (lambda x: Normalizer(np.zeros(3), 1.0 + _with_entry(3, x)), "normalizer field 'std'"),
+]
+FINITE_IDS = [
+    "series", "adjacency", "phi_star", "phi-radius-rescale", "propagation", "payload", "normalizer-mean",
+    "normalizer-std",
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build, name", FINITE, ids=FINITE_IDS)
+def test_finite_arrays_refuse_a_nonfinite_entry_naming_the_array(build, name, value):
+    with pytest.raises(ValidationError) as refused:
+        build(value)
+    assert str(refused.value) == f"{name} has non-finite entries"
+
+
+def test_check_finite_converts_without_copying_a_float64_array():
+    values = np.zeros((2, 3))
+    assert check_finite("values", values) is values
+    converted = check_finite("values", [[1, 2, 3]])
     assert converted.dtype == np.float64 and converted.tolist() == [[1.0, 2.0, 3.0]]
 
 
@@ -724,6 +790,8 @@ def _with(blob, value, *path):
         (lambda b: _with(b, "x", "error_model", "payload", "matrix"), "'matrix'"),
         (lambda b: _with(b, 2.0, "error_model", "var_order"), "'var_order'"),
         (lambda b: _without(b, "error_model", "mask_order"), "'mask_order'"),
+        # a ragged array
+        (lambda b: _with(b, [[0.0] * 4] * 3 + [[0.0] * 3], "error_model", "adjacency"), "'adjacency'"),
     ],
 )
 def test_malformed_checkpoint_field_is_a_validation_error_naming_it(edit, field):

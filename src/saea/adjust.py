@@ -253,8 +253,7 @@ def _lag_products(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray, 
     empty. The anchor of lag k is row k-1, so p may not exceed H; each window
     must be the model's (H, N), or a size-1 axis would broadcast silently.
     """
-    if inputs.shape[1:] != (model.history, model.n):
-        raise ValidationError(f"window shape {inputs.shape[1:]} != ({model.history}, {model.n})")
+    check_shape("windows", inputs, ("B", model.history, model.n))
     if em is None:
         return [], None, None
     if em.var_order > inputs.shape[1]:
@@ -304,9 +303,11 @@ def saea_predict(model: Forecaster, em: ErrorModel | None, window, *shifted) -> 
     """
     shape = (model.history, model.n)
     limit = max(em.var_order if em is not None else 0, 1)
-    if len(shifted) > limit or any(np.shape(s) != shape for s in shifted):
+    if len(shifted) > limit:
         raise ValidationError(f"at most {limit} shifted windows of shape {shape} are accepted")
-    return _adjusted_forward(model, em, np.asarray(window, dtype=np.float64)[None])[0][0]
+    for s in shifted:
+        check_shape("shifted window", s, shape)
+    return _adjusted_forward(model, em, check_shape("window", window, shape)[None])[0][0]
 
 
 # predict_windows scores about this many values' worth of windows at a time
@@ -332,7 +333,7 @@ def predict_windows(model: Forecaster, em: ErrorModel | None, ws: WindowSet) -> 
     return preds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossResult:
     loss: float
     grad_theta: np.ndarray

@@ -49,10 +49,17 @@ def check_real(name: str, value, low=None, high=None, *, low_open=False, high_op
 
 
 def check_shape(name: str, value, shape: tuple) -> np.ndarray:
-    """value as a float64 array (copied only to convert it) if it has shape; else a ValidationError."""
+    """value as a float64 array (copied only to convert it) if it has shape,
+    where an axis named by a string is a free length that every axis of that
+    name shares: ("N", "N") is any square matrix; else a ValidationError."""
     array = np.asarray(value, dtype=np.float64)
-    if array.shape != shape:
-        raise ValidationError(f"{name} has shape {array.shape}, expected {shape}")
+    sizes = {}
+    if array.shape != shape and (array.ndim != len(shape) or any(
+        got != (sizes.setdefault(want, got) if isinstance(want, str) else want)
+        for got, want in zip(array.shape, shape)
+    )):
+        expected = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise ValidationError(f"{name} has shape {array.shape}, expected ({expected})")
     return array
 
 
@@ -91,7 +98,7 @@ def seeded_rng(seed) -> np.random.Generator:
     return np.random.default_rng(check_count("seed", seed, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesFrame:
     """T x N observation matrix sampled at a fixed interval, stored as a
     read-only view of the values given."""
@@ -100,9 +107,7 @@ class SeriesFrame:
     step_minutes: float = 5.0
 
     def __post_init__(self):
-        v = readonly(check_finite("series values", self.values))
-        if v.ndim != 2:
-            raise ValidationError(f"series values must be 2-D (T x N), got shape {v.shape}")
+        v = readonly(check_shape("series values", check_finite("series values", self.values), ("T", "N")))
         step = check_real("step_minutes", self.step_minutes, 0, low_open=True)
         object.__setattr__(self, "step_minutes", step)
         object.__setattr__(self, "values", v)
@@ -116,7 +121,7 @@ class SeriesFrame:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowSet:
     """Supervised windows for direct step-p forecasting.
 
@@ -135,12 +140,9 @@ class WindowSet:
     rows: np.ndarray | None = None  # (B+H-1, N)
 
     def __post_init__(self):
-        for name in ("inputs", "targets"):
-            object.__setattr__(self, name, readonly(getattr(self, name)))
-        if self.inputs.ndim != 3 or self.targets.shape != (self.batch, self.num_sensors):
-            raise ValidationError(
-                f"inputs {self.inputs.shape} and targets {self.targets.shape} are not (B, H, N) and (B, N)"
-            )
+        object.__setattr__(self, "inputs", readonly(check_shape("inputs", self.inputs, ("B", "H", "N"))))
+        targets = check_shape("targets", self.targets, (self.batch, self.num_sensors))
+        object.__setattr__(self, "targets", readonly(targets))
         if self.rows is not None:  # the same memory, shape and strides, so the same values
             object.__setattr__(self, "rows", readonly(self.rows))
             if row_windows(self.rows, self.history).__array_interface__ != self.inputs.__array_interface__:
@@ -426,7 +428,7 @@ def row_windows(rows: np.ndarray, history: int) -> np.ndarray:
     return sliding_window_view(rows, history, axis=0).transpose(0, 2, 1)[:, ::-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Normalizer:
     """Per-sensor z-score transform (x - mean) / std, or the identity when
     mean and std are None; the identity returns its input, not a copy. Else

@@ -103,9 +103,8 @@ class GraphFilterAR(Forecaster):
     params = ("tap_self", "tap_hop", "bias")
 
     def __init__(self, history: int, propagation: np.ndarray, seed: int = 0):
-        prop = readonly(check_finite("propagation", np.array(propagation, dtype=np.float64)))
-        if prop.ndim != 2 or prop.shape[0] != prop.shape[1]:
-            raise ValidationError("propagation matrix must be square")
+        prop = np.array(propagation, dtype=np.float64)
+        prop = readonly(check_shape("propagation", check_finite("propagation", prop), ("N", "N")))
         super().__init__(history, prop.shape[0])
         self.propagation = prop
         rng = seeded_rng(seed)

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_count, check_finite, load_matrix_csv, readonly, write_float_rows
+from .data import check_count, check_finite, check_shape, load_matrix_csv, readonly, write_float_rows
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensorGraph:
     """Weighted sensor network: a dense float64 (n, n) adjacency, square,
     finite, nonnegative and without self-loops, stored as a read-only copy.
@@ -31,9 +31,8 @@ class SensorGraph:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        w = readonly(check_finite("adjacency", np.array(self.adjacency, dtype=np.float64)))
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValidationError(f"adjacency must be square, got shape {w.shape}")
+        w = check_finite("adjacency", np.array(self.adjacency, dtype=np.float64))
+        w = readonly(check_shape("adjacency", w, ("N", "N")))
         if w.shape[0] == 0:
             raise ValidationError("adjacency must have at least one node")
         if np.any(w < 0):
@@ -47,7 +46,7 @@ class SensorGraph:
         return self.adjacency.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuralMask:
     """Hop mask of a sensor graph: 1 marks pairs farther apart than `order`
     (1 or 2) hops, 0 otherwise, so the diagonal is always 0 (self-dependence

@@ -59,20 +59,13 @@ def accuracy(y_true, y_pred) -> dict:
     return {"mape_percent": pct, "mape_masked_count": masked, "rmse": rmse(y_true, y_pred)}
 
 
-def _residual_matrix(residuals) -> np.ndarray:
-    e = np.asarray(residuals, dtype=np.float64)
-    if e.ndim != 2:
-        raise ValidationError("residual matrix must be 2-D (T x N)")
-    return e
-
-
 def ecm(residuals, orientation: str = "spatial") -> np.ndarray:
     """Residual correlation matrix.
 
     For residuals E of shape (T, N): spatial gives E^T E / T (sensor by
     sensor); temporal gives E E^T / N (step by step). No mean removal.
     """
-    e = _residual_matrix(residuals)
+    e = check_shape("residuals", residuals, ("T", "N"))
     if e.shape[0] < 2:
         raise ValidationError("need at least two residual rows")
     if orientation == "spatial":
@@ -83,12 +76,12 @@ def ecm(residuals, orientation: str = "spatial") -> np.ndarray:
 
 
 def acf(series, max_lag: int) -> tuple[np.ndarray, float]:
-    """Sample autocorrelation of one series, with the 2/sqrt(T) band.
+    """Sample autocorrelation of one 1-D series, with the 2/sqrt(T) band.
 
     Mean-removed, normalized to 1 at lag 0; returns (values of length
     max_lag + 1, band). Undefined for constant series.
     """
-    x = np.asarray(series, dtype=np.float64).ravel()
+    x = check_shape("series", series, ("T",))
     t = x.size
     max_lag = check_count("max_lag", max_lag, 0, t - 1)
     centered = x - x.mean()
@@ -108,7 +101,7 @@ def crosslag_cov(residuals, ts: int) -> np.ndarray:
     t + ts. At ts = 0 this equals the spatial ECM of the mean-removed
     residuals exactly.
     """
-    e = _residual_matrix(residuals)
+    e = check_shape("residuals", residuals, ("T", "N"))
     return _lag_product(e - e.mean(axis=0), ts)
 
 
@@ -123,9 +116,7 @@ def offdiag_energy(matrix) -> float:
 
     0 for diagonal matrices, 1 for hollow ones; a zero matrix maps to 0.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError("offdiag_energy requires a square matrix")
+    m = check_shape("matrix", matrix, ("N", "N"))
     full = float(np.linalg.norm(m))
     if full == 0.0:
         return 0.0
@@ -161,7 +152,7 @@ def residual_report(
     are null for constant residual columns.
     """
     yt, yp = _pair(y_true, y_pred)
-    t, n = _residual_matrix(yt).shape
+    t, n = check_shape("residuals", yt, ("T", "N")).shape
     if t < 2:
         raise ValidationError("need at least two residual rows")
     residuals = yt - yp

@@ -86,7 +86,7 @@ class GraphSpec:
 BURN_IN = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthConfig:
     """Everything needed to simulate one bundle.
 
@@ -120,7 +120,7 @@ class SynthConfig:
         return {**settings, **taps, "burn_in": BURN_IN}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthBundle:
     frame: SeriesFrame
     residuals: np.ndarray    # (T, N) true error process, aligned with frame rows

@@ -340,7 +340,7 @@ def test_predict_takes_one_shifted_window_per_lag():
         refused = re.escape(f"at most {limit} shifted windows of shape (3, 3) are accepted")
         with pytest.raises(ValidationError, match=refused):
             saea_predict(model, em, w, *([w] * (limit + 1)))
-        with pytest.raises(ValidationError, match=refused):
+        with pytest.raises(ValidationError, match=re.escape("shifted window has shape (2, 3), expected (3, 3)")):
             saea_predict(model, em, w, *([w] * (limit - 1)), np.zeros((2, 3)))
 
 
@@ -382,14 +382,16 @@ def test_misshaped_windows_are_contract_error_naming_both_shapes(model, kind, h,
     em = make_em(kind, 4, randomize=0) if kind else None
     rng = np.random.default_rng(0)
     batch = WindowSet(rng.normal(size=(5, h, n)), rng.normal(size=(5, n)))
+    batches = f"windows has shape (5, {h}, {n}), expected (B, 3, 4)"
+    single = f"window has shape ({h}, {n}), expected (3, 4)"
     calls = (
-        lambda: saea_loss(model, em, batch),
-        lambda: predict_windows(model, em, batch),
-        lambda: saea_predict(model, em, batch.inputs[0]),
-        lambda: predict_recursive(model, em, batch.inputs[0], 2),
+        (lambda: saea_loss(model, em, batch), batches),
+        (lambda: predict_windows(model, em, batch), batches),
+        (lambda: saea_predict(model, em, batch.inputs[0]), single),
+        (lambda: predict_recursive(model, em, batch.inputs[0], 2), single),
     )
-    for call in calls:
-        with pytest.raises(ValidationError, match=re.escape(f"window shape ({h}, {n}) != (3, 4)")):
+    for call, refused in calls:
+        with pytest.raises(ValidationError, match=re.escape(refused)):
             call()
 
 

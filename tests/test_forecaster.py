@@ -188,7 +188,7 @@ def test_forward_batch_matches_single():
 def test_contract_errors_on_shape_mismatch():
     model = NodeAR(3, 2, seed=0)
     for window in (np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((1, 3, 2))):
-        with pytest.raises(ValidationError, match=re.escape(f"window shape {window.shape} != (3, 2)")):
+        with pytest.raises(ValidationError, match=re.escape(f"window has shape {window.shape}, expected (3, 2)")):
             saea_predict(model, None, window)
     for model in all_models():
         p = model.get_params().size

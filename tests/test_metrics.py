@@ -347,7 +347,7 @@ def test_scoring_errors_keep_their_classes():
                 score(ones, other)
     with pytest.raises(ValidationError, match="at least two residual rows"):
         residual_report(np.ones((1, 3)), np.zeros((1, 3)))
-    with pytest.raises(ValidationError, match="2-D"):
+    with pytest.raises(ValidationError, match=re.escape("residuals has shape (5,), expected (T, N)")):
         residual_report(np.ones(5), np.zeros(5))
     with pytest.raises(ValidationError, match="max_lag"):  # before the all-masked MAPE
         residual_report(zeros[:5], ones[:5])

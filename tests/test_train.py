@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from saea.adjust import ErrorModel, predict_windows, saea_loss, saea_predict
+from saea.adjust import ErrorModel, LossResult, predict_windows, saea_loss, saea_predict
 from saea.cli import build_parser, cmd_eval, cmd_synth, parse_horizons
 from saea.data import (
     Normalizer,
     SeriesFrame,
+    WindowSet,
     check_finite,
     check_shape,
     chronological_split,
@@ -23,7 +24,7 @@ from saea.data import (
 from saea.errors import DivergenceError, ValidationError
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import SensorGraph, structural_mask
-from saea.metrics import acf, crosslag_cov, rmse
+from saea.metrics import acf, crosslag_cov, ecm, offdiag_energy, residual_report, rmse
 from saea.synth import (
     GraphSpec,
     SynthConfig,
@@ -337,8 +338,9 @@ def _eval_normalizer(**fields):
 
 
 # (call taking the array as its one argument, the name its errors give, a
-# wrong shape, the shape expected); the other arguments are valid, and the
-# calls run in an empty working directory
+# wrong shape, the shape expected, as the message writes it where it names
+# free axes); the other arguments are valid, and the calls run in an empty
+# working directory
 SHAPES = [
     (lambda a: NodeAR(3, 2).set_params(a), "theta", (8, 1), (8,)),
     (lambda a: rmsprop_step(np.zeros(2), a, np.zeros(2), 0.1), "grads", (3,), (2,)),
@@ -353,11 +355,26 @@ SHAPES = [
     (lambda a: Normalizer(np.zeros(1), np.ones(1)).transform(a), "values", (3, 8), (3, 1)),
     (lambda a: Normalizer(np.zeros(1), np.ones(1)).inverse(a), "values", (3, 8), (3, 1)),
     (lambda a: rmse(np.zeros((3, 2)), a), "predictions", (2, 3), (3, 2)),
+    (SeriesFrame, "series values", (5,), "(T, N)"),
+    (lambda a: WindowSet(a, np.zeros((15, 4))), "inputs", (15, 4), "(B, H, N)"),
+    (lambda a: WindowSet(np.zeros((5, 3, 4)), a), "targets", (5, 1), (5, 4)),
+    (SensorGraph, "adjacency", (2, 3), "(N, N)"),
+    (lambda a: GraphFilterAR(3, a), "propagation", (2, 3), "(N, N)"),
+    (ecm, "residuals", (5,), "(T, N)"),
+    (lambda a: crosslag_cov(a, 1), "residuals", (5, 2, 1), "(T, N)"),
+    (lambda a: residual_report(a, a), "residuals", (5,), "(T, N)"),
+    (offdiag_energy, "matrix", (2, 3), "(N, N)"),
+    (lambda a: acf(a, 2), "series", (50, 3), "(T,)"),
+    (lambda a: saea_loss(NodeAR(3, 4), None, WindowSet(a, np.zeros((5, 4)))), "windows", (5, 1, 4), "(B, 3, 4)"),
+    (lambda a: saea_predict(NodeAR(3, 4), None, a), "window", (1, 4), (3, 4)),
+    (lambda a: saea_predict(NodeAR(3, 4), None, np.zeros((3, 4)), a), "shifted window", (3, 1), (3, 4)),
 ]
 SHAPE_IDS = [
     "theta", "rmsprop-grads", "rmsprop-state", "sgd-grads", "payload", "phi_star", "phi-star-file",
     "normalizer-mean", "normalizer-1d", "normalizer-std", "normalizer-transform", "normalizer-inverse",
-    "predictions",
+    "predictions", "series", "window-inputs", "window-targets", "adjacency", "propagation", "ecm",
+    "crosslag", "residual-report", "offdiag-energy", "acf", "loss-windows", "predict-window",
+    "shifted-window",
 ]
 
 
@@ -374,6 +391,32 @@ def test_check_shape_converts_without_copying_a_float64_array():
     assert check_shape("values", values, (2, 3)) is values
     converted = check_shape("values", [[1, 2, 3]], (1, 3))
     assert converted.dtype == np.float64 and converted.tolist() == [[1.0, 2.0, 3.0]]
+
+
+def test_check_shape_names_free_axes_that_share_one_length():
+    for shape in ((1, 1), (4, 4), (0, 0)):
+        assert check_shape("square", np.zeros(shape), ("N", "N")).shape == shape
+    with pytest.raises(ValidationError, match=re.escape("windows has shape (7, 2, 2), expected (B, 3, N)")):
+        check_shape("windows", np.zeros((7, 2, 2)), ("B", 3, "N"))
+
+
+def test_objects_holding_arrays_compare_and_hash_by_identity():
+    # a generated __eq__ would compare arrays, whose truth value is ambiguous,
+    # and a generated __hash__ would hash them, which numpy refuses
+    builds = [
+        lambda: Normalizer(np.zeros(2), np.ones(2)),
+        lambda: SeriesFrame(np.zeros((4, 2))),
+        lambda: make_windows(SeriesFrame(np.zeros((4, 2))), 2),
+        lambda: SensorGraph(np.zeros((2, 2))),
+        lambda: structural_mask(ring_graph(4), 1),
+        _synth_config,
+        _synth,
+        lambda: LossResult(0.0, np.zeros(2), {"matrix": np.zeros((1, 2, 2))}, 0.0, 0.0),
+    ]
+    for build in builds:
+        one, other = build(), build()
+        assert one == one and one != other
+        assert hash(one) == hash(one) and len({one, other}) == 2
 
 
 def _with_entry(shape, value):
@@ -712,7 +755,7 @@ def test_predict_recursive_takes_a_numpy_integer_step_count():
     assert out.shape == (2, 1)
 
 def test_predict_recursive_rejects_a_1d_window():
-    with pytest.raises(ValidationError, match=re.escape("window shape (2,) != (2, 1)")):
+    with pytest.raises(ValidationError, match=re.escape("window has shape (2,), expected (2, 1)")):
         predict_recursive(NodeAR(2, 1, seed=0), None, np.zeros(2), 3)
 
 

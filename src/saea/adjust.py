@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import (
-    WindowSet, blob_field, check_count, check_finite, check_real, check_shape, row_windows, seeded_rng,
+    WindowSet, blob_field, check_count, check_real, check_shape, row_windows, seeded_rng,
     shift_with_mean,
 )
 from .errors import DivergenceError, ValidationError
@@ -110,9 +110,8 @@ class ErrorModel:
             payload = {name: np.zeros(shape) for name, shape in expected.items()}
         if set(payload) != set(expected):
             raise ValidationError(f"payload keys {sorted(payload)} != expected {sorted(expected)}")
-        self.payload = {name: np.array(payload[name], dtype=np.float64) for name in expected}
-        for name, shape in expected.items():
-            check_finite(f"payload {name!r}", check_shape(f"payload {name!r}", self.payload[name], shape))
+        self.payload = {name: np.array(check_shape(f"payload {name!r}", payload[name], shape, finite=True))
+                        for name, shape in expected.items()}
 
     @classmethod
     def for_training(cls, kind: str, n: int, seed: int = 0, **fields) -> "ErrorModel":
@@ -353,8 +352,6 @@ def saea_loss(model: Forecaster, em: ErrorModel | None, batch: WindowSet) -> Los
     both the anchor term and the transformed inputs. With em=None this is the
     plain mean squared error of the base model.
     """
-    if batch.batch == 0:
-        raise ValidationError("loss requires a nonempty batch")
     inputs = batch.inputs
     preds, transformed, contract = _adjusted_forward(model, em, inputs)
     resid = preds - batch.targets

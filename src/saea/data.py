@@ -48,25 +48,25 @@ def check_real(name: str, value, low=None, high=None, *, low_open=False, high_op
     return float(_in_range(name, value, low, high, low_open, high_open))
 
 
-def check_shape(name: str, value, shape: tuple) -> np.ndarray:
+def check_shape(name: str, value, shape: tuple, finite: bool = False) -> np.ndarray:
     """value as a float64 array (copied only to convert it) if it has shape,
-    where an axis named by a string is a free length that every axis of that
-    name shares: ("N", "N") is any square matrix; else a ValidationError."""
-    array = np.asarray(value, dtype=np.float64)
+    where an axis named by a string is a free length >= 1 that every axis of
+    that name shares: ("N", "N") is any nonempty square matrix; and, when
+    finite, if every entry is finite. Else a ValidationError, the shape's
+    before the finiteness one."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} is not an array of numbers") from None
     sizes = {}
+    # a named axis of length 0 records -1, a length no axis has, so it differs
     if array.shape != shape and (array.ndim != len(shape) or any(
-        got != (sizes.setdefault(want, got) if isinstance(want, str) else want)
+        got != (sizes.setdefault(want, got or -1) if isinstance(want, str) else want)
         for got, want in zip(array.shape, shape)
     )):
         expected = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
         raise ValidationError(f"{name} has shape {array.shape}, expected ({expected})")
-    return array
-
-
-def check_finite(name: str, value) -> np.ndarray:
-    """value as a float64 array (copied only to convert it) if it is all finite; else a ValidationError."""
-    array = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(array)):
+    if finite and not np.all(np.isfinite(array)):
         raise ValidationError(f"{name} has non-finite entries")
     return array
 
@@ -107,7 +107,7 @@ class SeriesFrame:
     step_minutes: float = 5.0
 
     def __post_init__(self):
-        v = readonly(check_shape("series values", check_finite("series values", self.values), ("T", "N")))
+        v = readonly(check_shape("series values", self.values, ("T", "N"), finite=True))
         step = check_real("step_minutes", self.step_minutes, 0, low_open=True)
         object.__setattr__(self, "step_minutes", step)
         object.__setattr__(self, "values", v)
@@ -432,7 +432,7 @@ def row_windows(rows: np.ndarray, history: int) -> np.ndarray:
 class Normalizer:
     """Per-sensor z-score transform (x - mean) / std, or the identity when
     mean and std are None; the identity returns its input, not a copy. Else
-    both are finite 1-D arrays of one length, std > 0, held read-only, and
+    both are finite 1-D arrays of one length >= 1, std > 0, held read-only, and
     transform and inverse take values whose last axis has that length."""
 
     mean: np.ndarray | None = None
@@ -442,10 +442,10 @@ class Normalizer:
         if (self.mean is None) != (self.std is None):
             raise ValidationError("normalizer fields 'mean' and 'std' are given both or neither")
         if self.mean is not None:
-            for name in ("mean", "std"):  # each 1-D and as long as mean
-                label = f"normalizer field {name!r}"
-                value = check_finite(label, check_shape(label, getattr(self, name), (np.size(self.mean),)))
-                object.__setattr__(self, name, readonly(value))
+            mean = check_shape("normalizer field 'mean'", self.mean, ("N",), finite=True)
+            std = check_shape("normalizer field 'std'", self.std, mean.shape, finite=True)
+            object.__setattr__(self, "mean", readonly(mean))
+            object.__setattr__(self, "std", readonly(std))
             if not np.all(self.std > 0):
                 raise ValidationError("normalizer field 'std' must be > 0 for every sensor")
 
@@ -458,7 +458,7 @@ class Normalizer:
             return cls()
         if mode != "zscore":
             raise ValidationError(f"unknown normalizer mode {mode!r}")
-        v = np.asarray(values, dtype=np.float64)
+        v = check_shape("values", values, ("T", "N"))
         std = v.std(axis=0)
         std[std <= 1e-12] = 1.0
         return cls(v.mean(axis=0), std)

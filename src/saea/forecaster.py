@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import blob_field, check_count, check_finite, check_shape, readonly, seeded_rng
+from .data import blob_field, check_count, check_shape, readonly, seeded_rng
 from .errors import ValidationError
 from .graph import SensorGraph, normalized_adjacency
 
@@ -103,8 +103,7 @@ class GraphFilterAR(Forecaster):
     params = ("tap_self", "tap_hop", "bias")
 
     def __init__(self, history: int, propagation: np.ndarray, seed: int = 0):
-        prop = np.array(propagation, dtype=np.float64)
-        prop = readonly(check_shape("propagation", check_finite("propagation", prop), ("N", "N")))
+        prop = readonly(np.array(check_shape("propagation", propagation, ("N", "N"), finite=True)))
         super().__init__(history, prop.shape[0])
         self.propagation = prop
         rng = seeded_rng(seed)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_count, check_finite, check_shape, load_matrix_csv, readonly, write_float_rows
+from .data import check_count, check_shape, load_matrix_csv, readonly, write_float_rows
 from .errors import ValidationError
 
 
@@ -31,10 +31,7 @@ class SensorGraph:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        w = check_finite("adjacency", np.array(self.adjacency, dtype=np.float64))
-        w = readonly(check_shape("adjacency", w, ("N", "N")))
-        if w.shape[0] == 0:
-            raise ValidationError("adjacency must have at least one node")
+        w = readonly(np.array(check_shape("adjacency", self.adjacency, ("N", "N"), finite=True)))
         if np.any(w < 0):
             raise ValidationError("adjacency weights must be nonnegative")
         if np.any(np.diag(w) != 0):

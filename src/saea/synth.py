@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import SeriesFrame, check_count, check_finite, check_real, check_shape, seeded_rng
+from .data import SeriesFrame, check_count, check_real, check_shape, seeded_rng
 from .errors import ValidationError
 from .graph import SensorGraph, normalized_adjacency, structural_mask
 
@@ -97,7 +97,8 @@ class SynthConfig:
     innovations are white noise N(0, sigma^2 I). quad_coeff adds a small
     quadratic term to the dynamics to emulate model misspecification.
     steps (>= 1), seed (>= 0), sigma (>= 0) and a finite quad_coeff are
-    checked at construction and stored as Python numbers.
+    checked at construction and stored as Python numbers, and the taps, finite
+    and of one length >= 1, as tuples of Python floats.
     """
 
     graph: GraphSpec
@@ -113,9 +114,13 @@ class SynthConfig:
         for name, check, *bounds in (("steps", check_count, 1), ("seed", check_count, 0),
                                      ("sigma", check_real, 0), ("quad_coeff", check_real)):
             object.__setattr__(self, name, check(name, getattr(self, name), *bounds))
+        dgp_self = check_shape("dgp_self", self.dgp_self, ("L",), finite=True)
+        dgp_hop = check_shape("dgp_hop", self.dgp_hop, dgp_self.shape, finite=True)
+        object.__setattr__(self, "dgp_self", tuple(dgp_self.tolist()))
+        object.__setattr__(self, "dgp_hop", tuple(dgp_hop.tolist()))
 
     def to_dict(self) -> dict:
-        taps = {name: [float(c) for c in getattr(self, name)] for name in ("dgp_self", "dgp_hop")}
+        taps = {name: list(getattr(self, name)) for name in ("dgp_self", "dgp_hop")}
         settings = {name: value for name, value in asdict(self).items() if name != "phi_star"}
         return {**settings, **taps, "burn_in": BURN_IN}
 
@@ -145,15 +150,13 @@ def generate(cfg: SynthConfig) -> SynthBundle:
     """
     graph = cfg.graph.build()
     n = graph.n
-    phi = check_finite("phi_star", check_shape("phi_star", cfg.phi_star, (n, n)))
+    phi = check_shape("phi_star", cfg.phi_star, (n, n), finite=True)
     radius = float(np.max(np.abs(np.linalg.eigvals(phi))))
     if radius >= 1.0:
         raise ValidationError(f"phi_star spectral radius {radius:.4f} >= 1; nonstationary")
     mask = structural_mask(graph, 1).mask
     if np.any((mask > 0) & (np.abs(phi) > 0)):
         raise ValidationError("phi_star support must stay within one hop of the graph")
-    if len(cfg.dgp_self) != len(cfg.dgp_hop) or len(cfg.dgp_self) == 0:
-        raise ValidationError("dgp_self and dgp_hop must be equal-length and nonempty")
     if (BURN_IN + cfg.steps) * n * 8 > np.iinfo(np.intp).max:  # numpy's array size limit
         raise ValidationError(f"steps={cfg.steps} is too large for a steps x N series")
     rng = seeded_rng(cfg.seed)

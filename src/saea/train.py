@@ -155,8 +155,6 @@ def fit(
     built once at the end. A non-finite loss or validation MSE aborts with
     the last finished epoch's state retained.
     """
-    if train_windows.batch == 0 or val_windows.batch == 0:
-        raise ValidationError("train and validation window sets must be nonempty")
     names = list(em.payload) if em is not None else []
     arrays = [model.get_params()] + [em.payload[name] for name in names]
     vector = np.concatenate(arrays, axis=None)

@@ -1,9 +1,11 @@
 """Shared test utilities: finite differences, relative-error reduction, the
 dense coefficients and coefficient chain rule the adjusted loss is checked
-against, the reachability oracle structural masks are checked against and
-the error names a command may report."""
+against, the reachability oracle structural masks are checked against, the
+error names a command may report and the comparison of two runs' JSON files."""
 
 import builtins
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -120,3 +122,36 @@ def bfs_mask_oracle(graph: SensorGraph, order: int) -> np.ndarray:
                 mask[start, j] = 0.0
     np.fill_diagonal(mask, 0.0)
     return mask
+
+
+def assert_runs_agree(dir_a, dir_b, rel_tol):
+    """Assert that two run directories hold JSON files of the same names,
+    manifests aside (they hold the time of the run), with equal keys, list
+    lengths and strings, and numbers within rel_tol of each other relative
+    to the larger magnitude. Returns the worst (relative difference, field);
+    a failure names the field."""
+    dirs = Path(dir_a), Path(dir_b)
+    names = [sorted(p.name for p in d.glob("*.json") if p.name != "manifest.json") for d in dirs]
+    assert names[0] == names[1], names
+    worst = (0.0, None)
+
+    def walk(a, b, field):
+        nonlocal worst
+        if isinstance(a, dict) and isinstance(b, dict):
+            assert sorted(a) == sorted(b), f"{field}: keys {sorted(a)} != {sorted(b)}"
+            for key in a:
+                walk(a[key], b[key], f"{field}.{key}")
+        elif isinstance(a, list) and isinstance(b, list):
+            assert len(a) == len(b), f"{field}: {len(a)} entries != {len(b)}"
+            for i, (x, y) in enumerate(zip(a, b)):
+                walk(x, y, f"{field}[{i}]")
+        elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+            scale = max(abs(a), abs(b))
+            worst = max(worst, (abs(a - b) / scale if scale else 0.0, field), key=lambda w: w[0])
+        else:
+            assert a == b, f"{field}: {a!r} != {b!r}"
+
+    for name in names[0]:
+        walk(*(json.loads((d / name).read_text()) for d in dirs), name)
+    assert worst[0] <= rel_tol, f"{worst[1]} differs by {worst[0]:.3g} relative, above {rel_tol:g}"
+    return worst

@@ -735,10 +735,10 @@ def test_loss_mse_equals_predict_windows_mse(kind, var_order):
 
 
 def test_loss_empty_batch_rejected():
+    # the loss never sees one: the empty batch is refused as it is built
     batch = random_batch()
-    empty = batch.take(np.array([], dtype=int))
-    with pytest.raises(ValidationError):
-        saea_loss(NodeAR(3, 4, seed=0), None, empty)
+    with pytest.raises(ValidationError, match=re.escape("inputs has shape (0, 3, 4), expected (B, H, N)")):
+        batch.take(np.array([], dtype=int))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _helpers import assert_runs_agree
 import saea.cli
 from saea.adjust import ErrorModel
 from saea.cli import run
@@ -1117,6 +1118,27 @@ def test_negative_seed_exits_1_naming_it(tmp_path, capsys, argv, named):
     parsed = one_json_error(capsys)
     assert parsed["error"] == "ValidationError" and named in parsed["message"]
     assert not out.exists()
+
+
+def test_compare_agrees_across_blas_thread_counts(tmp_path):
+    # byte identity holds for one BLAS thread count; across counts BLAS may
+    # split its sums otherwise, and the numbers agree to about 1e-14 relative
+    bundle = tmp_path / "bundle"
+    synth = ["synth", "--graph", "erdos_renyi", "--n", "60", "--p-edge", "0.05", "--steps", "800"]
+    assert run([*synth, "--out", str(bundle)]) == 0
+    compare = [
+        "compare", "--series", str(bundle / "series.csv"), "--adjacency", str(bundle / "adjacency.csv"),
+        "--model", "graphfilter", "--kinds", "none,structural", "--history", "12", "--epochs", "1",
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(saea.cli.__file__).parents[1])}
+    for threads in ("1", "2"):
+        counts = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "saea.cli", *compare, "--out", str(tmp_path / threads)],
+            capture_output=True, text=True, env={**env, **counts}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert_runs_agree(tmp_path / "1", tmp_path / "2", 1e-12)
 
 
 def test_python_m_saea_cli_runs_the_command(tmp_path):

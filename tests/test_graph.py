@@ -168,7 +168,7 @@ def test_weighted_entries_do_not_change_mask():
         np.array([[0.0, np.nan], [1.0, 0.0]]),
         np.array([[1.0, -2.0], [np.nan, 0.0]]),
         1e-13 * np.eye(3),                    # self-loop, however small
-        np.zeros((0, 0)),                     # no node
+        np.zeros((0, 0)),                     # no node: (N, N) takes N >= 1
     ],
 )
 def test_invalid_adjacency_rejected(bad):

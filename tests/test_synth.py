@@ -222,8 +222,33 @@ def test_phi_support_outside_one_hop_rejected():
 
 
 def test_mismatched_dgp_lengths_rejected():
-    with pytest.raises(ValidationError):
-        generate(simple_config(dgp_hop=(0.2,)))
+    with pytest.raises(ValidationError, match=re.escape("dgp_hop has shape (1,), expected (2,)")):
+        simple_config(dgp_hop=(0.2,))
+
+
+@pytest.mark.parametrize(
+    "taps, message",
+    [
+        ({"dgp_self": ("a", "b")}, "dgp_self is not an array of numbers"),
+        ({"dgp_hop": ("0.2", "x")}, "dgp_hop is not an array of numbers"),
+        ({"dgp_self": (0.5, float("nan"))}, "dgp_self has non-finite entries"),
+        ({"dgp_hop": (float("inf"), 0.0)}, "dgp_hop has non-finite entries"),
+        ({"dgp_self": (), "dgp_hop": ()}, "dgp_self has shape (0,), expected (L,)"),
+        ({"dgp_self": 0.5}, "dgp_self has shape (), expected (L,)"),
+    ],
+    ids=["self-strings", "hop-strings", "self-nan", "hop-inf", "empty", "scalar"],
+)
+def test_synth_config_refuses_bad_taps_at_construction(taps, message):
+    with pytest.raises(ValidationError) as refused:
+        simple_config(**taps)
+    assert str(refused.value) == message
+
+
+def test_synth_config_stores_taps_as_tuples_of_floats():
+    cfg = simple_config(dgp_self=np.array([0.5, 0.2]), dgp_hop=["0.2", 0])
+    assert cfg.dgp_self == (0.5, 0.2) and cfg.dgp_hop == (0.2, 0.0)
+    assert all(type(c) is float for c in cfg.dgp_self + cfg.dgp_hop)
+    assert json.loads(json.dumps(cfg.to_dict()))["dgp_hop"] == [0.2, 0.0]
 
 
 def test_quad_mismatch_changes_trajectory():

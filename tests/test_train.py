@@ -14,7 +14,6 @@ from saea.data import (
     Normalizer,
     SeriesFrame,
     WindowSet,
-    check_finite,
     check_shape,
     chronological_split,
     make_windows,
@@ -141,9 +140,10 @@ def test_fit_rejects_zero_epochs():
 
 
 def test_fit_rejects_an_empty_window_set():
+    # fit never sees one: the empty set is refused as it is built
     tws = make_windows(sinusoid_frame(t=60), 3, 0)
-    with pytest.raises(ValidationError, match="train and validation window sets must be nonempty"):
-        fit(NodeAR(3, 4, seed=0), None, TrainConfig(epochs=1), tws, tws.take([]))
+    with pytest.raises(ValidationError, match=re.escape("inputs has shape (0, 3, 4), expected (B, H, N)")):
+        tws.take([])
 
 
 @pytest.mark.parametrize("grad_clip", [0.0, -1.0])
@@ -350,7 +350,7 @@ SHAPES = [
     (lambda a: _synth(phi_star=a), "phi_star", (3, 3), (4, 4)),
     (_phi_star_file, "phi_star.csv: phi_star", (3, 3), (4, 4)),
     (lambda a: _eval_normalizer(mean=a, std=a), "normalizer field 'mean'", (5,), (4,)),
-    (lambda a: Normalizer(a, a), "normalizer field 'mean'", (2, 3), (6,)),
+    (lambda a: Normalizer(a, a), "normalizer field 'mean'", (2, 3), "(N,)"),
     (lambda a: _eval_normalizer(std=a), "normalizer field 'std'", (3,), (4,)),
     (lambda a: Normalizer(np.zeros(1), np.ones(1)).transform(a), "values", (3, 8), (3, 1)),
     (lambda a: Normalizer(np.zeros(1), np.ones(1)).inverse(a), "values", (3, 8), (3, 1)),
@@ -388,16 +388,69 @@ def test_shapes_refuse_a_wrong_shape_naming_the_array(tmp_path, monkeypatch, bui
 
 def test_check_shape_converts_without_copying_a_float64_array():
     values = np.zeros((2, 3))
-    assert check_shape("values", values, (2, 3)) is values
-    converted = check_shape("values", [[1, 2, 3]], (1, 3))
-    assert converted.dtype == np.float64 and converted.tolist() == [[1.0, 2.0, 3.0]]
+    for finite in (False, True):
+        assert check_shape("values", values, (2, 3), finite=finite) is values
+        converted = check_shape("values", [[1, 2, 3]], (1, 3), finite=finite)
+        assert converted.dtype == np.float64 and converted.tolist() == [[1.0, 2.0, 3.0]]
 
 
 def test_check_shape_names_free_axes_that_share_one_length():
-    for shape in ((1, 1), (4, 4), (0, 0)):
+    for shape in ((1, 1), (4, 4)):
         assert check_shape("square", np.zeros(shape), ("N", "N")).shape == shape
+    # a free axis is >= 1 long; a fixed one is the length it names, 0 too
+    with pytest.raises(ValidationError, match=re.escape("square has shape (0, 0), expected (N, N)")):
+        check_shape("square", np.zeros((0, 0)), ("N", "N"))
+    assert check_shape("rows", np.zeros((0, 2)), (0, 2)).shape == (0, 2)
     with pytest.raises(ValidationError, match=re.escape("windows has shape (7, 2, 2), expected (B, 3, N)")):
         check_shape("windows", np.zeros((7, 2, 2)), ("B", 3, "N"))
+
+
+def test_check_shape_refuses_the_shape_before_the_entries():
+    with pytest.raises(ValidationError, match=re.escape("values has shape (3,), expected (2,)")):
+        check_shape("values", [math.nan] * 3, (2,), finite=True)
+
+
+# calls given an array with an empty free axis, each refused by the shape
+# rule where the array is first checked
+EMPTY = [
+    lambda: SeriesFrame(np.zeros((30, 0))),
+    lambda: SeriesFrame(np.zeros((0, 3))),
+    lambda: residual_report(np.zeros((5, 0)), np.zeros((5, 0))),
+    lambda: ecm(np.zeros((5, 0)), "temporal"),
+    lambda: Normalizer.fit("zscore", np.zeros((5, 0))),
+    lambda: Normalizer(np.zeros(0), np.ones(0)),
+    lambda: WindowSet(np.zeros((0, 3, 2)), np.zeros((0, 2))),
+    lambda: make_windows(SeriesFrame(np.zeros((10, 2))), 3).take([]),
+    lambda: acf(np.zeros(0), 0),
+]
+EMPTY_IDS = [
+    "series-no-sensors", "series-no-steps", "residual-report", "ecm-temporal", "normalizer-fit",
+    "normalizer-pair", "window-set", "window-take", "acf",
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build", EMPTY, ids=EMPTY_IDS)
+def test_an_empty_free_axis_is_refused_by_the_shape_rule(build):
+    with pytest.raises(ValidationError, match="has shape"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: SeriesFrame([["a", "b"]]), "series values"),
+        (lambda: SeriesFrame([[1.0, 2.0], [1.0]]), "series values"),
+        (lambda: SensorGraph([["0", "x"], ["1", "0"]]), "adjacency"),
+        (lambda: ErrorModel("scalar", 2, payload={"coef": ["x"]}), "payload 'coef'"),
+        (lambda: _synth_config(dgp_self=("x",)), "dgp_self"),
+    ],
+    ids=["strings", "ragged", "adjacency-strings", "payload-strings", "taps-strings"],
+)
+def test_values_numpy_cannot_convert_are_refused_naming_the_array(build, name):
+    with pytest.raises(ValidationError) as refused:
+        build()
+    assert str(refused.value) == f"{name} is not an array of numbers"
 
 
 def test_objects_holding_arrays_compare_and_hash_by_identity():
@@ -457,13 +510,6 @@ def test_finite_arrays_refuse_a_nonfinite_entry_naming_the_array(build, name, va
     with pytest.raises(ValidationError) as refused:
         build(value)
     assert str(refused.value) == f"{name} has non-finite entries"
-
-
-def test_check_finite_converts_without_copying_a_float64_array():
-    values = np.zeros((2, 3))
-    assert check_finite("values", values) is values
-    converted = check_finite("values", [[1, 2, 3]])
-    assert converted.dtype == np.float64 and converted.tolist() == [[1.0, 2.0, 3.0]]
 
 
 def test_synth_config_stores_numpy_counts_as_json_integers():
@@ -835,6 +881,11 @@ def _with(blob, value, *path):
         (lambda b: _without(b, "error_model", "mask_order"), "'mask_order'"),
         # a ragged array
         (lambda b: _with(b, [[0.0] * 4] * 3 + [[0.0] * 3], "error_model", "adjacency"), "'adjacency'"),
+    ],
+    ids=[
+        "<lambda>-'model'0", "<lambda>-'model'1", "<lambda>-'theta'0", "<lambda>-'theta'1",
+        "<lambda>-'history'", "<lambda>-'propagation'", "<lambda>-'error_model'", "<lambda>-'payload'",
+        "<lambda>-'matrix'", "<lambda>-'var_order'", "<lambda>-'mask_order'", "<lambda>-'adjacency'",
     ],
 )
 def test_malformed_checkpoint_field_is_a_validation_error_naming_it(edit, field):

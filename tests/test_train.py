@@ -388,10 +388,17 @@ def test_shapes_refuse_a_wrong_shape_naming_the_array(tmp_path, monkeypatch, bui
 
 def test_check_shape_converts_without_copying_a_float64_array():
     values = np.zeros((2, 3))
-    for finite in (False, True):
-        assert check_shape("values", values, (2, 3), finite=finite) is values
-        converted = check_shape("values", [[1, 2, 3]], (1, 3), finite=finite)
-        assert converted.dtype == np.float64 and converted.tolist() == [[1.0, 2.0, 3.0]]
+    assert check_shape("values", values, (2, 3)) is values
+    converted = check_shape("values", [[1, 2, 3]], (1, 3))
+    assert converted.dtype == np.float64 and converted.tolist() == [[1.0, 2.0, 3.0]]
+
+
+def test_check_finite_converts_without_copying_a_float64_array():
+    # the finite check (check_shape with finite=True) converts as the shape check does
+    values = np.zeros((2, 3))
+    assert check_shape("values", values, (2, 3), finite=True) is values
+    converted = check_shape("values", [[1, 2, 3]], (1, 3), finite=True)
+    assert converted.dtype == np.float64 and converted.tolist() == [[1.0, 2.0, 3.0]]
 
 
 def test_check_shape_names_free_axes_that_share_one_length():

@@ -203,69 +203,41 @@ def regularize(em: ErrorModel) -> tuple[float, dict]:
 
 
 def _term(axes: str, name: str, payload: dict):
-    """apply and contract (see _lag_maps) of payload array name's term of Phi_k
-    by its PAYLOAD axes: p and pn scale the rows, O(MN); a left factor takes
-    its right one, (rows @ R_k^T) @ L_k^T, O(MNk); a pnn matrix M gives
+    """apply, transpose apply and contract (see _lag_maps) of payload array
+    name's term of Phi_k by its PAYLOAD axes: p and pn scale the rows, O(MN);
+    a left factor L_k takes its right one R_k, O(MNk); a pnn matrix M gives
     (M_k @ rows^T)^T, O(MN^2), so that BLAS packs the M-row operand in blocks."""
     arr = payload[name]
     if axes in ("p", "pn"):
         summed = "ri,ri->i" if axes == "pn" else "ri,ri->"
-        return (lambda k, rows: rows * arr[k]), (lambda k, u, v: {name: np.einsum(summed, u, v)})
+        scale = lambda k, rows: rows * arr[k]
+        return scale, scale, (lambda k, u, v: {name: np.einsum(summed, u, v)})
     if axes == "pnn":
-        return (lambda k, rows: (arr[k] @ rows.T).T), (lambda k, u, v: {name: u.T @ v})
+        return (lambda k, rows: (arr[k] @ rows.T).T), (lambda k, rows: rows @ arr[k]), (
+            lambda k, u, v: {name: u.T @ v}
+        )
     right = payload["right"]
-    return (lambda k, rows: (rows @ right[k].T) @ arr[k].T), (
+    return (lambda k, rows: (rows @ right[k].T) @ arr[k].T), (lambda k, rows: (rows @ arr[k]) @ right[k]), (
         lambda k, u, v: {"left": u.T @ (v @ right[k].T), "right": (u @ arr[k]).T @ v}
     )
 
 
 def _lag_maps(em: ErrorModel):
-    """Each lag's coefficient map and its payload gradient, through em's own
-    payload: apply(k, rows) = rows @ Phi_k^T for an (M, N) block of rows, and
-    contract(k, u, v) = the lag-k payload gradients of sum_r u_r^T Phi_k v_r,
-    for (M, N) blocks u and v. Phi_k sums one _term per payload array, a
-    left/right pair counting as one: apply adds the terms' products into the
-    first one's fresh array, and contract merges their gradients.
-    """
+    """Each lag's coefficient map, its transpose and its payload gradient,
+    through em's own payload, for (M, N) blocks: apply(k, rows) = rows @
+    Phi_k^T, apply_t(k, rows) = rows @ Phi_k and contract(k, u, v) = the lag-k
+    payload gradients of sum_r u_r^T Phi_k v_r. Phi_k sums one _term per
+    payload array, a left/right pair counting as one: each apply sums the
+    terms' products, and contract merges their gradients."""
     specs = PAYLOAD[em.kind].items()
     terms = [_term(axes, name, em.payload) for name, (axes, _, _) in specs if axes != "pkn"]
-    applies, contracts = zip(*terms)
-
-    def apply(k, rows):
-        product = applies[0](k, rows)
-        for term in applies[1:]:
-            product += term(k, rows)
-        return product
+    applies, transposed, contracts = zip(*terms)
+    summed = lambda maps: lambda k, rows: sum((term(k, rows) for term in maps[1:]), maps[0](k, rows))
 
     def contract(k, u, v):
         return {name: grad for term in contracts for name, grad in term(k, u, v).items()}
 
-    return apply, contract
-
-
-def _lag_products(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray, rows=None):
-    """Per lag k = 1..p of a (B, H, N) batch, its distinct rows through Phi_k
-    once and windowed back, by reshape or, given the rows inputs view, by
-    row_windows: products[k-1] = inputs @ Phi_k^T, (B, H, N), by _lag_maps,
-    whose apply and contract come last. As Phi_k maps each row alone, _combine
-    reads both terms from this one product. With no error model the list is
-    empty. The anchor of lag k is row k-1, so p may not exceed H; each window
-    must be the model's (H, N), or a size-1 axis would broadcast silently.
-    """
-    check_shape("windows", inputs, ("B", model.history, model.n))
-    if em is None:
-        return [], None, None
-    if em.var_order > inputs.shape[1]:
-        raise ValidationError(f"var_order {em.var_order} exceeds the window's {inputs.shape[1]} rows")
-    if em.n != model.n:
-        raise ValidationError(f"error model has {em.n} sensors, the forecaster {model.n}")
-    apply, contract = _lag_maps(em)
-    if rows is None:
-        rows, window = inputs.reshape(-1, em.n), lambda product: product.reshape(inputs.shape)
-    else:
-        window = lambda product: row_windows(product, inputs.shape[1])
-    products = [window(apply(lag, rows)) for lag in range(em.var_order)]
-    return products, apply, contract
+    return summed(applies), summed(transposed), contract
 
 
 def _combine(model: Forecaster, inputs: np.ndarray, products: list):
@@ -283,15 +255,87 @@ def _combine(model: Forecaster, inputs: np.ndarray, products: list):
     return preds, transformed
 
 
+def _tapped_forward(model: Forecaster, em: ErrorModel, inputs: np.ndarray):
+    """_adjusted_forward for a model with K taps T, which commute with Phi_k:
+    T (S_k(X) Phi_k^T) = (T S_k(X)) Phi_k^T, S_k = shift_with_mean by k. So
+    lag k maps K+1 rows per window: the anchor X[:, k-1] and T S_k(X) = W_k X,
+    W_k being T moved k lags older plus the window mean's share of T's last k
+    columns. The vjp contracts [G; -D] against those rows, D the head's
+    cotangent on the tapped array, and takes the taps' gradient <X_h, D> -
+    sum_k shift_with_mean(<X_h, D Phi_k>, k), the adjoint of T -> W_k."""
+    (apply, apply_t, contract), lags = _lag_maps(em), range(1, em.var_order + 1)
+    taps, (b, h, n) = model.taps, inputs.shape
+    width, padded = len(taps), np.concatenate([np.zeros(taps.shape), taps], axis=1)
+    mix = [padded[:, h - k : 2 * h - k] + taps[:, h - k :].sum(axis=1, keepdims=True) / h for k in lags]
+    mixed = np.concatenate([taps] + mix) @ inputs
+    tapped, anchors, stacks = mixed[:, :width], 0.0, []
+    for k in lags:
+        shifted = mixed[:, k * width : (k + 1) * width]
+        stacks.append(np.concatenate([inputs[:, k - 1 : k], shifted], axis=1).reshape(-1, n))
+        product = apply(k - 1, stacks[-1]).reshape(b, -1, n)
+        tapped = tapped - product[:, 1:]
+        anchors = anchors + product[:, 0]
+    preds = model.head(tapped) + anchors
+
+    def vjp(cots, payload_grads):
+        grad_rest, grad_tapped = model.head_vjp(tapped, cots)
+        flat = grad_tapped.reshape(-1, n)
+        backs = [grad_tapped] + [apply_t(k - 1, flat).reshape(b, -1, n) for k in lags]
+        inner = (inputs @ np.concatenate(backs, axis=1).transpose(0, 2, 1)).sum(axis=0)
+        grad_taps = inner[:, :width]
+        u = np.concatenate([cots[:, None], -grad_tapped], axis=1).reshape(-1, n)
+        for k in lags:
+            grad_taps = grad_taps - shift_with_mean(inner[:, k * width : (k + 1) * width], k)
+            for name, grad in contract(k - 1, u, stacks[k - 1]).items():
+                payload_grads[name][k - 1] += grad
+        return np.concatenate([grad_taps.T.ravel(), grad_rest])
+
+    return preds, vjp
+
+
 def _adjusted_forward(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray, rows=None):
-    """Adjusted predictions, transformed windows and the lag maps' contract
-    for a (B, H, N) batch: _combine on its _lag_products."""
-    products, _, contract = _lag_products(model, em, inputs, rows)
-    return (*_combine(model, inputs, products), contract)
+    """Adjusted predictions of a (B, H, N) batch and their vjp(cots,
+    payload_grads): grad_theta for (B, N) cotangents, with the payload's data
+    gradient added into payload_grads. Phi_k sees a series-backed chunk's
+    c+H-1 rows once (row_windows), else K+1 rows per window of a model with
+    taps, else all B*H. The anchor of lag k is row k-1, so p may not exceed
+    H; each window must be the model's (H, N), or a size-1 axis would
+    broadcast silently."""
+    check_shape("windows", inputs, ("B", model.history, model.n))
+    if em is None:
+        return model.forward_batch(inputs), lambda cots, _: model.vjp_batch(inputs, cots)[0]
+    if em.var_order > inputs.shape[1]:
+        raise ValidationError(f"var_order {em.var_order} exceeds the window's {inputs.shape[1]} rows")
+    if em.n != model.n:
+        raise ValidationError(f"error model has {em.n} sensors, the forecaster {model.n}")
+    if rows is None and model.taps is not None:
+        return _tapped_forward(model, em, inputs)
+    apply, _, contract = _lag_maps(em)
+    if rows is None:
+        rows, window = inputs.reshape(-1, em.n), lambda product: product.reshape(inputs.shape)
+    else:
+        window = lambda product: row_windows(product, inputs.shape[1])
+    products = [window(apply(lag, rows)) for lag in range(em.var_order)]
+    preds, transformed = _combine(model, inputs, products)
+
+    def vjp(cots, payload_grads):
+        grad_theta, grad_input = model.vjp_batch(transformed, cots)
+        grad_flat = grad_input.reshape(-1, model.n)
+        for lag in range(len(products)):
+            # add the anchor path d(anchor @ Phi^T), minus the input path through f
+            anchor = contract(lag, cots, inputs[:, lag])
+            through_f = contract(lag, grad_flat, shift_with_mean(inputs, lag + 1).reshape(-1, model.n))
+            for name, grad in anchor.items():
+                grad -= through_f[name]
+                payload_grads[name][lag] += grad
+        return grad_theta
+
+    return preds, vjp
 
 
 def saea_predict(model: Forecaster, em: ErrorModel | None, window, *shifted) -> np.ndarray:
-    """Adjusted one-window prediction: the batched core on a batch of one.
+    """Adjusted one-window prediction: the batched core on a batch of one,
+    so a model with K taps sends K+1 rows, not H, through each Phi_k.
 
     prediction = sum_k Phi_k @ window[k-1] + f(transformed window), with the
     lag shifts derived from the window itself; it reduces to the plain
@@ -352,8 +396,7 @@ def saea_loss(model: Forecaster, em: ErrorModel | None, batch: WindowSet) -> Los
     both the anchor term and the transformed inputs. With em=None this is the
     plain mean squared error of the base model.
     """
-    inputs = batch.inputs
-    preds, transformed, contract = _adjusted_forward(model, em, inputs)
+    preds, vjp = _adjusted_forward(model, em, batch.inputs)
     resid = preds - batch.targets
     mse = float(np.mean(resid * resid))
     penalty, payload_grads = regularize(em) if em is not None else (0.0, {})
@@ -361,16 +404,7 @@ def saea_loss(model: Forecaster, em: ErrorModel | None, batch: WindowSet) -> Los
     if not np.isfinite(loss):
         raise DivergenceError("non-finite loss")
 
-    cots = (2.0 / resid.size) * resid
-    grad_theta, grad_input = model.vjp_batch(transformed, cots)
-    grad_flat = grad_input.reshape(-1, model.n)
-    for lag in range(em.var_order if em is not None else 0):
-        # add the anchor path d(anchor @ Phi^T), minus the input path through f
-        anchor = contract(lag, cots, inputs[:, lag])
-        through_f = contract(lag, grad_flat, shift_with_mean(inputs, lag + 1).reshape(-1, em.n))
-        for name, grad in anchor.items():
-            grad -= through_f[name]
-            payload_grads[name][lag] += grad
+    grad_theta = vjp((2.0 / resid.size) * resid, payload_grads)
     return LossResult(loss, grad_theta, payload_grads, mse, penalty)
 
 

@@ -9,8 +9,8 @@ Subcommands:
   compare   train the unadjusted baseline plus each requested
             parameterization under identical seeds and tabulate the results
 
-Every run directory receives a manifest recording the resolved
-configuration, seed, and input hashes; metric outputs contain no timestamps,
+Every run directory receives a manifest recording the configuration, seed,
+input hashes and numeric environment; metric outputs contain no timestamps,
 so reruns with identical inputs are byte-identical on one numpy/BLAS build
 and one BLAS thread count. Across thread counts, BLAS may split its sums
 otherwise, and the numbers agree to about 1e-14 relative.
@@ -165,6 +165,18 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def environment() -> dict:
+    """The versions, BLAS build (None below numpy 1.25), BLAS thread variables and CPU count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = None
+    threads = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__, "saea": __version__,
+            "blas": blas and {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": threads, "cpu_count": os.cpu_count()}
+
+
 def write_manifest(out_dir, command, config, seed, inputs, outputs) -> None:
     config_bytes = json.dumps(config, sort_keys=True).encode()
     manifest = {
@@ -177,6 +189,7 @@ def write_manifest(out_dir, command, config, seed, inputs, outputs) -> None:
             name: sha256_file(os.path.join(out_dir, name)) for name in sorted(outputs)
         },
         "toolkit_version": __version__,
+        "environment": environment(),
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest, indent=1)

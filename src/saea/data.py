@@ -53,8 +53,11 @@ def check_shape(name: str, value, shape: tuple, finite: bool = False) -> np.ndar
     where an axis named by a string is a free length >= 1 that every axis of
     that name shares: ("N", "N") is any nonempty square matrix; and, when
     finite, if every entry is finite. Else a ValidationError, the shape's
-    before the finiteness one."""
+    before the finiteness one; a complex array is refused as not numbers, as
+    the equal Python list is."""
     try:
+        if isinstance(value, (np.ndarray, np.generic)) and np.iscomplexobj(value):
+            raise TypeError("the cast would drop the imaginary part")
         array = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} is not an array of numbers") from None

@@ -27,10 +27,17 @@ class Forecaster:
     takes (B, N) cotangents and returns gradients only, `(grad_theta,
     grad_input)`: grad_theta summed over the batch and in `params` order,
     and grad_input per window, shape (B, H, N).
+
+    A model that reads its windows only through K lag mixes may declare
+    them: `taps`, the (K, H) array of θ's first K*H entries, forward_batch =
+    head(taps @ windows), and `head_vjp(tapped, cotangents)` returning the
+    rest of θ's gradient and the (B, K, N) tapped array's cotangent. Each
+    window then sends K+1 rows, not H, through each Φ_k; else taps is None.
     """
 
     kind = "base"
     params: tuple[str, ...] = ()
+    taps = None
 
     def __init__(self, history: int, n: int):
         self.history = check_count("history", history, 1)
@@ -100,7 +107,9 @@ class GraphFilterAR(Forecaster):
     over the symmetrically normalized adjacency, plus a per-sensor bias."""
 
     kind = "graphfilter"
-    params = ("tap_self", "tap_hop", "bias")
+    params = ("taps", "bias")
+    tap_self = property(lambda self: self.taps[0])
+    tap_hop = property(lambda self: self.taps[1])
 
     def __init__(self, history: int, propagation: np.ndarray, seed: int = 0):
         prop = readonly(np.array(check_shape("propagation", propagation, ("N", "N"), finite=True)))
@@ -108,32 +117,30 @@ class GraphFilterAR(Forecaster):
         self.propagation = prop
         rng = seeded_rng(seed)
         scale = 1.0 / np.sqrt(2 * history)
-        self.tap_self = rng.uniform(-scale, scale, size=history)
-        self.tap_hop = rng.uniform(-scale, scale, size=history)
+        self.taps = rng.uniform(-scale, scale, size=(2, history))
         self.bias = np.zeros(self.n)
 
     @classmethod
     def from_graph(cls, history: int, graph: SensorGraph, seed: int = 0) -> "GraphFilterAR":
         return cls(history, normalized_adjacency(graph), seed=seed)
 
+    def head(self, tapped):
+        # propagate the hop tap once per window, as (P @ hop^T)^T so BLAS
+        # packs the B-row operand in blocks
+        return tapped[:, 0] + (self.propagation @ tapped[:, 1].T).T + self.bias
+
+    def head_vjp(self, tapped, cotangents):
+        # the hop tap's cotangent rows are prop^T @ cotangent
+        return cotangents.sum(axis=0), np.stack((cotangents, cotangents @ self.propagation), axis=1)
+
     def forward_batch(self, windows):
-        # linear in the window: mix the lags first, then propagate once per
-        # window, as (P @ mixed^T)^T so BLAS packs the B-row operand in blocks
-        own = np.einsum("h,bhn->bn", self.tap_self, windows)
-        mixed = np.einsum("h,bhn->bn", self.tap_hop, windows)
-        return own + (self.propagation @ mixed.T).T + self.bias
+        # einsum sums the lags in the order the scored files were written with
+        return self.head(np.einsum("kh,bhn->bkn", self.taps, windows))
 
     def vjp_batch(self, windows, cotangents):
-        back_hopped = cotangents @ self.propagation  # rows are prop^T @ cotangent
-        grad_self = np.einsum("bhn,bn->h", windows, cotangents)
-        grad_hop = np.einsum("bhn,bn->h", windows, back_hopped)
-        grad_b = cotangents.sum(axis=0)
-        # one lag at a time: the (B, N) temporaries stay in cache, where the
-        # broadcast (B, H, N) form's three would not
-        grad_input = np.empty(windows.shape)
-        for h in range(self.history):
-            grad_input[:, h] = self.tap_self[h] * cotangents + self.tap_hop[h] * back_hopped
-        return np.concatenate([grad_self, grad_hop, grad_b]), grad_input
+        grad_b, grad_tapped = self.head_vjp(self.taps @ windows, cotangents)
+        grad_taps = np.einsum("bhn,bkn->kh", windows, grad_tapped)
+        return np.concatenate([grad_taps.ravel(), grad_b]), self.taps.T @ grad_tapped
 
     def _extra_blob(self) -> dict:
         return {"propagation": self.propagation.tolist()}

@@ -17,7 +17,7 @@ import numpy as np
 from .adjust import (
     ErrorModel,
     _combine,
-    _lag_products,
+    _lag_maps,
     predict_windows,
     saea_loss,
     saea_predict,
@@ -232,17 +232,19 @@ def predict_recursive(
 ) -> np.ndarray:
     """Roll a one-step model forward, feeding each adjusted prediction back in.
 
-    Step 0 is saea_predict on the window; later steps roll each lag's product
-    (see adjust._lag_products) with the window, so Phi_k sees one row per lag
-    and step, the new one, and equal saea_predict on the rolled window to
-    rounding. The rolling works on a copy, so the caller's window is left as
-    it was. Requires a model trained at horizon step 0.
+    Step 0 is saea_predict on the window; later steps roll each lag's
+    product window @ Phi_k^T (see adjust._combine) with the window, so Phi_k
+    sees one row per lag and step, the new one, and equal saea_predict on
+    the rolled window to rounding. The rolling works on a copy, so the
+    caller's window is left as it was. Requires a model trained at horizon
+    step 0.
     """
     steps = check_count("steps", steps, 1)
     buffer = np.array(window, dtype=np.float64)
     out = np.empty((steps, model.n))
     out[0] = saea_predict(model, em, buffer)  # refuses a window that is not (H, N)
-    products, apply, _ = _lag_products(model, em, buffer[None])
+    apply = _lag_maps(em)[0] if em is not None else None
+    products = [apply(lag, buffer)[None] for lag in range(em.var_order if em is not None else 0)]
     for s in range(1, steps):
         buffer[1:] = buffer[:-1]
         buffer[0] = out[s - 1]

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import saea.adjust
+import saea.train
 from _helpers import (
     central_diff,
     dense_phi_oracle,
@@ -19,6 +20,7 @@ from saea.adjust import (
     PAYLOAD,
     ErrorModel,
     _adjusted_forward,
+    _combine,
     companion_matrix,
     materialize_phi,
     predict_windows,
@@ -298,9 +300,9 @@ def test_readme_penalty_table_is_the_default_table():
 
 
 def transformed(em, window):
-    """The transformed window, _adjusted_forward(...)[1], on a batch of one."""
-    w = np.asarray(window, dtype=np.float64)
-    return _adjusted_forward(NodeAR(*w.shape, seed=0), em, w[None])[1][0]
+    """The transformed window, _combine(...)[1] on the lag products w @ Phi_k^T, of a batch of one."""
+    w = np.asarray(window, dtype=np.float64)[None]
+    return _combine(NodeAR(*w.shape[1:], seed=0), w, [w @ phi.T for phi in materialize_phi(em)])[1][0]
 
 
 def test_transform_zero_phi_identity():
@@ -509,19 +511,21 @@ def test_chunked_predict_windows_matches_one_shot_core(monkeypatch, budget):
 
 @pytest.fixture
 def lag_map_rows(monkeypatch):
-    """The row count of every block sent through a lag map's apply."""
+    """The row count of every block sent through a lag map's apply (the
+    transpose apply and the contract are not counted)."""
     lag_maps, rows = saea.adjust._lag_maps, []
 
     def counted_lag_maps(em):
-        apply, contract = lag_maps(em)
+        apply, *rest = lag_maps(em)
 
         def counted_apply(k, block):
             rows.append(len(block))
             return apply(k, block)
 
-        return counted_apply, contract
+        return counted_apply, *rest
 
     monkeypatch.setattr(saea.adjust, "_lag_maps", counted_lag_maps)
+    monkeypatch.setattr(saea.train, "_lag_maps", counted_lag_maps)  # predict_recursive's rolled steps
     return rows
 
 
@@ -552,6 +556,22 @@ def test_gathered_and_hand_built_sets_score_each_windows_own_rows(lag_map_rows, 
         preds = predict_windows(model, em, gathered)
         assert gathered.rows is None and sum(lag_map_rows) == p * ws.batch * h
         assert max_rel_err(preds, series_backed[order]) <= 1e-12
+
+
+@pytest.mark.parametrize("model_kind, rows_per_window", [("graphfilter", 3), ("nodear", 5), ("mlp1", 5)])
+def test_a_training_batch_applies_taps_rows_or_every_row(lag_map_rows, model_kind, rows_per_window):
+    # the graphfilter's two taps commute with Phi_k: per lag and window, the
+    # anchor and the shifted window's two taps; the other models all H rows
+    n, h, p = 6, 5, 2
+    ws = random_batch(n=n, h=h, b=12, seed=61)
+    batch = ws.take(np.arange(ws.batch))
+    model = {
+        "nodear": NodeAR(h, n, seed=1),
+        "graphfilter": GraphFilterAR.from_graph(h, ring_graph(n), seed=1),
+        "mlp1": MLP1(h, n, hidden=4, seed=1),
+    }[model_kind]
+    saea_loss(model, make_em("structural", n, var_order=p, randomize=3), batch)
+    assert lag_map_rows == [rows_per_window * batch.batch] * p
 
 
 def test_predict_windows_peak_memory_does_not_grow_with_windows(monkeypatch):
@@ -704,6 +724,82 @@ def test_factored_core_matches_dense_reference(kind, var_order, model_kind):
         assert_close(res.payload_grads[name], grad)
 
 
+def dense_adjusted_reference(model, em, inputs, targets):
+    """Predictions, MSE, theta gradient and per-lag dMSE/dPhi_k of the adjusted
+    forward through materialize_phi's dense Phi_k: f(X - sum_k S_k(X) Phi_k^T)
+    + sum_k X[:, k-1] Phi_k^T, S_k = shift_with_mean by k, with the model's own
+    forward_batch and vjp_batch on the transformed windows."""
+    phis = materialize_phi(em) if em is not None else []
+    shifts = [shift_with_mean(inputs, k) for k in range(1, len(phis) + 1)]
+    transformed = inputs - sum(s @ phi.T for s, phi in zip(shifts, phis))
+    preds = model.forward_batch(transformed) + sum(inputs[:, k] @ phi.T for k, phi in enumerate(phis))
+    resid = preds - targets
+    cots = (2.0 / resid.size) * resid
+    grad_theta, grad_input = model.vjp_batch(transformed, cots)
+    grad_phis = np.array([
+        cots.T @ inputs[:, k] - np.einsum("bhi,bhj->ij", grad_input, s) for k, s in enumerate(shifts)
+    ])
+    return preds, float(np.mean(resid * resid)), grad_theta, grad_phis
+
+
+@pytest.mark.parametrize("kind", (None,) + ALL_KINDS)
+@pytest.mark.parametrize("model_kind", ["nodear", "graphfilter", "mlp1"])
+def test_a_gathered_batch_matches_the_dense_reference(kind, model_kind):
+    # a gathered batch (no rows) takes the graphfilter's taps and the other
+    # models' B*H rows; loss, gradients and both predicts equal the dense
+    # chain rule's, up to p = H, where every shifted row is the window mean
+    n, h = 8, 5
+    graph = ring_graph(n)
+    ws = random_batch(n=n, h=h, b=11, seed=47)
+    batch = ws.take(np.random.default_rng(48).permutation(ws.batch))
+    model = {
+        "nodear": NodeAR(h, n, seed=5),
+        "graphfilter": GraphFilterAR.from_graph(h, graph, seed=5),
+        "mlp1": MLP1(h, n, hidden=6, seed=5),
+    }[model_kind]
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    for var_order in (1, 2, 3, h) if kind else (1,):
+        em = None if kind is None else make_em(
+            kind, n, var_order, rank=3, graph=graph, randomize=var_order, alpha=0.0, beta=0.0
+        )
+        preds, mse, grad_theta, grad_phis = dense_adjusted_reference(model, em, batch.inputs, batch.targets)
+        res = saea_loss(model, em, batch)
+        assert batch.rows is None and abs(res.loss - mse) <= 1e-12 * mse
+        assert_close(res.grad_theta, grad_theta)
+        for name, grad in (phi_to_payload_grads(em, grad_phis) if em else {}).items():
+            assert_close(res.payload_grads[name], grad)
+        assert_close(predict_windows(model, em, batch), preds)
+        for b in (0, batch.batch - 1):
+            assert_close(saea_predict(model, em, batch.inputs[b]), preds[b])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_graphfilter_gradients_match_finite_differences_at_p_equal_to_h(kind):
+    # at p = H the lag-H taps of the shifted window are the window mean alone
+    n, h = 4, 4
+    graph = ring_graph(n)
+    ws = random_batch(n=n, h=h, b=6, seed=53)
+    batch = ws.take(np.arange(ws.batch))
+    model = GraphFilterAR.from_graph(h, graph, seed=7)
+    em = make_em(kind, n, var_order=h, graph=graph, randomize=59, alpha=0.7, beta=0.3)
+    res = saea_loss(model, em, batch)
+    theta0 = model.get_params()
+
+    def loss_theta(theta):
+        model.set_params(theta)
+        out = saea_loss(model, em, batch).loss
+        model.set_params(theta0)
+        return out
+
+    assert max_rel_err(res.grad_theta, central_diff(loss_theta, theta0)) < 1e-4
+    fd = payload_fd_grads(lambda: saea_loss(model, em, batch).loss, em)
+    for name in em.payload:
+        assert max_rel_err(res.payload_grads[name], fd[name]) < 1e-4
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_factored_kinds_never_materialize_phi(monkeypatch, kind):
     def refuse(em):
@@ -794,9 +890,10 @@ def test_a_rolled_step_applies_each_lag_map_to_one_row(lag_map_rows, kind):
     model = GraphFilterAR.from_graph(h, ring_graph(n), seed=4)
     em = make_em(kind, n, var_order=p, randomize=5)
     predict_recursive(model, em, np.random.default_rng(6).normal(size=(h, n)), steps)
-    # step 0 and the rollout's own lag products take H rows per lag each,
+    # step 0 takes the graphfilter's taps, 3 rows per lag (the anchor and
+    # the two shifted taps); the rollout's own lag products H rows per lag;
     # every later step one: the new row
-    assert sum(lag_map_rows) == 2 * p * h + p * (steps - 1)
+    assert sum(lag_map_rows) == 3 * p + p * h + p * (steps - 1)
 
 
 # -- spectral radius ---------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from _helpers import assert_runs_agree
+import saea
 import saea.cli
 from saea.adjust import ErrorModel
 from saea.cli import run
@@ -113,6 +114,25 @@ def test_train_structural_defaults_record_alpha_1000(tmp_path):
     assert manifest["config"]["kind"] == "structural"
     assert manifest["toolkit_version"]
     assert manifest["inputs"]  # input hashes recorded
+
+
+def test_manifest_records_the_numeric_environment(monkeypatch):
+    variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    env = saea.cli.environment()
+    assert sorted(env) == ["blas", "cpu_count", "numpy", "python", "saea", "threads"]
+    assert (env["numpy"], env["saea"], env["cpu_count"]) == (np.__version__, saea.__version__, os.cpu_count())
+    assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert env["threads"] == dict(zip(variables, ("3", None, None)))
+    assert sorted(env["blas"]) == ["name", "version"] and env["blas"]["name"]
+
+    def old_numpy(mode="stdout"):  # below 1.25, show_config takes no mode
+        raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+    monkeypatch.setattr(np, "show_config", old_numpy)
+    assert saea.cli.environment()["blas"] is None
 
 
 @pytest.mark.parametrize(
@@ -1138,6 +1158,8 @@ def test_compare_agrees_across_blas_thread_counts(tmp_path):
             capture_output=True, text=True, env={**env, **counts}, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((tmp_path / threads / "manifest.json").read_text())
+        assert manifest["environment"]["threads"] == counts
     assert_runs_agree(tmp_path / "1", tmp_path / "2", 1e-12)
 
 

@@ -451,8 +451,11 @@ def test_an_empty_free_axis_is_refused_by_the_shape_rule(build):
         (lambda: SensorGraph([["0", "x"], ["1", "0"]]), "adjacency"),
         (lambda: ErrorModel("scalar", 2, payload={"coef": ["x"]}), "payload 'coef'"),
         (lambda: _synth_config(dgp_self=("x",)), "dgp_self"),
+        (lambda: SeriesFrame(np.array([[1 + 2j, 3], [4, 5]])), "series values"),
+        (lambda: SeriesFrame([[1 + 2j, 3], [4, 5]]), "series values"),
     ],
-    ids=["strings", "ragged", "adjacency-strings", "payload-strings", "taps-strings"],
+    ids=["strings", "ragged", "adjacency-strings", "payload-strings", "taps-strings", "complex-array",
+         "complex-list"],
 )
 def test_values_numpy_cannot_convert_are_refused_naming_the_array(build, name):
     with pytest.raises(ValidationError) as refused:

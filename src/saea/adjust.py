@@ -296,11 +296,11 @@ def _tapped_forward(model: Forecaster, em: ErrorModel, inputs: np.ndarray):
 def _adjusted_forward(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray, rows=None):
     """Adjusted predictions of a (B, H, N) batch and their vjp(cots,
     payload_grads): grad_theta for (B, N) cotangents, with the payload's data
-    gradient added into payload_grads. Phi_k sees a series-backed chunk's
-    c+H-1 rows once (row_windows), else K+1 rows per window of a model with
-    taps, else all B*H. The anchor of lag k is row k-1, so p may not exceed
-    H; each window must be the model's (H, N), or a size-1 axis would
-    broadcast silently."""
+    gradient added into payload_grads. The model picks the path: Phi_k sees
+    K+1 rows per window of a model with K taps, on every batch, else a
+    series-backed chunk's c+H-1 rows once (row_windows), else all B*H. The
+    anchor of lag k is row k-1, so p may not exceed H; each window must be
+    the model's (H, N), or a size-1 axis would broadcast silently."""
     check_shape("windows", inputs, ("B", model.history, model.n))
     if em is None:
         return model.forward_batch(inputs), lambda cots, _: model.vjp_batch(inputs, cots)[0]
@@ -308,7 +308,7 @@ def _adjusted_forward(model: Forecaster, em: ErrorModel | None, inputs: np.ndarr
         raise ValidationError(f"var_order {em.var_order} exceeds the window's {inputs.shape[1]} rows")
     if em.n != model.n:
         raise ValidationError(f"error model has {em.n} sensors, the forecaster {model.n}")
-    if rows is None and model.taps is not None:
+    if model.taps is not None:
         return _tapped_forward(model, em, inputs)
     apply, _, contract = _lag_maps(em)
     if rows is None:
@@ -360,11 +360,11 @@ _SCORE_CHUNK_VALUES = 1 << 20
 
 def predict_windows(model: Forecaster, em: ErrorModel | None, ws: WindowSet) -> np.ndarray:
     """Batched adjusted predictions for every window in a WindowSet, scored
-    by the adjusted-forward core in chunks; a chunk of c windows with rows
-    (a make_windows set) maps its c+H-1 rows, not c*H, through each Phi_k.
-    The chunk is a power of two and the remainder joins the last chunk. The
-    predictions equal those of the gathered windows to about 1e-16 relative,
-    not bit for bit: BLAS splits c+H-1 rows into blocks otherwise."""
+    by the adjusted-forward core in chunks: a model with taps as in training,
+    any other a chunk of c windows with rows (a make_windows set) through its
+    c+H-1 rows, not c*H. The chunk is a power of two and the remainder joins
+    the last chunk. The predictions equal the gathered windows' to about 1e-16
+    relative, not bit for bit: BLAS splits the rows into blocks otherwise."""
     limit = max(1, _SCORE_CHUNK_VALUES // (ws.history * ws.num_sensors))
     chunk = 1 << (limit.bit_length() - 1)
     count = max(1, ws.batch // chunk)

@@ -12,8 +12,9 @@ Subcommands:
 Every run directory receives a manifest recording the configuration, seed,
 input hashes and numeric environment; metric outputs contain no timestamps,
 so reruns with identical inputs are byte-identical on one numpy/BLAS build
-and one BLAS thread count. Across thread counts, BLAS may split its sums
-otherwise, and the numbers agree to about 1e-14 relative.
+and one BLAS thread count. Across counts BLAS splits sums otherwise and
+RMSProp's eps amplifies rounding in near-zero gradients: road200_kinds'
+low_rank MAPE has differed by up to 2.9e-13 at 1 and 2 threads (tested: 1e-12).
 """
 
 from __future__ import annotations

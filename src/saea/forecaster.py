@@ -31,8 +31,8 @@ class Forecaster:
     A model that reads its windows only through K lag mixes may declare
     them: `taps`, the (K, H) array of θ's first K*H entries, forward_batch =
     head(taps @ windows), and `head_vjp(tapped, cotangents)` returning the
-    rest of θ's gradient and the (B, K, N) tapped array's cotangent. Each
-    window then sends K+1 rows, not H, through each Φ_k; else taps is None.
+    rest of θ's gradient and the (B, K, N) tapped array's cotangent. Any
+    batch then sends K+1 rows per window through each Φ_k; else taps is None.
     """
 
     kind = "base"
@@ -134,12 +134,11 @@ class GraphFilterAR(Forecaster):
         return cotangents.sum(axis=0), np.stack((cotangents, cotangents @ self.propagation), axis=1)
 
     def forward_batch(self, windows):
-        # einsum sums the lags in the order the scored files were written with
-        return self.head(np.einsum("kh,bhn->bkn", self.taps, windows))
+        return self.head(self.taps @ windows)
 
     def vjp_batch(self, windows, cotangents):
         grad_b, grad_tapped = self.head_vjp(self.taps @ windows, cotangents)
-        grad_taps = np.einsum("bhn,bkn->kh", windows, grad_tapped)
+        grad_taps = (grad_tapped @ windows.transpose(0, 2, 1)).sum(axis=0)
         return np.concatenate([grad_taps.ravel(), grad_b]), self.taps.T @ grad_tapped
 
     def _extra_blob(self) -> dict:

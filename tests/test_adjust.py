@@ -492,7 +492,8 @@ def test_chunked_predict_windows_matches_one_shot_core(monkeypatch, budget):
     # 20 and 64 windows give chunks of 1, 4, 8, 16 and 32: the first is
     # smaller than H, the middle three leave a remainder that joins the last
     # chunk, the last scores the set in one chunk. The series-backed chunks
-    # map their rows once; the one-shot core maps the gathered windows' rows.
+    # of an untapped model map their rows once, the one-shot core the
+    # gathered windows' rows; the graphfilter takes its taps on both.
     n, h = 5, 4
     rng = np.random.default_rng(8)
     frame = SeriesFrame(rng.normal(size=(41, n)))
@@ -534,13 +535,33 @@ def lag_map_rows(monkeypatch):
 def test_scoring_a_series_backed_set_maps_each_chunks_rows_once(
     monkeypatch, lag_map_rows, budget, count, kind
 ):
-    # B = 37 windows in `count` chunks: each chunk's c windows span c+H-1 rows
+    # B = 37 windows in `count` chunks: each chunk's c windows span c+H-1
+    # rows, for every model without taps
+    n, h, p = 5, 4, 2
+    ws = make_windows(SeriesFrame(np.random.default_rng(9).normal(size=(41, n))), h, 0)
+    monkeypatch.setattr(saea.adjust, "_SCORE_CHUNK_VALUES", budget * h * n)
+    for model in (NodeAR(h, n, seed=2), MLP1(h, n, hidden=6, seed=2)):
+        lag_map_rows.clear()
+        predict_windows(model, make_em(kind, n, var_order=p, randomize=4), ws)
+        assert sum(lag_map_rows) == p * (ws.batch + count * (h - 1))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 12, 20, 64])
+@pytest.mark.parametrize("kind", ["diagonal", "structural", "low_rank_sparse"])
+def test_scoring_a_tapped_model_maps_three_rows_per_window(monkeypatch, lag_map_rows, budget, kind):
+    # the graphfilter takes its two taps on every set: per lag and window the
+    # anchor and two tapped rows, whether the set is series-backed, gathered
+    # or built by hand, and whatever the chunk budget
     n, h, p = 5, 4, 2
     ws = make_windows(SeriesFrame(np.random.default_rng(9).normal(size=(41, n))), h, 0)
     monkeypatch.setattr(saea.adjust, "_SCORE_CHUNK_VALUES", budget * h * n)
     model = GraphFilterAR.from_graph(h, ring_graph(n), seed=2)
-    predict_windows(model, make_em(kind, n, var_order=p, randomize=4), ws)
-    assert sum(lag_map_rows) == p * (ws.batch + count * (h - 1))
+    em = make_em(kind, n, var_order=p, randomize=4)
+    order = np.random.default_rng(11).permutation(ws.batch)
+    for scored in (ws, ws.take(order), WindowSet(np.array(ws.inputs[order]), ws.targets[order])):
+        lag_map_rows.clear()
+        predict_windows(model, em, scored)
+        assert sum(lag_map_rows) == p * 3 * ws.batch
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "structural", "low_rank_sparse"])
@@ -575,23 +596,24 @@ def test_a_training_batch_applies_taps_rows_or_every_row(lag_map_rows, model_kin
 
 
 def test_predict_windows_peak_memory_does_not_grow_with_windows(monkeypatch):
+    # the graphfilter scores through its taps, the MLP1 through each chunk's rows
     n, h, chunk = 20, 6, 64
     monkeypatch.setattr(saea.adjust, "_SCORE_CHUNK_VALUES", chunk * h * n)
-    model = GraphFilterAR.from_graph(h, ring_graph(n), seed=1)
     em = make_em("sparse_full", n, var_order=2, randomize=3)
-    rng = np.random.default_rng(2)
-    excess = {}
-    for b in (256, 2048):
-        ws = make_windows(SeriesFrame(rng.normal(size=(b + h, n))), h, 0)
-        tracemalloc.start()
-        try:
-            predict_windows(model, em, ws)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        excess[b] = peak - b * n * 8  # beyond the (B, N) predictions themselves
-    # one (B, H, N) array at B = 2048 would add 2 MB; a chunk's is 61 kB
-    assert excess[2048] <= excess[256] + chunk * h * n * 8 // 4
+    for model in (GraphFilterAR.from_graph(h, ring_graph(n), seed=1), MLP1(h, n, hidden=8, seed=1)):
+        rng = np.random.default_rng(2)
+        excess = {}
+        for b in (256, 2048):
+            ws = make_windows(SeriesFrame(rng.normal(size=(b + h, n))), h, 0)
+            tracemalloc.start()
+            try:
+                predict_windows(model, em, ws)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            excess[b] = peak - b * n * 8  # beyond the (B, N) predictions themselves
+        # one (B, H, N) array at B = 2048 would add 2 MB; a chunk's is 61 kB
+        assert excess[2048] <= excess[256] + chunk * h * n * 8 // 4
 
 
 # -- saea_loss ---------------------------------------------------------------
@@ -744,14 +766,18 @@ def dense_adjusted_reference(model, em, inputs, targets):
 
 @pytest.mark.parametrize("kind", (None,) + ALL_KINDS)
 @pytest.mark.parametrize("model_kind", ["nodear", "graphfilter", "mlp1"])
-def test_a_gathered_batch_matches_the_dense_reference(kind, model_kind):
+def test_a_gathered_batch_matches_the_dense_reference(monkeypatch, kind, model_kind):
     # a gathered batch (no rows) takes the graphfilter's taps and the other
     # models' B*H rows; loss, gradients and both predicts equal the dense
-    # chain rule's, up to p = H, where every shifted row is the window mean
+    # chain rule's, up to p = H, where every shifted row is the window mean.
+    # Scoring the series-backed set in chunks of 4 (the last holding 7), the
+    # graphfilter's taps or the other models' chunk rows, equals it too.
     n, h = 8, 5
     graph = ring_graph(n)
     ws = random_batch(n=n, h=h, b=11, seed=47)
-    batch = ws.take(np.random.default_rng(48).permutation(ws.batch))
+    order = np.random.default_rng(48).permutation(ws.batch)
+    batch = ws.take(order)
+    monkeypatch.setattr(saea.adjust, "_SCORE_CHUNK_VALUES", 4 * h * n)
     model = {
         "nodear": NodeAR(h, n, seed=5),
         "graphfilter": GraphFilterAR.from_graph(h, graph, seed=5),
@@ -772,6 +798,7 @@ def test_a_gathered_batch_matches_the_dense_reference(kind, model_kind):
         for name, grad in (phi_to_payload_grads(em, grad_phis) if em else {}).items():
             assert_close(res.payload_grads[name], grad)
         assert_close(predict_windows(model, em, batch), preds)
+        assert_close(predict_windows(model, em, ws)[order], preds)
         for b in (0, batch.batch - 1):
             assert_close(saea_predict(model, em, batch.inputs[b]), preds[b])
 

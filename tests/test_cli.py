@@ -1142,7 +1142,9 @@ def test_negative_seed_exits_1_naming_it(tmp_path, capsys, argv, named):
 
 def test_compare_agrees_across_blas_thread_counts(tmp_path):
     # byte identity holds for one BLAS thread count; across counts BLAS may
-    # split its sums otherwise, and the numbers agree to about 1e-14 relative
+    # split its sums otherwise, and RMSProp's eps amplifies the rounding of
+    # near-zero gradients: low_rank's MAPE has differed by up to 2.9e-13
+    # relative at 1 and 2 threads on road200_kinds' inputs, so the bound is 1e-12
     bundle = tmp_path / "bundle"
     synth = ["synth", "--graph", "erdos_renyi", "--n", "60", "--p-edge", "0.05", "--steps", "800"]
     assert run([*synth, "--out", str(bundle)]) == 0

@@ -293,12 +293,12 @@ def _tapped_forward(model: Forecaster, em: ErrorModel, inputs: np.ndarray):
     return preds, vjp
 
 
-def _adjusted_forward(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray, rows=None):
+def _adjusted_forward(model: Forecaster, em: ErrorModel | None, inputs: np.ndarray):
     """Adjusted predictions of a (B, H, N) batch and their vjp(cots,
     payload_grads): grad_theta for (B, N) cotangents, with the payload's data
-    gradient added into payload_grads. The model picks the path: Phi_k sees
-    K+1 rows per window of a model with K taps, on every batch, else a
-    series-backed chunk's c+H-1 rows once (row_windows), else all B*H. The
+    gradient added into payload_grads. Phi_k sees K+1 rows per window of a
+    model with K taps, else the B+H-1 series rows once if the strides make
+    windows[b, h] and [b+1, h+1] one memory (row_windows), else all B*H. The
     anchor of lag k is row k-1, so p may not exceed H; each window must be
     the model's (H, N), or a size-1 axis would broadcast silently."""
     check_shape("windows", inputs, ("B", model.history, model.n))
@@ -311,10 +311,11 @@ def _adjusted_forward(model: Forecaster, em: ErrorModel | None, inputs: np.ndarr
     if model.taps is not None:
         return _tapped_forward(model, em, inputs)
     apply, _, contract = _lag_maps(em)
-    if rows is None:
-        rows, window = inputs.reshape(-1, em.n), lambda product: product.reshape(inputs.shape)
-    else:
+    if inputs.strides[1] == -inputs.strides[0]:
+        rows = np.concatenate([inputs[0, ::-1], inputs[1:, 0]])
         window = lambda product: row_windows(product, inputs.shape[1])
+    else:
+        rows, window = inputs.reshape(-1, em.n), lambda product: product.reshape(inputs.shape)
     products = [window(apply(lag, rows)) for lag in range(em.var_order)]
     preds, transformed = _combine(model, inputs, products)
 
@@ -360,19 +361,19 @@ _SCORE_CHUNK_VALUES = 1 << 20
 
 def predict_windows(model: Forecaster, em: ErrorModel | None, ws: WindowSet) -> np.ndarray:
     """Batched adjusted predictions for every window in a WindowSet, scored
-    by the adjusted-forward core in chunks: a model with taps as in training,
-    any other a chunk of c windows with rows (a make_windows set) through its
-    c+H-1 rows, not c*H. The chunk is a power of two and the remainder joins
-    the last chunk. The predictions equal the gathered windows' to about 1e-16
-    relative, not bit for bit: BLAS splits the rows into blocks otherwise."""
+    by the adjusted-forward core in chunks of ws.inputs: a model with taps as
+    in training, any other a chunk of c make_windows windows (their strides
+    tell) through its c+H-1 rows, not c*H. Chunks are 2^k windows, the
+    remainder joining the last: at 256 or more, a tapped model's scores equal
+    the one-shot core's bit for bit (OpenBLAS 0.3.31, one BLAS thread). The
+    row path equals gathered windows' to about 1e-16 relative."""
     limit = max(1, _SCORE_CHUNK_VALUES // (ws.history * ws.num_sensors))
     chunk = 1 << (limit.bit_length() - 1)
     count = max(1, ws.batch // chunk)
     preds = np.empty((ws.batch, ws.num_sensors))
     for i in range(count):
         lo, hi = i * chunk, ws.batch if i == count - 1 else (i + 1) * chunk
-        rows = None if ws.rows is None else ws.rows[lo : hi + ws.history - 1]
-        preds[lo:hi] = _adjusted_forward(model, em, ws.inputs[lo:hi], rows)[0]
+        preds[lo:hi] = _adjusted_forward(model, em, ws.inputs[lo:hi])[0]
     return preds
 
 

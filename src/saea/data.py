@@ -130,26 +130,20 @@ class WindowSet:
 
     inputs[b, h] is the observation h+1 steps before the forecast origin of
     window b (newest lag first); targets[b] is the observation the window
-    forecasts. Both are read-only views of the arrays given
-    (make_windows passes views of the series, so no window is copied);
-    take() gathers a C-contiguous subset. The shifted windows and the
-    anchors that the adjustment reads are derived from inputs on access.
-    rows (make_windows sets them, take() does not) are the (B+H-1, N) series
-    rows that inputs view as row_windows(rows, H), else a ValidationError.
+    forecasts. Both are read-only views of the arrays given (make_windows
+    passes views of the series, so no window is copied); take() gathers a
+    C-contiguous subset. The shifted windows, the anchors and the series
+    rows that the adjustment reads are derived from inputs when needed: the
+    strides (s, -s, ...) of make_windows' inputs let windows share rows.
     """
 
     inputs: np.ndarray   # (B, H, N)
     targets: np.ndarray  # (B, N)
-    rows: np.ndarray | None = None  # (B+H-1, N)
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", readonly(check_shape("inputs", self.inputs, ("B", "H", "N"))))
         targets = check_shape("targets", self.targets, (self.batch, self.num_sensors))
         object.__setattr__(self, "targets", readonly(targets))
-        if self.rows is not None:  # the same memory, shape and strides, so the same values
-            object.__setattr__(self, "rows", readonly(self.rows))
-            if row_windows(self.rows, self.history).__array_interface__ != self.inputs.__array_interface__:
-                raise ValidationError("inputs are not the row_windows view of rows")
 
     @property
     def inputs_shifted(self) -> np.ndarray:
@@ -410,8 +404,8 @@ def make_windows(frame: SeriesFrame, history: int, horizon_step: int = 0) -> Win
     """Build all supervised windows for direct step-p forecasting.
 
     B = T - H - p windows; window b forecasts row H + b + p from the H rows
-    preceding row H + b. Inputs, targets and rows are read-only views of the
-    frame's values (inputs are row_windows of rows), not copies.
+    preceding row H + b. Inputs (row_windows, strides (s, -s, itemsize)) and
+    targets are read-only views of the frame's values, not copies.
     """
     history = check_count("history", history, 2)  # the shifted window needs one more lag
     horizon_step = check_count("horizon_step", horizon_step, 0)
@@ -422,8 +416,8 @@ def make_windows(frame: SeriesFrame, history: int, horizon_step: int = 0) -> Win
             f"series of T={t} too short for history={history}, "
             f"horizon_step={horizon_step} (need T >= {history + horizon_step + 1})"
         )
-    rows = frame.values[: b + history - 1]
-    return WindowSet(row_windows(rows, history), frame.values[history + horizon_step :], rows)
+    inputs = row_windows(frame.values[: b + history - 1], history)
+    return WindowSet(inputs, frame.values[history + horizon_step :])
 
 
 def row_windows(rows: np.ndarray, history: int) -> np.ndarray:

@@ -124,6 +124,10 @@ def load_checkpoint_blob(blob: dict) -> tuple[Forecaster, ErrorModel | None]:
     em = ErrorModel.from_blob(blob_field(blob, "error_model", dict))
     if em.n != model.n:
         raise ValidationError(f"error model field 'n' is {em.n}, but its model's n is {model.n}")
+    if em.var_order > model.history:
+        raise ValidationError(
+            f"error model field 'var_order' is {em.var_order}, but its model's history is {model.history}"
+        )
     return model, em
 
 

@@ -575,8 +575,41 @@ def test_gathered_and_hand_built_sets_score_each_windows_own_rows(lag_map_rows, 
     for gathered in (ws.take(order), WindowSet(np.array(ws.inputs[order]), ws.targets[order])):
         lag_map_rows.clear()
         preds = predict_windows(model, em, gathered)
-        assert gathered.rows is None and sum(lag_map_rows) == p * ws.batch * h
+        assert sum(lag_map_rows) == p * ws.batch * h
         assert max_rel_err(preds, series_backed[order]) <= 1e-12
+
+
+@pytest.mark.parametrize("model_kind", ["nodear", "mlp1"])
+@pytest.mark.parametrize("kind", ["diagonal", "structural", "low_rank_sparse"])
+def test_the_strides_choose_an_untapped_sets_rows(monkeypatch, lag_map_rows, model_kind, kind):
+    # a hand-built set of a slice of make_windows' inputs keeps their strides
+    # (s, -s, itemsize), so each chunk of c windows maps its c+H-1 rows once;
+    # a C-contiguous copy, a take subset and a single served window map each
+    # window's own H rows. All score as the dense chain rule does.
+    n, h, p = 5, 4, 2
+    ws = make_windows(SeriesFrame(np.random.default_rng(12).normal(size=(41, n))), h, 0)
+    monkeypatch.setattr(saea.adjust, "_SCORE_CHUNK_VALUES", 8 * h * n)
+    model = NodeAR(h, n, seed=4) if model_kind == "nodear" else MLP1(h, n, hidden=6, seed=4)
+    em = make_em(kind, n, var_order=p, randomize=6)
+    order = np.random.default_rng(13).permutation(ws.batch)
+    sliced = WindowSet(ws.inputs[5:30], ws.targets[5:30])  # chunks of 8, 8 and 9
+    cases = (
+        (sliced, p * (sliced.batch + 3 * (h - 1))),
+        (WindowSet(np.array(ws.inputs), ws.targets), p * ws.batch * h),
+        (ws.take(order), p * ws.batch * h),
+    )
+    for scored, rows in cases:
+        lag_map_rows.clear()
+        preds = predict_windows(model, em, scored)
+        assert sum(lag_map_rows) == rows
+        want = dense_adjusted_reference(model, em, scored.inputs, scored.targets)[0]
+        assert max_rel_err(preds, want) <= 1e-12
+    for b in (0, 17, ws.batch - 1):
+        lag_map_rows.clear()
+        served = saea_predict(model, em, ws.inputs[b])
+        assert sum(lag_map_rows) == p * h
+        want = dense_adjusted_reference(model, em, ws.inputs[b : b + 1], ws.targets[b : b + 1])[0]
+        assert max_rel_err(served, want[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("model_kind, rows_per_window", [("graphfilter", 3), ("nodear", 5), ("mlp1", 5)])
@@ -766,9 +799,9 @@ def dense_adjusted_reference(model, em, inputs, targets):
 
 @pytest.mark.parametrize("kind", (None,) + ALL_KINDS)
 @pytest.mark.parametrize("model_kind", ["nodear", "graphfilter", "mlp1"])
-def test_a_gathered_batch_matches_the_dense_reference(monkeypatch, kind, model_kind):
-    # a gathered batch (no rows) takes the graphfilter's taps and the other
-    # models' B*H rows; loss, gradients and both predicts equal the dense
+def test_a_gathered_batch_matches_the_dense_reference(monkeypatch, lag_map_rows, kind, model_kind):
+    # a gathered batch takes the graphfilter's taps and the other models'
+    # B*H rows; loss, gradients and both predicts equal the dense
     # chain rule's, up to p = H, where every shifted row is the window mean.
     # Scoring the series-backed set in chunks of 4 (the last holding 7), the
     # graphfilter's taps or the other models' chunk rows, equals it too.
@@ -792,8 +825,11 @@ def test_a_gathered_batch_matches_the_dense_reference(monkeypatch, kind, model_k
             kind, n, var_order, rank=3, graph=graph, randomize=var_order, alpha=0.0, beta=0.0
         )
         preds, mse, grad_theta, grad_phis = dense_adjusted_reference(model, em, batch.inputs, batch.targets)
+        lag_map_rows.clear()
         res = saea_loss(model, em, batch)
-        assert batch.rows is None and abs(res.loss - mse) <= 1e-12 * mse
+        rows_per_window = 0 if em is None else 3 if model_kind == "graphfilter" else h
+        assert sum(lag_map_rows) == var_order * batch.batch * rows_per_window
+        assert abs(res.loss - mse) <= 1e-12 * mse
         assert_close(res.grad_theta, grad_theta)
         for name, grad in (phi_to_payload_grads(em, grad_phis) if em else {}).items():
             assert_close(res.payload_grads[name], grad)

@@ -857,6 +857,20 @@ def test_checkpoint_sensor_count_disagreement_fails_before_scoring(
         assert parsed["error"] == "ValidationError" and named in parsed["message"]
 
 
+def test_a_var_order_above_the_models_history_is_refused_before_the_series(tmp_path, capsys):
+    # save_checkpoint writes what the library holds; eval and diagnose refuse
+    # it on its fields alone, so the series path is never opened
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, NodeAR(3, 2), ErrorModel("diagonal", 2, var_order=4))
+    for command in ("eval", "diagnose"):
+        argv = [command, "--checkpoint", str(ckpt), "--series", str(tmp_path / "missing.csv")]
+        assert run([*argv, "--out", str(tmp_path / command)]) == 1
+        parsed = one_json_error(capsys)
+        assert parsed["error"] == "ValidationError"
+        assert "'var_order' is 4" in parsed["message"] and "history is 3" in parsed["message"]
+        assert not (tmp_path / command).exists()
+
+
 def one_json_error(capsys) -> dict:
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -324,30 +324,18 @@ def test_make_windows_are_views_equal_to_the_row_gather(horizon_step):
 
 @pytest.mark.parametrize("horizon_step", [0, 2])
 def test_make_windows_rows_are_the_series_rows_its_inputs_view(horizon_step):
-    frame = SeriesFrame(np.random.default_rng(5).normal(size=(40, 3)))
-    ws = make_windows(frame, 6, horizon_step)
-    assert ws.rows.shape == (ws.batch + 6 - 1, 3)
-    assert np.shares_memory(ws.rows, frame.values) and not ws.rows.flags.writeable
-    assert ws.inputs.tobytes() == row_windows(ws.rows, 6).tobytes()
-    assert ws.take(np.arange(ws.batch)).rows is None
-    # a slice of windows and its rows are again the view: scoring's chunks
-    chunk = WindowSet(ws.inputs[3:9], ws.targets[3:9], ws.rows[3 : 9 + 6 - 1])
-    assert chunk.inputs.tobytes() == ws.inputs[3:9].tobytes()
-
-
-def test_window_set_refuses_rows_its_inputs_do_not_view():
-    ws = make_windows(SeriesFrame(np.random.default_rng(6).normal(size=(20, 3))), 4, 0)
-    cases = (
-        (np.array(ws.inputs), ws.targets, ws.rows),  # equal values, but a copy
-        (ws.inputs, ws.targets, ws.rows.copy()),
-        (ws.inputs, ws.targets, ws.rows[1:]),
-        (ws.inputs[1:], ws.targets[1:], ws.rows),
-        (ws.inputs[:, ::-1], ws.targets, ws.rows),
-        (ws.inputs, ws.targets, ws.rows.astype(np.float32)),
-    )
-    for inputs, targets, rows in cases:
-        with pytest.raises(ValidationError, match="row_windows view of rows"):
-            WindowSet(inputs, targets, rows)
+    # windows[b, h] and windows[b + 1, h + 1] are one series row: the strides
+    # (s, -s, itemsize) that let the adjustment map each row once
+    h, frame = 6, SeriesFrame(np.random.default_rng(5).normal(size=(40, 3)))
+    ws = make_windows(frame, h, horizon_step)
+    s, itemsize = frame.values.strides[0], frame.values.itemsize
+    assert ws.inputs.strides == (s, -s, itemsize)
+    for b in range(ws.batch):
+        for lag in range(h):
+            assert ws.inputs[b, lag].tobytes() == frame.values[h - 1 + b - lag].tobytes()
+    assert ws.inputs.tobytes() == row_windows(frame.values[: ws.batch + h - 1], h).tobytes()
+    # a slice of windows keeps the strides: scoring's chunks
+    assert ws.inputs[3:9].strides == (s, -s, itemsize)
 
 
 def test_window_set_leaves_the_callers_arrays_writeable():

@@ -255,19 +255,26 @@ def _combine(model: Forecaster, inputs: np.ndarray, products: list):
     return preds, transformed
 
 
+def _tap_mix(taps: np.ndarray, var_order: int) -> np.ndarray:
+    """The (p+1, K, H) stack [T, W_1, ..., W_p] of K taps T, where W_k X = T shift_with_mean(X, k)."""
+    h, stack = taps.shape[1], np.zeros((var_order + 1, *taps.shape))
+    stack[0] = taps
+    for k in range(1, var_order + 1):
+        stack[k, :, k:] = taps[:, : h - k]
+        stack[k] += taps[:, h - k :].sum(axis=1, keepdims=True) / h
+    return stack
+
+
 def _tapped_forward(model: Forecaster, em: ErrorModel, inputs: np.ndarray):
     """_adjusted_forward for a model with K taps T, which commute with Phi_k:
     T (S_k(X) Phi_k^T) = (T S_k(X)) Phi_k^T, S_k = shift_with_mean by k. So
-    lag k maps K+1 rows per window: the anchor X[:, k-1] and T S_k(X) = W_k X,
-    W_k being T moved k lags older plus the window mean's share of T's last k
-    columns. The vjp contracts [G; -D] against those rows, D the head's
+    lag k maps K+1 rows per window: the anchor X[:, k-1] and T S_k(X) = W_k X
+    (_tap_mix). The vjp contracts [G; -D] against those rows, D the head's
     cotangent on the tapped array, and takes the taps' gradient <X_h, D> -
     sum_k shift_with_mean(<X_h, D Phi_k>, k), the adjoint of T -> W_k."""
     (apply, apply_t, contract), lags = _lag_maps(em), range(1, em.var_order + 1)
-    taps, (b, h, n) = model.taps, inputs.shape
-    width, padded = len(taps), np.concatenate([np.zeros(taps.shape), taps], axis=1)
-    mix = [padded[:, h - k : 2 * h - k] + taps[:, h - k :].sum(axis=1, keepdims=True) / h for k in lags]
-    mixed = np.concatenate([taps] + mix) @ inputs
+    (b, h, n), width = inputs.shape, len(model.taps)
+    mixed = _tap_mix(model.taps, em.var_order).reshape(-1, h) @ inputs
     tapped, anchors, stacks = mixed[:, :width], 0.0, []
     for k in lags:
         shifted = mixed[:, k * width : (k + 1) * width]

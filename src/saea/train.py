@@ -16,8 +16,8 @@ import numpy as np
 
 from .adjust import (
     ErrorModel,
-    _combine,
     _lag_maps,
+    _tap_mix,
     predict_windows,
     saea_loss,
     saea_predict,
@@ -98,15 +98,23 @@ def sgd_step(params, grads, lr):
     return params - lr * check_shape("grads", grads, params.shape)
 
 
+def _check_pair(model: Forecaster, em: ErrorModel) -> ErrorModel:
+    """em, unless its model cannot serve it; checked as checkpoints are written and read."""
+    if em.n != model.n:
+        raise ValidationError(f"error model field 'n' is {em.n}, but its model's n is {model.n}")
+    if em.var_order > model.history:
+        raise ValidationError(f"error model field 'var_order' is {em.var_order}, "
+                              f"but its model's history is {model.history}")
+    return em
+
+
 def checkpoint_blob(model: Forecaster, em: ErrorModel | None, extra: dict | None = None) -> dict:
-    blob = {
+    return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model": model.to_blob(),
-        "error_model": em.to_blob() if em is not None else None,
+        "error_model": _check_pair(model, em).to_blob() if em is not None else None,
+        **(extra or {}),
     }
-    if extra:
-        blob.update(extra)
-    return blob
 
 
 def load_checkpoint_blob(blob: dict) -> tuple[Forecaster, ErrorModel | None]:
@@ -121,14 +129,7 @@ def load_checkpoint_blob(blob: dict) -> tuple[Forecaster, ErrorModel | None]:
     model = forecaster_from_blob(blob_field(blob, "model", dict))
     if blob.get("error_model") is None:
         return model, None
-    em = ErrorModel.from_blob(blob_field(blob, "error_model", dict))
-    if em.n != model.n:
-        raise ValidationError(f"error model field 'n' is {em.n}, but its model's n is {model.n}")
-    if em.var_order > model.history:
-        raise ValidationError(
-            f"error model field 'var_order' is {em.var_order}, but its model's history is {model.history}"
-        )
-    return model, em
+    return model, _check_pair(model, ErrorModel.from_blob(blob_field(blob, "error_model", dict)))
 
 
 def save_checkpoint(path, model: Forecaster, em: ErrorModel | None, extra: dict | None = None):
@@ -236,23 +237,30 @@ def predict_recursive(
 ) -> np.ndarray:
     """Roll a one-step model forward, feeding each adjusted prediction back in.
 
-    Step 0 is saea_predict on the window; later steps roll each lag's
-    product window @ Phi_k^T (see adjust._combine) with the window, so Phi_k
-    sees one row per lag and step, the new one, and equal saea_predict on
-    the rolled window to rounding. The rolling works on a copy, so the
-    caller's window is left as it was. Requires a model trained at horizon
-    step 0.
+    Step 0 is saea_predict on the window. Later steps share one (steps-1+H,
+    p+1, N) buffer whose row t holds x_t (window rows newest first, then the
+    predictions) and its lag products x_t Phi_k^T. A step writes one row, so
+    Phi_k sees one row per lag, and one product of its H rows with the
+    _tap_mix stack gives T X - sum_k W_k P_k (T an untapped model's identity)
+    and the anchors: saea_predict's value to rounding, not to the bit. The
+    window is left unchanged. Needs a model trained at horizon step 0.
     """
     steps = check_count("steps", steps, 1)
-    buffer = np.array(window, dtype=np.float64)
-    out = np.empty((steps, model.n))
-    out[0] = saea_predict(model, em, buffer)  # refuses a window that is not (H, N)
-    apply = _lag_maps(em)[0] if em is not None else None
-    products = [apply(lag, buffer)[None] for lag in range(em.var_order if em is not None else 0)]
+    out = [saea_predict(model, em, window)]  # refuses a window that is not (H, N)
+    p, h = em.var_order if em is not None else 0, model.history
+    apply, buffer = _lag_maps(em)[0] if p else None, np.empty((steps - 1 + h, p + 1, model.n))
+    buffer[steps - 1 :, 0] = window
+    for k in range(p):
+        buffer[steps - 1 :, k + 1] = apply(k, buffer[steps - 1 :, 0])
+    # column h*(p+1) + j weighs slot j of the step's row h: T, then -W_j; the last row sums -P_j[j-1]
+    taps, forward = (np.eye(h), model.forward_batch) if model.taps is None else (model.taps, model.head)
+    mix = np.concatenate([np.moveaxis(_tap_mix(taps, p), 0, -1), np.eye(h, p + 1, 1)[None]])
+    mix = (mix * np.r_[1.0, -np.ones(p)]).reshape(len(mix), -1)
     for s in range(1, steps):
-        buffer[1:] = buffer[:-1]
-        buffer[0] = out[s - 1]
-        for lag, product in enumerate(products):
-            products[lag] = np.concatenate([apply(lag, buffer[:1]), product[0, :-1]])[None]
-        out[s] = _combine(model, buffer[None], products)[0][0]
-    return out
+        rows = buffer[steps - 1 - s : steps - 1 - s + h]
+        rows[0, 0] = out[-1]
+        for k in range(p):
+            rows[0, k + 1] = apply(k, rows[0, :1])[0]
+        mixed = mix @ rows.reshape(-1, model.n)
+        out.append(forward(mixed[None, :-1])[0] - mixed[-1])
+    return np.array(out)

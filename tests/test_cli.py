@@ -858,10 +858,14 @@ def test_checkpoint_sensor_count_disagreement_fails_before_scoring(
 
 
 def test_a_var_order_above_the_models_history_is_refused_before_the_series(tmp_path, capsys):
-    # save_checkpoint writes what the library holds; eval and diagnose refuse
-    # it on its fields alone, so the series path is never opened
+    # save_checkpoint refuses this pair, so the file is a valid blob given a
+    # fourth lag; eval and diagnose refuse it on its fields alone, so the
+    # series path is never opened
     ckpt = tmp_path / "checkpoint.json"
-    save_checkpoint(ckpt, NodeAR(3, 2), ErrorModel("diagonal", 2, var_order=4))
+    blob = checkpoint_blob(NodeAR(3, 2), ErrorModel("diagonal", 2, var_order=3))
+    blob["error_model"]["var_order"] = 4
+    blob["error_model"]["payload"]["diag"].append([0.0, 0.0])
+    ckpt.write_text(json.dumps(blob))
     for command in ("eval", "diagnose"):
         argv = [command, "--checkpoint", str(ckpt), "--series", str(tmp_path / "missing.csv")]
         assert run([*argv, "--out", str(tmp_path / command)]) == 1

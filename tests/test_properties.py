@@ -1,7 +1,7 @@
-"""Property tests over random shapes and values: window shifting, the
-zero-coefficient reduction identity, the structural mask against a BFS
-oracle, the normalized adjacency of symmetric graphs, and the error-model
-blob round trip.
+"""Property tests over random shapes and values: window shifting, the taps'
+mixing stack, the zero-coefficient reduction identity, the structural mask
+against a BFS oracle, the normalized adjacency of symmetric graphs, and the
+error-model blob round trip.
 
 Examples are derandomized and few, so the suite stays deterministic and fast.
 """
@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from _helpers import bfs_mask_oracle
-from saea.adjust import KINDS, ErrorModel, predict_windows, saea_loss, saea_predict
+from saea.adjust import KINDS, ErrorModel, _tap_mix, predict_windows, saea_loss, saea_predict
 from saea.data import SeriesFrame, make_windows, shift_with_mean
 from saea.forecaster import MLP1, GraphFilterAR, NodeAR
 from saea.graph import SensorGraph, normalized_adjacency, structural_mask
@@ -72,6 +72,21 @@ def test_shift_commutes_with_sensor_mixing(x, k, data):
     assert_allclose(
         shift_with_mean(x, k) @ mix.T, shift_with_mean(x @ mix.T, k), rtol=0, atol=1e-12 * scale
     )
+
+
+@PROPERTY
+@given(x=window_batches(), width=st.integers(1, 3), data=st.data())
+def test_tap_mix_row_k_is_the_taps_on_the_window_shifted_k(x, width, data):
+    # W_k X = T shift_with_mean(X, k): the tapped forward and the rolled
+    # rollout step both move the shift from the window onto the taps
+    h = x.shape[1]
+    taps = data.draw(arrays(np.float64, (width, h), elements=finite))
+    k = data.draw(st.integers(1, h))
+    stack = _tap_mix(taps, h)
+    assert stack.shape == (h + 1, width, h)
+    assert_array_equal(stack[0], taps)
+    scale = np.abs(taps).sum() * np.abs(x).max()
+    assert np.max(np.abs(stack[k] @ x - taps @ shift_with_mean(x, k))) <= 1e-12 * scale
 
 
 @PROPERTY

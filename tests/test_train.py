@@ -861,6 +861,26 @@ def test_checkpoint_format_version_must_match():
         load_checkpoint_blob(blob)
 
 
+@pytest.mark.parametrize(
+    "n, var_order, message",
+    [(5, 1, "field 'n' is 5, but its model's n is 2"),
+     (2, 4, "field 'var_order' is 4, but its model's history is 3")],
+    ids=["n", "var_order"],
+)
+def test_a_pair_the_model_cannot_serve_is_refused_at_save_and_at_load(tmp_path, n, var_order, message):
+    # one check for writer and reader: the writer leaves no file, and the
+    # reader refuses the same pair however the file was written
+    model, em = NodeAR(3, 2, seed=0), ErrorModel("diagonal", n, var_order=var_order)
+    path = tmp_path / "ckpt.json"
+    for write in (lambda: checkpoint_blob(model, em), lambda: save_checkpoint(path, model, em)):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            write()
+    assert not path.exists()
+    blob = {**checkpoint_blob(model, None), "error_model": em.to_blob()}
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_checkpoint_blob(json.loads(json.dumps(blob)))
+
+
 def _without(blob, *path):
     """A copy of a JSON blob with the field at `path` removed."""
     if len(path) == 1:
